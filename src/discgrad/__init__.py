@@ -18,8 +18,8 @@ from .baselines import (SymplecticCoeffs, sp_coefficients, step_leapfrog,
 from .reference import (PendulumOrbit, elliptic_K, jacobi_sn_cn_dn,
                         pendulum_exact, pendulum_period)
 from .harness import (ExperimentSpec, TrajectoryRecord, emit_csv,
-                      emit_plotscript, estimate_order, global_error_vs_h,
-                      make_stepper, run_trajectory, sweep)
+                      emit_plotscript, estimate_order, make_stepper,
+                      run_trajectory, sweep)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

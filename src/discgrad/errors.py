@@ -17,9 +17,11 @@ class NonConvergenceError(RuntimeError):
     """Fixed-point iteration ran out of iterations.
 
     Carries the last increment so callers can judge how close it got.
+    The default lets pickle rebuild the error from its message alone, as a
+    process pool does; the increment then comes back with its attributes.
     """
 
-    def __init__(self, message, last_increment):
+    def __init__(self, message, last_increment=None):
         super().__init__(message)
         self.last_increment = last_increment
 

@@ -7,6 +7,7 @@ import csv
 import math
 import time
 import warnings
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -21,8 +22,6 @@ from .hamiltonian import (HamiltonianSystem, PhaseState, eval_energy,
 # measured errors below this sit at the round-off floor of a unit-scale state
 PRECISION_FLOOR = 100.0 * np.finfo(float).eps
 
-DEFAULT_OBSERVABLES = ("energy_error", "global_error", "state")
-
 
 @dataclass(slots=True)
 class ExperimentSpec:
@@ -33,7 +32,6 @@ class ExperimentSpec:
     n_steps: int
     x0: float = 0.0
     sample_stride: int = 1
-    observables: tuple = DEFAULT_OBSERVABLES
 
     def __post_init__(self):
         if self.h <= 0 or self.n_steps < 1 or self.sample_stride < 1:
@@ -58,8 +56,7 @@ class TrajectoryRecord:
 
 
 def make_stepper(scheme: str, sys: HamiltonianSystem,
-                 cfg: schemes.SolverConfig = None,
-                 mod_gr_point=(0.0, 0.0)):
+                 cfg: schemes.SolverConfig = None):
     """Resolve a scheme id to a callable (state, h) -> (state, iterations).
 
     Ids: gr, mod-gr, gr-lex, gr-slex, gr-N, lf, rk4, tay-N, sp-2M.
@@ -75,7 +72,7 @@ def make_stepper(scheme: str, sys: HamiltonianSystem,
     if scheme == "gr":
         return gradient(schemes.DeltaRule.gr())
     if scheme == "mod-gr":
-        return gradient(schemes.DeltaRule.mod_gr(*mod_gr_point))
+        return gradient(schemes.DeltaRule.mod_gr(0.0))
     if scheme == "gr-lex":
         return gradient(schemes.DeltaRule.lex())
     if scheme == "gr-slex":
@@ -98,8 +95,31 @@ def make_stepper(scheme: str, sys: HamiltonianSystem,
     raise UnsupportedSchemeError(f"unknown scheme id {scheme!r}")
 
 
-def _wrap_pi(v: float) -> float:
-    return math.remainder(v, 2.0 * math.pi)
+def _advance(stepper, s: PhaseState, h: float, start: int, stop: int,
+             iterations: defaultdict) -> PhaseState:
+    """Take steps start+1 .. stop from s, counting each step's fixed-point
+    iterations into the histogram `iterations`.
+
+    This is the only place the harness calls a stepper.  Solver failures
+    gain the index of the step that failed.
+    """
+    n = start
+    try:
+        for n in range(start + 1, stop + 1):
+            s, its = stepper(s, h)
+            iterations[its] += 1
+    except (NonConvergenceError, DivergenceError) as exc:
+        exc.args = (f"step {n}: {exc.args[0]}",) + exc.args[1:]
+        raise
+    return s
+
+
+def _global_errors(p0: float, t: float, s: PhaseState):
+    """Max-norm distance of s from the exact pendulum state at t, plain and
+    with the phase difference reduced mod 2 pi."""
+    ex = reference.pendulum_exact(p0, t)
+    dx, dp = s.x - ex.x, abs(s.p - ex.p)
+    return max(abs(dx), dp), max(abs(math.remainder(dx, 2.0 * math.pi)), dp)
 
 
 def run_trajectory(spec: ExperimentSpec,
@@ -112,86 +132,56 @@ def run_trajectory(spec: ExperimentSpec,
     """
     sys = system_from_name(spec.system)
     stepper = make_stepper(spec.scheme, sys, cfg)
-    want_global = ("global_error" in spec.observables
-                   and spec.system == "pendulum")
+    want_global = spec.system == "pendulum"
     s = PhaseState(spec.x0, spec.p0, 0.0)
     e0 = eval_energy(sys, s)
     samples = []
-    it_min, it_max, it_sum = math.inf, 0, 0
+    iterations = defaultdict(int)
 
     def record(n, s):
+        t = n * spec.h
         g = gm = None
         if want_global:
-            ex = reference.pendulum_exact(spec.p0, n * spec.h)
-            g = max(abs(s.x - ex.x), abs(s.p - ex.p))
-            gm = max(abs(_wrap_pi(s.x - ex.x)), abs(s.p - ex.p))
-        samples.append(Sample(n, n * spec.h, s.x, s.p,
-                              eval_energy(sys, s) - e0, g, gm))
+            g, gm = _global_errors(spec.p0, t, s)
+        samples.append(Sample(n, t, s.x, s.p, eval_energy(sys, s) - e0,
+                              g, gm))
 
     t_start = time.perf_counter()
     record(0, s)
-    for n in range(1, spec.n_steps + 1):
-        try:
-            s, its = stepper(s, spec.h)
-        except (NonConvergenceError, DivergenceError) as exc:
-            exc.args = (f"step {n}: {exc.args[0]}",) + exc.args[1:]
-            raise
-        it_min = min(it_min, its)
-        it_max = max(it_max, its)
-        it_sum += its
-        if n % spec.sample_stride == 0 or n == spec.n_steps:
-            record(n, s)
+    for start in range(0, spec.n_steps, spec.sample_stride):
+        stop = min(start + spec.sample_stride, spec.n_steps)
+        s = _advance(stepper, s, spec.h, start, stop, iterations)
+        record(stop, s)
     wall = time.perf_counter() - t_start
     meta = {
         "spec": spec,
         "wall_time": wall,
         "iterations": {
-            "min": 0 if math.isinf(it_min) else it_min,
-            "max": it_max,
-            "mean": it_sum / spec.n_steps,
+            "min": min(iterations),
+            "max": max(iterations),
+            "mean": sum(k * v for k, v in iterations.items()) / spec.n_steps,
         },
     }
     return TrajectoryRecord(samples, meta)
 
 
-def _final_global_error(scheme: str, p0: float, h: float, n: int,
-                        tol: float = 1e-15) -> float:
-    sys = system_from_name("pendulum")
-    stepper = make_stepper(scheme, sys, schemes.SolverConfig(tol=tol))
-    s = PhaseState(0.0, p0, 0.0)
-    for _ in range(n):
-        s, _ = stepper(s, h)
-    ex = reference.pendulum_exact(p0, n * h)
-    return max(abs(s.x - ex.x), abs(s.p - ex.p))
+def _final_global_error(scheme: str, p0: float, h: float, n: int) -> float:
+    stepper = make_stepper(scheme, system_from_name("pendulum"))
+    s = _advance(stepper, PhaseState(0.0, p0, 0.0), h, 0, n, defaultdict(int))
+    return _global_errors(p0, n * h, s)[0]
 
 
-def global_error_vs_h(scheme: str, p0: float, h_list, n_periods: int):
-    """Rows (h, n, t, error, residual_fraction) at t near n_periods periods.
-
-    The step count is rounded so t lands exactly on a grid point n*h; the
-    exact solution is evaluated there, so no period-mismatch error enters.
-    """
-    period = reference.pendulum_period(p0)
-    target = n_periods * period
-    rows = []
-    for h in h_list:
-        n = max(1, round(target / h))
-        err = _final_global_error(scheme, p0, h, n)
-        rows.append({
-            "h": h,
-            "n": n,
-            "t": n * h,
-            "error": err,
-            "residual_fraction": (n * h - target) / period,
-        })
-    return rows
+def _error_near(scheme: str, p0: float, h: float, target: float):
+    """(n, final global error) of the trajectory whose end n*h lies nearest
+    to time target (at least one step)."""
+    n = max(1, round(target / h))
+    return n, _final_global_error(scheme, p0, h, n)
 
 
 def _sweep_entry(args):
     scheme, p0, h, n_periods, period = args
     target = n_periods * period
-    n = max(1, round(target / h))
-    err = _final_global_error(scheme, p0, h, n)
+    n, err = _error_near(scheme, p0, h, target)
     return {"scheme": scheme, "h": h, "n": n, "t": n * h, "error": err,
             "residual_fraction": (n * h - target) / period}
 
@@ -227,8 +217,7 @@ def estimate_order(scheme: str, p0: float, h_list, t_final: float,
         raise ValueError("order estimation needs the pendulum reference")
     used, excluded = [], []
     for h in h_list:
-        n = max(1, round(t_final / h))
-        err = _final_global_error(scheme, p0, h, n)
+        _, err = _error_near(scheme, p0, h, t_final)
         if err < PRECISION_FLOOR:
             warnings.warn(
                 f"{scheme} at h={h:g}: error {err:.2e} is at the round-off "
@@ -285,8 +274,8 @@ def emit_csv(data, path) -> None:
 
 _FIGOPTS = {
     # figure id -> (xlabel, ylabel, logx, logy, column expression)
-    "fig1": ("t", "E", False, False, "energy"),
-    "fig2": ("t", "E", False, False, "energy"),
+    "fig1": ("t", "energy error", False, False, "energy"),
+    "fig2": ("t", "energy error", False, False, "energy"),
     "fig3": ("t", "|energy error|", False, True, "energy_err"),
     "fig4": ("h", "global error", True, True, "sweep"),
     "fig5": ("h", "global error", True, True, "sweep"),
@@ -318,7 +307,7 @@ def emit_plotscript(csv_paths, figure: str, path) -> None:
         if mode == "sweep":
             plots.append(f"'{p}' skip 1 using 2:5 with linespoints title '{title}'")
         elif mode == "energy":
-            # absolute energy: drift column plus the (constant) initial energy
+            # signed energy drift H(s_n) - H(s_0), the energy_err column
             plots.append(f"'{p}' skip 1 using 2:5 with lines title '{title}'")
         elif mode == "energy_err":
             plots.append(f"'{p}' skip 1 using 2:(abs($5)) with lines title '{title}'")

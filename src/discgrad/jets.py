@@ -294,28 +294,3 @@ def gpow(x, r):
         raise ValueError("non-integer power of a jet needs a positive constant term")
     return (x.log() * r).exp()
 
-
-# -- functional aliases matching the operation-level interface -----------
-
-def jet_add(a: Jet, b: Jet) -> Jet:
-    return a + b
-
-
-def jet_sub(a: Jet, b: Jet) -> Jet:
-    return a - b
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    return a * b
-
-
-def jet_div(a: Jet, b: Jet) -> Jet:
-    return a / b
-
-
-def jet_integrate(a: Jet) -> Jet:
-    return a.integrate()
-
-
-def jet_shift(a: Jet, m: int) -> Jet:
-    return a.shift(m)

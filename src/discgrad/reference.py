@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 from .hamiltonian import PhaseState
 
-_AGM_TOL = 1e-16
+# the AGM converges quadratically: from any k < 1 the gap reaches round-off
+# in under 10 steps
+_AGM_CAP = 32
 
 
 class InfinitePeriodError(ValueError):
@@ -30,59 +32,55 @@ class EquilibriumError(ValueError):
     """p0 = 0 sits at the stable equilibrium; no oscillation."""
 
 
-def elliptic_K(k: float) -> float:
-    """Complete elliptic integral of the first kind, modulus k."""
+def _check_modulus(k: float) -> None:
     if not 0.0 <= k < 1.0:
         raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k}")
-    a = 1.0
-    b = math.sqrt(1.0 - k * k)
-    while abs(a - b) > _AGM_TOL * a:
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (a + b)
 
 
-def _amplitude_chain(u: float, k: float):
-    """Landen chain; returns the amplitude phi0 and the next angle phi1."""
-    a = [1.0]
-    c = [k]
-    b = math.sqrt(1.0 - k * k)
-    n = 0
-    while abs(c[n]) > _AGM_TOL * a[n]:
-        an = 0.5 * (a[n] + b)
-        cn = 0.5 * (a[n] - b)
-        b = math.sqrt(a[n] * b)
+def _agm_chain(k: float):
+    """AGM of 1 and sqrt(1 - k^2): the means a_0..a_n, the Landen terms
+    c_0 = k, c_i = (a_{i-1} - b_{i-1}) / 2, and the last geometric mean b_n.
+
+    The chain stops once the gap a_n - b_n is zero or no smaller than the
+    one before it: near convergence the two means may settle one ulp apart
+    and never meet.
+    """
+    an, cn, b = 1.0, k, math.sqrt(1.0 - k * k)
+    a, c = [an], [cn]
+    for _ in range(_AGM_CAP):
+        gap = an - b
+        if not 0.0 < abs(gap) < 2.0 * abs(cn):
+            break
+        an, cn, b = 0.5 * (an + b), 0.5 * gap, math.sqrt(an * b)
         a.append(an)
         c.append(cn)
-        n += 1
-        if n > 60:  # AGM is quadratic; this is unreachable for k < 1
-            break
+    return a, c, b
+
+
+def elliptic_K(k: float) -> float:
+    """Complete elliptic integral of the first kind, modulus k."""
+    _check_modulus(k)
+    a, _, b = _agm_chain(k)
+    return math.pi / (a[-1] + b)
+
+
+def _amplitudes(u: float, k: float):
+    """Descending Landen recursion; returns the amplitude phi0 = am(u, k)
+    and the next angle phi1."""
+    a, c, _ = _agm_chain(k)
+    n = len(a) - 1
     phi = (2 ** n) * a[n] * u
-    phis = [phi]
+    # an empty chain (k so small that sqrt(1 - k^2) rounds to 1) is one
+    # Landen step with c_1 = 0, whose next angle is exactly 2 phi
+    phi1 = 2.0 * phi
     for i in range(n, 0, -1):
+        phi1 = phi
         phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0,
                      c[i] / a[i] * math.sin(phi)))))
-        phis.append(phi)
-    phi0 = phis[-1]
-    phi1 = phis[-2] if len(phis) > 1 else phi0
-    return phi0, phi1
+    return phi, phi1
 
 
-def jacobi_am(u: float, k: float) -> float:
-    """Jacobi amplitude am(u, k), monotone (not reduced mod 2 pi)."""
-    if not 0.0 <= k < 1.0:
-        raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k}")
-    if k == 0.0:
-        return u
-    return _amplitude_chain(u, k)[0]
-
-
-def jacobi_sn_cn_dn(u: float, k: float):
-    """Jacobi elliptic sn, cn, dn by the descending Landen transformation."""
-    if not 0.0 <= k < 1.0:
-        raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k}")
-    if k == 0.0:
-        return math.sin(u), math.cos(u), 1.0
-    phi0, phi1 = _amplitude_chain(u, k)
+def _sn_cn_dn(phi0: float, phi1: float, k: float):
     sn = math.sin(phi0)
     cn = math.cos(phi0)
     # amplitude-ratio form stays accurate where sqrt(1 - k^2 sn^2) would
@@ -94,6 +92,22 @@ def jacobi_sn_cn_dn(u: float, k: float):
     else:
         dn = math.sqrt(max(0.0, 1.0 - (k * sn) ** 2))
     return sn, cn, dn
+
+
+def jacobi_am(u: float, k: float) -> float:
+    """Jacobi amplitude am(u, k), monotone (not reduced mod 2 pi)."""
+    _check_modulus(k)
+    if k == 0.0:
+        return u
+    return _amplitudes(u, k)[0]
+
+
+def jacobi_sn_cn_dn(u: float, k: float):
+    """Jacobi elliptic sn, cn, dn by the descending Landen transformation."""
+    _check_modulus(k)
+    if k == 0.0:
+        return math.sin(u), math.cos(u), 1.0
+    return _sn_cn_dn(*_amplitudes(u, k), k)
 
 
 @dataclass(slots=True)
@@ -156,7 +170,7 @@ def pendulum_exact(p0: float, t: float) -> PhaseState:
         p = 2.0 * k * cn
         return PhaseState(x, p, t)
     n, r = _reduce_time(t, orbit.period)
-    x = 2.0 * jacobi_am(r / k, k) + 2.0 * math.pi * n
-    _, _, dn = jacobi_sn_cn_dn(r / k, k)
-    p = 2.0 / k * dn
+    phi0, phi1 = _amplitudes(r / k, k)
+    x = 2.0 * phi0 + 2.0 * math.pi * n
+    p = 2.0 / k * _sn_cn_dn(phi0, phi1, k)[2]
     return PhaseState(x, p, t)

@@ -42,8 +42,7 @@ def test_criterion_02_energy_preservation():
     for scheme in ("gr", "mod-gr", "gr-lex", "gr-slex", "gr-3", "gr-7"):
         rec = run_trajectory(
             ExperimentSpec(scheme=scheme, system="pendulum", p0=1.8,
-                           h=0.25, n_steps=10 ** 5, sample_stride=100,
-                           observables=("energy_error",)),
+                           h=0.25, n_steps=10 ** 5, sample_stride=100),
             cfg=SolverConfig(tol=1e-15))
         worst[scheme] = max(abs(s.energy_err) for s in rec.samples)
     ok = all(v <= 1e-10 for v in worst.values())
@@ -209,8 +208,7 @@ def test_criterion_09_energy_drift_characters():
     def run(scheme):
         rec = run_trajectory(ExperimentSpec(
             scheme=scheme, system="pendulum", p0=1.8, h=0.25,
-            n_steps=10 ** 4, sample_stride=100,
-            observables=("energy_error",)))
+            n_steps=10 ** 4, sample_stride=100))
         return [abs(s.energy_err) for s in rec.samples[1:]]
 
     tay5 = run("tay-5")
@@ -219,7 +217,7 @@ def test_criterion_09_energy_drift_characters():
 
     rec = run_trajectory(ExperimentSpec(
         scheme="rk4", system="pendulum", p0=1.8, h=0.25, n_steps=10 ** 4,
-        sample_stride=100, observables=("energy_error",)))
+        sample_stride=100))
     es = [s.energy_err for s in rec.samples]
     rk4_ok = all(b < a for a, b in zip(es, es[1:]))
 

@@ -91,8 +91,13 @@ def test_usage_errors(tmp_path, capsys):
 
 
 def test_solver_failure_exit(tmp_path, capsys):
-    out = tmp_path / "x.csv"
-    code = main(["integrate", "--scheme", "gr", "--p0", "1.8",
-                 "--h", "50", "--steps", "10", "--out", str(out)])
-    assert code == EXIT_NO_CONVERGENCE
-    assert "step" in capsys.readouterr().err
+    out = ["--out", str(tmp_path / "x.csv")]
+    for argv in (
+            ["integrate", "--scheme", "gr", "--p0", "1.8", "--h", "50",
+             "--steps", "10"] + out,
+            ["sweep", "--schemes", "gr", "--p0", "1.8", "--h", "50",
+             "--periods", "1", "--serial"] + out,
+            ["order", "--scheme", "gr", "--p0", "1.8", "--h", "50,40,30",
+             "--t", "100"]):
+        assert main(argv) == EXIT_NO_CONVERGENCE
+        assert capsys.readouterr().err.startswith("error: step 1: ")

@@ -9,9 +9,8 @@ import pytest
 from discgrad.errors import (NonConvergenceError, PrecisionFloorWarning,
                              UnsupportedSchemeError)
 from discgrad.harness import (ExperimentSpec, TrajectoryRecord, emit_csv,
-                              emit_plotscript, estimate_order,
-                              global_error_vs_h, make_stepper, run_trajectory,
-                              sweep)
+                              emit_plotscript, estimate_order, make_stepper,
+                              run_trajectory, sweep)
 from discgrad.hamiltonian import PhaseState, make_pendulum
 from discgrad.schemes import SolverConfig
 
@@ -122,10 +121,11 @@ def test_csv_row_dicts_and_empty(tmp_path):
         emit_csv([], "/nonexistent-dir/t.csv")
 
 
-def test_global_error_vs_h_rows():
-    rows = global_error_vs_h("gr", 1.8, [0.2], 1)
+def test_sweep_entry_rows():
+    rows = sweep(["gr"], 1.8, [0.2], 1, parallel=False)
     assert len(rows) == 1
     r = rows[0]
+    assert r["scheme"] == "gr" and r["h"] == 0.2
     assert r["n"] == round(9.12219655 / 0.2)
     assert r["t"] == pytest.approx(r["n"] * 0.2)
     assert abs(r["residual_fraction"]) <= 0.02
@@ -140,6 +140,16 @@ def test_sweep_matches_serial_and_order():
     assert [r["scheme"] for r in par] == ["gr", "gr", "lf", "lf"]
     for a, b in zip(par, ser):
         assert a == b
+
+
+def test_sweep_and_order_failures_report_step_index():
+    # one step of h = 50 spans several periods at p0 = 1.8; the implicit
+    # solve does not converge on it
+    for parallel in (False, True):
+        with pytest.raises(NonConvergenceError, match=r"^step 1: "):
+            sweep(["gr", "lf"], 1.8, [50.0], 1, parallel=parallel)
+    with pytest.raises(NonConvergenceError, match=r"^step 1: "):
+        estimate_order("gr", 1.8, [50.0, 40.0, 30.0], 100.0)
 
 
 def test_estimate_order_gr():

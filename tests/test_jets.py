@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discgrad.errors import SingularJetDivisionError
@@ -56,13 +56,41 @@ def test_ring_associativity_distributivity(a, b, c):
     assert_close(a + (b + c), (a + b) + c, bound)
 
 
+def div_mul_error_bound(a: Jet, b: Jet) -> list:
+    """Bound on |((a*b)/b)_k - a_k| for each k in double precision.
+
+    Rounding the product and the division perturbs a by at most
+    g |L^-1| |L| (|a| + |q|), g = gamma_{order+1}, where L is the
+    triangular Toeplitz matrix of b.  With beta = max_j>0 |b_j| / |b_0|,
+    |L^-1| |L| is majorised entrywise by C_0 = 1, C_m = 2 beta (1+beta)^(m-1),
+    so the error can grow like (1+beta)^k; under the `tiny` term lies the
+    absolute error of gradual underflow.
+    """
+    n = a.order
+    u = 2.0 ** -53
+    g = (n + 1) * u / (1.0 - (n + 1) * u)
+    b0 = abs(b.coeffs[0])
+    beta = max(abs(v) for v in b.coeffs[1:]) / b0
+    C = [1.0] + [2.0 * beta * (1.0 + beta) ** (m - 1) for m in range(1, n + 1)]
+    bound = []
+    for k in range(n + 1):
+        ma = sum(C[k - i] * abs(a.coeffs[i]) for i in range(k + 1))
+        carried = sum(C[k - i] * bound[i] for i in range(k))
+        tiny = (2 * n + 2 + b0) / b0 * (1.0 + beta) ** k * 2.0 ** -1074
+        bound.append((g * (2.0 * ma + carried) + tiny) / (1.0 - g))
+    return bound
+
+
 @given(jets(), jets())
+@example(Jet([1.0, 1.275434690850144, 0.0, 0.0, 0.0]),
+         Jet([0.0078125, 1.0, 0.0, 0.0, 0.0]))
 @settings(max_examples=200)
 def test_div_inverts_mul(a, b):
     if abs(b.coeffs[0]) < 1e-3:
         b = b + (1.0 if b.coeffs[0] >= 0 else -1.0)
-    assert_close((a * b) / b, a, 1e-9 * max(1.0, *(abs(v) for v in a.coeffs))
-                 * max(1.0, *(abs(v) for v in b.coeffs)) ** 2)
+    q = (a * b) / b
+    for got, want, bound in zip(q.coeffs, a.coeffs, div_mul_error_bound(a, b)):
+        assert abs(got - want) <= bound
 
 
 def test_div_geometric_series():

@@ -5,10 +5,17 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from discgrad.reference import (EquilibriumError, InfinitePeriodError,
+from discgrad.reference import (_AGM_CAP, EquilibriumError,
+                                InfinitePeriodError, _agm_chain,
                                 classify_orbit, elliptic_K, jacobi_am,
                                 jacobi_sn_cn_dn, pendulum_exact,
                                 pendulum_period)
+
+
+def _quadrature_K(k):
+    val, _ = quad(lambda t: 1.0 / math.sqrt(1.0 - (k * math.sin(t)) ** 2),
+                  0.0, math.pi / 2, epsabs=1e-13, epsrel=1e-13, limit=200)
+    return val
 
 
 def test_elliptic_K_endpoints():
@@ -21,9 +28,25 @@ def test_elliptic_K_endpoints():
 
 @pytest.mark.parametrize("k", [0.1, 0.5, 0.9, 0.99])
 def test_elliptic_K_against_quadrature(k):
-    val, err = quad(lambda t: 1.0 / math.sqrt(1.0 - (k * math.sin(t)) ** 2),
-                    0.0, math.pi / 2, epsabs=1e-13, epsrel=1e-13, limit=200)
-    assert elliptic_K(k) == pytest.approx(val, rel=1e-12)
+    assert elliptic_K(k) == pytest.approx(_quadrature_K(k), rel=1e-12)
+
+
+def test_period_where_agm_means_never_meet():
+    # at this modulus the two AGM means settle one ulp apart, so a stop
+    # test that waits for them to meet never returns
+    p0 = 2.0006500000000003
+    k = 2.0 / p0
+    assert pendulum_period(p0) == pytest.approx(2.0 * k * _quadrature_K(k),
+                                                rel=1e-12)
+
+
+def test_agm_chain_ends_by_its_stop_test(rng):
+    moduli = [rng.random() for _ in range(10000)]
+    moduli += [1.0 - 10.0 ** -rng.uniform(1.0, 16.0) for _ in range(10000)]
+    for k in moduli:
+        a, _, b = _agm_chain(k)
+        assert len(a) - 1 < _AGM_CAP
+        assert abs(a[-1] - b) <= math.ulp(a[-1])
 
 
 def test_quoted_periods():
@@ -58,6 +81,27 @@ def test_jacobi_trig_limit(rng):
         u = rng.uniform(-5, 5)
         sn, cn, dn = jacobi_sn_cn_dn(u, 0.0)
         assert sn == math.sin(u) and cn == math.cos(u) and dn == 1.0
+
+
+@pytest.mark.parametrize("k", [1e-9, 1e-17])
+def test_jacobi_tiny_modulus(k):
+    # sqrt(1 - k^2) rounds to 1 here, so the AGM chain is empty; dn must
+    # still be 1, not cos(u)
+    for u in (0.5, 1.5, 2.0, 3.0, -3.0, 7.0):
+        sn, cn, dn = jacobi_sn_cn_dn(u, k)
+        assert sn == pytest.approx(math.sin(u), abs=1e-15)
+        assert cn == pytest.approx(math.cos(u), abs=1e-15)
+        assert dn == pytest.approx(1.0, abs=1e-15)
+        assert jacobi_am(u, k) == pytest.approx(u, abs=1e-15)
+
+
+def test_exact_fast_rotation():
+    # k = 2/p0 is below 2^-27, where the AGM chain is empty
+    for p0 in (1e9, 2e17):
+        for t in (0.3, 1.0, 2.5, 3.0):
+            s = pendulum_exact(p0, t / p0)
+            assert s.p == pytest.approx(p0, rel=1e-15)
+            assert s.x == pytest.approx(t, rel=1e-12)
 
 
 def test_jacobi_at_zero(rng):
