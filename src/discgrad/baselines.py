@@ -11,10 +11,9 @@ from .hamiltonian import HamiltonianSystem, PhaseState, taylor_flow_coeffs
 
 
 def _require_kick_drift(sys: HamiltonianSystem, scheme: str):
-    if not (sys.separable and sys.quadratic_kinetic):
+    if not sys.quadratic_kinetic:
         raise UnsupportedSchemeError(
-            f"{scheme} needs a separable system with T = p^2/2, "
-            f"got {sys.name!r}")
+            f"{scheme} needs H = p^2/2 + V(x), got {sys.name!r}")
 
 
 def step_leapfrog(sys: HamiltonianSystem, s: PhaseState,
@@ -30,7 +29,7 @@ def step_leapfrog(sys: HamiltonianSystem, s: PhaseState,
 
 def step_rk4(sys: HamiltonianSystem, s: PhaseState, h: float) -> PhaseState:
     """Classical four-stage Runge-Kutta applied to (H_p, -H_x)."""
-    dx, dp = sys.d_p, sys.d_x
+    dx, dp = sys.partials["p"], sys.partials["x"]
     x, p = s.x, s.p
     k1x = dx(x, p)
     k1p = -dp(x, p)

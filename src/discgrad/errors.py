@@ -31,8 +31,8 @@ class DivergenceError(RuntimeError):
 
 
 class UnsupportedSchemeError(ValueError):
-    """Scheme applied to a system it cannot handle (e.g. leap-frog on a
-    non-separable Hamiltonian), or an unknown scheme id."""
+    """Scheme applied to a system it cannot handle (e.g. leap-frog on an H
+    that is not p^2/2 + V(x)), or an unknown scheme id."""
 
 
 class PrecisionFloorWarning(UserWarning):

@@ -1,10 +1,23 @@
 """One-dimensional Hamiltonian systems.
 
-A system is defined by an energy evaluator ``H(x, p)`` written against the
-generic scalar helpers from :mod:`discgrad.jets`, so the same code runs on
-floats and on jets.  Built-in systems also carry closed-form partial
-derivatives (again generic), which give the fast path for steppers and the
-Picard iteration for flow Taylor coefficients.
+A system meets one contract, checked once when it is built.  It supplies
+
+* ``energy(x, p)``: H, written against the generic scalar helpers from
+  :mod:`discgrad.jets`, so the same code runs on floats and on jets;
+* ``partials``: the closed-form partial derivatives ``x, p, xx, xp, pp``
+  of H, each a callable ``(x, p)``.  ``x`` and ``p`` must also be generic:
+  the flow Taylor coefficients evaluate them on jets;
+* ``dd_x(x, x1, p, p1)`` and ``dd_p(x, x1, p, p1)``: the p-averaged
+  divided difference of H in x and the x-averaged one in p,
+
+      dd_x = [H(x1,p1) + H(x1,p) - H(x,p1) - H(x,p)] / (2 (x1 - x))
+      dd_p = [H(x1,p1) + H(x,p1) - H(x1,p) - H(x,p)] / (2 (p1 - p)),
+
+  written in a form that does not cancel as x1 -> x or p1 -> p (these
+  keep the implicit solver convergent to round-off near turning points);
+* ``quadratic_kinetic``: True when H = p^2/2 + V(x); the kick-drift
+  baselines need it, and the gr-N series quotient then takes a better
+  conditioned form.
 """
 
 from __future__ import annotations
@@ -16,7 +29,10 @@ import numpy as np
 
 from .jets import Jet, gcos, gsin
 
-PARTIAL_KEYS = ("x", "p", "xx", "xp", "pp", "xxx", "xxp", "xpp", "ppp")
+PARTIAL_KEYS = ("x", "p", "xx", "xp", "pp")
+
+# highest degree of the flow Taylor series
+MAX_FLOW_ORDER = 16
 
 
 @dataclass(slots=True)
@@ -42,57 +58,36 @@ class LinearSystem:
 class HamiltonianSystem:
     name: str
     energy: object                      # callable (x, p) -> scalar, generic
-    kinetic: object = None              # callable (p), when H = T(p) + V(x)
-    potential: object = None            # callable (x)
-    partials: dict = field(default_factory=dict)  # closed-form, generic
-    quadratic_kinetic: bool = False     # T(p) = p^2 / 2 exactly
-    # optional cancellation-free divided differences (x, x1, p, p1); these
-    # keep the implicit solver convergent to round-off near turning points
-    dd_x: object = None
+    partials: dict = field(default_factory=dict)  # PARTIAL_KEYS -> (x, p)
+    dd_x: object = None                 # callable (x, x1, p, p1)
     dd_p: object = None
+    quadratic_kinetic: bool = False     # H = p^2/2 + V(x)
 
-    @property
-    def separable(self) -> bool:
-        return self.kinetic is not None and self.potential is not None
-
-    def d_x(self, x, p):
-        """H_x, via the closed form when available, else a jet probe."""
-        fn = self.partials.get("x")
-        if fn is not None:
-            return fn(x, p)
-        return self.energy(Jet.variable(x, 1), p).coeffs[1]
-
-    def d_p(self, x, p):
-        fn = self.partials.get("p")
-        if fn is not None:
-            return fn(x, p)
-        return self.energy(x, Jet.variable(p, 1)).coeffs[1]
+    def __post_init__(self):
+        missing = [f"partials[{k!r}]" for k in PARTIAL_KEYS
+                   if k not in self.partials]
+        missing += [f for f in ("dd_x", "dd_p") if getattr(self, f) is None]
+        if missing:
+            raise ValueError(
+                f"system {self.name!r} lacks {', '.join(missing)}")
 
 
 def eval_energy(sys: HamiltonianSystem, s: PhaseState) -> float:
     return sys.energy(s.x, s.p)
 
 
-def eval_partials(sys: HamiltonianSystem, s: PhaseState, max_order: int = 2,
-                  use_oracle: bool = False) -> dict:
-    """Mixed partials of H at a state, up to third order.
+def eval_partials(sys: HamiltonianSystem, s: PhaseState,
+                  max_order: int = 2) -> dict:
+    """Mixed partials of H at a state, up to third order, from H alone.
 
     Computed by evaluating H over jets along the x, p and diagonal
     directions; mixed partials are recovered from the directional
-    coefficients.  With ``use_oracle=True`` the system's closed forms are
-    used instead (the two paths are cross-checked in the test suite).
+    coefficients.  This is the reference the closed forms in
+    ``sys.partials`` are checked against.
     """
     if max_order not in (1, 2, 3):
         raise ValueError("max_order must be 1, 2 or 3")
     x, p = s.x, s.p
-    keys = PARTIAL_KEYS[:2] if max_order == 1 else (
-        PARTIAL_KEYS[:5] if max_order == 2 else PARTIAL_KEYS)
-    if use_oracle:
-        missing = [k for k in keys if k not in sys.partials]
-        if missing:
-            raise ValueError(f"system {sys.name!r} has no closed form for {missing}")
-        return {k: sys.partials[k](x, p) for k in keys}
-
     m = max_order
     cx = sys.energy(Jet.variable(x, m), p).coeffs
     cp = sys.energy(x, Jet.variable(p, m)).coeffs
@@ -115,8 +110,7 @@ def eval_partials(sys: HamiltonianSystem, s: PhaseState, max_order: int = 2,
 
 def linearize(sys: HamiltonianSystem, s: PhaseState) -> LinearSystem:
     """Linear system of the flow around a fixed phase point."""
-    d = eval_partials(sys, s, max_order=2,
-                      use_oracle=all(k in sys.partials for k in PARTIAL_KEYS[:5]))
+    d = {k: sys.partials[k](s.x, s.p) for k in PARTIAL_KEYS}
     A = np.array([[d["xp"], d["pp"]],
                   [-d["xx"], -d["xp"]]], dtype=float)
     b = np.array([d["p"], -d["x"]], dtype=float)
@@ -134,24 +128,17 @@ def taylor_flow_coeffs(sys: HamiltonianSystem, s: PhaseState, N: int):
     N times; each pass fixes one more coefficient.  The k-th monomial
     coefficient equals (d^k x / dt^k) / k!.
     """
-    if not 1 <= N <= 16:
-        raise ValueError("N must be in [1, 16]")
-    hx = sys.partials.get("x")
-    hp = sys.partials.get("p")
+    if not 1 <= N <= MAX_FLOW_ORDER:
+        raise ValueError(f"N must be in [1, {MAX_FLOW_ORDER}]")
+    hx = sys.partials["x"]
+    hp = sys.partials["p"]
     x0, p0 = s.x, s.p
     X = Jet.constant(x0, 0)
     P = Jet.constant(p0, 0)
     # pass i fixes coefficient i, so derivatives are only needed at order i-1
     for i in range(1, N + 1):
-        if hx is not None and hp is not None:
-            fx = hp(X, P)
-            fp = hx(X, P)
-        else:
-            # nested-jet differentiation: outer order-1 jets probe H_p, H_x
-            zero = Jet.constant(0.0, i - 1)
-            one = Jet.constant(1.0, i - 1)
-            fx = sys.energy(Jet([X, zero]), Jet([P, one])).coeffs[1]
-            fp = sys.energy(Jet([X, one]), Jet([P, zero])).coeffs[1]
+        fx = hp(X, P)
+        fp = hx(X, P)
         fxc = fx.coeffs if isinstance(fx, Jet) else [fx] + [0.0] * (i - 1)
         fpc = fp.coeffs if isinstance(fp, Jet) else [fp] + [0.0] * (i - 1)
         X = Jet([x0] + [fxc[k] / (k + 1) for k in range(i)], i)
@@ -161,7 +148,7 @@ def taylor_flow_coeffs(sys: HamiltonianSystem, s: PhaseState, N: int):
 
 # -- built-in systems ----------------------------------------------------
 
-def _pendulum_dd_x(x, x1, p, p1):
+def _cos_difference_quotient(x, x1, p, p1):
     # (cos x - cos x1)/(x1 - x) via the product identity: no cancellation
     half = 0.5 * (x1 - x)
     ratio = math.sin(half) / half if half != 0.0 else 1.0
@@ -173,10 +160,8 @@ def make_pendulum() -> HamiltonianSystem:
     return HamiltonianSystem(
         name="pendulum",
         energy=lambda x, p: 0.5 * p * p - gcos(x),
-        kinetic=lambda p: 0.5 * p * p,
-        potential=lambda x: -gcos(x),
         quadratic_kinetic=True,
-        dd_x=_pendulum_dd_x,
+        dd_x=_cos_difference_quotient,
         dd_p=lambda x, x1, p, p1: 0.5 * (p + p1),
         partials={
             "x": lambda x, p: gsin(x),
@@ -184,10 +169,6 @@ def make_pendulum() -> HamiltonianSystem:
             "xx": lambda x, p: gcos(x),
             "xp": lambda x, p: 0.0,
             "pp": lambda x, p: 1.0,
-            "xxx": lambda x, p: -gsin(x),
-            "xxp": lambda x, p: 0.0,
-            "xpp": lambda x, p: 0.0,
-            "ppp": lambda x, p: 0.0,
         },
     )
 
@@ -198,8 +179,6 @@ def make_harmonic(omega: float = 1.0) -> HamiltonianSystem:
     return HamiltonianSystem(
         name=f"harmonic:{omega:g}",
         energy=lambda x, p: 0.5 * p * p + 0.5 * w2 * x * x,
-        kinetic=lambda p: 0.5 * p * p,
-        potential=lambda x: 0.5 * w2 * x * x,
         quadratic_kinetic=True,
         dd_x=lambda x, x1, p, p1: 0.5 * w2 * (x + x1),
         dd_p=lambda x, x1, p, p1: 0.5 * (p + p1),
@@ -209,16 +188,12 @@ def make_harmonic(omega: float = 1.0) -> HamiltonianSystem:
             "xx": lambda x, p: w2,
             "xp": lambda x, p: 0.0,
             "pp": lambda x, p: 1.0,
-            "xxx": lambda x, p: 0.0,
-            "xxp": lambda x, p: 0.0,
-            "xpp": lambda x, p: 0.0,
-            "ppp": lambda x, p: 0.0,
         },
     )
 
 
 def make_crossterm(alpha: float = 0.5) -> HamiltonianSystem:
-    """H = p^2/2 + x^2/2 + alpha*x*p, a non-separable test case."""
+    """H = p^2/2 + x^2/2 + alpha*x*p, a test case with an x-p cross term."""
     return HamiltonianSystem(
         name=f"crossterm:{alpha:g}",
         energy=lambda x, p: 0.5 * p * p + 0.5 * x * x + alpha * x * p,
@@ -230,10 +205,6 @@ def make_crossterm(alpha: float = 0.5) -> HamiltonianSystem:
             "xx": lambda x, p: 1.0,
             "xp": lambda x, p: alpha,
             "pp": lambda x, p: 1.0,
-            "xxx": lambda x, p: 0.0,
-            "xxp": lambda x, p: 0.0,
-            "xpp": lambda x, p: 0.0,
-            "ppp": lambda x, p: 0.0,
         },
     )
 

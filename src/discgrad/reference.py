@@ -57,17 +57,21 @@ def _agm_chain(k: float):
     return a, c, b
 
 
-def elliptic_K(k: float) -> float:
-    """Complete elliptic integral of the first kind, modulus k."""
-    _check_modulus(k)
-    a, _, b = _agm_chain(k)
+def _K(chain) -> float:
+    a, _, b = chain
     return math.pi / (a[-1] + b)
 
 
-def _amplitudes(u: float, k: float):
-    """Descending Landen recursion; returns the amplitude phi0 = am(u, k)
-    and the next angle phi1."""
-    a, c, _ = _agm_chain(k)
+def elliptic_K(k: float) -> float:
+    """Complete elliptic integral of the first kind, modulus k."""
+    _check_modulus(k)
+    return _K(_agm_chain(k))
+
+
+def _amplitudes(u: float, chain):
+    """Descending Landen recursion over the AGM chain of k; returns the
+    amplitude phi0 = am(u, k) and the next angle phi1."""
+    a, c, _ = chain
     n = len(a) - 1
     phi = (2 ** n) * a[n] * u
     # an empty chain (k so small that sqrt(1 - k^2) rounds to 1) is one
@@ -99,7 +103,7 @@ def jacobi_am(u: float, k: float) -> float:
     _check_modulus(k)
     if k == 0.0:
         return u
-    return _amplitudes(u, k)[0]
+    return _amplitudes(u, _agm_chain(k))[0]
 
 
 def jacobi_sn_cn_dn(u: float, k: float):
@@ -107,7 +111,7 @@ def jacobi_sn_cn_dn(u: float, k: float):
     _check_modulus(k)
     if k == 0.0:
         return math.sin(u), math.cos(u), 1.0
-    return _sn_cn_dn(*_amplitudes(u, k), k)
+    return _sn_cn_dn(*_amplitudes(u, _agm_chain(k)), k)
 
 
 @dataclass(slots=True)
@@ -118,17 +122,25 @@ class PendulumOrbit:
     period: float        # inf on the separatrix
 
 
-def classify_orbit(p0: float) -> PendulumOrbit:
+def _orbit(p0: float):
+    """The orbit through (0, p0) and the AGM chain of its modulus (None on
+    the separatrix)."""
     a = abs(p0)
     if a == 0.0:
         raise EquilibriumError("p0 = 0 is the stable equilibrium")
     if a < 2.0:
         k = a / 2.0
-        return PendulumOrbit(p0, "libration", k, 4.0 * elliptic_K(k))
+        chain = _agm_chain(k)
+        return PendulumOrbit(p0, "libration", k, 4.0 * _K(chain)), chain
     if a > 2.0:
         k = 2.0 / a
-        return PendulumOrbit(p0, "rotation", k, 2.0 * k * elliptic_K(k))
-    return PendulumOrbit(p0, "separatrix", 1.0, math.inf)
+        chain = _agm_chain(k)
+        return PendulumOrbit(p0, "rotation", k, 2.0 * k * _K(chain)), chain
+    return PendulumOrbit(p0, "separatrix", 1.0, math.inf), None
+
+
+def classify_orbit(p0: float) -> PendulumOrbit:
+    return _orbit(p0)[0]
 
 
 def pendulum_period(p0: float) -> float:
@@ -139,13 +151,26 @@ def pendulum_period(p0: float) -> float:
     return orbit.period
 
 
+def _split(a: float):
+    """Veltkamp split of a double into two halves of at most 26 bits."""
+    c = 134217729.0 * a          # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
 def _reduce_time(t: float, period: float):
-    """Split t = n*period + r with compensated residual, |r| <= period/2."""
+    """Split t = n*period + r, |r| <= period/2, with r correctly rounded.
+
+    n*period = prod + err exactly (Dekker's two-product), and t - prod is
+    exact by Sterbenz's lemma (prod is zero or within a factor 2 of t), so
+    r is rounded once.
+    """
     n = round(t / period)
-    # two-product style compensation keeps r accurate for huge t
-    r = t - n * period
-    r = r - (math.fma(n, period, -n * period) if hasattr(math, "fma") else 0.0)
-    return n, r
+    prod = n * period
+    n_hi, n_lo = _split(float(n))
+    p_hi, p_lo = _split(period)
+    err = ((n_hi * p_hi - prod) + n_hi * p_lo + n_lo * p_hi) + n_lo * p_lo
+    return n, (t - prod) - err
 
 
 def pendulum_exact(p0: float, t: float) -> PhaseState:
@@ -157,20 +182,19 @@ def pendulum_exact(p0: float, t: float) -> PhaseState:
     if p0 < 0.0:
         s = pendulum_exact(-p0, t)
         return PhaseState(-s.x, -s.p, t)
-    orbit = classify_orbit(p0)
+    orbit, chain = _orbit(p0)
     k = orbit.k
     if orbit.regime == "separatrix":
         x = 4.0 * math.atan(math.exp(t)) - math.pi
         p = 2.0 / math.cosh(t)
         return PhaseState(x, p, t)
+    n, r = _reduce_time(t, orbit.period)
     if orbit.regime == "libration":
-        _, r = _reduce_time(t, orbit.period)
-        sn, cn, _ = jacobi_sn_cn_dn(r, k)
+        sn, cn, _ = _sn_cn_dn(*_amplitudes(r, chain), k)
         x = 2.0 * math.asin(max(-1.0, min(1.0, k * sn)))
         p = 2.0 * k * cn
         return PhaseState(x, p, t)
-    n, r = _reduce_time(t, orbit.period)
-    phi0, phi1 = _amplitudes(r / k, k)
+    phi0, phi1 = _amplitudes(r / k, chain)
     x = 2.0 * phi0 + 2.0 * math.pi * n
     p = 2.0 / k * _sn_cn_dn(phi0, phi1, k)[2]
     return PhaseState(x, p, t)

@@ -22,10 +22,18 @@ from dataclasses import dataclass, field
 
 from .errors import (DivergenceError, NonConvergenceError, ResonanceStepError)
 from .exactlin import AffineStepMap
-from .hamiltonian import (HamiltonianSystem, PhaseState, eval_partials,
+from .hamiltonian import (MAX_FLOW_ORDER, HamiltonianSystem, PhaseState,
                           linearize, taylor_flow_coeffs)
 
 import numpy as np
+
+# the series quotient needs two flow coefficients beyond its own order
+MAX_SERIES_ORDER = MAX_FLOW_ORDER - 2
+
+
+def _check_series_order(N: int) -> None:
+    if not 1 <= N <= MAX_SERIES_ORDER:
+        raise ValueError(f"series order must be in [1, {MAX_SERIES_ORDER}]")
 
 
 @dataclass(slots=True)
@@ -67,8 +75,7 @@ class DeltaRule:
 
     @classmethod
     def series(cls, N):
-        if not 1 <= N <= 16:
-            raise ValueError("series order must be in [1, 16]")
+        _check_series_order(N)
         return cls("series", N=N)
 
     @classmethod
@@ -101,10 +108,8 @@ class DeltaRule:
 
 
 def omega_sq_at(sys: HamiltonianSystem, x: float, p: float) -> float:
-    d = eval_partials(sys, PhaseState(x, p), max_order=2,
-                      use_oracle=all(k in sys.partials
-                                     for k in ("xx", "xp", "pp")))
-    return d["xx"] * d["pp"] - d["xp"] ** 2
+    d = sys.partials
+    return d["xx"](x, p) * d["pp"](x, p) - d["xp"](x, p) ** 2
 
 
 def delta_gr(h: float) -> float:
@@ -146,7 +151,7 @@ def _leading_index(jet):
 def _quotient_parts(sys: HamiltonianSystem, x, p, N: int):
     X, P = taylor_flow_coeffs(sys, PhaseState(x, p), N + 2)
     if sys.quadratic_kinetic:
-        # with T = p^2/2 the potential terms cancel in the denominator and
+        # with H = p^2/2 + V(x) the V terms cancel in the denominator and
         # a factor (p' - p) cancels analytically, leaving 2 dx / (p + p').
         # Unlike the four-term quotient this stays well conditioned near
         # turning points and near sin-like zeros of H_x.
@@ -159,6 +164,7 @@ def _quotient_parts(sys: HamiltonianSystem, x, p, N: int):
 
 def _delta_series_quotient(sys: HamiltonianSystem, s: PhaseState, N: int):
     """Jet q with q.coeffs[j] = a_{j+1}, or None for a trivial flow."""
+    _check_series_order(N)
     num, den = _quotient_parts(sys, s.x, s.p, N)
     k = _leading_index(den)
     if k is None:
@@ -186,8 +192,6 @@ def _delta_series_quotient(sys: HamiltonianSystem, s: PhaseState, N: int):
 def delta_series_coefficients(sys: HamiltonianSystem, s: PhaseState,
                               N: int) -> list:
     """Series coefficients [a_1, ..., a_N] of the order-N denominator."""
-    if not 1 <= N <= 16:
-        raise ValueError("N must be in [1, 16]")
     q = _delta_series_quotient(sys, s, N)
     if q is None:
         return [1.0] + [0.0] * (N - 1)
@@ -197,50 +201,10 @@ def delta_series_coefficients(sys: HamiltonianSystem, s: PhaseState,
 def delta_series(sys: HamiltonianSystem, s: PhaseState, h: float,
                  N: int) -> float:
     """delta^{[N]} = sum_{k=1}^{N} a_k(x, p) h^k evaluated at h."""
-    if not 1 <= N <= 16:
-        raise ValueError("N must be in [1, 16]")
     q = _delta_series_quotient(sys, s, N)
     if q is None:
         return h
     return h * q.evaluate(h)
-
-
-# -- discrete-gradient divided differences -------------------------------
-
-def _dd_p(sys: HamiltonianSystem, x, x1, p, p1):
-    """x-averaged divided difference of H in p (the x-equation RHS)."""
-    if sys.dd_p is not None:
-        return sys.dd_p(x, x1, p, p1)
-    if sys.quadratic_kinetic:
-        return 0.5 * (p + p1)
-    dp = p1 - p
-    if abs(dp) < 1e-10 * max(1.0, abs(p), abs(p1)):
-        pm = 0.5 * (p + p1)
-        if sys.separable:
-            return sys.d_p(x, pm)
-        return 0.5 * (sys.d_p(x1, pm) + sys.d_p(x, pm))
-    if sys.separable:
-        T = sys.kinetic
-        return (T(p1) - T(p)) / dp
-    H = sys.energy
-    return (H(x1, p1) + H(x, p1) - H(x1, p) - H(x, p)) / (2.0 * dp)
-
-
-def _dd_x(sys: HamiltonianSystem, x, x1, p, p1):
-    """p-averaged divided difference of H in x (minus the p-equation RHS)."""
-    if sys.dd_x is not None:
-        return sys.dd_x(x, x1, p, p1)
-    dx = x1 - x
-    if abs(dx) < 1e-10 * max(1.0, abs(x), abs(x1)):
-        xm = 0.5 * (x + x1)
-        if sys.separable:
-            return sys.d_x(xm, p)
-        return 0.5 * (sys.d_x(xm, p1) + sys.d_x(xm, p))
-    if sys.separable:
-        V = sys.potential
-        return (V(x1) - V(x)) / dx
-    H = sys.energy
-    return (H(x1, p1) + H(x1, p) - H(x, p1) - H(x, p)) / (2.0 * dx)
 
 
 def discrete_gradient_residual(sys: HamiltonianSystem, s_n: PhaseState,
@@ -248,8 +212,8 @@ def discrete_gradient_residual(sys: HamiltonianSystem, s_n: PhaseState,
     """Residual (r_x, r_p) of the implicit step equations."""
     x, p = s_n.x, s_n.p
     x1, p1 = s_next.x, s_next.p
-    r_x = (x1 - x) / delta - _dd_p(sys, x, x1, p, p1)
-    r_p = (p1 - p) / delta + _dd_x(sys, x, x1, p, p1)
+    r_x = (x1 - x) / delta - sys.dd_p(x, x1, p, p1)
+    r_p = (p1 - p) / delta + sys.dd_x(x, x1, p, p1)
     return r_x, r_p
 
 
@@ -262,9 +226,10 @@ def step_gradient_info(sys: HamiltonianSystem, rule: DeltaRule,
     x, p = s_n.x, s_n.p
     slex = rule.kind == "slex"
     delta = None if slex else rule.value_at(sys, s_n, h)
+    dd_x, dd_p = sys.dd_x, sys.dd_p
     # explicit Euler predictor
-    xc = x + h * sys.d_p(x, p)
-    pc = p - h * sys.d_x(x, p)
+    xc = x + h * sys.partials["p"](x, p)
+    pc = p - h * sys.partials["x"](x, p)
     tol = cfg.tol
     guard = cfg.divergence_guard
     inc = prev_inc = math.inf
@@ -272,8 +237,8 @@ def step_gradient_info(sys: HamiltonianSystem, rule: DeltaRule,
         if slex:
             delta = delta_lex(
                 omega_sq_at(sys, 0.5 * (x + xc), 0.5 * (p + pc)), h)
-        xn = x + delta * _dd_p(sys, x, xc, p, pc)
-        pn = p - delta * _dd_x(sys, x, xc, p, pc)
+        xn = x + delta * dd_p(x, xc, p, pc)
+        pn = p - delta * dd_x(x, xc, p, pc)
         inc = max(abs(xn - xc), abs(pn - pc))
         xc, pc = xn, pn
         if inc <= tol:

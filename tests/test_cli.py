@@ -101,3 +101,9 @@ def test_solver_failure_exit(tmp_path, capsys):
              "--t", "100"]):
         assert main(argv) == EXIT_NO_CONVERGENCE
         assert capsys.readouterr().err.startswith("error: step 1: ")
+    # the fixed-point map expands by about h/2 per iteration here
+    argv = ["integrate", "--scheme", "gr", "--system", "harmonic:1",
+            "--p0", "1", "--h", "10", "--steps", "3"] + out
+    assert main(argv) == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err.startswith(
+        "error: step 1: fixed-point increment ")

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from discgrad.hamiltonian import (PhaseState, eval_energy, eval_partials,
-                                  linearize, make_crossterm, make_harmonic,
-                                  make_pendulum, system_from_name,
-                                  taylor_flow_coeffs)
+from discgrad.hamiltonian import (HamiltonianSystem, PhaseState,
+                                  eval_energy, eval_partials, linearize,
+                                  make_crossterm, make_harmonic,
+                                  system_from_name, taylor_flow_coeffs)
 
 
 def rand_state(rng, span=2.5):
@@ -21,13 +21,32 @@ def test_energy_values(pendulum, harmonic):
     assert eval_energy(harmonic, PhaseState(3.0, 4.0)) == 12.5
 
 
-def test_separable_parts_match_energy(pendulum, harmonic, rng):
-    for sys in (pendulum, harmonic):
-        for _ in range(20):
-            s = rand_state(rng)
-            split = sys.kinetic(s.p) + sys.potential(s.x)
-            whole = eval_energy(sys, s)
-            assert split == pytest.approx(whole, rel=1e-14)
+def test_contract_names_what_is_missing(pendulum):
+    with pytest.raises(ValueError, match=r"partials\['xx'\].*dd_p"):
+        HamiltonianSystem(
+            name="bare", energy=pendulum.energy, dd_x=pendulum.dd_x,
+            partials={k: v for k, v in pendulum.partials.items()
+                      if k != "xx"})
+
+
+def test_divided_differences_match_four_term_quotient(pendulum, harmonic,
+                                                      crossterm, rng):
+    # the closed forms against the generic discrete gradient of H, at
+    # points far enough apart that the quotient does not cancel
+    for sys in (pendulum, harmonic, crossterm, make_harmonic(1.3)):
+        H = sys.energy
+        for _ in range(50):
+            x, p = rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)
+            x1 = x + rng.choice((-1, 1)) * rng.uniform(0.5, 2.0)
+            p1 = p + rng.choice((-1, 1)) * rng.uniform(0.5, 2.0)
+            want_x = (H(x1, p1) + H(x1, p) - H(x, p1) - H(x, p)) \
+                / (2.0 * (x1 - x))
+            want_p = (H(x1, p1) + H(x, p1) - H(x1, p) - H(x, p)) \
+                / (2.0 * (p1 - p))
+            assert sys.dd_x(x, x1, p, p1) == pytest.approx(
+                want_x, rel=1e-13, abs=1e-13)
+            assert sys.dd_p(x, x1, p, p1) == pytest.approx(
+                want_p, rel=1e-13, abs=1e-13)
 
 
 def test_partials_point_values(pendulum):
@@ -42,18 +61,18 @@ def test_partials_point_values(pendulum):
     assert d["xx"] == pytest.approx(0.0, abs=1e-15)
 
 
-def test_partials_jet_vs_closed_form(pendulum, rng):
-    for _ in range(100):
-        s = rand_state(rng)
-        jet = eval_partials(pendulum, s, max_order=3, use_oracle=False)
-        ora = eval_partials(pendulum, s, max_order=3, use_oracle=True)
-        for key, v in ora.items():
-            assert jet[key] == pytest.approx(v, rel=1e-13, abs=1e-13)
+def test_partials_jet_vs_closed_form(pendulum, harmonic, crossterm, rng):
+    for sys in (pendulum, harmonic, crossterm):
+        for _ in range(100):
+            s = rand_state(rng)
+            jet = eval_partials(sys, s, max_order=2)
+            for key, fn in sys.partials.items():
+                assert jet[key] == pytest.approx(fn(s.x, s.p), rel=1e-13,
+                                                 abs=1e-13)
 
 
 def test_partials_crossterm_mixed(crossterm):
-    d = eval_partials(crossterm, PhaseState(2.0, 3.0), max_order=3,
-                      use_oracle=False)
+    d = eval_partials(crossterm, PhaseState(2.0, 3.0), max_order=3)
     assert d["x"] == pytest.approx(2.0 + 0.5 * 3.0)
     assert d["p"] == pytest.approx(3.0 + 0.5 * 2.0)
     assert d["xp"] == pytest.approx(0.5)
@@ -84,8 +103,8 @@ def test_linearize_structure(pendulum, crossterm, rng):
 
 
 def _d38_coeffs(sys, s):
-    """Leading flow coefficients from the closed-form total derivatives."""
-    d = eval_partials(sys, s, max_order=3, use_oracle=True)
+    """Leading flow coefficients from the total-derivative formulas."""
+    d = eval_partials(sys, s, max_order=3)
     b1 = d["p"]
     b2 = d["p"] * d["xp"] - d["x"] * d["pp"]
     b3 = (d["x"] ** 2 * d["ppp"] + d["xxp"] * d["p"] ** 2
@@ -113,19 +132,6 @@ def test_flow_coeffs_harmonic_cosine(harmonic):
     X, _ = taylor_flow_coeffs(harmonic, PhaseState(1.0, 0.0), 4)
     assert X.coeffs == pytest.approx([1.0, 0.0, -0.5, 0.0, 1.0 / 24.0],
                                      abs=1e-15)
-
-
-def test_flow_coeffs_nested_jet_fallback(rng):
-    # strip the closed-form partials; Picard must fall back to nested jets
-    bare = make_pendulum()
-    bare.partials = {}
-    full = make_pendulum()
-    for _ in range(5):
-        s = rand_state(rng)
-        Xa, Pa = taylor_flow_coeffs(bare, s, 6)
-        Xb, Pb = taylor_flow_coeffs(full, s, 6)
-        assert Xa.coeffs == pytest.approx(Xb.coeffs, rel=1e-12, abs=1e-12)
-        assert Pa.coeffs == pytest.approx(Pb.coeffs, rel=1e-12, abs=1e-12)
 
 
 def test_energy_first_integral_of_truncated_flow(pendulum, crossterm, rng):

@@ -1,14 +1,16 @@
 """Elliptic integrals, Jacobi functions and the exact pendulum orbit."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from scipy.integrate import quad
 
+from discgrad import reference
 from discgrad.reference import (_AGM_CAP, EquilibriumError,
                                 InfinitePeriodError, _agm_chain,
-                                classify_orbit, elliptic_K, jacobi_am,
-                                jacobi_sn_cn_dn, pendulum_exact,
+                                _reduce_time, classify_orbit, elliptic_K,
+                                jacobi_am, jacobi_sn_cn_dn, pendulum_exact,
                                 pendulum_period)
 
 
@@ -212,3 +214,28 @@ def test_long_time_reduction():
     b = pendulum_exact(1.8, 0.4 + n * T)
     assert b.x == pytest.approx(a.x, abs=1e-6)
     assert b.p == pytest.approx(a.p, abs=1e-6)
+
+
+def test_reduce_time_residual_correctly_rounded(rng):
+    # r is within one ulp of the exact t - n*period, on every Python
+    for p0 in (1.8, 2.5):
+        period = pendulum_period(p0)
+        for _ in range(2000):
+            t = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 9.0)
+            n, r = _reduce_time(t, period)
+            assert n == round(t / period)
+            exact = Fraction(t) - n * Fraction(period)
+            assert abs(Fraction(r) - exact) <= Fraction(math.ulp(r))
+
+
+def test_one_agm_chain_per_oracle_call(monkeypatch):
+    calls = []
+
+    def counting(k):
+        calls.append(k)
+        return _agm_chain(k)
+    monkeypatch.setattr(reference, "_agm_chain", counting)
+    for p0, chains in ((1.8, 1), (2.5, 1), (-1.8, 1), (2.0, 0)):
+        calls.clear()
+        pendulum_exact(p0, 123.4)
+        assert len(calls) == chains

@@ -117,6 +117,14 @@ def test_series_order_bounds(pendulum):
         delta_series(pendulum, PhaseState(0.0, 1.0), 0.1, 0)
     with pytest.raises(ValueError):
         DeltaRule.series(17)
+    # order N needs N + 2 flow coefficients, and the flow stops at 16
+    for N in (15, 16):
+        with pytest.raises(ValueError, match=r"\[1, 14\]"):
+            DeltaRule.series(N)
+        with pytest.raises(ValueError):
+            delta_series_coefficients(pendulum, PhaseState(0.0, 1.0), N)
+    assert len(delta_series_coefficients(pendulum, PhaseState(0.0, 1.0),
+                                         14)) == 14
 
 
 def test_gr1_gr2_identical_to_gr(pendulum, rng):
