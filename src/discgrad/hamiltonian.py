@@ -5,8 +5,13 @@ A system meets one contract, checked once when it is built.  It supplies
 * ``energy(x, p)``: H, written against the generic scalar helpers from
   :mod:`discgrad.jets`, so the same code runs on floats and on jets;
 * ``partials``: the closed-form partial derivatives ``x, p, xx, xp, pp``
-  of H, each a callable ``(x, p)``.  ``x`` and ``p`` must also be generic:
-  the flow Taylor coefficients evaluate them on jets;
+  of H, each a callable ``(x, p)``.  The flow Taylor coefficients call
+  ``x`` and ``p`` once on online jets (:class:`discgrad.jets.OnlineJet`),
+  which record the operations they see and replay them one coefficient at
+  a time.  So these two may use only ``+ - * /`` and ``**`` between their
+  arguments and scalars, unary minus and the helpers ``gsin``, ``gcos``,
+  ``gexp``, ``glog``, ``gsqrt`` and ``gpow``, or return a plain constant;
+  they must not build jets of their own or branch on argument values;
 * ``dd_x(x, x1, p, p1)`` and ``dd_p(x, x1, p, p1)``: the p-averaged
   divided difference of H in x and the x-averaged one in p,
 
@@ -27,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import Jet, gcos, gsin
+from .jets import Jet, OnlineJet, extend_tape, gcos, gsin
 
 PARTIAL_KEYS = ("x", "p", "xx", "xp", "pp")
 
@@ -118,32 +123,41 @@ def linearize(sys: HamiltonianSystem, s: PhaseState) -> LinearSystem:
     return LinearSystem(A, b, omega_sq)
 
 
+def check_flow_order(N: int) -> None:
+    """The flow series (and so tay-N) runs from degree 1 to MAX_FLOW_ORDER."""
+    if not 1 <= N <= MAX_FLOW_ORDER:
+        raise ValueError(f"flow order N must be in [1, {MAX_FLOW_ORDER}], "
+                         f"got {N}")
+
+
 def taylor_flow_coeffs(sys: HamiltonianSystem, s: PhaseState, N: int):
     """Taylor series of the flow through (x, p), as monomial-basis jets.
 
-    Picard iteration over jets: starting from the constant series, apply
+    The online Taylor-method recurrence: ``H_p`` and ``H_x`` run once, on
+    online jets X and P that hold only x0 and p0, and record their
+    operations on a tape.  Then, for k = 0 .. N-1,
 
-        x <- x0 + int H_p(x, p) dh,    p <- p0 - int H_x(x, p) dh
+        X[k+1] = H_p[k] / (k+1),    P[k+1] = -H_x[k] / (k+1),
 
-    N times; each pass fixes one more coefficient.  The k-th monomial
-    coefficient equals (d^k x / dt^k) / k!.
+    and the taped nodes grow by one coefficient, in O(k) each.  The k-th
+    monomial coefficient equals (d^k x / dt^k) / k!.
     """
-    if not 1 <= N <= MAX_FLOW_ORDER:
-        raise ValueError(f"N must be in [1, {MAX_FLOW_ORDER}]")
-    hx = sys.partials["x"]
-    hp = sys.partials["p"]
-    x0, p0 = s.x, s.p
-    X = Jet.constant(x0, 0)
-    P = Jet.constant(p0, 0)
-    # pass i fixes coefficient i, so derivatives are only needed at order i-1
-    for i in range(1, N + 1):
-        fx = hp(X, P)
-        fp = hx(X, P)
-        fxc = fx.coeffs if isinstance(fx, Jet) else [fx] + [0.0] * (i - 1)
-        fpc = fp.coeffs if isinstance(fp, Jet) else [fp] + [0.0] * (i - 1)
-        X = Jet([x0] + [fxc[k] / (k + 1) for k in range(i)], i)
-        P = Jet([p0] + [-fpc[k] / (k + 1) for k in range(i)], i)
-    return X, P
+    check_flow_order(N)
+    tape = []
+    X = OnlineJet([s.x], tape)
+    P = OnlineJet([s.p], tape)
+    fx = sys.partials["p"](X, P)
+    fp = sys.partials["x"](X, P)
+    # a partial that ignores its arguments returns a plain constant
+    fxc = fx.coeffs if isinstance(fx, OnlineJet) else [fx] + [0.0] * (N - 1)
+    fpc = fp.coeffs if isinstance(fp, OnlineJet) else [fp] + [0.0] * (N - 1)
+    xc, pc = X.coeffs, P.coeffs
+    for k in range(N):
+        if k:
+            extend_tape(tape, k + 1)
+        xc.append(fxc[k] / (k + 1))
+        pc.append(-fpc[k] / (k + 1))
+    return Jet(xc, N), Jet(pc, N)
 
 
 # -- built-in systems ----------------------------------------------------

@@ -16,8 +16,8 @@ import numpy as np
 from . import baselines, reference, schemes
 from .errors import (DivergenceError, NonConvergenceError,
                      PrecisionFloorWarning, UnsupportedSchemeError)
-from .hamiltonian import (HamiltonianSystem, PhaseState, eval_energy,
-                          system_from_name)
+from .hamiltonian import (HamiltonianSystem, PhaseState, check_flow_order,
+                          eval_energy, system_from_name)
 
 # measured errors below this sit at the round-off floor of a unit-scale state
 PRECISION_FLOOR = 100.0 * np.finfo(float).eps
@@ -85,6 +85,7 @@ def make_stepper(scheme: str, sys: HamiltonianSystem,
         return lambda s, h: (baselines.step_rk4(sys, s, h), 0)
     if scheme.startswith("tay-") and scheme[4:].isdigit():
         N = int(scheme[4:])
+        check_flow_order(N)
         return lambda s, h: (baselines.step_taylor(sys, s, h, N), 0)
     if scheme.startswith("sp-") and scheme[3:].isdigit():
         order = int(scheme[3:])

@@ -9,6 +9,24 @@ Coefficients are normally floats, but they may themselves be jets: nested
 jets give directional/mixed derivatives for free.  The generic helpers
 ``gsin``, ``gcos``, ``gexp``, ``gsqrt``, ``glog`` and ``gpow`` dispatch on
 the argument type so the same evaluator code runs on floats and on jets.
+
+An :class:`OnlineJet` is a series whose coefficients arrive one at a time
+(Jorba & Zou, Exp. Math. 14, 2005; Griewank & Walther, Evaluating
+Derivatives, ch. 13).  Every operation on online jets records its output
+on a shared tape; once the inputs gain a coefficient, ``extend_tape``
+computes one more coefficient of every recorded node, in creation order.
+Online jets support the arithmetic ``+ - * /`` (with each other and with
+scalars), unary minus, ``**`` and the ``g*`` helpers; the calculus
+helpers (``integrate``, ``shift``, ``evaluate``, ...) read a finished
+series and are on :class:`Jet` only.
+
+Each operation is written once, as a coefficient rule
+``rule(n, out, *args)`` that appends coefficients ``len(out) .. n-1`` to
+the list ``out``.  Coefficient k of every rule depends only on
+coefficients 0..k of its inputs and is computed by the same floating-point
+operations in the same order whether a :class:`Jet` runs the rule to its
+full order at once or an online jet runs it one coefficient at a time, so
+both give bit-identical coefficients.
 """
 
 from __future__ import annotations
@@ -17,8 +35,8 @@ import math
 
 from .errors import SingularJetDivisionError
 
-# delta-series construction needs two orders of headroom above the largest
-# requested scheme order (N <= 16)
+# the largest jet built is the flow series of order MAX_FLOW_ORDER = 16,
+# which feeds gr-N up to N = 14; two orders of headroom above that
 MAX_ORDER = 18
 
 
@@ -26,7 +44,206 @@ def _is_plain_zero(c) -> bool:
     return not isinstance(c, Jet) and c == 0
 
 
-class Jet:
+def _leading_value(c):
+    """Innermost constant term of a possibly nested coefficient."""
+    while isinstance(c, Jet):
+        c = c.coeffs[0]
+    return c
+
+
+# -- coefficient rules -------------------------------------------------
+
+def _const(n, out, value):
+    if not out:
+        out.append(value)
+    out.extend([0.0] * (n - len(out)))
+
+
+def _add(n, out, a, b):
+    out.extend([a[k] + b[k] for k in range(len(out), n)])
+
+
+def _add_scalar(n, out, a, c):
+    if not out:
+        out.append(a[0] + c)
+    out.extend(a[len(out):n])
+
+
+def _sub(n, out, a, b):
+    out.extend([a[k] - b[k] for k in range(len(out), n)])
+
+
+def _sub_scalar(n, out, a, c):
+    if not out:
+        out.append(a[0] - c)
+    out.extend(a[len(out):n])
+
+
+def _neg(n, out, a):
+    out.extend([-v for v in a[len(out):n]])
+
+
+def _scale(n, out, a, c):
+    out.extend([v * c for v in a[len(out):n]])
+
+
+def _mul(n, out, a, b):
+    for k in range(len(out), n):
+        s = a[0] * b[k]
+        for j in range(1, k + 1):
+            s = s + a[j] * b[k - j]
+        out.append(s)
+
+
+def _div(n, out, a, b):
+    b0 = b[0]
+    for k in range(len(out), n):
+        s = a[k]
+        for j in range(1, k + 1):
+            s = s - b[j] * out[k - j]
+        out.append(s / b0)
+
+
+def _exp(n, out, a):
+    for k in range(len(out), n):
+        if k == 0:
+            out.append(gexp(a[0]))
+            continue
+        s = 0.0 * out[0]
+        for j in range(1, k + 1):
+            s = s + (j * a[j]) * out[k - j]
+        out.append(s / k)
+
+
+def _log(n, out, a):
+    a0 = a[0]
+    for k in range(len(out), n):
+        if k == 0:
+            out.append(glog(a0))
+            continue
+        s = a[k] * k
+        for j in range(1, k):
+            s = s - (j * out[j]) * a[k - j]
+        out.append(s / (k * a0))
+
+
+def _sin_cos(n, s, c, a):
+    # one rule fills both lists: each needs the other's lower coefficients
+    for k in range(len(s), n):
+        if k == 0:
+            s.append(gsin(a[0]))
+            c.append(gcos(a[0]))
+            continue
+        ts = 0.0 * s[0]
+        tc = 0.0 * s[0]
+        for j in range(1, k + 1):
+            ja = j * a[j]
+            ts = ts + ja * c[k - j]
+            tc = tc + ja * s[k - j]
+        s.append(ts / k)
+        c.append(-(tc / k))
+
+
+def _sqrt(n, out, a):
+    for k in range(len(out), n):
+        if k == 0:
+            out.append(gsqrt(a[0]))
+            continue
+        s = a[k]
+        for j in range(1, k):
+            s = s - out[j] * out[k - j]
+        out.append(s / (2 * out[0]))
+
+
+# -- series types ------------------------------------------------------
+
+class _Series:
+    """Operations shared by :class:`Jet` and :class:`OnlineJet`.
+
+    A subclass supplies ``coeffs``, ``_check(other)`` (may the two be
+    combined), ``_make(rule, *args)`` (run a coefficient rule into a new
+    series of the same kind) and ``_wrap(coeffs)`` (a series of the same
+    kind around a list that a rule fills).
+    """
+    __slots__ = ()
+
+    def _constant(self, value):
+        return self._make(_const, value)
+
+    # -- basic ring operations ------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, _Series):
+            self._check(other)
+            return self._make(_add, self.coeffs, other.coeffs)
+        return self._make(_add_scalar, self.coeffs, other)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make(_neg, self.coeffs)
+
+    def __sub__(self, other):
+        if isinstance(other, _Series):
+            self._check(other)
+            return self._make(_sub, self.coeffs, other.coeffs)
+        return self._make(_sub_scalar, self.coeffs, other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, _Series):
+            self._check(other)
+            return self._make(_mul, self.coeffs, other.coeffs)
+        return self._make(_scale, self.coeffs, other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, _Series):
+            return self._make(_scale, self.coeffs, 1.0 / other)
+        self._check(other)
+        if _is_plain_zero(other.coeffs[0]):
+            raise SingularJetDivisionError(
+                "division by a jet with zero constant term; "
+                "cancel the common leading factor with shift() first")
+        return self._make(_div, self.coeffs, other.coeffs)
+
+    def __rtruediv__(self, other):
+        return self._constant(other) / self
+
+    def __pow__(self, exponent):
+        return gpow(self, exponent)
+
+    # -- analytic compositions ------------------------------------------
+
+    def exp(self):
+        return self._make(_exp, self.coeffs)
+
+    def log(self):
+        if _is_plain_zero(self.coeffs[0]):
+            raise SingularJetDivisionError("log of a jet with zero constant term")
+        return self._make(_log, self.coeffs)
+
+    def sin_cos(self):
+        c = []
+        s = self._make(_sin_cos, c, self.coeffs)
+        return s, self._wrap(c)
+
+    def sin(self):
+        return self.sin_cos()[0]
+
+    def cos(self):
+        return self.sin_cos()[1]
+
+    def sqrt(self):
+        if _leading_value(self.coeffs[0]) <= 0:
+            raise ValueError("sqrt of a jet with non-positive constant term")
+        return self._make(_sqrt, self.coeffs)
+
+
+class Jet(_Series):
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs, order=None):
@@ -42,7 +259,8 @@ class Jet:
 
     @classmethod
     def constant(cls, value, order):
-        c = [value] + [0.0] * order
+        c = []
+        _const(order + 1, c, value)
         return cls(c, order)
 
     @classmethod
@@ -51,80 +269,20 @@ class Jet:
         c = [value, 1.0] + [0.0] * (order - 1)
         return cls(c, order)
 
-    # -- basic ring operations ------------------------------------------
-
     def _check(self, other):
+        if not isinstance(other, Jet):
+            raise TypeError("cannot combine a Jet with an online jet")
         if other.order != self.order:
             raise ValueError(
                 f"jet order mismatch: {self.order} vs {other.order}")
 
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            self._check(other)
-            return Jet([a + b for a, b in zip(self.coeffs, other.coeffs)],
-                       self.order)
-        c = list(self.coeffs)
-        c[0] = c[0] + other
-        return Jet(c, self.order)
+    def _make(self, rule, *args):
+        out = []
+        rule(self.order + 1, out, *args)
+        return Jet(out, self.order)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet([-a for a in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            self._check(other)
-            return Jet([a - b for a, b in zip(self.coeffs, other.coeffs)],
-                       self.order)
-        c = list(self.coeffs)
-        c[0] = c[0] - other
-        return Jet(c, self.order)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            self._check(other)
-            a, b = self.coeffs, other.coeffs
-            n = self.order
-            out = []
-            for k in range(n + 1):
-                s = a[0] * b[k]
-                for j in range(1, k + 1):
-                    s = s + a[j] * b[k - j]
-                out.append(s)
-            return Jet(out, n)
-        return Jet([a * other for a in self.coeffs], self.order)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            inv = 1.0 / other
-            return Jet([a * inv for a in self.coeffs], self.order)
-        self._check(other)
-        b0 = other.coeffs[0]
-        if _is_plain_zero(b0):
-            raise SingularJetDivisionError(
-                "division by a jet with zero constant term; "
-                "cancel the common leading factor with shift() first")
-        a, b = self.coeffs, other.coeffs
-        n = self.order
-        q = [a[0] / b0]
-        for k in range(1, n + 1):
-            s = a[k]
-            for j in range(1, k + 1):
-                s = s - b[j] * q[k - j]
-            q.append(s / b0)
-        return Jet(q, n)
-
-    def __rtruediv__(self, other):
-        return Jet.constant(other, self.order) / self
-
-    def __pow__(self, exponent):
-        return gpow(self, exponent)
+    def _wrap(self, coeffs):
+        return Jet(coeffs, self.order)
 
     # -- calculus helpers -----------------------------------------------
 
@@ -171,71 +329,43 @@ class Jet:
     def __repr__(self):
         return f"Jet({self.coeffs!r})"
 
-    # -- analytic compositions ------------------------------------------
 
-    def exp(self):
-        a = self.coeffs
-        e = [gexp(a[0])]
-        for k in range(1, self.order + 1):
-            s = 0.0 * e[0]
-            for j in range(1, k + 1):
-                s = s + (j * a[j]) * e[k - j]
-            e.append(s / k)
-        return Jet(e, self.order)
+class OnlineJet(_Series):
+    """A series that grows one coefficient at a time.
 
-    def log(self):
-        a = self.coeffs
-        a0 = a[0]
-        if _is_plain_zero(a0):
-            raise SingularJetDivisionError("log of a jet with zero constant term")
-        l = [glog(a0)]
-        for k in range(1, self.order + 1):
-            s = a[k] * k
-            for j in range(1, k):
-                s = s - (j * l[j]) * a[k - j]
-            l.append(s / (k * a0))
-        return Jet(l, self.order)
+    ``coeffs`` holds the coefficients known so far.  Leaf series (the
+    independent variables) are created directly and their owner appends
+    their coefficients; every series derived from them is recorded on
+    ``tape`` and grows through :func:`extend_tape`.
+    """
+    __slots__ = ("coeffs", "tape")
 
-    def sin_cos(self):
-        a = self.coeffs
-        s = [gsin(a[0])]
-        c = [gcos(a[0])]
-        for k in range(1, self.order + 1):
-            ts = 0.0 * s[0]
-            tc = 0.0 * s[0]
-            for j in range(1, k + 1):
-                ja = j * a[j]
-                ts = ts + ja * c[k - j]
-                tc = tc + ja * s[k - j]
-            s.append(ts / k)
-            c.append(-(tc / k))
-        return Jet(s, self.order), Jet(c, self.order)
+    def __init__(self, coeffs, tape):
+        self.coeffs = coeffs
+        self.tape = tape
 
-    def sin(self):
-        return self.sin_cos()[0]
+    def _check(self, other):
+        if not isinstance(other, OnlineJet):
+            raise TypeError("cannot combine an online jet with a Jet")
+        if other.tape is not self.tape:
+            raise ValueError("online jets from different tapes")
 
-    def cos(self):
-        return self.sin_cos()[1]
+    def _make(self, rule, *args):
+        out = []
+        args = (out,) + args
+        rule(len(self.coeffs), *args)
+        self.tape.append((rule, args))
+        return OnlineJet(out, self.tape)
 
-    def sqrt(self):
-        a = self.coeffs
-        a0 = a[0]
-        if _leading_value(a0) <= 0:
-            raise ValueError("sqrt of a jet with non-positive constant term")
-        r = [gsqrt(a0)]
-        for k in range(1, self.order + 1):
-            s = a[k]
-            for j in range(1, k):
-                s = s - r[j] * r[k - j]
-            r.append(s / (2 * r[0]))
-        return Jet(r, self.order)
+    def _wrap(self, coeffs):
+        return OnlineJet(coeffs, self.tape)
 
 
-def _leading_value(c):
-    """Innermost constant term of a possibly nested coefficient."""
-    while isinstance(c, Jet):
-        c = c.coeffs[0]
-    return c
+def extend_tape(tape, n):
+    """Grow every node recorded on ``tape`` to ``n`` coefficients, once
+    the leaves they derive from hold at least ``n``."""
+    for rule, args in tape:
+        rule(n, *args)
 
 
 # -- generic dispatch ----------------------------------------------------
@@ -259,32 +389,32 @@ _scalar_sqrt = _scalar_fn("sqrt")
 
 
 def gsin(x):
-    return x.sin() if isinstance(x, Jet) else _scalar_sin(x)
+    return x.sin() if isinstance(x, _Series) else _scalar_sin(x)
 
 
 def gcos(x):
-    return x.cos() if isinstance(x, Jet) else _scalar_cos(x)
+    return x.cos() if isinstance(x, _Series) else _scalar_cos(x)
 
 
 def gexp(x):
-    return x.exp() if isinstance(x, Jet) else _scalar_exp(x)
+    return x.exp() if isinstance(x, _Series) else _scalar_exp(x)
 
 
 def glog(x):
-    return x.log() if isinstance(x, Jet) else _scalar_log(x)
+    return x.log() if isinstance(x, _Series) else _scalar_log(x)
 
 
 def gsqrt(x):
-    return x.sqrt() if isinstance(x, Jet) else _scalar_sqrt(x)
+    return x.sqrt() if isinstance(x, _Series) else _scalar_sqrt(x)
 
 
 def gpow(x, r):
-    if not isinstance(x, Jet):
+    if not isinstance(x, _Series):
         return x ** r
     if isinstance(r, int) or (isinstance(r, float) and r.is_integer()):
         n = int(r)
         if n == 0:
-            return Jet.constant(1.0, x.order)
+            return x._constant(1.0)
         base = x if n > 0 else 1.0 / x
         out = base
         for _ in range(abs(n) - 1):
@@ -293,4 +423,3 @@ def gpow(x, r):
     if _leading_value(x.coeffs[0]) <= 0:
         raise ValueError("non-integer power of a jet needs a positive constant term")
     return (x.log() * r).exp()
-

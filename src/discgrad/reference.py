@@ -37,15 +37,22 @@ def _check_modulus(k: float) -> None:
         raise ValueError(f"modulus must satisfy 0 <= k < 1, got {k}")
 
 
-def _agm_chain(k: float):
-    """AGM of 1 and sqrt(1 - k^2): the means a_0..a_n, the Landen terms
-    c_0 = k, c_i = (a_{i-1} - b_{i-1}) / 2, and the last geometric mean b_n.
+def _agm_chain(k: float, kc: float = None):
+    """AGM of 1 and the complementary modulus kc = sqrt(1 - k^2): the means
+    a_0..a_n, the Landen terms c_0 = k, c_i = (a_{i-1} - b_{i-1}) / 2, and
+    the last geometric mean b_n.
+
+    kc defaults to sqrt((1 - k)(1 + k)), which, unlike 1 - k*k, does not
+    cancel as k -> 1.  A caller that knows kc better than the rounded k
+    passes it (the rotation orbit, where k = 2/|p0| is rounded).
 
     The chain stops once the gap a_n - b_n is zero or no smaller than the
     one before it: near convergence the two means may settle one ulp apart
     and never meet.
     """
-    an, cn, b = 1.0, k, math.sqrt(1.0 - k * k)
+    if kc is None:
+        kc = math.sqrt((1.0 - k) * (1.0 + k))
+    an, cn, b = 1.0, k, kc
     a, c = [an], [cn]
     for _ in range(_AGM_CAP):
         gap = an - b
@@ -134,7 +141,8 @@ def _orbit(p0: float):
         return PendulumOrbit(p0, "libration", k, 4.0 * _K(chain)), chain
     if a > 2.0:
         k = 2.0 / a
-        chain = _agm_chain(k)
+        # a - 2 is exact, so kc carries no cancellation near the separatrix
+        chain = _agm_chain(k, math.sqrt((a - 2.0) * (a + 2.0)) / a)
         return PendulumOrbit(p0, "rotation", k, 2.0 * k * _K(chain)), chain
     return PendulumOrbit(p0, "separatrix", 1.0, math.inf), None
 

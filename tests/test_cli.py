@@ -88,6 +88,13 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["plot", "--figure", "fig9", "--csv", "a.csv",
                  "--out", str(out)]) == EXIT_USAGE
     capsys.readouterr()
+    # a Taylor order outside the flow series is a usage error
+    for scheme in ("tay-0", "tay-17"):
+        assert main(["integrate", "--scheme", scheme, "--p0", "1.8",
+                     "--h", "0.25", "--steps", "5", "--out", str(out)]) \
+            == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "[1, 16]" in err
 
 
 def test_solver_failure_exit(tmp_path, capsys):

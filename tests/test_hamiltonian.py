@@ -2,13 +2,16 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from discgrad.hamiltonian import (HamiltonianSystem, PhaseState,
-                                  eval_energy, eval_partials, linearize,
-                                  make_crossterm, make_harmonic,
-                                  system_from_name, taylor_flow_coeffs)
+from discgrad.hamiltonian import (MAX_FLOW_ORDER, HamiltonianSystem,
+                                  PhaseState, eval_energy, eval_partials,
+                                  linearize, make_crossterm, make_harmonic,
+                                  make_pendulum, system_from_name,
+                                  taylor_flow_coeffs)
+from discgrad.jets import Jet, gcos, gexp, glog, gpow, gsin, gsqrt
 
 
 def rand_state(rng, span=2.5):
@@ -168,3 +171,115 @@ def test_taylor_flow_rejects_bad_order(pendulum):
         taylor_flow_coeffs(pendulum, PhaseState(0.0, 1.0), 0)
     with pytest.raises(ValueError):
         taylor_flow_coeffs(pendulum, PhaseState(0.0, 1.0), 17)
+
+
+def picard_flow_coeffs(sys, s, N):
+    """The flow series by N Picard passes over jets,
+
+        x <- x0 + int H_p(x, p) dh,    p <- p0 - int H_x(x, p) dh,
+
+    each pass re-evaluating H_p and H_x on the whole series and fixing one
+    more coefficient: O(N^3), the reference the online recurrence of
+    taylor_flow_coeffs must reproduce bit for bit.
+    """
+    hx = sys.partials["x"]
+    hp = sys.partials["p"]
+    x0, p0 = s.x, s.p
+    X = Jet.constant(x0, 0)
+    P = Jet.constant(p0, 0)
+    # pass i fixes coefficient i, so derivatives are only needed at order i-1
+    for i in range(1, N + 1):
+        fx = hp(X, P)
+        fp = hx(X, P)
+        fxc = fx.coeffs if isinstance(fx, Jet) else [fx] + [0.0] * (i - 1)
+        fpc = fp.coeffs if isinstance(fp, Jet) else [fp] + [0.0] * (i - 1)
+        X = Jet([x0] + [fxc[k] / (k + 1) for k in range(i)], i)
+        P = Jet([p0] + [-fpc[k] / (k + 1) for k in range(i)], i)
+    return X, P
+
+
+def _four_term_dd(H):
+    def dd_x(x, x1, p, p1):
+        return (H(x1, p1) + H(x1, p) - H(x, p1) - H(x, p)) / (2.0 * (x1 - x))
+
+    def dd_p(x, x1, p, p1):
+        return (H(x1, p1) + H(x, p1) - H(x1, p) - H(x, p)) / (2.0 * (p1 - p))
+    return dd_x, dd_p
+
+
+def _relativistic_softplus():
+    """H = sqrt(1 + p^2) + log(1 + e^x) + (x + 3) log(x + 3) - x + sin x
+    + (1 + x^2)^(3/2) / 3: partials that use /, 1.0 / y, integer and real
+    powers, exp, log, sqrt and cos on the flow series (|x| < 3)."""
+    def H(x, p):
+        return (gsqrt(1.0 + p * p) + glog(1.0 + gexp(x))
+                + (x + 3.0) * glog(x + 3.0) - x + gsin(x)
+                + gpow(1.0 + x * x, 1.5) / 3.0)
+    dd_x, dd_p = _four_term_dd(H)
+    return HamiltonianSystem(
+        name="relativistic-softplus", energy=H, dd_x=dd_x, dd_p=dd_p,
+        partials={
+            "x": lambda x, p: (1.0 / (1.0 + gexp(-x)) + glog(x + 3.0)
+                               + gcos(x) + x * gpow(1.0 + x * x, 0.5)),
+            "p": lambda x, p: p / gsqrt(1.0 + gpow(p, 2)),
+            "xx": lambda x, p: (math.exp(-x) / (1.0 + math.exp(-x)) ** 2
+                                + 1.0 / (x + 3.0) - math.sin(x)
+                                + (1.0 + 2.0 * x * x)
+                                / math.sqrt(1.0 + x * x)),
+            "xp": lambda x, p: 0.0,
+            "pp": lambda x, p: (1.0 + p * p) ** -1.5,
+        },
+    )
+
+
+def _drift():
+    """H = p - cos x: H_p is the plain constant 1.0."""
+    def H(x, p):
+        return p - gcos(x)
+    dd_x, dd_p = _four_term_dd(H)
+    return HamiltonianSystem(
+        name="drift", energy=H, dd_x=dd_x, dd_p=dd_p,
+        partials={
+            "x": lambda x, p: gsin(x),
+            "p": lambda x, p: 1.0,
+            "xx": lambda x, p: math.cos(x),
+            "xp": lambda x, p: 0.0,
+            "pp": lambda x, p: 0.0,
+        },
+    )
+
+
+FLOW_SYSTEMS = (make_pendulum(), make_harmonic(1.3), make_crossterm(0.5),
+                _relativistic_softplus(), _drift())
+FLOW_STATES = [PhaseState(0.0, 1.8), PhaseState(0.3, -1.2),
+               PhaseState(2.5, 0.7), PhaseState(-1.1, 2.2),
+               PhaseState(0.0, 0.02)]
+
+
+@pytest.mark.parametrize("sys", FLOW_SYSTEMS, ids=lambda sys: sys.name)
+def test_flow_coeffs_equal_picard(sys):
+    for s in FLOW_STATES:
+        for N in range(1, MAX_FLOW_ORDER + 1):
+            assert repr(taylor_flow_coeffs(sys, s, N)) \
+                == repr(picard_flow_coeffs(sys, s, N))
+
+
+@pytest.mark.parametrize("sys", FLOW_SYSTEMS, ids=lambda sys: sys.name)
+def test_flow_coeffs_equal_picard_in_mpmath(sys):
+    with mpmath.workdps(60):
+        s = PhaseState(mpmath.mpf("0.3"), mpmath.mpf("1.7"))
+        got = taylor_flow_coeffs(sys, s, 11)
+        assert isinstance(got[1].coeffs[5], mpmath.mpf)
+        assert repr(got) == repr(picard_flow_coeffs(sys, s, 11))
+
+
+def test_energy_first_integral_of_test_systems(rng):
+    # the test systems' partials belong to their energies
+    for sys in (_relativistic_softplus(), _drift()):
+        for _ in range(10):
+            s = rand_state(rng)
+            X, P = taylor_flow_coeffs(sys, s, 8)
+            e = sys.energy(X, P)
+            scale = max(1.0, abs(e.coeffs[0]))
+            for k in range(1, 9):
+                assert abs(e.coeffs[k]) <= 1e-11 * scale

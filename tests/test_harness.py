@@ -45,6 +45,10 @@ def test_make_stepper_ids(pendulum):
     for sid in ("gr-15", "gr-16"):
         with pytest.raises(ValueError):
             make_stepper(sid, pendulum)
+    # tay-N is the flow series itself, checked when the id is resolved
+    for sid in ("tay-0", "tay-17"):
+        with pytest.raises(ValueError, match=r"\[1, 16\]"):
+            make_stepper(sid, pendulum)
 
 
 def test_sampling_contract():

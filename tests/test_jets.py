@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discgrad.errors import SingularJetDivisionError
-from discgrad.jets import MAX_ORDER, Jet, gcos, gexp, gsin
+from discgrad.jets import (MAX_ORDER, Jet, OnlineJet, extend_tape, gcos,
+                           gexp, glog, gpow, gsin, gsqrt)
 
 
 coeff = st.floats(min_value=-10.0, max_value=10.0,
@@ -189,3 +190,68 @@ def test_evaluate_horner():
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
         Jet([1.0, 2.0]) + Jet([1.0, 2.0, 3.0])
+
+
+# every operation an online jet supports, on a general a and on b, whose
+# constant term is positive so that /, log, sqrt and real powers apply
+ONLINE_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "add_scalar": lambda a, b: a + 2.5,
+    "radd_scalar": lambda a, b: 2.5 + a,
+    "sub_scalar": lambda a, b: a - 2.5,
+    "rsub_scalar": lambda a, b: 2.5 - a,
+    "scale": lambda a, b: 0.3 * a,
+    "div_scalar": lambda a, b: a / 3.0,
+    "rdiv_scalar": lambda a, b: 1.0 / b,
+    "neg": lambda a, b: -a,
+    "exp": lambda a, b: gexp(a),
+    "log": lambda a, b: glog(b),
+    "sqrt": lambda a, b: gsqrt(b),
+    "sin": lambda a, b: gsin(a),
+    "cos": lambda a, b: gcos(a),
+    "pow0": lambda a, b: gpow(a, 0),
+    "pow3": lambda a, b: a ** 3,
+    "pow-2": lambda a, b: gpow(b, -2.0),
+    "pow1.5": lambda a, b: b ** 1.5,
+    "chain": lambda a, b: gsin(a * b - 1.0 / b) / gsqrt(b) + gexp(a) * a,
+}
+
+
+def run_online(fn, a, b):
+    """fn on online jets fed one coefficient of a and b at a time."""
+    tape = []
+    A = OnlineJet([a.coeffs[0]], tape)
+    B = OnlineJet([b.coeffs[0]], tape)
+    out = fn(A, B)
+    for k in range(1, a.order + 1):
+        A.coeffs.append(a.coeffs[k])
+        B.coeffs.append(b.coeffs[k])
+        extend_tape(tape, k + 1)
+    return out
+
+
+@given(jets(), jets())
+@settings(max_examples=50)
+def test_online_ops_bit_identical_to_jet(a, b):
+    b = Jet([abs(b.coeffs[0]) + 0.5] + b.coeffs[1:])
+    for name, fn in ONLINE_OPS.items():
+        want = fn(a, b)
+        got = run_online(fn, a, b)
+        assert isinstance(got, OnlineJet), name
+        assert repr(got.coeffs) == repr(want.coeffs), name
+
+
+def test_online_rejects_mixing():
+    tape = []
+    x = OnlineJet([1.0], tape)
+    with pytest.raises(TypeError):
+        x * Jet([1.0])
+    with pytest.raises(TypeError):
+        Jet([1.0]) + x
+    with pytest.raises(ValueError):
+        x + OnlineJet([1.0], [])
+    with pytest.raises(SingularJetDivisionError):
+        x / (x - 1.0)

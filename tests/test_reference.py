@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from scipy.integrate import quad
 
@@ -31,6 +32,34 @@ def test_elliptic_K_endpoints():
 @pytest.mark.parametrize("k", [0.1, 0.5, 0.9, 0.99])
 def test_elliptic_K_against_quadrature(k):
     assert elliptic_K(k) == pytest.approx(_quadrature_K(k), rel=1e-12)
+
+
+# moduli within 10^-j of 1, and those of the rotation orbits p0 = 2.001
+# and 2.0001, where sqrt(1 - k*k) would lose up to 12 digits
+NEAR_ONE = [1.0 - 10.0 ** -j for j in range(1, 13)] + [2.0 / 2.001,
+                                                        2.0 / 2.0001]
+
+
+@pytest.mark.parametrize("k", NEAR_ONE)
+def test_elliptic_K_near_one_against_mpmath(k):
+    with mpmath.workdps(50):
+        want = mpmath.ellipk(mpmath.mpf(k) ** 2)
+        err = abs(mpmath.mpf(elliptic_K(k)) - want)
+        assert err <= 4 * math.ulp(float(want))
+
+
+@pytest.mark.parametrize("p0", [1.999, 1.9999, 2.0001, 2.001, 2.01])
+def test_period_near_separatrix_against_mpmath(p0):
+    # the period of the orbit through the double p0, not of a rounded
+    # modulus: 2/p0 rounds, and K amplifies that by 1/(1 - k^2)
+    with mpmath.workdps(50):
+        a = mpmath.mpf(p0)
+        if p0 < 2.0:
+            want = 4 * mpmath.ellipk((a / 2) ** 2)
+        else:
+            want = 2 * (2 / a) * mpmath.ellipk((2 / a) ** 2)
+        err = abs(mpmath.mpf(pendulum_period(p0)) - want)
+        assert err <= 4 * math.ulp(float(want))
 
 
 def test_period_where_agm_means_never_meet():
@@ -231,9 +260,9 @@ def test_reduce_time_residual_correctly_rounded(rng):
 def test_one_agm_chain_per_oracle_call(monkeypatch):
     calls = []
 
-    def counting(k):
+    def counting(k, *kc):
         calls.append(k)
-        return _agm_chain(k)
+        return _agm_chain(k, *kc)
     monkeypatch.setattr(reference, "_agm_chain", counting)
     for p0, chains in ((1.8, 1), (2.5, 1), (-1.8, 1), (2.0, 0)):
         calls.clear()
