@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage error, 3 solver non-convergence,
 from __future__ import annotations
 
 import argparse
+import math
 import sys as _sys
 
 from . import harness
@@ -26,7 +27,8 @@ EXIT_PRECISION_FLOOR = 4
 
 
 def parse_h_spec(spec: str):
-    """Comma list ('0.2,0.1') or geometric range ('0.4:0.0125:/2')."""
+    """Comma list ('0.2,0.1') or geometric range ('0.4:0.0125:/2') of
+    finite step sizes h > 0."""
     if ":" in spec:
         try:
             start_s, stop_s, op = spec.split(":")
@@ -36,7 +38,7 @@ def parse_h_spec(spec: str):
             factor = float(op[1:])
         except ValueError:
             raise ValueError(f"bad h range {spec!r}; expected start:stop:/factor")
-        if factor <= 1.0 or start <= 0 or stop <= 0 or stop > start:
+        if not (0.0 < stop <= start < math.inf and 1.0 < factor < math.inf):
             raise ValueError(f"bad h range {spec!r}")
         out = []
         h = start
@@ -44,7 +46,10 @@ def parse_h_spec(spec: str):
             out.append(h)
             h /= factor
         return out
-    return [float(v) for v in spec.split(",") if v]
+    out = [float(v) for v in spec.split(",") if v]
+    if not out or not all(0.0 < h < math.inf for h in out):
+        raise ValueError(f"bad h list {spec!r}; need one or more finite h > 0")
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -34,8 +34,10 @@ class ExperimentSpec:
     sample_stride: int = 1
 
     def __post_init__(self):
-        if self.h <= 0 or self.n_steps < 1 or self.sample_stride < 1:
-            raise ValueError("need h > 0, n_steps >= 1, sample_stride >= 1")
+        if (not 0.0 < self.h < math.inf or self.n_steps < 1
+                or self.sample_stride < 1):
+            raise ValueError(
+                "need a finite h > 0, n_steps >= 1, sample_stride >= 1")
 
 
 @dataclass(slots=True)
@@ -191,6 +193,9 @@ def _sweep_entry(args):
 def sweep(schemes_list, p0: float, h_list, n_periods: int,
           parallel: bool = True):
     """Global error for every scheme x h combination, merged in spec order."""
+    pendulum = system_from_name("pendulum")
+    for sc in schemes_list:
+        make_stepper(sc, pendulum)     # a bad id fails before any entry runs
     period = reference.pendulum_period(p0)
     tasks = [(sc, p0, h, n_periods, period)
              for sc in schemes_list for h in h_list]

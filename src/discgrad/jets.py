@@ -5,10 +5,10 @@ monomial basis (no factorials).  All arithmetic truncates at the declared
 order, so a jet propagates Taylor coefficients through ordinary numerical
 programs without any symbolic algebra.
 
-Coefficients are normally floats, but they may themselves be jets: nested
-jets give directional/mixed derivatives for free.  The generic helpers
-``gsin``, ``gcos``, ``gexp``, ``gsqrt``, ``glog`` and ``gpow`` dispatch on
-the argument type so the same evaluator code runs on floats and on jets.
+Coefficients are floats, or mpmath numbers in the extended-precision
+delta-series fallback.  The generic helpers ``gsin``, ``gcos``, ``gexp``,
+``gsqrt``, ``glog`` and ``gpow`` dispatch on the argument type so the same
+evaluator code runs on scalars and on jets.
 
 An :class:`OnlineJet` is a series whose coefficients arrive one at a time
 (Jorba & Zou, Exp. Math. 14, 2005; Griewank & Walther, Evaluating
@@ -17,7 +17,7 @@ on a shared tape; once the inputs gain a coefficient, ``extend_tape``
 computes one more coefficient of every recorded node, in creation order.
 Online jets support the arithmetic ``+ - * /`` (with each other and with
 scalars), unary minus, ``**`` and the ``g*`` helpers; the calculus
-helpers (``integrate``, ``shift``, ``evaluate``, ...) read a finished
+helpers (``differentiate``, ``shift``, ``evaluate``, ...) read a finished
 series and are on :class:`Jet` only.
 
 Each operation is written once, as a coefficient rule
@@ -38,17 +38,6 @@ from .errors import SingularJetDivisionError
 # the largest jet built is the flow series of order MAX_FLOW_ORDER = 16,
 # which feeds gr-N up to N = 14; two orders of headroom above that
 MAX_ORDER = 18
-
-
-def _is_plain_zero(c) -> bool:
-    return not isinstance(c, Jet) and c == 0
-
-
-def _leading_value(c):
-    """Innermost constant term of a possibly nested coefficient."""
-    while isinstance(c, Jet):
-        c = c.coeffs[0]
-    return c
 
 
 # -- coefficient rules -------------------------------------------------
@@ -204,7 +193,7 @@ class _Series:
         if not isinstance(other, _Series):
             return self._make(_scale, self.coeffs, 1.0 / other)
         self._check(other)
-        if _is_plain_zero(other.coeffs[0]):
+        if other.coeffs[0] == 0:
             raise SingularJetDivisionError(
                 "division by a jet with zero constant term; "
                 "cancel the common leading factor with shift() first")
@@ -222,7 +211,7 @@ class _Series:
         return self._make(_exp, self.coeffs)
 
     def log(self):
-        if _is_plain_zero(self.coeffs[0]):
+        if self.coeffs[0] == 0:
             raise SingularJetDivisionError("log of a jet with zero constant term")
         return self._make(_log, self.coeffs)
 
@@ -238,7 +227,7 @@ class _Series:
         return self.sin_cos()[1]
 
     def sqrt(self):
-        if _leading_value(self.coeffs[0]) <= 0:
+        if self.coeffs[0] <= 0:
             raise ValueError("sqrt of a jet with non-positive constant term")
         return self._make(_sqrt, self.coeffs)
 
@@ -285,14 +274,6 @@ class Jet(_Series):
         return Jet(coeffs, self.order)
 
     # -- calculus helpers -----------------------------------------------
-
-    def integrate(self):
-        """Antiderivative in h with zero constant term; the input's top
-        coefficient drops out so the order is unchanged."""
-        out = [0.0 * self.coeffs[0]]
-        for k in range(self.order):
-            out.append(self.coeffs[k] / (k + 1))
-        return Jet(out, self.order)
 
     def differentiate(self):
         out = [(k + 1) * self.coeffs[k + 1] for k in range(self.order)]
@@ -420,6 +401,6 @@ def gpow(x, r):
         for _ in range(abs(n) - 1):
             out = out * base
         return out
-    if _leading_value(x.coeffs[0]) <= 0:
+    if x.coeffs[0] <= 0:
         raise ValueError("non-integer power of a jet needs a positive constant term")
     return (x.log() * r).exp()

@@ -13,17 +13,25 @@ scheme; the choice of delta sets the accuracy:
     GR-LEX    same, w = sqrt(H_xx H_pp - H_xp^2) at the step's start point
     GR-SLEX   same, w at the (implicit) midpoint, re-evaluated per iteration
     GR-N      delta = truncated series sum a_k h^k built from flow jets
+
+A :class:`DeltaRule` is that choice and nothing else: a function
+``fn(sys, x, p, h) -> delta`` and a flag ``midpoint``.  The step evaluates
+``fn`` once, at its start point, unless ``midpoint`` is set (GR-SLEX); then
+it evaluates ``fn`` at the midpoint of the current iterate on every
+fixed-point iteration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from .errors import (DivergenceError, NonConvergenceError, ResonanceStepError)
 from .exactlin import AffineStepMap
 from .hamiltonian import (MAX_FLOW_ORDER, HamiltonianSystem, PhaseState,
                           linearize, taylor_flow_coeffs)
+from .jets import Jet
 
 import numpy as np
 
@@ -47,73 +55,54 @@ class SolverConfig:
             raise ValueError("need tol > 0 and max_iter >= 1")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class DeltaRule:
-    """Denominator-function choice for the discrete-gradient step."""
-    kind: str                      # constant_h | mod_gr | lex | slex | series | custom
-    x_bar: float = 0.0
-    p_bar: float = 0.0
-    N: int = 0
-    fn: object = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    """Denominator choice for the discrete-gradient step: delta is
+    ``fn(sys, x, p, h)``, taken at the step's start point, or at the
+    iterate's midpoint on every iteration when ``midpoint`` is set."""
+    fn: Callable[[HamiltonianSystem, float, float, float], float]
+    midpoint: bool = False
 
     @classmethod
     def gr(cls):
-        return cls("constant_h")
+        return cls(lambda sys, x, p, h: h)
 
     @classmethod
-    def mod_gr(cls, x_bar, p_bar=0.0):
-        return cls("mod_gr", x_bar=x_bar, p_bar=p_bar)
+    def mod_gr(cls, x_bar):
+        # delta depends only on (sys, h): remember the last one, keyed by
+        # the system object so one rule never hands a system another's delta
+        last = (None, None, None)
+
+        def fn(sys, x, p, h):
+            nonlocal last
+            if last[0] is not sys or last[1] != h:
+                last = (sys, h, delta_lex(omega_sq_at(sys, x_bar, 0.0), h))
+            return last[2]
+        return cls(fn)
 
     @classmethod
     def lex(cls):
-        return cls("lex")
+        return cls(_delta_lex_at)
 
     @classmethod
     def slex(cls):
-        return cls("slex")
+        return cls(_delta_lex_at, midpoint=True)
 
     @classmethod
     def series(cls, N):
         _check_series_order(N)
-        return cls("series", N=N)
-
-    @classmethod
-    def custom(cls, fn):
-        return cls("custom", fn=fn)
+        return cls(lambda sys, x, p, h: delta_series(sys, PhaseState(x, p),
+                                                     h, N))
 
     def value_at(self, sys: HamiltonianSystem, s: PhaseState, h: float) -> float:
-        """delta for rules that depend only on a fixed point and h.
-
-        For slex this is the fixed-point value at s (midpoint == s), which
-        is what the local-exactness analysis needs.
-        """
-        if self.kind == "constant_h":
-            return h
-        if self.kind == "mod_gr":
-            key = h
-            d = self._cache.get(key)
-            if d is None:
-                w2 = omega_sq_at(sys, self.x_bar, self.p_bar)
-                d = delta_lex(w2, h)
-                self._cache[key] = d
-            return d
-        if self.kind in ("lex", "slex"):
-            return delta_lex(omega_sq_at(sys, s.x, s.p), h)
-        if self.kind == "series":
-            return delta_series(sys, s, h, self.N)
-        if self.kind == "custom":
-            return self.fn(h, s)
-        raise ValueError(f"unknown delta rule {self.kind!r}")
+        """delta at the fixed point s; for slex the midpoint is s itself,
+        which is what the local-exactness analysis needs."""
+        return self.fn(sys, s.x, s.p, h)
 
 
 def omega_sq_at(sys: HamiltonianSystem, x: float, p: float) -> float:
     d = sys.partials
     return d["xx"](x, p) * d["pp"](x, p) - d["xp"](x, p) ** 2
-
-
-def delta_gr(h: float) -> float:
-    return h
 
 
 def delta_lex(omega_sq: float, h: float) -> float:
@@ -136,6 +125,10 @@ def delta_lex(omega_sq: float, h: float) -> float:
         mu = math.sqrt(-omega_sq)
         return 2.0 / mu * math.tanh(0.5 * h * mu)
     return h + h ** 3 * omega_sq / 12.0
+
+
+def _delta_lex_at(sys: HamiltonianSystem, x, p, h: float) -> float:
+    return delta_lex(omega_sq_at(sys, x, p), h)
 
 
 def _leading_index(jet):
@@ -162,49 +155,43 @@ def _quotient_parts(sys: HamiltonianSystem, x, p, N: int):
     return num, den
 
 
+def _cancel_and_divide(num, den, k: int, N: int):
+    # num and den share a common h^k factor with num one power higher
+    return (num.shift(-(k + 1)) / den.shift(-k)).truncate(N - 1)
+
+
 def _delta_series_quotient(sys: HamiltonianSystem, s: PhaseState, N: int):
-    """Jet q with q.coeffs[j] = a_{j+1}, or None for a trivial flow."""
+    """Jet q with q.coeffs[j] = a_{j+1}; q = 1 (delta = h) for a trivial
+    flow."""
     _check_series_order(N)
     num, den = _quotient_parts(sys, s.x, s.p, N)
     k = _leading_index(den)
     if k is None:
-        return None
+        return Jet([1.0] + [0.0] * (N - 1))
     amp = max(abs(c) for c in den.coeffs) / abs(den.coeffs[k])
-    if amp > 1e3:
-        # near-cancelling leading coefficient (state within ~1e-3 of a
-        # turning point): the division recurrence loses roughly
-        # log10(amp) digits per order, so redo it in wide enough
-        # extended precision and round the result
-        import mpmath
-        digits = 30 + (N + 2) * int(math.log10(amp) + 1.0)
-        with mpmath.workdps(digits):
-            num, den = _quotient_parts(sys, mpmath.mpf(s.x), mpmath.mpf(s.p), N)
-            k = _leading_index(den)
-            q = num.shift(-(k + 1)) / den.shift(-k)
-        from .jets import Jet
-        q = Jet([float(c) for c in q.coeffs], q.order)
-        return q.truncate(N - 1)
-    # num and den share a common h^k factor with num one power higher
-    q = num.shift(-(k + 1)) / den.shift(-k)
-    return q.truncate(N - 1)
+    if amp <= 1e3:
+        return _cancel_and_divide(num, den, k, N)
+    # near-cancelling leading coefficient (state within ~1e-3 of a turning
+    # point): the division recurrence loses roughly log10(amp) digits per
+    # order, so redo it in wide enough extended precision and round the
+    # result
+    import mpmath
+    with mpmath.workdps(30 + (N + 2) * int(math.log10(amp) + 1.0)):
+        num, den = _quotient_parts(sys, mpmath.mpf(s.x), mpmath.mpf(s.p), N)
+        q = _cancel_and_divide(num, den, _leading_index(den), N)
+    return Jet([float(c) for c in q.coeffs])
 
 
 def delta_series_coefficients(sys: HamiltonianSystem, s: PhaseState,
                               N: int) -> list:
     """Series coefficients [a_1, ..., a_N] of the order-N denominator."""
-    q = _delta_series_quotient(sys, s, N)
-    if q is None:
-        return [1.0] + [0.0] * (N - 1)
-    return list(q.coeffs)
+    return _delta_series_quotient(sys, s, N).coeffs
 
 
 def delta_series(sys: HamiltonianSystem, s: PhaseState, h: float,
                  N: int) -> float:
     """delta^{[N]} = sum_{k=1}^{N} a_k(x, p) h^k evaluated at h."""
-    q = _delta_series_quotient(sys, s, N)
-    if q is None:
-        return h
-    return h * q.evaluate(h)
+    return h * _delta_series_quotient(sys, s, N).evaluate(h)
 
 
 def discrete_gradient_residual(sys: HamiltonianSystem, s_n: PhaseState,
@@ -224,8 +211,8 @@ def step_gradient_info(sys: HamiltonianSystem, rule: DeltaRule,
     if cfg is None:
         cfg = SolverConfig()
     x, p = s_n.x, s_n.p
-    slex = rule.kind == "slex"
-    delta = None if slex else rule.value_at(sys, s_n, h)
+    fn, midpoint = rule.fn, rule.midpoint
+    delta = None if midpoint else fn(sys, x, p, h)
     dd_x, dd_p = sys.dd_x, sys.dd_p
     # explicit Euler predictor
     xc = x + h * sys.partials["p"](x, p)
@@ -234,9 +221,8 @@ def step_gradient_info(sys: HamiltonianSystem, rule: DeltaRule,
     guard = cfg.divergence_guard
     inc = prev_inc = math.inf
     for it in range(1, cfg.max_iter + 1):
-        if slex:
-            delta = delta_lex(
-                omega_sq_at(sys, 0.5 * (x + xc), 0.5 * (p + pc)), h)
+        if midpoint:
+            delta = fn(sys, 0.5 * (x + xc), 0.5 * (p + pc), h)
         xn = x + delta * dd_p(x, xc, p, pc)
         pn = p - delta * dd_x(x, xc, p, pc)
         inc = max(abs(xn - xc), abs(pn - pc))

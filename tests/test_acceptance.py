@@ -55,7 +55,7 @@ def test_criterion_03_energy_any_delta():
     rng = random.Random(7)
     h = 0.25
     holder = {"d": h}
-    rule = DeltaRule.custom(lambda hh, st: holder["d"])
+    rule = DeltaRule(lambda sys, x, p, hh: holder["d"])
     s = PhaseState(0.0, 1.8)
     e0 = eval_energy(pend, s)
     worst = 0.0

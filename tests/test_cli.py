@@ -20,7 +20,11 @@ def test_parse_h_geometric_range():
 
 
 def test_parse_h_rejects_garbage():
-    for bad in ("0.4:0.1", "0.4:0.1:*2", "0.1:0.4:/2", "0.4:0.1:/0.5"):
+    for bad in ("0.4:0.1", "0.4:0.1:*2", "0.1:0.4:/2", "0.4:0.1:/0.5",
+                # every h must be finite and > 0
+                "0.2,0.1,0", "0.1,-0.05", "nan", "0.1,inf", "inf:0.1:/2",
+                "0.4:nan:/2", "0.4:0.1:/nan", "0.4:0.1:/inf", "0.4:0:/2",
+                "", ","):
         with pytest.raises(ValueError):
             parse_h_spec(bad)
 
@@ -88,6 +92,16 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["plot", "--figure", "fig9", "--csv", "a.csv",
                  "--out", str(out)]) == EXIT_USAGE
     capsys.readouterr()
+    # a step size that is not finite and > 0 is a usage error, not a
+    # traceback or a row of numbers
+    assert main(["sweep", "--schemes", "gr", "--p0", "1.8",
+                 "--h", "0.2,0.1,0", "--periods", "1", "--serial",
+                 "--out", str(out)]) == EXIT_USAGE
+    assert main(["integrate", "--scheme", "lf", "--system", "harmonic:1",
+                 "--p0", "1.8", "--h", "nan", "--steps", "3",
+                 "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert capsys.readouterr().err.count("finite h > 0") == 2
     # a Taylor order outside the flow series is a usage error
     for scheme in ("tay-0", "tay-17"):
         assert main(["integrate", "--scheme", scheme, "--p0", "1.8",

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from discgrad import harness
 from discgrad.errors import (NonConvergenceError, PrecisionFloorWarning,
                              UnsupportedSchemeError)
 from discgrad.harness import (ExperimentSpec, TrajectoryRecord, emit_csv,
@@ -23,8 +24,9 @@ def _spec(**kw):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        _spec(h=-0.1)
+    for h in (-0.1, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            _spec(h=h)
     with pytest.raises(ValueError):
         _spec(n_steps=0)
     with pytest.raises(ValueError):
@@ -146,6 +148,16 @@ def test_sweep_entry_rows():
     assert r["t"] == pytest.approx(r["n"] * 0.2)
     assert abs(r["residual_fraction"]) <= 0.02
     assert r["error"] > 0
+
+
+def test_sweep_resolves_every_id_before_running(monkeypatch):
+    entries = []
+    monkeypatch.setattr(harness, "_sweep_entry", entries.append)
+    with pytest.raises(ValueError, match=r"\[1, 14\]"):
+        sweep(["gr", "gr-7", "gr-15"], 0.02, [0.4, 0.2], 1, parallel=False)
+    with pytest.raises(UnsupportedSchemeError):
+        sweep(["gr", "warp"], 0.02, [0.4, 0.2], 1, parallel=False)
+    assert entries == []
 
 
 def test_sweep_matches_serial_and_order():

@@ -10,7 +10,7 @@ from discgrad.errors import ResonanceStepError
 from discgrad.exactlin import exact_step_map
 from discgrad.hamiltonian import (PhaseState, eval_energy, linearize,
                                   make_harmonic)
-from discgrad.schemes import (DeltaRule, SolverConfig, delta_gr, delta_lex,
+from discgrad.schemes import (DeltaRule, SolverConfig, delta_lex,
                               delta_series, delta_series_coefficients,
                               discrete_gradient_residual,
                               local_exactness_matrix, omega_sq_at,
@@ -19,11 +19,6 @@ from discgrad.schemes import (DeltaRule, SolverConfig, delta_gr, delta_lex,
 
 def rand_state(rng, span=2.5):
     return PhaseState(rng.uniform(-span, span), rng.uniform(-span, span))
-
-
-def test_delta_gr():
-    assert delta_gr(0.25) == 0.25
-    assert delta_gr(1e-6) == 1e-6
 
 
 def test_delta_lex_values():
@@ -57,7 +52,7 @@ def test_delta_rules_consistency_limit(pendulum):
     h = 1e-6
     rules = [DeltaRule.gr(), DeltaRule.mod_gr(0.0), DeltaRule.lex(),
              DeltaRule.slex(), DeltaRule.series(5),
-             DeltaRule.custom(lambda hh, st: hh * (1.0 + hh))]
+             DeltaRule(lambda sys, x, p, hh: hh * (1.0 + hh))]
     for rule in rules:
         d = rule.value_at(pendulum, s, h)
         assert d / h == pytest.approx(1.0, abs=1e-4)
@@ -68,6 +63,11 @@ def test_mod_gr_caches_per_h(pendulum):
     d1 = rule.value_at(pendulum, PhaseState(0.5, 0.5), 0.25)
     d2 = rule.value_at(pendulum, PhaseState(-1.0, 2.0), 0.25)
     assert d1 == d2 == delta_lex(1.0, 0.25)
+    # the remembered delta belongs to one system: another gets its own
+    other = make_harmonic(2.0)
+    d3 = rule.value_at(other, PhaseState(0.5, 0.5), 0.25)
+    assert d3 == delta_lex(4.0, 0.25) != d1
+    assert rule.value_at(pendulum, PhaseState(0.5, 0.5), 0.25) == d1
 
 
 def test_series_coefficients_closed_forms(pendulum, rng):
@@ -162,7 +162,7 @@ def test_energy_preserved_for_random_delta(pendulum, rng):
     s = PhaseState(0.0, 1.8)
     e0 = eval_energy(pendulum, s)
     state = {"d": h}
-    rule = DeltaRule.custom(lambda hh, st: state["d"])
+    rule = DeltaRule(lambda sys, x, p, hh: state["d"])
     worst = 0.0
     for _ in range(10 ** 4):
         state["d"] = h * rng.uniform(0.5, 1.5)
@@ -249,7 +249,7 @@ def test_local_exactness_w_identity_any_delta(pendulum, rng):
     # w == (M - I) A^{-1} b holds for every denominator choice
     h = 0.25
     for rule in (DeltaRule.gr(), DeltaRule.lex(), DeltaRule.series(4),
-                 DeltaRule.custom(lambda hh, st: 1.17 * hh)):
+                 DeltaRule(lambda sys, x, p, hh: 1.17 * hh)):
         for _ in range(10):
             s = rand_state(rng)
             lin = linearize(pendulum, s)
