@@ -7,8 +7,9 @@
     discgrad order --scheme gr-slex --p0 1.8 --h 0.2,0.1,0.05,0.025 --t 18.24
     discgrad plot --figure fig4 --csv fig4.csv --out fig4.gp
 
-Exit codes: 0 success, 2 usage error, 3 solver non-convergence,
-4 precision-floor-only order result.
+Exit codes: 0 success, 2 usage error, 3 solver failure at a step
+(non-convergence, divergence, or h*omega >= pi for a locally exact
+denominator), 4 precision-floor-only order result.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys as _sys
 
 from . import harness
 from .errors import (DivergenceError, NonConvergenceError,
-                     UnsupportedSchemeError)
+                     ResonanceStepError, UnsupportedSchemeError)
 
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
@@ -122,7 +123,7 @@ def main(argv=None) -> int:
             harness.emit_plotscript(
                 [c for c in args.csv.split(",") if c], args.figure, args.out)
             print(f"wrote {args.out}")
-    except (NonConvergenceError, DivergenceError) as exc:
+    except (NonConvergenceError, DivergenceError, ResonanceStepError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_NO_CONVERGENCE
     except (ValueError, UnsupportedSchemeError, OSError) as exc:

@@ -14,7 +14,7 @@ class DegenerateStepError(ZeroDivisionError):
 
 
 class NonConvergenceError(RuntimeError):
-    """Fixed-point iteration ran out of iterations.
+    """The implicit solve ran out of solver iterations.
 
     Carries the last increment so callers can judge how close it got.
     The default lets pickle rebuild the error from its message alone, as a
@@ -27,7 +27,7 @@ class NonConvergenceError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Fixed-point iteration blew past the divergence guard."""
+    """A solver iteration's increment blew past the divergence guard."""
 
 
 class UnsupportedSchemeError(ValueError):

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import baselines, reference, schemes
 from .errors import (DivergenceError, NonConvergenceError,
-                     PrecisionFloorWarning, UnsupportedSchemeError)
+                     PrecisionFloorWarning, ResonanceStepError,
+                     UnsupportedSchemeError)
 from .hamiltonian import (HamiltonianSystem, PhaseState, check_flow_order,
                           eval_energy, system_from_name)
 
@@ -100,7 +101,7 @@ def make_stepper(scheme: str, sys: HamiltonianSystem,
 
 def _advance(stepper, s: PhaseState, h: float, start: int, stop: int,
              iterations: defaultdict) -> PhaseState:
-    """Take steps start+1 .. stop from s, counting each step's fixed-point
+    """Take steps start+1 .. stop from s, counting each step's solver
     iterations into the histogram `iterations`.
 
     This is the only place the harness calls a stepper.  Solver failures
@@ -111,7 +112,7 @@ def _advance(stepper, s: PhaseState, h: float, start: int, stop: int,
         for n in range(start + 1, stop + 1):
             s, its = stepper(s, h)
             iterations[its] += 1
-    except (NonConvergenceError, DivergenceError) as exc:
+    except (NonConvergenceError, DivergenceError, ResonanceStepError) as exc:
         exc.args = (f"step {n}: {exc.args[0]}",) + exc.args[1:]
         raise
     return s

@@ -122,9 +122,17 @@ def test_solver_failure_exit(tmp_path, capsys):
              "--t", "100"]):
         assert main(argv) == EXIT_NO_CONVERGENCE
         assert capsys.readouterr().err.startswith("error: step 1: ")
-    # the fixed-point map expands by about h/2 per iteration here
-    argv = ["integrate", "--scheme", "gr", "--system", "harmonic:1",
-            "--p0", "1", "--h", "10", "--steps", "3"] + out
+    # one step of h = 3 from p0 = 1.8 carries x past the saddle at pi; the
+    # Newton matrix frozen at the predicted midpoint no longer contracts
+    # there, and the increments double until they pass the divergence guard
+    argv = ["integrate", "--scheme", "gr", "--p0", "1.8", "--h", "3",
+            "--steps", "3"] + out
     assert main(argv) == EXIT_NO_CONVERGENCE
     assert capsys.readouterr().err.startswith(
         "error: step 1: fixed-point increment ")
+    # h * omega >= pi at the first step's start point: the locally exact
+    # denominator has no value there
+    argv = ["integrate", "--scheme", "gr-lex", "--p0", "1.0", "--h", "3.5",
+            "--steps", "5"] + out
+    assert main(argv) == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err.startswith("error: step 1: h*omega")

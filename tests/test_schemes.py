@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from discgrad.errors import ResonanceStepError
+from discgrad.errors import DivergenceError, ResonanceStepError
 from discgrad.exactlin import exact_step_map
 from discgrad.hamiltonian import (PhaseState, eval_energy, linearize,
-                                  make_harmonic)
+                                  make_harmonic, system_from_name)
 from discgrad.schemes import (DeltaRule, SolverConfig, delta_lex,
                               delta_series, delta_series_coefficients,
                               discrete_gradient_residual,
@@ -214,6 +214,54 @@ def test_iteration_counts_reported(pendulum):
                                   PhaseState(0.0, 1.8), 0.25)
     assert its >= 2
     assert nxt.t == pytest.approx(0.25)
+
+
+def test_equilibrium_kept_where_newton_matrix_is_singular(pendulum):
+    # at the saddle (pi, 0), w^2 = -1 and gr's J = I - (h/2) A is singular
+    # for h = +-2; the step must still return the equilibrium
+    for h in (2.0, -2.0, 1.999999):
+        nxt = step_gradient(pendulum, DeltaRule.gr(), PhaseState(math.pi, 0.0),
+                            h)
+        assert abs(nxt.x - math.pi) <= 1e-15 and abs(nxt.p) <= 1e-15
+
+
+def test_overflowing_predictor_is_divergence(pendulum):
+    with pytest.raises(DivergenceError, match="Euler predictor"):
+        step_gradient(pendulum, DeltaRule.gr(), PhaseState(0.0, 1.8), 1e308)
+
+
+def test_linear_systems_converge_at_any_h():
+    # the Newton matrix is exact for a quadratic H
+    for name in ("harmonic:1", "crossterm:0.5"):
+        sys = system_from_name(name)
+        s = PhaseState(0.0, 1.0)
+        e0 = eval_energy(sys, s)
+        for _ in range(20):
+            s, its = step_gradient_info(sys, DeltaRule.gr(), s, 10.0)
+            assert its <= 3
+            assert abs(eval_energy(sys, s) - e0) <= 1e-13
+
+
+def test_convergence_domain():
+    # every one of these 792 inputs converges (none meets the tan pole of a
+    # locally exact delta); the plain fixed-point solve failed on 45
+    rules = (DeltaRule.gr(), DeltaRule.mod_gr(0.0), DeltaRule.lex(),
+             DeltaRule.slex(), DeltaRule.series(3), DeltaRule.series(7))
+    p0s = (0.02, 0.5, 1.0, 1.5, 1.8, 1.99, 2.001, 2.2, 2.5, 3.0, 4.0, 5.0,
+           10.0, 20.0)
+    inputs = 0
+    for name in ("pendulum", "harmonic:1.3", "crossterm:0.5"):
+        sys = system_from_name(name)
+        for rule in rules:
+            for p0 in p0s:
+                for h in (0.25, 0.5, 0.75, 1.0):
+                    if h * p0 > 2.5:
+                        continue
+                    inputs += 1
+                    s = PhaseState(0.0, p0)
+                    for _ in range(40):
+                        s = step_gradient(sys, rule, s, h)
+    assert inputs == 792
 
 
 def test_solver_config_validation():
