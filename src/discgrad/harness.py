@@ -4,6 +4,7 @@ CSV / gnuplot-script emission for the standard benchmark figures."""
 from __future__ import annotations
 
 import csv
+import io
 import math
 import time
 import warnings
@@ -39,6 +40,10 @@ class ExperimentSpec:
                 or self.sample_stride < 1):
             raise ValueError(
                 "need a finite h > 0, n_steps >= 1, sample_stride >= 1")
+        if not (math.isfinite(self.p0) and math.isfinite(self.x0)):
+            raise ValueError(
+                f"need a finite p0 and x0, got p0 = {self.p0!r}, "
+                f"x0 = {self.x0!r}")
 
 
 @dataclass(slots=True)
@@ -253,27 +258,50 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _record_lines(samples):
+    """The CSV lines of a trajectory record, each sample through one
+    printf template.
+
+    A record has global errors in every sample or in none, so one template
+    serves the whole record.  It prints what csv.writer prints of _fmt's
+    strings (no field needs quoting, and every line ends in \\r\\n), except
+    that an int of 1e17 or more in a float column (a hand-built record, or
+    an int p0 or x0 given through the API) prints in exponent form.
+    """
+    yield "n,t,x,p,energy_err,global_err,global_err_mod\r\n"
+    if samples and samples[0].global_err is not None:
+        line = "%d" + ",%.17g" * 6 + "\r\n"
+        for s in samples:
+            yield line % (s.n, s.t, s.x, s.p, s.energy_err, s.global_err,
+                          s.global_err_mod)
+    else:
+        line = "%d" + ",%.17g" * 4 + ",,\r\n"
+        for s in samples:
+            yield line % (s.n, s.t, s.x, s.p, s.energy_err)
+
+
+def _dict_lines(rows):
+    """The CSV text of row dicts, with the first row's keys as header."""
+    rows = list(rows)
+    keys = list(rows[0].keys()) if rows else []
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(keys)
+    writer.writerows([_fmt(r[k]) for k in keys] for r in rows)
+    return [out.getvalue()]
+
+
 def emit_csv(data, path) -> None:
     """Write a trajectory record or a list of row dicts as CSV.
 
     Floats carry 17 significant digits, so parsing the file recovers them
-    bit for bit.
+    bit for bit.  A record's lines are streamed to the file, not joined.
     """
-    if isinstance(data, TrajectoryRecord):
-        header = ["n", "t", "x", "p", "energy_err", "global_err",
-                  "global_err_mod"]
-        rows = [[s.n, s.t, s.x, s.p, s.energy_err, s.global_err,
-                 s.global_err_mod] for s in data.samples]
-    else:
-        data = list(data)
-        header = list(data[0].keys()) if data else []
-        rows = [[r[k] for k in header] for r in data]
+    lines = (_record_lines(data.samples) if isinstance(data, TrajectoryRecord)
+             else _dict_lines(data))
     try:
         with open(path, "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            f.writelines(lines)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 

@@ -8,7 +8,8 @@ programs without any symbolic algebra.
 Coefficients are floats, or mpmath numbers in the extended-precision
 delta-series fallback.  The generic helpers ``gsin``, ``gcos``, ``gexp``,
 ``gsqrt``, ``glog`` and ``gpow`` dispatch on the argument type so the same
-evaluator code runs on scalars and on jets.
+evaluator code runs on scalars and on jets.  A plain float, the argument
+of every scalar step, goes straight to ``math`` before any other test.
 
 An :class:`OnlineJet` is a series whose coefficients arrive one at a time
 (Jorba & Zou, Exp. Math. 14, 2005; Griewank & Walther, Evaluating
@@ -351,42 +352,32 @@ def extend_tape(tape, n):
 
 # -- generic dispatch ----------------------------------------------------
 
-def _scalar_fn(name):
-    # non-float scalars (e.g. mpmath.mpf in the extended-precision
-    # delta-series fallback) go through their own math module
-    def apply(x, _name=name):
+def _generic(name):
+    """The helper g<name>: math.<name> on a plain float, tried first
+    because every scalar step calls it so; the series method on a jet;
+    math.<name> on other floats and ints; mpmath's function on any other
+    scalar (the mpmath.mpf of the extended-precision delta-series
+    fallback)."""
+    fn = getattr(math, name)
+
+    def helper(x):
+        if type(x) is float:
+            return fn(x)
+        if isinstance(x, _Series):
+            return getattr(x, name)()
         if isinstance(x, (float, int)):
-            return getattr(math, _name)(x)
+            return fn(x)
         import mpmath
-        return getattr(mpmath, _name)(x)
-    return apply
+        return getattr(mpmath, name)(x)
+    helper.__name__ = helper.__qualname__ = "g" + name
+    return helper
 
 
-_scalar_sin = _scalar_fn("sin")
-_scalar_cos = _scalar_fn("cos")
-_scalar_exp = _scalar_fn("exp")
-_scalar_log = _scalar_fn("log")
-_scalar_sqrt = _scalar_fn("sqrt")
-
-
-def gsin(x):
-    return x.sin() if isinstance(x, _Series) else _scalar_sin(x)
-
-
-def gcos(x):
-    return x.cos() if isinstance(x, _Series) else _scalar_cos(x)
-
-
-def gexp(x):
-    return x.exp() if isinstance(x, _Series) else _scalar_exp(x)
-
-
-def glog(x):
-    return x.log() if isinstance(x, _Series) else _scalar_log(x)
-
-
-def gsqrt(x):
-    return x.sqrt() if isinstance(x, _Series) else _scalar_sqrt(x)
+gsin = _generic("sin")
+gcos = _generic("cos")
+gexp = _generic("exp")
+glog = _generic("log")
+gsqrt = _generic("sqrt")
 
 
 def gpow(x, r):

@@ -10,10 +10,17 @@ Orbit regimes for H = p^2/2 - cos x started at x = 0:
     libration   |p0| < 2,  k = |p0|/2,  period 4 K(k)
     rotation    |p0| > 2,  k = 2/|p0|,  period (in x mod 2 pi) 2 k K(k)
     separatrix  |p0| = 2,  sech/tanh closed form, infinite period
+
+A p0 that is not finite, or so large that its period is not a finite
+positive number, raises ValueError.  ``pendulum_exact`` remembers the
+orbit of the last p0 it was asked for, with its AGM chain reduced to what
+the Landen recursion reads, so a trajectory sampled at every step builds
+its chain once; ``classify_orbit`` builds a fresh orbit on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,19 +82,26 @@ def elliptic_K(k: float) -> float:
     return _K(_agm_chain(k))
 
 
-def _amplitudes(u: float, chain):
-    """Descending Landen recursion over the AGM chain of k; returns the
-    amplitude phi0 = am(u, k) and the next angle phi1."""
+def _landen(chain):
+    """What the descending Landen recursion needs of an AGM chain: the
+    start scale 2^n a_n and the ratios c_i / a_i for i = n .. 1."""
     a, c, _ = chain
     n = len(a) - 1
-    phi = (2 ** n) * a[n] * u
+    return (2 ** n) * a[n], [c[i] / a[i] for i in range(n, 0, -1)]
+
+
+def _amplitudes(u: float, landen):
+    """Descending Landen recursion (see `_landen`); returns the amplitude
+    phi0 = am(u, k) and the next angle phi1."""
+    scale, ratios = landen
+    phi = scale * u
     # an empty chain (k so small that sqrt(1 - k^2) rounds to 1) is one
     # Landen step with c_1 = 0, whose next angle is exactly 2 phi
     phi1 = 2.0 * phi
-    for i in range(n, 0, -1):
+    for ratio in ratios:
         phi1 = phi
         phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0,
-                     c[i] / a[i] * math.sin(phi)))))
+                     ratio * math.sin(phi)))))
     return phi, phi1
 
 
@@ -110,7 +124,7 @@ def jacobi_am(u: float, k: float) -> float:
     _check_modulus(k)
     if k == 0.0:
         return u
-    return _amplitudes(u, _agm_chain(k))[0]
+    return _amplitudes(u, _landen(_agm_chain(k)))[0]
 
 
 def jacobi_sn_cn_dn(u: float, k: float):
@@ -118,7 +132,7 @@ def jacobi_sn_cn_dn(u: float, k: float):
     _check_modulus(k)
     if k == 0.0:
         return math.sin(u), math.cos(u), 1.0
-    return _sn_cn_dn(*_amplitudes(u, _agm_chain(k)), k)
+    return _sn_cn_dn(*_amplitudes(u, _landen(_agm_chain(k))), k)
 
 
 @dataclass(slots=True)
@@ -131,20 +145,31 @@ class PendulumOrbit:
 
 def _orbit(p0: float):
     """The orbit through (0, p0) and the AGM chain of its modulus (None on
-    the separatrix)."""
+    the separatrix).
+
+    Raises ValueError for a p0 that is not finite, and for one so large
+    that its period is not a finite positive number (the complementary
+    modulus overflows and K comes out 0)."""
     a = abs(p0)
+    if not math.isfinite(a):
+        raise ValueError(f"p0 = {p0!r} is not finite")
     if a == 0.0:
         raise EquilibriumError("p0 = 0 is the stable equilibrium")
+    if a == 2.0:
+        return PendulumOrbit(p0, "separatrix", 1.0, math.inf), None
     if a < 2.0:
         k = a / 2.0
         chain = _agm_chain(k)
-        return PendulumOrbit(p0, "libration", k, 4.0 * _K(chain)), chain
-    if a > 2.0:
+        regime, period = "libration", 4.0 * _K(chain)
+    else:
         k = 2.0 / a
         # a - 2 is exact, so kc carries no cancellation near the separatrix
         chain = _agm_chain(k, math.sqrt((a - 2.0) * (a + 2.0)) / a)
-        return PendulumOrbit(p0, "rotation", k, 2.0 * k * _K(chain)), chain
-    return PendulumOrbit(p0, "separatrix", 1.0, math.inf), None
+        regime, period = "rotation", 2.0 * k * _K(chain)
+    if not 0.0 < period < math.inf:
+        raise ValueError(
+            f"p0 = {p0!r}: the orbit's period {period!r} is not finite and > 0")
+    return PendulumOrbit(p0, regime, k, period), chain
 
 
 def classify_orbit(p0: float) -> PendulumOrbit:
@@ -181,6 +206,15 @@ def _reduce_time(t: float, period: float):
     return n, (t - prod) - err
 
 
+@functools.lru_cache(maxsize=1)
+def _exact_orbit(p0: float):
+    """The orbit through (0, p0) and the Landen data of its AGM chain (None
+    on the separatrix), remembered for the last p0 only: a trajectory asks
+    for one p0 at every sample, so it builds its chain once."""
+    orbit, chain = _orbit(p0)
+    return orbit, None if chain is None else _landen(chain)
+
+
 def pendulum_exact(p0: float, t: float) -> PhaseState:
     """Exact pendulum state at time t for x(0) = 0, p(0) = p0.
 
@@ -190,7 +224,7 @@ def pendulum_exact(p0: float, t: float) -> PhaseState:
     if p0 < 0.0:
         s = pendulum_exact(-p0, t)
         return PhaseState(-s.x, -s.p, t)
-    orbit, chain = _orbit(p0)
+    orbit, landen = _exact_orbit(p0)
     k = orbit.k
     if orbit.regime == "separatrix":
         x = 4.0 * math.atan(math.exp(t)) - math.pi
@@ -198,11 +232,11 @@ def pendulum_exact(p0: float, t: float) -> PhaseState:
         return PhaseState(x, p, t)
     n, r = _reduce_time(t, orbit.period)
     if orbit.regime == "libration":
-        sn, cn, _ = _sn_cn_dn(*_amplitudes(r, chain), k)
+        sn, cn, _ = _sn_cn_dn(*_amplitudes(r, landen), k)
         x = 2.0 * math.asin(max(-1.0, min(1.0, k * sn)))
         p = 2.0 * k * cn
         return PhaseState(x, p, t)
-    phi0, phi1 = _amplitudes(r / k, chain)
+    phi0, phi1 = _amplitudes(r / k, landen)
     x = 2.0 * phi0 + 2.0 * math.pi * n
     p = 2.0 / k * _sn_cn_dn(phi0, phi1, k)[2]
     return PhaseState(x, p, t)

@@ -170,6 +170,10 @@ def _delta_series_quotient(sys: HamiltonianSystem, s: PhaseState, N: int):
     flow."""
     _check_series_order(N)
     num, den = _quotient_parts(sys, s.x, s.p, N)
+    if not all(map(math.isfinite, den.coeffs)):
+        raise DivergenceError(
+            f"series delta at ({s.x:.3g}, {s.p:.3g}): the flow "
+            "coefficients overflow")
     k = _leading_index(den)
     if k is None:
         return Jet([1.0] + [0.0] * (N - 1))

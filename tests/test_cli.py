@@ -111,6 +111,27 @@ def test_usage_errors(tmp_path, capsys):
         assert err.startswith("error: ") and "[1, 16]" in err
 
 
+def test_p0_the_oracle_cannot_take_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for p0, names in (("nan", "p0 = nan"), ("inf", "p0 = inf"),
+                      ("1e308", "p0 = 1e+308")):
+        assert main(["integrate", "--scheme", "lf", "--p0", p0,
+                     "--h", "0.25", "--steps", "3", "--out", str(out)]) \
+            == EXIT_USAGE
+        assert names in capsys.readouterr().err
+        assert main(["sweep", "--schemes", "gr", "--p0", p0, "--h", "0.1",
+                     "--periods", "1", "--serial", "--out", str(out)]) \
+            == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert names in err and "separatrix" not in err
+    # x0 feeds no oracle, but a run from it would be all NaN rows
+    assert main(["integrate", "--scheme", "lf", "--system", "harmonic:1",
+                 "--p0", "1.0", "--x0", "inf", "--h", "0.25", "--steps", "3",
+                 "--out", str(out)]) == EXIT_USAGE
+    assert "x0 = inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solver_failure_exit(tmp_path, capsys):
     out = ["--out", str(tmp_path / "x.csv")]
     for argv in (
@@ -119,7 +140,10 @@ def test_solver_failure_exit(tmp_path, capsys):
             ["sweep", "--schemes", "gr", "--p0", "1.8", "--h", "50",
              "--periods", "1", "--serial"] + out,
             ["order", "--scheme", "gr", "--p0", "1.8", "--h", "50,40,30",
-             "--t", "100"]):
+             "--t", "100"],
+            # the flow coefficients of the series delta overflow
+            ["integrate", "--scheme", "gr-3", "--system", "crossterm:0.5",
+             "--p0", "1e300", "--h", "1", "--steps", "3"] + out):
         assert main(argv) == EXIT_NO_CONVERGENCE
         assert capsys.readouterr().err.startswith("error: step 1: ")
     # one step of h = 3 from p0 = 1.8 carries x past the saddle at pi; the

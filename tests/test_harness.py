@@ -139,6 +139,55 @@ def test_csv_row_dicts_and_empty(tmp_path):
         emit_csv([], "/nonexistent-dir/t.csv")
 
 
+def _reference_csv(data, path):
+    """CSV through csv.writer, every float formatted with format(v,
+    ".17g"): the bytes emit_csv must write."""
+    def fmt(v):
+        if v is None:
+            return ""
+        return format(v, ".17g") if isinstance(v, float) else str(v)
+    if isinstance(data, TrajectoryRecord):
+        header = ["n", "t", "x", "p", "energy_err", "global_err",
+                  "global_err_mod"]
+        rows = [[s.n, s.t, s.x, s.p, s.energy_err, s.global_err,
+                 s.global_err_mod] for s in data.samples]
+    else:
+        header = list(data[0].keys()) if data else []
+        rows = [[r[k] for k in header] for r in data]
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+
+def test_csv_bytes_match_reference_writer(tmp_path):
+    odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, -1e300, 0.1]
+    # every odd value in every float column, beside small and huge n
+    samples = [harness.Sample(n, *(odd[(i + j) % 7] for j in range(4)))
+               for i, n in enumerate([0, 1, 10 ** 20, 2 ** 70 + 1, 5, 6, 7])]
+    with_global = [harness.Sample(s.n, s.t, s.x, s.p, s.energy_err, g, -g)
+                   for s, g in zip(samples, odd[4:] + odd[:4])]
+    cases = [
+        run_trajectory(_spec(scheme="lf", n_steps=40, sample_stride=1)),
+        run_trajectory(_spec(scheme="sp-4", system="harmonic:1.3",
+                             n_steps=40, sample_stride=3)),
+        TrajectoryRecord(samples),
+        TrajectoryRecord(with_global),
+        [{"scheme": "gr-7", "n": 12, "error": 1.25e-9, "note": None},
+         {"scheme": 'a,"b"\nc', "n": -3, "error": math.nan, "note": None}],
+        [{"h": 0.1}],
+        [],
+    ]
+    assert cases[0].samples[5].global_err is not None
+    assert cases[1].samples[5].global_err is None
+    for i, data in enumerate(cases):
+        got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+        emit_csv(data, got)
+        _reference_csv(data, want)
+        assert got.read_bytes() == want.read_bytes(), i
+
+
 def test_sweep_entry_rows():
     rows = sweep(["gr"], 1.8, [0.2], 1, parallel=False)
     assert len(rows) == 1

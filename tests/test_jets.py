@@ -2,6 +2,8 @@
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -249,3 +251,45 @@ def test_online_rejects_mixing():
         x + OnlineJet([1.0], [])
     with pytest.raises(SingularJetDivisionError):
         x / (x - 1.0)
+
+
+HELPERS = {"sin": gsin, "cos": gcos, "exp": gexp, "log": glog, "sqrt": gsqrt}
+
+
+@given(st.floats(min_value=-700.0, max_value=700.0))
+@example(-0.0)
+@example(5e-324)
+def test_helpers_on_floats_are_math(x):
+    for name, fn in HELPERS.items():
+        # log and sqrt on a positive argument
+        arg = abs(x) + 5e-324 if name in ("log", "sqrt") else x
+        got = fn(arg)
+        assert type(got) is float, name
+        assert got.hex() == getattr(math, name)(arg).hex(), name
+
+
+def _dispatch_by_type(name, x):
+    """The helpers' dispatch for arguments that are not a plain float."""
+    if isinstance(x, (Jet, OnlineJet)):
+        return getattr(x, name)()
+    if isinstance(x, (float, int)):
+        return getattr(math, name)(x)
+    return getattr(mpmath, name)(x)
+
+
+def test_helpers_on_other_types_dispatch_by_type():
+    def arguments():
+        yield 2
+        yield np.float64(0.7)
+        yield mpmath.mpf("0.7")
+        yield Jet([0.7, 1.0, -0.25, 0.5])
+        yield OnlineJet([0.7, 1.0], [])
+    for name, fn in HELPERS.items():
+        for got, want in zip(map(fn, arguments()),
+                             (_dispatch_by_type(name, x)
+                              for x in arguments())):
+            assert type(got) is type(want), (name, got)
+            if isinstance(got, (Jet, OnlineJet)):
+                assert repr(got.coeffs) == repr(want.coeffs), name
+            else:
+                assert got == want, name

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from discgrad import reference
@@ -264,7 +266,43 @@ def test_one_agm_chain_per_oracle_call(monkeypatch):
         calls.append(k)
         return _agm_chain(k, *kc)
     monkeypatch.setattr(reference, "_agm_chain", counting)
-    for p0, chains in ((1.8, 1), (2.5, 1), (-1.8, 1), (2.0, 0)):
+    reference._exact_orbit.cache_clear()
+    # first call at a p0, the same p0 again, a new p0, the separatrix; -1.8
+    # is the orbit of 1.8 mirrored
+    for p0, chains in ((1.8, 1), (1.8, 0), (-1.8, 0), (2.5, 1), (2.5, 0),
+                       (2.0, 0)):
         calls.clear()
         pendulum_exact(p0, 123.4)
-        assert len(calls) == chains
+        assert len(calls) == chains, p0
+    # classify_orbit builds its own orbit every time
+    calls.clear()
+    assert classify_orbit(2.5) is not classify_orbit(2.5)
+    assert len(calls) == 2
+
+
+@given(st.lists(st.tuples(st.sampled_from([1.8, 2.5, -1.8, 0.02, 2.0005]),
+                          st.floats(0.0, 1e4)), min_size=1, max_size=12))
+@settings(max_examples=40, deadline=None)
+def test_oracle_memo_changes_no_state(calls):
+    # whatever p0 the memo holds, a call returns what a cold call returns
+    for p0, t in calls:
+        warm = pendulum_exact(p0, t)
+        reference._exact_orbit.cache_clear()
+        cold = pendulum_exact(p0, t)
+        assert [v.hex() for v in (warm.x, warm.p, warm.t)] == \
+            [v.hex() for v in (cold.x, cold.p, cold.t)]
+
+
+def test_p0_without_a_finite_period_is_rejected():
+    # not finite, or so large that kc = sqrt((p0 - 2)(p0 + 2))/p0 overflows
+    # and the period comes out 0
+    for p0 in (math.nan, math.inf, -math.inf, 1e308, -1e200, 1.4e154):
+        for call in (classify_orbit, pendulum_period,
+                     lambda p0: pendulum_exact(p0, 0.0),
+                     lambda p0: pendulum_exact(p0, 10.0)):
+            with pytest.raises(ValueError, match="p0 = ") as info:
+                call(p0)
+            assert not isinstance(info.value, InfinitePeriodError)
+    # a p0 just below that overflow keeps working
+    assert 0.0 < pendulum_period(1e153) < 1e-152
+    assert pendulum_exact(1e153, 1e-160).p == 1e153

@@ -230,6 +230,18 @@ def test_overflowing_predictor_is_divergence(pendulum):
         step_gradient(pendulum, DeltaRule.gr(), PhaseState(0.0, 1.8), 1e308)
 
 
+def test_overflowing_series_flow_is_divergence():
+    # the flow coefficients overflow to inf or nan; the series rule used to
+    # fail on them with an untyped ValueError or IndexError
+    for name, x, p, h, N in (("pendulum", 0.0, 1e300, 1.0, 3),
+                             ("crossterm:0.5", 0.0, 1e300, 1.0, 3),
+                             ("pendulum", 0.0, 1e200, 1e200, 7),
+                             ("pendulum", 0.0, 1e154, 1.0, 3),
+                             ("harmonic:1.3", 0.0, math.inf, 1.0, 3)):
+        with pytest.raises(DivergenceError, match="series delta"):
+            delta_series(system_from_name(name), PhaseState(x, p), h, N)
+
+
 def test_linear_systems_converge_at_any_h():
     # the Newton matrix is exact for a quadratic H
     for name in ("harmonic:1", "crossterm:0.5"):
