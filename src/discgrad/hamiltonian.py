@@ -6,7 +6,7 @@ A system meets one contract, checked once when it is built.  It supplies
   :mod:`discgrad.jets`, so the same code runs on floats and on jets;
 * ``partials``: the closed-form partial derivatives ``x, p, xx, xp, pp``
   of H, each a callable ``(x, p)``.  The flow Taylor coefficients call
-  ``x`` and ``p`` once on online jets (:class:`discgrad.jets.OnlineJet`),
+  ``x`` and ``p`` once on jets on a tape (:class:`discgrad.jets.Jet`),
   which record the operations they see and replay them one coefficient at
   a time.  So these two may use only ``+ - * /`` and ``**`` between their
   arguments and scalars, unary minus and the helpers ``gsin``, ``gcos``,
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import Jet, OnlineJet, extend_tape, gcos, gsin
+from .jets import Jet, extend_tape, gcos, gsin
 
 PARTIAL_KEYS = ("x", "p", "xx", "xp", "pp")
 
@@ -134,8 +134,8 @@ def taylor_flow_coeffs(sys: HamiltonianSystem, s: PhaseState, N: int):
     """Taylor series of the flow through (x, p), as monomial-basis jets.
 
     The online Taylor-method recurrence: ``H_p`` and ``H_x`` run once, on
-    online jets X and P that hold only x0 and p0, and record their
-    operations on a tape.  Then, for k = 0 .. N-1,
+    jets X and P on one tape that hold only x0 and p0, and record their
+    operations there.  Then, for k = 0 .. N-1,
 
         X[k+1] = H_p[k] / (k+1),    P[k+1] = -H_x[k] / (k+1),
 
@@ -144,13 +144,14 @@ def taylor_flow_coeffs(sys: HamiltonianSystem, s: PhaseState, N: int):
     """
     check_flow_order(N)
     tape = []
-    X = OnlineJet([s.x], tape)
-    P = OnlineJet([s.p], tape)
+    # the tape by position: as a keyword it costs ~2% of a gr-3 step
+    X = Jet([s.x], None, tape)
+    P = Jet([s.p], None, tape)
     fx = sys.partials["p"](X, P)
     fp = sys.partials["x"](X, P)
     # a partial that ignores its arguments returns a plain constant
-    fxc = fx.coeffs if isinstance(fx, OnlineJet) else [fx] + [0.0] * (N - 1)
-    fpc = fp.coeffs if isinstance(fp, OnlineJet) else [fp] + [0.0] * (N - 1)
+    fxc = fx.coeffs if isinstance(fx, Jet) else [fx] + [0.0] * (N - 1)
+    fpc = fp.coeffs if isinstance(fp, Jet) else [fp] + [0.0] * (N - 1)
     xc, pc = X.coeffs, P.coeffs
     for k in range(N):
         if k:
@@ -227,10 +228,13 @@ def system_from_name(name: str) -> HamiltonianSystem:
     """Resolve CLI-style system names: pendulum, harmonic:W, crossterm:A."""
     if name == "pendulum":
         return make_pendulum()
-    if name == "harmonic" or name.startswith("harmonic:"):
-        omega = float(name.split(":", 1)[1]) if ":" in name else 1.0
-        return make_harmonic(omega)
-    if name == "crossterm" or name.startswith("crossterm:"):
-        alpha = float(name.split(":", 1)[1]) if ":" in name else 0.5
-        return make_crossterm(alpha)
-    raise ValueError(f"unknown system {name!r}")
+    kind, colon, param = name.partition(":")
+    make = {"harmonic": make_harmonic, "crossterm": make_crossterm}.get(kind)
+    if make is None:
+        raise ValueError(f"unknown system {name!r}")
+    if not colon:
+        return make()
+    value = float(param)
+    if not math.isfinite(value):
+        raise ValueError(f"system {name!r} needs a finite parameter")
+    return make(value)

@@ -181,6 +181,15 @@ def _final_global_error(scheme: str, p0: float, h: float, n: int) -> float:
     return _global_errors(p0, n * h, s)[0]
 
 
+def _check_step_counts(target: float, h_list, name: str) -> None:
+    """Every step count target / h must be finite, so that _error_near can
+    round it; name says what target is."""
+    for h in h_list:
+        if not math.isfinite(target / h):
+            raise ValueError(f"the step count {name} / h = {target!r} / "
+                             f"{h!r} is not finite")
+
+
 def _error_near(scheme: str, p0: float, h: float, target: float):
     """(n, final global error) of the trajectory whose end n*h lies nearest
     to time target (at least one step)."""
@@ -202,7 +211,10 @@ def sweep(schemes_list, p0: float, h_list, n_periods: int,
     pendulum = system_from_name("pendulum")
     for sc in schemes_list:
         make_stepper(sc, pendulum)     # a bad id fails before any entry runs
+    if n_periods < 1:
+        raise ValueError(f"need periods >= 1, got periods = {n_periods!r}")
     period = reference.pendulum_period(p0)
+    _check_step_counts(n_periods * period, h_list, "periods * period")
     tasks = [(sc, p0, h, n_periods, period)
              for sc in schemes_list for h in h_list]
     if parallel and len(tasks) > 1:
@@ -226,6 +238,9 @@ def estimate_order(scheme: str, p0: float, h_list,
     """Least-squares slope of log(error) against log(h), on the pendulum."""
     if len(h_list) < 3:
         raise ValueError("need at least 3 step sizes")
+    if not 0.0 < t_final < math.inf:
+        raise ValueError(f"need a finite t > 0, got t = {t_final!r}")
+    _check_step_counts(t_final, h_list, "t")
     used, excluded = [], []
     for h in h_list:
         _, err = _error_near(scheme, p0, h, t_final)

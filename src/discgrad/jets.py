@@ -1,9 +1,10 @@
 """Truncated power series ("jets") in one formal variable.
 
 A :class:`Jet` holds the coefficients of ``h^0 .. h^order`` in the plain
-monomial basis (no factorials).  All arithmetic truncates at the declared
-order, so a jet propagates Taylor coefficients through ordinary numerical
-programs without any symbolic algebra.
+monomial basis (no factorials), and ``order`` is their count less one.
+All arithmetic truncates at that order, so a jet propagates Taylor
+coefficients through ordinary numerical programs without any symbolic
+algebra.
 
 Coefficients are floats, or mpmath numbers in the extended-precision
 delta-series fallback.  The generic helpers ``gsin``, ``gcos``, ``gexp``,
@@ -11,23 +12,22 @@ delta-series fallback.  The generic helpers ``gsin``, ``gcos``, ``gexp``,
 evaluator code runs on scalars and on jets.  A plain float, the argument
 of every scalar step, goes straight to ``math`` before any other test.
 
-An :class:`OnlineJet` is a series whose coefficients arrive one at a time
-(Jorba & Zou, Exp. Math. 14, 2005; Griewank & Walther, Evaluating
-Derivatives, ch. 13).  Every operation on online jets records its output
-on a shared tape; once the inputs gain a coefficient, ``extend_tape``
-computes one more coefficient of every recorded node, in creation order.
-Online jets support the arithmetic ``+ - * /`` (with each other and with
-scalars), unary minus, ``**`` and the ``g*`` helpers; the calculus
-helpers (``differentiate``, ``shift``, ``evaluate``, ...) read a finished
-series and are on :class:`Jet` only.
+A jet may carry a tape: a list on which every operation on it records
+its output, so that its coefficients can arrive one at a time (Jorba &
+Zou, Exp. Math. 14, 2005; Griewank & Walther, Evaluating Derivatives,
+ch. 13).  Once the leaf jets on a tape gain a coefficient,
+``extend_tape`` computes one more coefficient of every recorded jet, in
+creation order.  A jet without a tape is finished.  Jets combine only
+with jets of the same order on the same tape (or both on none), and with
+scalars.
 
 Each operation is written once, as a coefficient rule
 ``rule(n, out, *args)`` that appends coefficients ``len(out) .. n-1`` to
 the list ``out``.  Coefficient k of every rule depends only on
 coefficients 0..k of its inputs and is computed by the same floating-point
-operations in the same order whether a :class:`Jet` runs the rule to its
-full order at once or an online jet runs it one coefficient at a time, so
-both give bit-identical coefficients.
+operations in the same order whether a finished jet runs the rule to its
+full order at once or a jet on a tape runs it one coefficient at a time,
+so both give bit-identical coefficients.
 """
 
 from __future__ import annotations
@@ -145,25 +145,67 @@ def _sqrt(n, out, a):
         out.append(s / (2 * out[0]))
 
 
-# -- series types ------------------------------------------------------
+# -- the series type ----------------------------------------------------
 
-class _Series:
-    """Operations shared by :class:`Jet` and :class:`OnlineJet`.
+class Jet:
+    """A truncated power series.  With a tape, ``coeffs`` is used as given
+    (the tape shares it), and the owner of a leaf jet appends its
+    coefficients; without one, ``coeffs`` is copied and the jet is
+    finished."""
+    __slots__ = ("coeffs", "tape")
 
-    A subclass supplies ``coeffs``, ``_check(other)`` (may the two be
-    combined), ``_make(rule, *args)`` (run a coefficient rule into a new
-    series of the same kind) and ``_wrap(coeffs)`` (a series of the same
-    kind around a list that a rule fills).
-    """
-    __slots__ = ()
+    def __init__(self, coeffs, order=None, tape=None):
+        if tape is None:
+            coeffs = list(coeffs)
+        if order is None:
+            order = len(coeffs) - 1
+        if order < 0 or order > MAX_ORDER:
+            raise ValueError(f"jet order must be in [0, {MAX_ORDER}], got {order}")
+        if len(coeffs) != order + 1:
+            raise ValueError("coefficient count does not match declared order")
+        self.coeffs = coeffs
+        self.tape = tape
 
-    def _constant(self, value):
-        return self._make(_const, value)
+    @property
+    def order(self):
+        return len(self.coeffs) - 1
+
+    @classmethod
+    def constant(cls, value, order):
+        c = []
+        _const(order + 1, c, value)
+        return cls(c, order)
+
+    @classmethod
+    def variable(cls, value, order):
+        """value + h, as a jet of the given order (order >= 1)."""
+        c = [value, 1.0] + [0.0] * (order - 1)
+        return cls(c, order)
+
+    def _check(self, other):
+        if other.tape is not self.tape:
+            if other.tape is None or self.tape is None:
+                raise TypeError(
+                    "cannot combine a finished jet with a jet on a tape")
+            raise ValueError("jets on different tapes")
+        if len(other.coeffs) != len(self.coeffs):
+            raise ValueError(
+                f"jet order mismatch: {self.order} vs {other.order}")
+
+    def _make(self, rule, *args):
+        out = []
+        rule(len(self.coeffs), out, *args)
+        # out is new and as long as coeffs: no copy or check is needed
+        jet = object.__new__(Jet)
+        jet.coeffs, jet.tape = out, self.tape
+        if jet.tape is not None:
+            jet.tape.append((rule, (out,) + args))
+        return jet
 
     # -- basic ring operations ------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, _Series):
+        if isinstance(other, Jet):
             self._check(other)
             return self._make(_add, self.coeffs, other.coeffs)
         return self._make(_add_scalar, self.coeffs, other)
@@ -174,7 +216,7 @@ class _Series:
         return self._make(_neg, self.coeffs)
 
     def __sub__(self, other):
-        if isinstance(other, _Series):
+        if isinstance(other, Jet):
             self._check(other)
             return self._make(_sub, self.coeffs, other.coeffs)
         return self._make(_sub_scalar, self.coeffs, other)
@@ -183,7 +225,7 @@ class _Series:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _Series):
+        if isinstance(other, Jet):
             self._check(other)
             return self._make(_mul, self.coeffs, other.coeffs)
         return self._make(_scale, self.coeffs, other)
@@ -191,7 +233,7 @@ class _Series:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not isinstance(other, _Series):
+        if not isinstance(other, Jet):
             return self._make(_scale, self.coeffs, 1.0 / other)
         self._check(other)
         if other.coeffs[0] == 0:
@@ -201,7 +243,7 @@ class _Series:
         return self._make(_div, self.coeffs, other.coeffs)
 
     def __rtruediv__(self, other):
-        return self._constant(other) / self
+        return self._make(_const, other) / self
 
     def __pow__(self, exponent):
         return gpow(self, exponent)
@@ -219,7 +261,7 @@ class _Series:
     def sin_cos(self):
         c = []
         s = self._make(_sin_cos, c, self.coeffs)
-        return s, self._wrap(c)
+        return s, Jet(c, None, self.tape)
 
     def sin(self):
         return self.sin_cos()[0]
@@ -232,49 +274,7 @@ class _Series:
             raise ValueError("sqrt of a jet with non-positive constant term")
         return self._make(_sqrt, self.coeffs)
 
-
-class Jet(_Series):
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order=None):
-        coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0 or order > MAX_ORDER:
-            raise ValueError(f"jet order must be in [0, {MAX_ORDER}], got {order}")
-        if len(coeffs) != order + 1:
-            raise ValueError("coefficient count does not match declared order")
-        self.order = order
-        self.coeffs = coeffs
-
-    @classmethod
-    def constant(cls, value, order):
-        c = []
-        _const(order + 1, c, value)
-        return cls(c, order)
-
-    @classmethod
-    def variable(cls, value, order):
-        """value + h, as a jet of the given order (order >= 1)."""
-        c = [value, 1.0] + [0.0] * (order - 1)
-        return cls(c, order)
-
-    def _check(self, other):
-        if not isinstance(other, Jet):
-            raise TypeError("cannot combine a Jet with an online jet")
-        if other.order != self.order:
-            raise ValueError(
-                f"jet order mismatch: {self.order} vs {other.order}")
-
-    def _make(self, rule, *args):
-        out = []
-        rule(self.order + 1, out, *args)
-        return Jet(out, self.order)
-
-    def _wrap(self, coeffs):
-        return Jet(coeffs, self.order)
-
-    # -- calculus helpers -----------------------------------------------
+    # -- calculus helpers, for finished jets -----------------------------
 
     def differentiate(self):
         out = [(k + 1) * self.coeffs[k + 1] for k in range(self.order)]
@@ -290,57 +290,28 @@ class Jet(_Series):
         """
         if m == 0:
             return self
+        n = len(self.coeffs)
         zero = 0.0 * self.coeffs[0]
         if m > 0:
-            c = [zero] * m + self.coeffs[: self.order + 1 - m]
+            c = [zero] * m + self.coeffs[: n - m]
         else:
             c = self.coeffs[-m:] + [zero] * (-m)
-        return Jet(c, self.order)
+        return Jet(c, n - 1)
 
     def truncate(self, order):
-        if order > self.order:
+        if order >= len(self.coeffs):
             raise ValueError("cannot truncate upward")
         return Jet(self.coeffs[: order + 1], order)
 
     def evaluate(self, h):
-        acc = self.coeffs[self.order]
-        for k in range(self.order - 1, -1, -1):
-            acc = acc * h + self.coeffs[k]
+        c = self.coeffs
+        acc = c[-1]
+        for k in range(len(c) - 2, -1, -1):
+            acc = acc * h + c[k]
         return acc
 
     def __repr__(self):
         return f"Jet({self.coeffs!r})"
-
-
-class OnlineJet(_Series):
-    """A series that grows one coefficient at a time.
-
-    ``coeffs`` holds the coefficients known so far.  Leaf series (the
-    independent variables) are created directly and their owner appends
-    their coefficients; every series derived from them is recorded on
-    ``tape`` and grows through :func:`extend_tape`.
-    """
-    __slots__ = ("coeffs", "tape")
-
-    def __init__(self, coeffs, tape):
-        self.coeffs = coeffs
-        self.tape = tape
-
-    def _check(self, other):
-        if not isinstance(other, OnlineJet):
-            raise TypeError("cannot combine an online jet with a Jet")
-        if other.tape is not self.tape:
-            raise ValueError("online jets from different tapes")
-
-    def _make(self, rule, *args):
-        out = []
-        args = (out,) + args
-        rule(len(self.coeffs), *args)
-        self.tape.append((rule, args))
-        return OnlineJet(out, self.tape)
-
-    def _wrap(self, coeffs):
-        return OnlineJet(coeffs, self.tape)
 
 
 def extend_tape(tape, n):
@@ -363,7 +334,7 @@ def _generic(name):
     def helper(x):
         if type(x) is float:
             return fn(x)
-        if isinstance(x, _Series):
+        if isinstance(x, Jet):
             return getattr(x, name)()
         if isinstance(x, (float, int)):
             return fn(x)
@@ -381,12 +352,12 @@ gsqrt = _generic("sqrt")
 
 
 def gpow(x, r):
-    if not isinstance(x, _Series):
+    if not isinstance(x, Jet):
         return x ** r
     if isinstance(r, int) or (isinstance(r, float) and r.is_integer()):
         n = int(r)
         if n == 0:
-            return x._constant(1.0)
+            return x._make(_const, 1.0)
         base = x if n > 0 else 1.0 / x
         out = base
         for _ in range(abs(n) - 1):

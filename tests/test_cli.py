@@ -109,6 +109,29 @@ def test_usage_errors(tmp_path, capsys):
             == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "[1, 16]" in err
+    # a run length or system parameter that cannot make a finite run is
+    # a usage error, named in the message, before any step is taken
+    order = ["order", "--scheme", "gr", "--p0", "1.8", "--h", "0.2,0.1,0.05"]
+    sweep = ["sweep", "--schemes", "gr", "--p0", "1.8", "--serial",
+             "--out", str(out)]
+    integrate = ["integrate", "--p0", "1.8", "--h", "0.25", "--steps", "3",
+                 "--out", str(out)]
+    for argv, names in (
+            (order + ["--t", "inf"], "t = inf"),
+            (order + ["--t", "nan"], "t = nan"),
+            (order + ["--t", "-1"], "t = -1.0"),
+            (order + ["--t", "0"], "t = 0.0"),
+            (order + ["--t", "1e308"], "t / h = 1e+308 / 0.2"),
+            (sweep + ["--h", "0.2,0.1", "--periods", "0"], "periods = 0"),
+            (sweep + ["--h", "0.2,0.1", "--periods", "-3"], "periods = -3"),
+            (sweep + ["--h", "5e-324", "--periods", "1"], "/ 5e-324"),
+            (integrate + ["--scheme", "lf", "--system", "harmonic:nan"],
+             "system 'harmonic:nan'"),
+            (integrate + ["--scheme", "gr", "--system", "crossterm:inf"],
+             "system 'crossterm:inf'")):
+        assert main(argv) == EXIT_USAGE, argv
+        assert names in capsys.readouterr().err, argv
+        assert not out.exists(), argv
 
 
 def test_p0_the_oracle_cannot_take_is_a_usage_error(tmp_path, capsys):

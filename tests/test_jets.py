@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discgrad.errors import SingularJetDivisionError
-from discgrad.jets import (MAX_ORDER, Jet, OnlineJet, extend_tape, gcos,
-                           gexp, glog, gpow, gsin, gsqrt)
+from discgrad.jets import (MAX_ORDER, Jet, extend_tape, gcos, gexp, glog,
+                           gpow, gsin, gsqrt)
 
 
 coeff = st.floats(min_value=-10.0, max_value=10.0,
@@ -216,11 +216,10 @@ ONLINE_OPS = {
 }
 
 
-def run_online(fn, a, b):
-    """fn on online jets fed one coefficient of a and b at a time."""
-    tape = []
-    A = OnlineJet([a.coeffs[0]], tape)
-    B = OnlineJet([b.coeffs[0]], tape)
+def run_online(fn, a, b, tape):
+    """fn on jets on tape fed one coefficient of a and b at a time."""
+    A = Jet([a.coeffs[0]], tape=tape)
+    B = Jet([b.coeffs[0]], tape=tape)
     out = fn(A, B)
     for k in range(1, a.order + 1):
         A.coeffs.append(a.coeffs[k])
@@ -235,20 +234,21 @@ def test_online_ops_bit_identical_to_jet(a, b):
     b = Jet([abs(b.coeffs[0]) + 0.5] + b.coeffs[1:])
     for name, fn in ONLINE_OPS.items():
         want = fn(a, b)
-        got = run_online(fn, a, b)
-        assert isinstance(got, OnlineJet), name
+        tape = []
+        got = run_online(fn, a, b, tape)
+        assert got.tape is tape, name
         assert repr(got.coeffs) == repr(want.coeffs), name
 
 
 def test_online_rejects_mixing():
     tape = []
-    x = OnlineJet([1.0], tape)
+    x = Jet([1.0], tape=tape)
     with pytest.raises(TypeError):
         x * Jet([1.0])
     with pytest.raises(TypeError):
         Jet([1.0]) + x
     with pytest.raises(ValueError):
-        x + OnlineJet([1.0], [])
+        x + Jet([1.0], tape=[])
     with pytest.raises(SingularJetDivisionError):
         x / (x - 1.0)
 
@@ -270,7 +270,7 @@ def test_helpers_on_floats_are_math(x):
 
 def _dispatch_by_type(name, x):
     """The helpers' dispatch for arguments that are not a plain float."""
-    if isinstance(x, (Jet, OnlineJet)):
+    if isinstance(x, Jet):
         return getattr(x, name)()
     if isinstance(x, (float, int)):
         return getattr(math, name)(x)
@@ -283,13 +283,13 @@ def test_helpers_on_other_types_dispatch_by_type():
         yield np.float64(0.7)
         yield mpmath.mpf("0.7")
         yield Jet([0.7, 1.0, -0.25, 0.5])
-        yield OnlineJet([0.7, 1.0], [])
+        yield Jet([0.7, 1.0], tape=[])
     for name, fn in HELPERS.items():
         for got, want in zip(map(fn, arguments()),
                              (_dispatch_by_type(name, x)
                               for x in arguments())):
             assert type(got) is type(want), (name, got)
-            if isinstance(got, (Jet, OnlineJet)):
+            if isinstance(got, Jet):
                 assert repr(got.coeffs) == repr(want.coeffs), name
             else:
                 assert got == want, name
