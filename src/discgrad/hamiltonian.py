@@ -6,12 +6,15 @@ A system meets one contract, checked once when it is built.  It supplies
   :mod:`discgrad.jets`, so the same code runs on floats and on jets;
 * ``partials``: the closed-form partial derivatives ``x, p, xx, xp, pp``
   of H, each a callable ``(x, p)``.  The flow Taylor coefficients call
-  ``x`` and ``p`` once on jets on a tape (:class:`discgrad.jets.Jet`),
-  which record the operations they see and replay them one coefficient at
-  a time.  So these two may use only ``+ - * /`` and ``**`` between their
-  arguments and scalars, unary minus and the helpers ``gsin``, ``gcos``,
-  ``gexp``, ``glog``, ``gsqrt`` and ``gpow``, or return a plain constant;
-  they must not build jets of their own or branch on argument values;
+  ``x`` and ``p`` only once per system object, on jets on a tape
+  (:class:`discgrad.jets.Jet`), which record the operations they see; the
+  tape is replayed, one coefficient at a time, on every later call from
+  that call's state.  So these two must be pure functions of their
+  arguments, with no side effects; they may use only ``+ - * /`` and
+  ``**`` between their arguments and scalars, unary minus and the helpers
+  ``gsin``, ``gcos``, ``gexp``, ``glog``, ``gsqrt`` and ``gpow``, or return
+  a plain constant; they must not build jets of their own or branch on
+  argument values;
 * ``dd_x(x, x1, p, p1)`` and ``dd_p(x, x1, p, p1)``: the p-averaged
   divided difference of H in x and the x-averaged one in p,
 
@@ -130,29 +133,62 @@ def check_flow_order(N: int) -> None:
                          f"got {N}")
 
 
+# the last system's flow tape: (system, H_p, H_x, x leaf list, p leaf list,
+# H_p result, H_x result, tape, every list on the tape)
+_flow_memo = None
+
+
 def taylor_flow_coeffs(sys: HamiltonianSystem, s: PhaseState, N: int):
     """Taylor series of the flow through (x, p), as monomial-basis jets.
 
-    The online Taylor-method recurrence: ``H_p`` and ``H_x`` run once, on
-    jets X and P on one tape that hold only x0 and p0, and record their
+    The online Taylor-method recurrence: ``H_p`` and ``H_x`` run on jets X
+    and P on one tape that hold only x0 and p0, and record their
     operations there.  Then, for k = 0 .. N-1,
 
         X[k+1] = H_p[k] / (k+1),    P[k+1] = -H_x[k] / (k+1),
 
     and the taped nodes grow by one coefficient, in O(k) each.  The k-th
     monomial coefficient equals (d^k x / dt^k) / k!.
+
+    The partials run only on the first call for a system object; the tape
+    they record is kept in a one-entry memo (the system, compared by
+    identity and held, and its two partials) and replayed on later calls:
+    every list on it is emptied, the leaves get the new x0 and p0, and each
+    node is recomputed from coefficient 0, by the same operations in the
+    same order as a new recording, so the coefficients are bit-identical
+    to one and a replay raises what a recording would.  Coefficients of
+    mpmath type (the delta-series fallback) replay the same tape.  The
+    returned jets are copies, which later calls leave unchanged.  The memo
+    is not thread-safe; each worker of a process pool has its own.
     """
+    global _flow_memo
     check_flow_order(N)
-    tape = []
-    # the tape by position: as a keyword it costs ~2% of a gr-3 step
-    X = Jet([s.x], None, tape)
-    P = Jet([s.p], None, tape)
-    fx = sys.partials["p"](X, P)
-    fp = sys.partials["x"](X, P)
+    hp, hx = sys.partials["p"], sys.partials["x"]
+    memo = _flow_memo
+    if memo is not None and memo[0] is sys and memo[1] is hp \
+            and memo[2] is hx:
+        xc, pc, fx, fp, tape, lists = memo[3:]
+        for c in lists:
+            c.clear()
+        xc.append(s.x)
+        pc.append(s.p)
+        extend_tape(tape, 1)
+    else:
+        tape = []
+        # the tape by position: as a keyword it costs ~2% of a gr-3 step
+        X = Jet([s.x], None, tape)
+        P = Jet([s.p], None, tape)
+        fx = hp(X, P)
+        fp = hx(X, P)
+        xc, pc = X.coeffs, P.coeffs
+        lists = {id(c): c for c in (xc, pc)}
+        lists.update((id(a), a) for _, args in tape for a in args
+                     if type(a) is list)
+        lists = list(lists.values())
+        _flow_memo = (sys, hp, hx, xc, pc, fx, fp, tape, lists)
     # a partial that ignores its arguments returns a plain constant
     fxc = fx.coeffs if isinstance(fx, Jet) else [fx] + [0.0] * (N - 1)
     fpc = fp.coeffs if isinstance(fp, Jet) else [fp] + [0.0] * (N - 1)
-    xc, pc = X.coeffs, P.coeffs
     for k in range(N):
         if k:
             extend_tape(tape, k + 1)
@@ -191,8 +227,12 @@ def make_pendulum() -> HamiltonianSystem:
 def make_harmonic(omega: float = 1.0) -> HamiltonianSystem:
     """H = p^2/2 + omega^2 x^2 / 2."""
     w2 = omega * omega
+    name = f"harmonic:{omega:g}"
+    if not math.isfinite(w2):
+        raise ValueError(f"system {name!r} needs a parameter whose square "
+                         "is finite")
     return HamiltonianSystem(
-        name=f"harmonic:{omega:g}",
+        name=name,
         energy=lambda x, p: 0.5 * p * p + 0.5 * w2 * x * x,
         quadratic_kinetic=True,
         dd_x=lambda x, x1, p, p1: 0.5 * w2 * (x + x1),
@@ -234,7 +274,11 @@ def system_from_name(name: str) -> HamiltonianSystem:
         raise ValueError(f"unknown system {name!r}")
     if not colon:
         return make()
-    value = float(param)
+    try:
+        value = float(param)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
-        raise ValueError(f"system {name!r} needs a finite parameter")
+        raise ValueError(f"system {name!r} needs a finite number as its "
+                         "parameter")
     return make(value)

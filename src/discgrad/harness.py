@@ -214,7 +214,11 @@ def sweep(schemes_list, p0: float, h_list, n_periods: int,
     if n_periods < 1:
         raise ValueError(f"need periods >= 1, got periods = {n_periods!r}")
     period = reference.pendulum_period(p0)
-    _check_step_counts(n_periods * period, h_list, "periods * period")
+    try:
+        target = n_periods * period
+    except OverflowError:          # an int periods beyond float range
+        target = math.inf
+    _check_step_counts(target, h_list, "periods * period")
     tasks = [(sc, p0, h, n_periods, period)
              for sc in schemes_list for h in h_list]
     if parallel and len(tasks) > 1:

@@ -27,7 +27,11 @@ the list ``out``.  Coefficient k of every rule depends only on
 coefficients 0..k of its inputs and is computed by the same floating-point
 operations in the same order whether a finished jet runs the rule to its
 full order at once or a jet on a tape runs it one coefficient at a time,
-so both give bit-identical coefficients.
+so both give bit-identical coefficients.  A rule also makes the checks on
+its inputs' values (a zero divisor, the log of zero, the square root or
+real power of a non-positive constant term) when it computes coefficient
+0, so a tape whose lists are emptied and grown again from new leaf values
+raises what recording it with those values raises.
 """
 
 from __future__ import annotations
@@ -87,6 +91,10 @@ def _mul(n, out, a, b):
 
 def _div(n, out, a, b):
     b0 = b[0]
+    if not out and b0 == 0:
+        raise SingularJetDivisionError(
+            "division by a jet with zero constant term; cancel the common "
+            "leading power of h from both series first")
     for k in range(len(out), n):
         s = a[k]
         for j in range(1, k + 1):
@@ -107,6 +115,8 @@ def _exp(n, out, a):
 
 def _log(n, out, a):
     a0 = a[0]
+    if not out and a0 == 0:
+        raise SingularJetDivisionError("log of a jet with zero constant term")
     for k in range(len(out), n):
         if k == 0:
             out.append(glog(a0))
@@ -115,6 +125,14 @@ def _log(n, out, a):
         for j in range(1, k):
             s = s - (j * out[j]) * a[k - j]
         out.append(s / (k * a0))
+
+
+def _pow_log(n, out, a):
+    # the log node of a real power, under the power's own domain check
+    if not out and a[0] <= 0:
+        raise ValueError(
+            "non-integer power of a jet needs a positive constant term")
+    _log(n, out, a)
 
 
 def _sin_cos(n, s, c, a):
@@ -135,6 +153,8 @@ def _sin_cos(n, s, c, a):
 
 
 def _sqrt(n, out, a):
+    if not out and a[0] <= 0:
+        raise ValueError("sqrt of a jet with non-positive constant term")
     for k in range(len(out), n):
         if k == 0:
             out.append(gsqrt(a[0]))
@@ -236,10 +256,6 @@ class Jet:
         if not isinstance(other, Jet):
             return self._make(_scale, self.coeffs, 1.0 / other)
         self._check(other)
-        if other.coeffs[0] == 0:
-            raise SingularJetDivisionError(
-                "division by a jet with zero constant term; "
-                "cancel the common leading factor with shift() first")
         return self._make(_div, self.coeffs, other.coeffs)
 
     def __rtruediv__(self, other):
@@ -254,8 +270,6 @@ class Jet:
         return self._make(_exp, self.coeffs)
 
     def log(self):
-        if self.coeffs[0] == 0:
-            raise SingularJetDivisionError("log of a jet with zero constant term")
         return self._make(_log, self.coeffs)
 
     def sin_cos(self):
@@ -270,8 +284,6 @@ class Jet:
         return self.sin_cos()[1]
 
     def sqrt(self):
-        if self.coeffs[0] <= 0:
-            raise ValueError("sqrt of a jet with non-positive constant term")
         return self._make(_sqrt, self.coeffs)
 
     # -- calculus helpers, for finished jets -----------------------------
@@ -281,37 +293,19 @@ class Jet:
         out.append(0.0 * self.coeffs[0])
         return Jet(out, self.order)
 
-    def shift(self, m):
-        """Multiply by h^m (m > 0) or divide by h^m (m < 0).
-
-        Shifting down simply drops the leading m coefficients; the caller
-        asserts that they cancel.  The order is preserved, with vacated top
-        slots zero-filled (they carry no information after the shift).
-        """
-        if m == 0:
-            return self
-        n = len(self.coeffs)
-        zero = 0.0 * self.coeffs[0]
-        if m > 0:
-            c = [zero] * m + self.coeffs[: n - m]
-        else:
-            c = self.coeffs[-m:] + [zero] * (-m)
-        return Jet(c, n - 1)
-
-    def truncate(self, order):
-        if order >= len(self.coeffs):
-            raise ValueError("cannot truncate upward")
-        return Jet(self.coeffs[: order + 1], order)
-
     def evaluate(self, h):
-        c = self.coeffs
-        acc = c[-1]
-        for k in range(len(c) - 2, -1, -1):
-            acc = acc * h + c[k]
-        return acc
+        return horner(self.coeffs, h)
 
     def __repr__(self):
         return f"Jet({self.coeffs!r})"
+
+
+def horner(coeffs, h):
+    """The polynomial with monomial coefficients ``coeffs`` at h."""
+    acc = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        acc = acc * h + coeffs[k]
+    return acc
 
 
 def extend_tape(tape, n):
@@ -363,6 +357,4 @@ def gpow(x, r):
         for _ in range(abs(n) - 1):
             out = out * base
         return out
-    if x.coeffs[0] <= 0:
-        raise ValueError("non-integer power of a jet needs a positive constant term")
-    return (x.log() * r).exp()
+    return (x._make(_pow_log, x.coeffs) * r).exp()

@@ -36,7 +36,7 @@ from .errors import (DivergenceError, NonConvergenceError, ResonanceStepError)
 from .exactlin import AffineStepMap
 from .hamiltonian import (MAX_FLOW_ORDER, HamiltonianSystem, PhaseState,
                           linearize, taylor_flow_coeffs)
-from .jets import Jet
+from .jets import _div, horner
 
 import numpy as np
 
@@ -136,12 +136,11 @@ def _delta_lex_at(sys: HamiltonianSystem, x, p, h: float) -> float:
     return delta_lex(omega_sq_at(sys, x, p), h)
 
 
-def _leading_index(jet):
-    scale = max(abs(c) for c in jet.coeffs)
-    if scale == 0.0:
-        return None
+def _leading_index(coeffs, scale):
+    """Index of the first coefficient above 1e-13 of scale, the largest
+    magnitude in coeffs."""
     k = 0
-    while abs(jet.coeffs[k]) <= 1e-13 * scale:
+    while abs(coeffs[k]) <= 1e-13 * scale:
         k += 1
     return k
 
@@ -160,24 +159,35 @@ def _quotient_parts(sys: HamiltonianSystem, x, p, N: int):
     return num, den
 
 
-def _cancel_and_divide(num, den, k: int, N: int):
-    # num and den share a common h^k factor with num one power higher
-    return (num.shift(-(k + 1)) / den.shift(-k)).truncate(N - 1)
+def _cancel_and_divide(num, den, k: int, N: int) -> list:
+    """The first N coefficients of (num / h^(k+1)) / (den / h^k): num and
+    den share a common h^k factor, with num one power higher.  Each
+    shifted series is zero-padded where it runs out, by zeros of its own
+    constant term's type and sign."""
+    a = num.coeffs[k + 1:k + 1 + N]
+    a += [0.0 * num.coeffs[0]] * (N - len(a))
+    b = den.coeffs[k:k + N]
+    b += [0.0 * den.coeffs[0]] * (N - len(b))
+    q = []
+    _div(N, q, a, b)
+    return q
 
 
-def _delta_series_quotient(sys: HamiltonianSystem, s: PhaseState, N: int):
-    """Jet q with q.coeffs[j] = a_{j+1}; q = 1 (delta = h) for a trivial
-    flow."""
+def _delta_series_quotient(sys: HamiltonianSystem, s: PhaseState,
+                           N: int) -> list:
+    """[a_1, ..., a_N]; [1, 0, ..., 0] (delta = h) for a trivial flow."""
     _check_series_order(N)
     num, den = _quotient_parts(sys, s.x, s.p, N)
-    if not all(map(math.isfinite, den.coeffs)):
+    dc = den.coeffs
+    if not all(map(math.isfinite, dc)):
         raise DivergenceError(
             f"series delta at ({s.x:.3g}, {s.p:.3g}): the flow "
             "coefficients overflow")
-    k = _leading_index(den)
-    if k is None:
-        return Jet([1.0] + [0.0] * (N - 1))
-    amp = max(abs(c) for c in den.coeffs) / abs(den.coeffs[k])
+    scale = max(map(abs, dc))
+    if scale == 0.0:
+        return [1.0] + [0.0] * (N - 1)
+    k = _leading_index(dc, scale)
+    amp = scale / abs(dc[k])
     if amp <= 1e3:
         return _cancel_and_divide(num, den, k, N)
     # near-cancelling leading coefficient (state within ~1e-3 of a turning
@@ -187,20 +197,22 @@ def _delta_series_quotient(sys: HamiltonianSystem, s: PhaseState, N: int):
     import mpmath
     with mpmath.workdps(30 + (N + 2) * int(math.log10(amp) + 1.0)):
         num, den = _quotient_parts(sys, mpmath.mpf(s.x), mpmath.mpf(s.p), N)
-        q = _cancel_and_divide(num, den, _leading_index(den), N)
-    return Jet([float(c) for c in q.coeffs])
+        dc = den.coeffs
+        k = _leading_index(dc, max(map(abs, dc)))
+        q = _cancel_and_divide(num, den, k, N)
+    return [float(c) for c in q]
 
 
 def delta_series_coefficients(sys: HamiltonianSystem, s: PhaseState,
                               N: int) -> list:
     """Series coefficients [a_1, ..., a_N] of the order-N denominator."""
-    return _delta_series_quotient(sys, s, N).coeffs
+    return _delta_series_quotient(sys, s, N)
 
 
 def delta_series(sys: HamiltonianSystem, s: PhaseState, h: float,
                  N: int) -> float:
     """delta^{[N]} = sum_{k=1}^{N} a_k(x, p) h^k evaluated at h."""
-    return h * _delta_series_quotient(sys, s, N).evaluate(h)
+    return h * horner(_delta_series_quotient(sys, s, N), h)
 
 
 def discrete_gradient_residual(sys: HamiltonianSystem, s_n: PhaseState,

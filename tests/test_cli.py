@@ -128,7 +128,15 @@ def test_usage_errors(tmp_path, capsys):
             (integrate + ["--scheme", "lf", "--system", "harmonic:nan"],
              "system 'harmonic:nan'"),
             (integrate + ["--scheme", "gr", "--system", "crossterm:inf"],
-             "system 'crossterm:inf'")):
+             "system 'crossterm:inf'"),
+            (integrate + ["--scheme", "lf", "--system", "harmonic:abc"],
+             "system 'harmonic:abc'"),
+            # omega^2 overflows although omega is finite
+            (integrate + ["--scheme", "lf", "--system", "harmonic:1e200"],
+             "system 'harmonic:1e+200'"),
+            # an int periods too large to convert to a float
+            (sweep + ["--h", "0.2,0.1", "--periods", "1" + "0" * 400],
+             "periods * period / h = inf / 0.2")):
         assert main(argv) == EXIT_USAGE, argv
         assert names in capsys.readouterr().err, argv
         assert not out.exists(), argv

@@ -1,5 +1,6 @@
 """Hamiltonian systems, partials, linearization, flow Taylor coefficients."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -271,6 +272,66 @@ def test_flow_coeffs_equal_picard_in_mpmath(sys):
         got = taylor_flow_coeffs(sys, s, 11)
         assert isinstance(got[1].coeffs[5], mpmath.mpf)
         assert repr(got) == repr(picard_flow_coeffs(sys, s, 11))
+
+
+def _counting(fn, calls, key):
+    def counted(x, p):
+        calls[key] += 1
+        return fn(x, p)
+    return counted
+
+
+@pytest.mark.parametrize("sys", FLOW_SYSTEMS, ids=lambda sys: sys.name)
+def test_replayed_flow_equals_a_new_recording(sys):
+    # one system object, with states and orders alternating, then mpmath:
+    # its partials run once, and every later call replays their tape
+    calls = {"x": 0, "p": 0}
+    counted = dataclasses.replace(sys, partials=dict(
+        sys.partials, x=_counting(sys.partials["x"], calls, "x"),
+        p=_counting(sys.partials["p"], calls, "p")))
+    runs = [(s, N) for s, N in zip(FLOW_STATES + FLOW_STATES[::-1],
+                                   (5, 10, 3, 16, 1, 2, 10, 7, 5, 3))]
+    got = [repr(taylor_flow_coeffs(counted, s, N)) for s, N in runs]
+    with mpmath.workdps(60):
+        s_mp = PhaseState(mpmath.mpf("0.3"), mpmath.mpf("1.7"))
+        got.append(repr(taylor_flow_coeffs(counted, s_mp, 11)))
+        # a new system object for each call records a new tape
+        want_mp = repr(taylor_flow_coeffs(dataclasses.replace(sys), s_mp, 11))
+    want = [repr(taylor_flow_coeffs(dataclasses.replace(sys), s, N))
+            for s, N in runs] + [want_mp]
+    assert calls == {"x": 1, "p": 1}
+    assert got == want
+
+
+def _outcome(sys, s):
+    try:
+        return repr(taylor_flow_coeffs(sys, s, 4))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("hx", [
+    lambda x, p: 1.0 / x,
+    lambda x, p: gsqrt(x),
+    lambda x, p: glog(x),
+    lambda x, p: gpow(x, 1.5),
+], ids=["reciprocal", "sqrt", "log", "real-power"])
+def test_replayed_flow_raises_what_a_new_recording_raises(pendulum, hx):
+    sys = dataclasses.replace(pendulum, partials=dict(pendulum.partials,
+                                                      x=hx))
+    for x in (0.0, -1.0):
+        # recorded at x = 1, where every partial has a value, then replayed
+        assert _outcome(sys, PhaseState(1.0, 0.5)).startswith("(Jet(")
+        s = PhaseState(x, 0.5)
+        assert _outcome(sys, s) == _outcome(dataclasses.replace(sys), s), x
+
+
+def test_held_flow_unchanged_by_later_calls(pendulum):
+    held = taylor_flow_coeffs(pendulum, PhaseState(0.3, 1.2), 8)
+    text = repr(held)
+    taylor_flow_coeffs(pendulum, PhaseState(-1.0, 0.4), 8)
+    taylor_flow_coeffs(pendulum, PhaseState(2.0, -0.7), 3)
+    assert repr(held) == text
 
 
 def test_energy_first_integral_of_test_systems(rng):

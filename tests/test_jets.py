@@ -107,21 +107,6 @@ def test_div_zero_constant_term_raises():
         Jet([1.0, 1.0]) / Jet([0.0, 1.0])
 
 
-def test_shift_cancellation_tan_like():
-    # (h + h^3/3) / h after both are shifted down by one
-    num = Jet([0.0, 1.0, 0.0, 1.0 / 3.0])
-    den = Jet([0.0, 1.0, 0.0, 0.0])
-    q = num.shift(-1) / den.shift(-1)
-    assert q.coeffs[:3] == pytest.approx([1.0, 0.0, 1.0 / 3.0])
-
-
-def test_shift_round_trip():
-    a = Jet([1.0, 2.0, 3.0, 4.0])
-    up = a.shift(2)
-    assert up.coeffs == [0.0, 0.0, 1.0, 2.0]
-    assert up.shift(-2).coeffs == [1.0, 2.0, 0.0, 0.0]
-
-
 def test_sin_maclaurin():
     h = Jet.variable(0.0, 3)
     assert gsin(h).coeffs == pytest.approx([0.0, 1.0, 0.0, -1.0 / 6.0])

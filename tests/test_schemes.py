@@ -10,7 +10,9 @@ from discgrad.errors import DivergenceError, ResonanceStepError
 from discgrad.exactlin import exact_step_map
 from discgrad.hamiltonian import (PhaseState, eval_energy, linearize,
                                   make_harmonic, system_from_name)
-from discgrad.schemes import (DeltaRule, SolverConfig, delta_lex,
+from discgrad.jets import Jet
+from discgrad.schemes import (DeltaRule, SolverConfig, _cancel_and_divide,
+                              delta_lex,
                               delta_series, delta_series_coefficients,
                               discrete_gradient_residual,
                               local_exactness_matrix, omega_sq_at,
@@ -125,6 +127,37 @@ def test_series_order_bounds(pendulum):
             delta_series_coefficients(pendulum, PhaseState(0.0, 1.0), N)
     assert len(delta_series_coefficients(pendulum, PhaseState(0.0, 1.0),
                                          14)) == 14
+
+
+def test_cancel_and_divide_tan_like():
+    # (h^2 + h^4/3) / h, with the common h cancelled: tan(h)/h to order 2
+    num = Jet([0.0, 0.0, 1.0, 0.0, 1.0 / 3.0])
+    den = Jet([0.0, 1.0, 0.0, 0.0, 0.0])
+    assert _cancel_and_divide(num, den, 1, 3) == [1.0, 0.0, 1.0 / 3.0]
+
+
+def shift_divide_truncate(num, den, k, N):
+    """The reference quotient on jets: num shifted down by k + 1 and den
+    by k, each zero-filled at the top by zeros of its constant term's sign,
+    divided at full order and truncated to N coefficients."""
+    def down(jet, m):
+        zero = 0.0 * jet.coeffs[0]
+        return Jet(jet.coeffs[m:] + [zero] * m)
+    return (down(num, k + 1) / down(den, k)).coeffs[:N]
+
+
+def test_cancel_and_divide_equals_jet_division(rng):
+    # from k = 3 on, the shifted num runs out within N = 1 coefficients
+    for k in (0, 1, 2, 3):
+        for N in (1, 7, 14):
+            for _ in range(20):
+                # the cancelled leading coefficients are dropped whatever
+                # they hold; their signs set the signs of the padding zeros
+                num = Jet([rng.uniform(-2.0, 2.0) for _ in range(N + 3)])
+                den = Jet([0.0] * k + [rng.uniform(-2.0, 2.0)
+                                       for _ in range(N + 3 - k)])
+                assert repr(_cancel_and_divide(num, den, k, N)) \
+                    == repr(shift_divide_truncate(num, den, k, N))
 
 
 def test_gr1_gr2_identical_to_gr(pendulum, rng):
