@@ -24,7 +24,7 @@ def step_leapfrog(sys: HamiltonianSystem, s: PhaseState,
     x_half = s.x + 0.5 * h * s.p
     p_new = s.p - h * vprime(x_half, s.p)
     x_new = x_half + 0.5 * h * p_new
-    return PhaseState(x_new, p_new, s.t + h)
+    return PhaseState(x_new, p_new)
 
 
 def step_rk4(sys: HamiltonianSystem, s: PhaseState, h: float) -> PhaseState:
@@ -41,14 +41,14 @@ def step_rk4(sys: HamiltonianSystem, s: PhaseState, h: float) -> PhaseState:
     k4p = -dp(x + h * k3x, p + h * k3p)
     x_new = x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
     p_new = p + h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return PhaseState(x_new, p_new, s.t + h)
+    return PhaseState(x_new, p_new)
 
 
 def step_taylor(sys: HamiltonianSystem, s: PhaseState, h: float,
                 N: int) -> PhaseState:
     """Degree-N Taylor step, jets evaluated at h by Horner."""
     X, P = taylor_flow_coeffs(sys, s, N)
-    return PhaseState(X.evaluate(h), P.evaluate(h), s.t + h)
+    return PhaseState(X.evaluate(h), P.evaluate(h))
 
 
 @dataclass(slots=True)
@@ -95,4 +95,4 @@ def step_symplectic(sys: HamiltonianSystem, s: PhaseState, h: float,
     for ci, di in zip(coeffs.c, coeffs.d):
         x = x + h * ci * p
         p = p - h * di * vprime(x, p)
-    return PhaseState(x, p, s.t + h)
+    return PhaseState(x, p)

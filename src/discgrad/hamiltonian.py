@@ -22,10 +22,11 @@ A system meets one contract, checked once when it is built.  It supplies
       dd_p = [H(x1,p1) + H(x,p1) - H(x1,p) - H(x,p)] / (2 (p1 - p)),
 
   written in a form that does not cancel as x1 -> x or p1 -> p (these
-  keep the implicit solver convergent to round-off near turning points);
+  keep the implicit solver convergent to round-off near turning points).
+  gr-N also calls ``dd_p`` with x1 and p1 the flow's finished jets; a
+  form that never divides by p1 - p runs on them as it is;
 * ``quadratic_kinetic``: True when H = p^2/2 + V(x); the kick-drift
-  baselines need it, and the gr-N series quotient then takes a better
-  conditioned form.
+  baselines need it.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ MAX_FLOW_ORDER = 16
 class PhaseState:
     x: float
     p: float
-    t: float = 0.0
 
 
 @dataclass(slots=True)

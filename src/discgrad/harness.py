@@ -110,13 +110,17 @@ def _advance(stepper, s: PhaseState, h: float, start: int, stop: int,
     iterations into the histogram `iterations`.
 
     This is the only place the harness calls a stepper.  Solver failures
-    gain the index of the step that failed.
+    gain the index of the step that failed; a state out of float range at
+    the end, which explicit steps do not check, fails at step stop.
     """
     n = start
     try:
         for n in range(start + 1, stop + 1):
             s, its = stepper(s, h)
             iterations[its] += 1
+        if not (math.isfinite(s.x) and math.isfinite(s.p)):
+            raise DivergenceError(f"state ({s.x:.3g}, {s.p:.3g}) is not "
+                                  "finite")
     except (NonConvergenceError, DivergenceError, ResonanceStepError) as exc:
         exc.args = (f"step {n}: {exc.args[0]}",) + exc.args[1:]
         raise
@@ -143,7 +147,7 @@ def run_trajectory(spec: ExperimentSpec,
     sys = system_from_name(spec.system)
     stepper = make_stepper(spec.scheme, sys, cfg)
     want_global = spec.system == "pendulum" and spec.x0 == 0.0
-    s = PhaseState(spec.x0, spec.p0, 0.0)
+    s = PhaseState(spec.x0, spec.p0)
     e0 = eval_energy(sys, s)
     samples = []
     iterations = defaultdict(int)
@@ -177,7 +181,7 @@ def run_trajectory(spec: ExperimentSpec,
 
 def _final_global_error(scheme: str, p0: float, h: float, n: int) -> float:
     stepper = make_stepper(scheme, system_from_name("pendulum"))
-    s = _advance(stepper, PhaseState(0.0, p0, 0.0), h, 0, n, defaultdict(int))
+    s = _advance(stepper, PhaseState(0.0, p0), h, 0, n, defaultdict(int))
     return _global_errors(p0, n * h, s)[0]
 
 

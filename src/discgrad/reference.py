@@ -223,20 +223,20 @@ def pendulum_exact(p0: float, t: float) -> PhaseState:
     """
     if p0 < 0.0:
         s = pendulum_exact(-p0, t)
-        return PhaseState(-s.x, -s.p, t)
+        return PhaseState(-s.x, -s.p)
     orbit, landen = _exact_orbit(p0)
     k = orbit.k
     if orbit.regime == "separatrix":
         x = 4.0 * math.atan(math.exp(t)) - math.pi
         p = 2.0 / math.cosh(t)
-        return PhaseState(x, p, t)
+        return PhaseState(x, p)
     n, r = _reduce_time(t, orbit.period)
     if orbit.regime == "libration":
         sn, cn, _ = _sn_cn_dn(*_amplitudes(r, landen), k)
         x = 2.0 * math.asin(max(-1.0, min(1.0, k * sn)))
         p = 2.0 * k * cn
-        return PhaseState(x, p, t)
+        return PhaseState(x, p)
     phi0, phi1 = _amplitudes(r / k, landen)
     x = 2.0 * phi0 + 2.0 * math.pi * n
     p = 2.0 / k * _sn_cn_dn(phi0, phi1, k)[2]
-    return PhaseState(x, p, t)
+    return PhaseState(x, p)

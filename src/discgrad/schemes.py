@@ -12,7 +12,9 @@ scheme; the choice of delta sets the accuracy:
     MOD-GR    delta = (2/w) tan(h w / 2), w frozen at a chosen equilibrium
     GR-LEX    same, w = sqrt(H_xx H_pp - H_xp^2) at the step's start point
     GR-SLEX   same, w at the (implicit) midpoint, re-evaluated per iteration
-    GR-N      delta = truncated series sum a_k h^k built from flow jets
+    GR-N      delta = sum_{k=1}^{N} a_k h^k, the series of (X - x) /
+              dd_p(x, X, p, P) on the flow (X, P) through (x, p): with it
+              the exact flow meets the x-equation to order N
 
 A :class:`DeltaRule` is that choice and nothing else: a function
 ``fn(sys, x, p, h) -> delta`` and a flag ``midpoint``.  The step evaluates
@@ -36,7 +38,7 @@ from .errors import (DivergenceError, NonConvergenceError, ResonanceStepError)
 from .exactlin import AffineStepMap
 from .hamiltonian import (MAX_FLOW_ORDER, HamiltonianSystem, PhaseState,
                           linearize, taylor_flow_coeffs)
-from .jets import _div, horner
+from .jets import Jet, _div, horner
 
 import numpy as np
 
@@ -146,17 +148,11 @@ def _leading_index(coeffs, scale):
 
 
 def _quotient_parts(sys: HamiltonianSystem, x, p, N: int):
+    """X - x and dd_p(x, X, p, P) on the flow jets (X, P), the second a
+    jet also where H_p, and so dd_p, is a constant."""
     X, P = taylor_flow_coeffs(sys, PhaseState(x, p), N + 2)
-    if sys.quadratic_kinetic:
-        # with H = p^2/2 + V(x) the V terms cancel in the denominator and
-        # a factor (p' - p) cancels analytically, leaving 2 dx / (p + p').
-        # Unlike the four-term quotient this stays well conditioned near
-        # turning points and near sin-like zeros of H_x.
-        return 2.0 * (X - x), P + p
-    num = 2.0 * ((X - x) * (P - p))
-    den = sys.energy(X, P) + sys.energy(x, P) - sys.energy(X, p) \
-        - sys.energy(x, p)
-    return num, den
+    den = sys.dd_p(x, X, p, P)
+    return X - x, den if isinstance(den, Jet) else Jet.constant(den, N + 2)
 
 
 def _cancel_and_divide(num, den, k: int, N: int) -> list:
@@ -173,9 +169,10 @@ def _cancel_and_divide(num, den, k: int, N: int) -> list:
     return q
 
 
-def _delta_series_quotient(sys: HamiltonianSystem, s: PhaseState,
-                           N: int) -> list:
-    """[a_1, ..., a_N]; [1, 0, ..., 0] (delta = h) for a trivial flow."""
+def delta_series_coefficients(sys: HamiltonianSystem, s: PhaseState,
+                              N: int) -> list:
+    """Series coefficients [a_1, ..., a_N] of the order-N denominator;
+    [1, 0, ..., 0] (delta = h) for a trivial flow."""
     _check_series_order(N)
     num, den = _quotient_parts(sys, s.x, s.p, N)
     dc = den.coeffs
@@ -203,16 +200,10 @@ def _delta_series_quotient(sys: HamiltonianSystem, s: PhaseState,
     return [float(c) for c in q]
 
 
-def delta_series_coefficients(sys: HamiltonianSystem, s: PhaseState,
-                              N: int) -> list:
-    """Series coefficients [a_1, ..., a_N] of the order-N denominator."""
-    return _delta_series_quotient(sys, s, N)
-
-
 def delta_series(sys: HamiltonianSystem, s: PhaseState, h: float,
                  N: int) -> float:
     """delta^{[N]} = sum_{k=1}^{N} a_k(x, p) h^k evaluated at h."""
-    return h * horner(_delta_series_quotient(sys, s, N), h)
+    return h * horner(delta_series_coefficients(sys, s, N), h)
 
 
 def discrete_gradient_residual(sys: HamiltonianSystem, s_n: PhaseState,
@@ -279,13 +270,13 @@ def step_gradient_info(sys: HamiltonianSystem, rule: DeltaRule,
         pc += dp
         inc = max(abs(dx), abs(dp))
         if inc <= tol:
-            return PhaseState(xc, pc, s_n.t + h), it
+            return PhaseState(xc, pc), it
         # round-off stagnation: increments have stopped shrinking at a few
         # ulp of the state scale, which is as converged as doubles get
         if (inc >= prev_inc
                 and inc <= 64.0 * 2.220446049250313e-16
                 * max(1.0, abs(xc), abs(pc))):
-            return PhaseState(xc, pc, s_n.t + h), it
+            return PhaseState(xc, pc), it
         prev_inc = inc
         if inc > guard or not math.isfinite(inc):
             raise DivergenceError(

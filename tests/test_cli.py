@@ -172,7 +172,8 @@ def test_solver_failure_exit(tmp_path, capsys):
              "--periods", "1", "--serial"] + out,
             ["order", "--scheme", "gr", "--p0", "1.8", "--h", "50,40,30",
              "--t", "100"],
-            # the flow coefficients of the series delta overflow
+            # the series delta is finite; the Newton increments of order
+            # p0 pass the divergence guard
             ["integrate", "--scheme", "gr-3", "--system", "crossterm:0.5",
              "--p0", "1e300", "--h", "1", "--steps", "3"] + out):
         assert main(argv) == EXIT_NO_CONVERGENCE
@@ -191,3 +192,24 @@ def test_solver_failure_exit(tmp_path, capsys):
             "--steps", "5"] + out
     assert main(argv) == EXIT_NO_CONVERGENCE
     assert capsys.readouterr().err.startswith("error: step 1: h*omega")
+
+
+def test_explicit_step_leaving_float_range_is_divergence(tmp_path, capsys):
+    # explicit steps do not check their state; a state that overflows
+    # fails at the last step of its sample block, and no file is written
+    out = tmp_path / "x.csv"
+    for argv, step in (
+            (["--scheme", "rk4", "--system", "crossterm:1e300", "--p0", "1",
+              "--h", "0.25", "--steps", "3"], 1),
+            (["--scheme", "tay-4", "--system", "crossterm:1e300", "--p0",
+              "1", "--h", "0.25", "--steps", "3"], 1),
+            (["--scheme", "lf", "--system", "harmonic:1e150", "--p0", "1",
+              "--h", "0.25", "--steps", "4"], 2),
+            (["--scheme", "sp-4", "--system", "harmonic:1e150", "--p0", "1",
+              "--h", "0.25", "--steps", "8", "--stride", "4"], 4)):
+        assert main(["integrate"] + argv + ["--out", str(out)]) \
+            == EXIT_NO_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: step {step}: state (")
+        assert "is not finite" in err
+        assert not out.exists()

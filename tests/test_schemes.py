@@ -2,14 +2,18 @@
 
 import cmath
 import math
+import random
+
+import mpmath
 
 import numpy as np
 import pytest
 
 from discgrad.errors import DivergenceError, ResonanceStepError
 from discgrad.exactlin import exact_step_map
-from discgrad.hamiltonian import (PhaseState, eval_energy, linearize,
-                                  make_harmonic, system_from_name)
+from discgrad.hamiltonian import (HamiltonianSystem, PhaseState, eval_energy,
+                                  linearize, make_harmonic, system_from_name,
+                                  taylor_flow_coeffs)
 from discgrad.jets import Jet
 from discgrad.schemes import (DeltaRule, SolverConfig, _cancel_and_divide,
                               delta_lex,
@@ -94,6 +98,80 @@ def test_series_coefficients_nonseparable_lead(crossterm, rng):
         a = delta_series_coefficients(crossterm, s, 4)
         assert a[0] == pytest.approx(1.0, rel=1e-12)
         assert a[1] == pytest.approx(0.0, abs=1e-11)
+
+
+def tan_series(omega_sq, N):
+    """[a_1, ..., a_N] of the locally exact (2/w) tan(h w / 2)."""
+    w = math.sqrt(omega_sq)
+    sin, cos = Jet([0.0, 0.5 * w] + [0.0] * (N - 1)).sin_cos()
+    return [2.0 / w * c for c in (sin / cos).coeffs[1:]]
+
+
+# a start and two states 1.2e-12 apart on one crossterm:0.5 trajectory from
+# (0, 20) at h = 1; a quotient of energies, which cancel, gives gr-7 deltas
+# 2.5e-7 apart there
+CROSSTERM_STATES = ((0.0, 20.0),
+                    (11.944279749508999, -23.089401219639726),
+                    (11.944279749507796, -23.08940121963975))
+
+
+def test_series_of_linear_flow_is_locally_exact():
+    # on a quadratic H the step with (2/w) tan(h w / 2) is exact, so the
+    # order-N delta is that series whatever the state
+    for name, omega_sq in (("crossterm:0.5", 0.75), ("harmonic:1.3", 1.69)):
+        sys = system_from_name(name)
+        for x, p in CROSSTERM_STATES:
+            for N in (3, 7, 12):
+                a = delta_series_coefficients(sys, PhaseState(x, p), N)
+                assert a == pytest.approx(tan_series(omega_sq, N),
+                                          rel=1e-12, abs=1e-16)
+
+
+def four_term_series(sys, x, p, N):
+    """[a_1, ..., a_N] of 2 (X - x)(P - p) / [H(X,P) + H(x,P) - H(X,p)
+    - H(x,p)] on the flow jets, at 50 digits: the quotient written with
+    energies alone, which cancels too much to run in floats."""
+    with mpmath.workdps(50):
+        x, p = mpmath.mpf(x), mpmath.mpf(p)
+        X, P = taylor_flow_coeffs(sys, PhaseState(x, p), N + 2)
+        H = sys.energy
+        num = 2.0 * ((X - x) * (P - p))
+        den = H(X, P) + H(x, P) - H(X, p) - H(x, p)
+        scale = max(map(abs, den.coeffs))
+        k = next(i for i, c in enumerate(den.coeffs) if abs(c) > 1e-30 * scale)
+        return [float(c) for c in _cancel_and_divide(num, den, k, N)]
+
+
+def test_series_matches_four_term_energy_quotient():
+    rng = random.Random(7)
+    for name in ("pendulum", "harmonic:1.3", "crossterm:0.5"):
+        sys = system_from_name(name)
+        checked = 0
+        while checked < 100:
+            x, p = rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5)
+            if abs(sys.partials["p"](x, p)) < 0.1:
+                continue
+            checked += 1
+            ref = four_term_series(sys, x, p, 7)
+            scale = max(map(abs, ref))
+            for N in range(1, 8):
+                a = delta_series_coefficients(sys, PhaseState(x, p), N)
+                assert max(abs(u - v) for u, v in zip(a, ref)) \
+                    <= 1e-10 * scale, (name, x, p, N)
+
+
+def test_series_with_constant_h_p():
+    # H = 2p + x^2/2: dd_p is the plain constant 2, and the flow's
+    # X - x = 2h meets the x-equation with delta = h
+    sys = HamiltonianSystem(
+        name="drift", energy=lambda x, p: 2.0 * p + 0.5 * x * x,
+        dd_x=lambda x, x1, p, p1: 0.5 * (x + x1),
+        dd_p=lambda x, x1, p, p1: 2.0,
+        partials={"x": lambda x, p: x, "p": lambda x, p: 2.0,
+                  "xx": lambda x, p: 1.0, "xp": lambda x, p: 0.0,
+                  "pp": lambda x, p: 0.0})
+    assert delta_series_coefficients(sys, PhaseState(0.3, -0.7), 5) \
+        == [1.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_series_stable_near_turning_point(pendulum):
@@ -243,10 +321,9 @@ def test_time_reversal_symmetry(pendulum, rng):
 
 
 def test_iteration_counts_reported(pendulum):
-    nxt, its = step_gradient_info(pendulum, DeltaRule.gr(),
-                                  PhaseState(0.0, 1.8), 0.25)
+    _, its = step_gradient_info(pendulum, DeltaRule.gr(),
+                                PhaseState(0.0, 1.8), 0.25)
     assert its >= 2
-    assert nxt.t == pytest.approx(0.25)
 
 
 def test_equilibrium_kept_where_newton_matrix_is_singular(pendulum):
@@ -267,12 +344,16 @@ def test_overflowing_series_flow_is_divergence():
     # the flow coefficients overflow to inf or nan; the series rule used to
     # fail on them with an untyped ValueError or IndexError
     for name, x, p, h, N in (("pendulum", 0.0, 1e300, 1.0, 3),
-                             ("crossterm:0.5", 0.0, 1e300, 1.0, 3),
+                             ("crossterm:0.5", 0.0, 1.7e308, 1.0, 3),
                              ("pendulum", 0.0, 1e200, 1e200, 7),
                              ("pendulum", 0.0, 1e154, 1.0, 3),
                              ("harmonic:1.3", 0.0, math.inf, 1.0, 3)):
         with pytest.raises(DivergenceError, match="series delta"):
             delta_series(system_from_name(name), PhaseState(x, p), h, N)
+    # at p = 1e300 the flow and dd_p stay finite, whereas H = p^2/2 + ...
+    # does not: delta is 1 + w^2 / 12 with w^2 = 3/4
+    assert delta_series(system_from_name("crossterm:0.5"),
+                        PhaseState(0.0, 1e300), 1.0, 3) == 1.0625
 
 
 def test_linear_systems_converge_at_any_h():
