@@ -8,13 +8,12 @@ A system meets one contract, checked once when it is built.  It supplies
   of H, each a callable ``(x, p)``.  The flow Taylor coefficients call
   ``x`` and ``p`` only once per system object, on jets on a tape
   (:class:`discgrad.jets.Jet`), which record the operations they see; the
-  tape is replayed, one coefficient at a time, on every later call from
-  that call's state.  So these two must be pure functions of their
-  arguments, with no side effects; they may use only ``+ - * /`` and
-  ``**`` between their arguments and scalars, unary minus and the helpers
-  ``gsin``, ``gcos``, ``gexp``, ``glog``, ``gsqrt`` and ``gpow``, or return
-  a plain constant; they must not build jets of their own or branch on
-  argument values;
+  tape becomes generated code that every later call runs from its own
+  state.  So these two must be pure functions of their arguments, with no
+  side effects; they may use only ``+ - * /`` and ``**`` between their
+  arguments and scalars, unary minus and the helpers ``gsin``, ``gcos``,
+  ``gexp``, ``glog``, ``gsqrt`` and ``gpow``, or return a plain constant;
+  they must not build jets of their own or branch on argument values;
 * ``dd_x(x, x1, p, p1)`` and ``dd_p(x, x1, p, p1)``: the p-averaged
   divided difference of H in x and the x-averaged one in p,
 
@@ -36,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import Jet, extend_tape, gcos, gsin
+from .jets import Jet, TapeSource, _const, _wrap, gcos, gsin
 
 PARTIAL_KEYS = ("x", "p", "xx", "xp", "pp")
 
@@ -133,68 +132,74 @@ def check_flow_order(N: int) -> None:
                          f"got {N}")
 
 
-# the last system's flow tape: (system, H_p, H_x, x leaf list, p leaf list,
-# H_p result, H_x result, tape, every list on the tape)
+# the last system's flow code: (system, H_p, H_x, the TapeSource of its
+# tape, the base names of the H_p and H_x results, the flow function of
+# each N)
 _flow_memo = None
 
 
 def taylor_flow_coeffs(sys: HamiltonianSystem, s: PhaseState, N: int):
     """Taylor series of the flow through (x, p), as monomial-basis jets.
 
-    The online Taylor-method recurrence: ``H_p`` and ``H_x`` run on jets X
-    and P on one tape that hold only x0 and p0, and record their
-    operations there.  Then, for k = 0 .. N-1,
+    The Taylor-method recurrence: ``H_p`` and ``H_x`` run on jets X and P
+    on one tape that hold only x0 and p0, and record their operations
+    there.  Then, for k = 0 .. N-1, every recorded jet gains coefficient
+    k, in O(k) each, and
 
-        X[k+1] = H_p[k] / (k+1),    P[k+1] = -H_x[k] / (k+1),
+        X[k+1] = H_p[k] / (k+1),    P[k+1] = -H_x[k] / (k+1).
 
-    and the taped nodes grow by one coefficient, in O(k) each.  The k-th
-    monomial coefficient equals (d^k x / dt^k) / k!.
+    The k-th monomial coefficient equals (d^k x / dt^k) / k!.
 
-    The partials run only on the first call for a system object; the tape
-    they record is kept in a one-entry memo (the system, compared by
-    identity and held, and its two partials) and replayed on later calls:
-    every list on it is emptied, the leaves get the new x0 and p0, and each
-    node is recomputed from coefficient 0, by the same operations in the
-    same order as a new recording, so the coefficients are bit-identical
-    to one and a replay raises what a recording would.  Coefficients of
-    mpmath type (the delta-series fallback) replay the same tape.  The
-    returned jets are copies, which later calls leave unchanged.  The memo
-    is not thread-safe; each worker of a process pool has its own.
+    The partials run only on the first call for a system object.  Their
+    tape becomes one straight-line function of (x0, p0) per N
+    (:class:`discgrad.jets.TapeSource`), kept in a one-entry memo (the
+    system, compared by identity and held, and its two partials).  The
+    function makes the coefficient rules' own operations in their order,
+    so its coefficients are bit-identical to a new recording's, it raises
+    what a recording would, and mpmath coefficients (the delta-series
+    fallback) run through it as well.  The returned jets are new on every
+    call.  The memo is not thread-safe; each worker of a process pool has
+    its own.
     """
     global _flow_memo
     check_flow_order(N)
     hp, hx = sys.partials["p"], sys.partials["x"]
     memo = _flow_memo
-    if memo is not None and memo[0] is sys and memo[1] is hp \
-            and memo[2] is hx:
-        xc, pc, fx, fp, tape, lists = memo[3:]
-        for c in lists:
-            c.clear()
-        xc.append(s.x)
-        pc.append(s.p)
-        extend_tape(tape, 1)
-    else:
-        tape = []
-        # the tape by position: as a keyword it costs ~2% of a gr-3 step
-        X = Jet([s.x], None, tape)
-        P = Jet([s.p], None, tape)
-        fx = hp(X, P)
-        fp = hx(X, P)
-        xc, pc = X.coeffs, P.coeffs
-        lists = {id(c): c for c in (xc, pc)}
-        lists.update((id(a), a) for _, args in tape for a in args
-                     if type(a) is list)
-        lists = list(lists.values())
-        _flow_memo = (sys, hp, hx, xc, pc, fx, fp, tape, lists)
+    if memo is None or memo[0] is not sys or memo[1] is not hp \
+            or memo[2] is not hx:
+        memo = _flow_memo = (sys, hp, hx, *_record_flow(hp, hx, s), {})
+    flow = memo[6].get(N)
+    if flow is None:
+        flow = memo[6][N] = _compile_flow(*memo[3:6], N)
+    xc, pc = flow(s.x, s.p)
+    return _wrap(xc), _wrap(pc)
+
+
+def _record_flow(hp, hx, s: PhaseState):
+    """The TapeSource of the partials recorded on jets at s, and the base
+    names of H_p and H_x on it."""
+    tape = []
+    X = Jet([s.x], tape=tape)
+    P = Jet([s.p], tape=tape)
+    fx = hp(X, P)
+    fp = hx(X, P)
     # a partial that ignores its arguments returns a plain constant
-    fxc = fx.coeffs if isinstance(fx, Jet) else [fx] + [0.0] * (N - 1)
-    fpc = fp.coeffs if isinstance(fp, Jet) else [fp] + [0.0] * (N - 1)
+    fx, fp = (f if isinstance(f, Jet) else X._make(_const, f)
+              for f in (fx, fp))
+    source = TapeSource(tape, {"x": X.coeffs, "p": P.coeffs})
+    return source, source.name(fx.coeffs), source.name(fp.coeffs)
+
+
+def _compile_flow(source: TapeSource, fx: str, fp: str, N: int):
+    """The function (x0, p0) -> ([X_0..X_N], [P_0..P_N])."""
+    body = []
     for k in range(N):
-        if k:
-            extend_tape(tape, k + 1)
-        xc.append(fxc[k] / (k + 1))
-        pc.append(-fpc[k] / (k + 1))
-    return Jet(xc, N), Jet(pc, N)
+        body += source.lines(k)
+        body += [f"x{k + 1} = {fx}{k} / {k + 1}",
+                 f"p{k + 1} = -{fp}{k} / {k + 1}"]
+    xs = ", ".join(f"x{k}" for k in range(N + 1))
+    ps = ", ".join(f"p{k}" for k in range(N + 1))
+    return source.compile("x0, p0", body, f"[{xs}], [{ps}]")
 
 
 # -- built-in systems ----------------------------------------------------

@@ -13,25 +13,24 @@ evaluator code runs on scalars and on jets.  A plain float, the argument
 of every scalar step, goes straight to ``math`` before any other test.
 
 A jet may carry a tape: a list on which every operation on it records
-its output, so that its coefficients can arrive one at a time (Jorba &
-Zou, Exp. Math. 14, 2005; Griewank & Walther, Evaluating Derivatives,
-ch. 13).  Once the leaf jets on a tape gain a coefficient,
-``extend_tape`` computes one more coefficient of every recorded jet, in
-creation order.  A jet without a tape is finished.  Jets combine only
-with jets of the same order on the same tape (or both on none), and with
-scalars.
+its rule and arguments (Griewank & Walther, Evaluating Derivatives,
+ch. 13).  A jet without a tape is finished.  Jets combine only with jets
+of the same order on the same tape (or both on none), and with scalars.
+:class:`TapeSource` turns a tape into straight-line Python that computes
+the coefficients of every recorded jet from those of the leaf jets, one
+coefficient at a time.
 
-Each operation is written once, as a coefficient rule
-``rule(n, out, *args)`` that appends coefficients ``len(out) .. n-1`` to
-the list ``out``.  Coefficient k of every rule depends only on
-coefficients 0..k of its inputs and is computed by the same floating-point
-operations in the same order whether a finished jet runs the rule to its
-full order at once or a jet on a tape runs it one coefficient at a time,
-so both give bit-identical coefficients.  A rule also makes the checks on
-its inputs' values (a zero divisor, the log of zero, the square root or
-real power of a non-positive constant term) when it computes coefficient
-0, so a tape whose lists are emptied and grown again from new leaf values
-raises what recording it with those values raises.
+Each operation is written once as a coefficient rule
+``rule(n, out, *args)``, which appends coefficients ``len(out) .. n-1`` to
+the list ``out``, and once as an emitter, which writes the source of
+coefficient k.  Coefficient k of every rule depends only on coefficients
+0..k of its inputs, and the rule and its emitter make the same
+floating-point operations in the same order, so a finished jet and the
+generated code give bit-identical coefficients.  A rule checks its
+inputs' values (a zero divisor, the log of zero, the square root or real
+power of a non-positive constant term) when it computes coefficient 0,
+and its emitter writes the same check there, so generated code run from
+new leaf values raises what recording with those values raises.
 """
 
 from __future__ import annotations
@@ -45,7 +44,39 @@ from .errors import SingularJetDivisionError
 MAX_ORDER = 18
 
 
-# -- coefficient rules -------------------------------------------------
+# -- coefficient rules and their emitters ------------------------------
+#
+# An emitter ``_emit_<rule>(k, out, *args)`` returns the source lines that
+# compute coefficient k of the rule's output (see TapeSource): each list
+# argument is a base name, whose coefficient j is the local f"{name}{j}",
+# and each scalar is the name it is bound to in the generated function's
+# namespace.  A factor that the rule recomputes for every k (``j * a[j]``,
+# the zero seed ``0.0 * s[0]``) is computed once, into a local of its own,
+# by the same operation, so its value is the rule's.
+
+
+def _require_divisor(b0):
+    if b0 == 0:
+        raise SingularJetDivisionError(
+            "division by a jet with zero constant term; cancel the common "
+            "leading power of h from both series first")
+
+
+def _require_log(a0):
+    if a0 == 0:
+        raise SingularJetDivisionError("log of a jet with zero constant term")
+
+
+def _require_power(a0):
+    if a0 <= 0:
+        raise ValueError(
+            "non-integer power of a jet needs a positive constant term")
+
+
+def _require_sqrt(a0):
+    if a0 <= 0:
+        raise ValueError("sqrt of a jet with non-positive constant term")
+
 
 def _const(n, out, value):
     if not out:
@@ -53,8 +84,16 @@ def _const(n, out, value):
     out.extend([0.0] * (n - len(out)))
 
 
+def _emit_const(k, out, value):
+    return [f"{out}{k} = {value if k == 0 else '0.0'}"]
+
+
 def _add(n, out, a, b):
     out.extend([a[k] + b[k] for k in range(len(out), n)])
+
+
+def _emit_add(k, out, a, b):
+    return [f"{out}{k} = {a}{k} + {b}{k}"]
 
 
 def _add_scalar(n, out, a, c):
@@ -63,8 +102,16 @@ def _add_scalar(n, out, a, c):
     out.extend(a[len(out):n])
 
 
+def _emit_add_scalar(k, out, a, c):
+    return [f"{out}{k} = {a}{k}" + (f" + {c}" if k == 0 else "")]
+
+
 def _sub(n, out, a, b):
     out.extend([a[k] - b[k] for k in range(len(out), n)])
+
+
+def _emit_sub(k, out, a, b):
+    return [f"{out}{k} = {a}{k} - {b}{k}"]
 
 
 def _sub_scalar(n, out, a, c):
@@ -73,12 +120,24 @@ def _sub_scalar(n, out, a, c):
     out.extend(a[len(out):n])
 
 
+def _emit_sub_scalar(k, out, a, c):
+    return [f"{out}{k} = {a}{k}" + (f" - {c}" if k == 0 else "")]
+
+
 def _neg(n, out, a):
     out.extend([-v for v in a[len(out):n]])
 
 
+def _emit_neg(k, out, a):
+    return [f"{out}{k} = -{a}{k}"]
+
+
 def _scale(n, out, a, c):
     out.extend([v * c for v in a[len(out):n]])
+
+
+def _emit_scale(k, out, a, c):
+    return [f"{out}{k} = {a}{k} * {c}"]
 
 
 def _mul(n, out, a, b):
@@ -89,17 +148,26 @@ def _mul(n, out, a, b):
         out.append(s)
 
 
+def _emit_mul(k, out, a, b):
+    return [f"{out}{k} = "
+            + " + ".join(f"{a}{j} * {b}{k - j}" for j in range(k + 1))]
+
+
 def _div(n, out, a, b):
     b0 = b[0]
-    if not out and b0 == 0:
-        raise SingularJetDivisionError(
-            "division by a jet with zero constant term; cancel the common "
-            "leading power of h from both series first")
+    if not out:
+        _require_divisor(b0)
     for k in range(len(out), n):
         s = a[k]
         for j in range(1, k + 1):
             s = s - b[j] * out[k - j]
         out.append(s / b0)
+
+
+def _emit_div(k, out, a, b):
+    s = "".join(f" - {b}{j} * {out}{k - j}" for j in range(1, k + 1))
+    line = f"{out}{k} = ({a}{k}{s}) / {b}0"
+    return [f"_require_divisor({b}0)", line] if k == 0 else [line]
 
 
 def _exp(n, out, a):
@@ -113,10 +181,18 @@ def _exp(n, out, a):
         out.append(s / k)
 
 
+def _emit_exp(k, out, a):
+    if k == 0:
+        return [f"{out}0 = gexp({a}0)"]
+    s = "".join(f" + {out}j{j} * {out}{k - j}" for j in range(1, k + 1))
+    return ([f"{out}z = 0.0 * {out}0"] if k == 1 else []) + [
+        f"{out}j{k} = {k} * {a}{k}", f"{out}{k} = ({out}z{s}) / {k}"]
+
+
 def _log(n, out, a):
     a0 = a[0]
-    if not out and a0 == 0:
-        raise SingularJetDivisionError("log of a jet with zero constant term")
+    if not out:
+        _require_log(a0)
     for k in range(len(out), n):
         if k == 0:
             out.append(glog(a0))
@@ -127,12 +203,24 @@ def _log(n, out, a):
         out.append(s / (k * a0))
 
 
+def _emit_log(k, out, a):
+    if k == 0:
+        return [f"_require_log({a}0)", f"{out}0 = glog({a}0)"]
+    s = "".join(f" - {out}j{j} * {a}{k - j}" for j in range(1, k))
+    return ([f"{out}j{k - 1} = {k - 1} * {out}{k - 1}"] if k > 1 else []) + [
+        f"{out}{k} = ({a}{k} * {k}{s}) / ({k} * {a}0)"]
+
+
 def _pow_log(n, out, a):
     # the log node of a real power, under the power's own domain check
-    if not out and a[0] <= 0:
-        raise ValueError(
-            "non-integer power of a jet needs a positive constant term")
+    if not out:
+        _require_power(a[0])
     _log(n, out, a)
+
+
+def _emit_pow_log(k, out, a):
+    return ([f"_require_power({a}0)"] if k == 0 else []) \
+        + _emit_log(k, out, a)
 
 
 def _sin_cos(n, s, c, a):
@@ -152,9 +240,19 @@ def _sin_cos(n, s, c, a):
         c.append(-(tc / k))
 
 
+def _emit_sin_cos(k, s, c, a):
+    if k == 0:
+        return [f"{s}0 = gsin({a}0)", f"{c}0 = gcos({a}0)"]
+    ts = "".join(f" + {s}j{j} * {c}{k - j}" for j in range(1, k + 1))
+    tc = "".join(f" + {s}j{j} * {s}{k - j}" for j in range(1, k + 1))
+    return ([f"{s}z = 0.0 * {s}0"] if k == 1 else []) + [
+        f"{s}j{k} = {k} * {a}{k}", f"{s}{k} = ({s}z{ts}) / {k}",
+        f"{c}{k} = -(({s}z{tc}) / {k})"]
+
+
 def _sqrt(n, out, a):
-    if not out and a[0] <= 0:
-        raise ValueError("sqrt of a jet with non-positive constant term")
+    if not out:
+        _require_sqrt(a[0])
     for k in range(len(out), n):
         if k == 0:
             out.append(gsqrt(a[0]))
@@ -165,12 +263,26 @@ def _sqrt(n, out, a):
         out.append(s / (2 * out[0]))
 
 
+def _emit_sqrt(k, out, a):
+    if k == 0:
+        return [f"_require_sqrt({a}0)", f"{out}0 = gsqrt({a}0)"]
+    s = "".join(f" - {out}{j} * {out}{k - j}" for j in range(1, k))
+    return [f"{out}{k} = ({a}{k}{s}) / (2 * {out}0)"]
+
+
+_EMITTERS = {_const: _emit_const, _add: _emit_add,
+             _add_scalar: _emit_add_scalar, _sub: _emit_sub,
+             _sub_scalar: _emit_sub_scalar, _neg: _emit_neg,
+             _scale: _emit_scale, _mul: _emit_mul, _div: _emit_div,
+             _exp: _emit_exp, _log: _emit_log, _pow_log: _emit_pow_log,
+             _sin_cos: _emit_sin_cos, _sqrt: _emit_sqrt}
+
+
 # -- the series type ----------------------------------------------------
 
 class Jet:
     """A truncated power series.  With a tape, ``coeffs`` is used as given
-    (the tape shares it), and the owner of a leaf jet appends its
-    coefficients; without one, ``coeffs`` is copied and the jet is
+    (the tape shares it); without one, ``coeffs`` is copied and the jet is
     finished."""
     __slots__ = ("coeffs", "tape")
 
@@ -215,9 +327,8 @@ class Jet:
     def _make(self, rule, *args):
         out = []
         rule(len(self.coeffs), out, *args)
-        # out is new and as long as coeffs: no copy or check is needed
-        jet = object.__new__(Jet)
-        jet.coeffs, jet.tape = out, self.tape
+        # out is new and as long as coeffs
+        jet = _wrap(out, self.tape)
         if jet.tape is not None:
             jet.tape.append((rule, (out,) + args))
         return jet
@@ -300,6 +411,14 @@ class Jet:
         return f"Jet({self.coeffs!r})"
 
 
+def _wrap(coeffs, tape=None):
+    """A jet on ``coeffs`` itself, with no copy or check: for a new list
+    of at most MAX_ORDER + 1 coefficients."""
+    jet = object.__new__(Jet)
+    jet.coeffs, jet.tape = coeffs, tape
+    return jet
+
+
 def horner(coeffs, h):
     """The polynomial with monomial coefficients ``coeffs`` at h."""
     acc = coeffs[-1]
@@ -308,11 +427,54 @@ def horner(coeffs, h):
     return acc
 
 
-def extend_tape(tape, n):
-    """Grow every node recorded on ``tape`` to ``n`` coefficients, once
-    the leaves they derive from hold at least ``n``."""
-    for rule, args in tape:
-        rule(n, *args)
+class TapeSource:
+    """Straight-line Python for the jets recorded on a tape, one
+    coefficient at a time (Jorba & Zou's ``taylor``; TIDES, Abad et al.,
+    ACM TOMS 39, 2012).
+
+    ``leaves`` maps a base name to the coefficient list of each leaf jet;
+    the code that calls :meth:`lines` defines each leaf coefficient k as
+    the local f"{name}{k}".  Every other list on the tape gets a base name
+    ``v<i>_``, and every scalar a name ``s<i>_`` in the namespace of the
+    compiled functions, bound to the scalar itself.  The names are of the
+    tape's lists by identity, so :meth:`name` is asked while the tape
+    lives.
+    """
+
+    def __init__(self, tape, leaves):
+        self._names = {id(c): name for name, c in leaves.items()}
+        self._env = {"gsin": gsin, "gcos": gcos, "gexp": gexp, "glog": glog,
+                    "gsqrt": gsqrt, "_require_divisor": _require_divisor,
+                    "_require_log": _require_log,
+                    "_require_power": _require_power,
+                    "_require_sqrt": _require_sqrt}
+        self._nodes = [(_EMITTERS[rule], [self._bind(a) for a in args])
+                       for rule, args in tape]
+
+    def _bind(self, arg):
+        if type(arg) is list:
+            return self._names.setdefault(id(arg), f"v{len(self._names)}_")
+        name = f"s{len(self._env)}_"
+        self._env[name] = arg
+        return name
+
+    def name(self, coeffs):
+        """The base name of a coefficient list on the tape."""
+        return self._names[id(coeffs)]
+
+    def lines(self, k):
+        """Lines that compute coefficient k of every recorded jet, in
+        recording order, from the leaves' coefficients 0 .. k."""
+        return [line for emit, args in self._nodes for line in emit(k, *args)]
+
+    def compile(self, params, body, result):
+        """The function ``(params) -> result`` that runs the lines
+        ``body``."""
+        source = "\n    ".join([f"def generated({params}):", *body,
+                                f"return {result}"])
+        namespace = dict(self._env)
+        exec(compile(source, "<tape>", "exec"), namespace)
+        return namespace["generated"]
 
 
 # -- generic dispatch ----------------------------------------------------

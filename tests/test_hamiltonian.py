@@ -252,9 +252,11 @@ def _drift():
 
 FLOW_SYSTEMS = (make_pendulum(), make_harmonic(1.3), make_crossterm(0.5),
                 _relativistic_softplus(), _drift())
+# the signed zeros pin the sign of zero of each rule's seed 0.0 * s[0]
 FLOW_STATES = [PhaseState(0.0, 1.8), PhaseState(0.3, -1.2),
                PhaseState(2.5, 0.7), PhaseState(-1.1, 2.2),
-               PhaseState(0.0, 0.02)]
+               PhaseState(0.0, 0.02), PhaseState(-0.0, 0.0),
+               PhaseState(0.0, -0.0)]
 
 
 @pytest.mark.parametrize("sys", FLOW_SYSTEMS, ids=lambda sys: sys.name)
@@ -284,7 +286,8 @@ def _counting(fn, calls, key):
 @pytest.mark.parametrize("sys", FLOW_SYSTEMS, ids=lambda sys: sys.name)
 def test_replayed_flow_equals_a_new_recording(sys):
     # one system object, with states and orders alternating, then mpmath:
-    # its partials run once, and every later call replays their tape
+    # its partials run once, and every later call runs the code generated
+    # from their tape
     calls = {"x": 0, "p": 0}
     counted = dataclasses.replace(sys, partials=dict(
         sys.partials, x=_counting(sys.partials["x"], calls, "x"),
@@ -320,7 +323,8 @@ def test_replayed_flow_raises_what_a_new_recording_raises(pendulum, hx):
     sys = dataclasses.replace(pendulum, partials=dict(pendulum.partials,
                                                       x=hx))
     for x in (0.0, -1.0):
-        # recorded at x = 1, where every partial has a value, then replayed
+        # recorded at x = 1, where every partial has a value, then run
+        # as generated code
         assert _outcome(sys, PhaseState(1.0, 0.5)).startswith("(Jet(")
         s = PhaseState(x, 0.5)
         assert _outcome(sys, s) == _outcome(dataclasses.replace(sys), s), x

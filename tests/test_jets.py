@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discgrad.errors import SingularJetDivisionError
-from discgrad.jets import (MAX_ORDER, Jet, extend_tape, gcos, gexp, glog,
+from discgrad.jets import (MAX_ORDER, Jet, TapeSource, gcos, gexp, glog,
                            gpow, gsin, gsqrt)
 
 
@@ -201,28 +201,40 @@ ONLINE_OPS = {
 }
 
 
-def run_online(fn, a, b, tape):
-    """fn on jets on tape fed one coefficient of a and b at a time."""
+def run_generated(fn, a, b):
+    """fn recorded on jets on a tape that hold the constant terms of a and
+    b, then the code generated from that tape run on all their
+    coefficients."""
+    tape = []
     A = Jet([a.coeffs[0]], tape=tape)
     B = Jet([b.coeffs[0]], tape=tape)
     out = fn(A, B)
-    for k in range(1, a.order + 1):
-        A.coeffs.append(a.coeffs[k])
-        B.coeffs.append(b.coeffs[k])
-        extend_tape(tape, k + 1)
-    return out
+    assert out.tape is tape
+    source = TapeSource(tape, {"a": A.coeffs, "b": B.coeffs})
+    n = len(a.coeffs)
+    body = [line for k in range(n) for line in source.lines(k)]
+    params = ", ".join(f"{leaf}{k}" for leaf in "ab" for k in range(n))
+    name = source.name(out.coeffs)
+    result = "[" + ", ".join(f"{name}{k}" for k in range(n)) + "]"
+    return source.compile(params, body, result)(*a.coeffs, *b.coeffs)
+
+
+def assert_generated_equals_jet(a, b):
+    b = Jet([abs(b.coeffs[0]) + 0.5] + b.coeffs[1:])
+    for name, fn in ONLINE_OPS.items():
+        want = fn(a, b)
+        got = run_generated(fn, a, b)
+        assert repr(got) == repr(want.coeffs), name
 
 
 @given(jets(), jets())
 @settings(max_examples=50)
 def test_online_ops_bit_identical_to_jet(a, b):
-    b = Jet([abs(b.coeffs[0]) + 0.5] + b.coeffs[1:])
-    for name, fn in ONLINE_OPS.items():
-        want = fn(a, b)
-        tape = []
-        got = run_online(fn, a, b, tape)
-        assert got.tape is tape, name
-        assert repr(got.coeffs) == repr(want.coeffs), name
+    assert_generated_equals_jet(a, b)
+    with mpmath.workdps(60):
+        # 60-digit coefficients, not floats widened
+        a, b = (Jet([mpmath.mpf(v) / 3 for v in j.coeffs]) for j in (a, b))
+        assert_generated_equals_jet(a, b)
 
 
 def test_online_rejects_mixing():
