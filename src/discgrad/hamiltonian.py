@@ -5,15 +5,7 @@ A system meets one contract, checked once when it is built.  It supplies
 * ``energy(x, p)``: H, written against the generic scalar helpers from
   :mod:`discgrad.jets`, so the same code runs on floats and on jets;
 * ``partials``: the closed-form partial derivatives ``x, p, xx, xp, pp``
-  of H, each a callable ``(x, p)``.  The flow Taylor coefficients call
-  ``x`` and ``p`` only once per system object, on jets on a tape
-  (:class:`discgrad.jets.Jet`), which record the operations they see; the
-  tape becomes generated code that every later call runs from its own
-  state.  So these two must be pure functions of their arguments, with no
-  side effects; they may use only ``+ - * /`` and ``**`` between their
-  arguments and scalars, unary minus and the helpers ``gsin``, ``gcos``,
-  ``gexp``, ``glog``, ``gsqrt`` and ``gpow``, or return a plain constant;
-  they must not build jets of their own or branch on argument values;
+  of H, each a callable ``(x, p)``;
 * ``dd_x(x, x1, p, p1)`` and ``dd_p(x, x1, p, p1)``: the p-averaged
   divided difference of H in x and the x-averaged one in p,
 
@@ -22,10 +14,24 @@ A system meets one contract, checked once when it is built.  It supplies
 
   written in a form that does not cancel as x1 -> x or p1 -> p (these
   keep the implicit solver convergent to round-off near turning points).
-  gr-N also calls ``dd_p`` with x1 and p1 the flow's finished jets; a
-  form that never divides by p1 - p runs on them as it is;
+  gr-N also calls ``dd_p`` with x1 and p1 the flow's jets; a form that
+  never divides by p1 - p runs on them as it is;
 * ``quadratic_kinetic``: True when H = p^2/2 + V(x); the kick-drift
   baselines need it.
+
+The flow Taylor coefficients call the partials ``x`` and ``p``, and the
+gr-N delta calls ``dd_p``, only once per system object, on jets on a tape
+(:class:`discgrad.jets.Jet`), which record the operations they see; x and
+p reach ``dd_p`` as :class:`discgrad.jets.Param` scalars, which record
+theirs.  The tape becomes generated code that every later call runs from
+its own state.  So these three must be pure functions of their arguments,
+with no side effects; they may use only ``+ - * /`` and ``**`` between
+their arguments and scalars, unary minus and the helpers ``gsin``,
+``gcos``, ``gexp``, ``glog``, ``gsqrt`` and ``gpow``, or return a plain
+constant; they must not build jets of their own (a ValueError names this
+contract), branch on argument values, or turn an argument into a plain
+number (``float(p)``, ``math.sin(x)``), which would fix it at the
+recorded state.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import Jet, TapeSource, _const, _wrap, gcos, gsin
+from .jets import Jet, Param, TapeSource, _const, _wrap, gcos, gsin
 
 PARTIAL_KEYS = ("x", "p", "xx", "xp", "pp")
 
@@ -132,10 +138,91 @@ def check_flow_order(N: int) -> None:
                          f"got {N}")
 
 
-# the last system's flow code: (system, H_p, H_x, the TapeSource of its
-# tape, the base names of the H_p and H_x results, the flow function of
-# each N)
+# the last system's _SystemCode
 _flow_memo = None
+
+
+class _SystemCode:
+    """A system object's ``p`` and ``x`` partials recorded once on jets on
+    one tape, then its ``dd_p`` on the same tape on first need, and the
+    functions generated from that tape, by key (``functions``).
+
+    ``dd_p`` is recorded with the flow's leaf jets as x1 and p1 and with x
+    and p as the :class:`discgrad.jets.Param` named ``x0`` and ``p0``, the
+    parameters of every generated function, so no state of the recording
+    is bound into the code.
+    """
+
+    def __init__(self, sys: HamiltonianSystem, s: PhaseState):
+        self.sys, self.hp, self.hx = sys, sys.partials["p"], sys.partials["x"]
+        self.dd_p = sys.dd_p
+        self._tape = tape = []
+        self._X, self._P = Jet([s.x], tape=tape), Jet([s.p], tape=tape)
+        self.source = TapeSource(tape, {"x": self._X.coeffs,
+                                        "p": self._P.coeffs})
+        fx, fp = self.hp(self._X, self._P), self.hx(self._X, self._P)
+        fx = self._on_tape("partials['p']", fx)
+        fp = self._on_tape("partials['x']", fp)
+        self._flow = self.source.extend()
+        self._fx, self._fp = (self.source.name(f.coeffs) for f in (fx, fp))
+        self._den = None
+        self.functions = {}
+
+    def matches(self, sys: HamiltonianSystem) -> bool:
+        return (self.sys is sys and self.hp is sys.partials["p"]
+                and self.hx is sys.partials["x"] and self.dd_p is sys.dd_p)
+
+    def _on_tape(self, what, f):
+        """What ``what`` returned, as a jet on the tape: a plain scalar (or
+        a Param) becomes a constant jet."""
+        if not isinstance(f, Jet):
+            return self._X._make(_const, f)
+        if f.tape is not self._tape:
+            raise ValueError(
+                f"system {self.sys.name!r}: {what} returned a jet that its "
+                "arguments did not make; the system contract allows only "
+                "operations on the arguments, no jets of its own")
+        return f
+
+    def flow_lines(self, N: int) -> list:
+        """Lines that compute the flow coefficients x1 .. xN and p1 .. pN
+        from the parameters x0 and p0."""
+        body = []
+        for k in range(N):
+            body += self.source.lines(k, self._flow)
+            body += [f"x{k + 1} = {self._fx}{k} / {k + 1}",
+                     f"p{k + 1} = -{self._fp}{k} / {k + 1}"]
+        return body
+
+    def dd_p_lines(self, s: PhaseState, n: int):
+        """Lines that compute the flow (X, P) to order n and coefficients
+        0 .. n of dd_p(x0, X, p0, P) on it, and the base name of the
+        latter.  The first call records dd_p at s."""
+        if self._den is None:
+            recorded = len(self._tape)
+            try:
+                den = self._on_tape("dd_p", self.dd_p(
+                    Param(s.x, "x0"), self._X, Param(s.p, "p0"), self._P))
+            except BaseException:
+                del self._tape[recorded:]
+                raise
+            self._den = self.source.extend(), self.source.name(den.coeffs)
+        nodes, name = self._den
+        den = [line for k in range(n + 1)
+               for line in self.source.lines(k, nodes)]
+        return self.flow_lines(n) + den, name
+
+
+def _system_code(sys: HamiltonianSystem, s: PhaseState) -> _SystemCode:
+    """The memo's _SystemCode if it belongs to sys (the system object and
+    its partials and dd_p, compared by identity), else a new one recorded
+    at s.  The memo is not thread-safe; each worker of a process pool has
+    its own."""
+    global _flow_memo
+    code = _flow_memo
+    if code is None or not code.matches(sys):
+        code = _flow_memo = _SystemCode(sys, s)
+    return code
 
 
 def taylor_flow_coeffs(sys: HamiltonianSystem, s: PhaseState, N: int):
@@ -152,54 +239,23 @@ def taylor_flow_coeffs(sys: HamiltonianSystem, s: PhaseState, N: int):
 
     The partials run only on the first call for a system object.  Their
     tape becomes one straight-line function of (x0, p0) per N
-    (:class:`discgrad.jets.TapeSource`), kept in a one-entry memo (the
-    system, compared by identity and held, and its two partials).  The
-    function makes the coefficient rules' own operations in their order,
-    so its coefficients are bit-identical to a new recording's, it raises
-    what a recording would, and mpmath coefficients (the delta-series
-    fallback) run through it as well.  The returned jets are new on every
-    call.  The memo is not thread-safe; each worker of a process pool has
-    its own.
+    (:class:`discgrad.jets.TapeSource`), kept in a one-entry memo
+    (:func:`_system_code`).  The function makes the coefficient rules' own
+    operations in their order, so its coefficients are bit-identical to a
+    new recording's, it raises what a recording would, and mpmath
+    coefficients (the delta-series fallback) run through it as well.  The
+    returned jets are new on every call.
     """
-    global _flow_memo
     check_flow_order(N)
-    hp, hx = sys.partials["p"], sys.partials["x"]
-    memo = _flow_memo
-    if memo is None or memo[0] is not sys or memo[1] is not hp \
-            or memo[2] is not hx:
-        memo = _flow_memo = (sys, hp, hx, *_record_flow(hp, hx, s), {})
-    flow = memo[6].get(N)
+    code = _system_code(sys, s)
+    flow = code.functions.get(N)
     if flow is None:
-        flow = memo[6][N] = _compile_flow(*memo[3:6], N)
+        xs = ", ".join(f"x{k}" for k in range(N + 1))
+        ps = ", ".join(f"p{k}" for k in range(N + 1))
+        flow = code.functions[N] = code.source.compile(
+            "x0, p0", code.flow_lines(N), f"[{xs}], [{ps}]")
     xc, pc = flow(s.x, s.p)
     return _wrap(xc), _wrap(pc)
-
-
-def _record_flow(hp, hx, s: PhaseState):
-    """The TapeSource of the partials recorded on jets at s, and the base
-    names of H_p and H_x on it."""
-    tape = []
-    X = Jet([s.x], tape=tape)
-    P = Jet([s.p], tape=tape)
-    fx = hp(X, P)
-    fp = hx(X, P)
-    # a partial that ignores its arguments returns a plain constant
-    fx, fp = (f if isinstance(f, Jet) else X._make(_const, f)
-              for f in (fx, fp))
-    source = TapeSource(tape, {"x": X.coeffs, "p": P.coeffs})
-    return source, source.name(fx.coeffs), source.name(fp.coeffs)
-
-
-def _compile_flow(source: TapeSource, fx: str, fp: str, N: int):
-    """The function (x0, p0) -> ([X_0..X_N], [P_0..P_N])."""
-    body = []
-    for k in range(N):
-        body += source.lines(k)
-        body += [f"x{k + 1} = {fx}{k} / {k + 1}",
-                 f"p{k + 1} = -{fp}{k} / {k + 1}"]
-    xs = ", ".join(f"x{k}" for k in range(N + 1))
-    ps = ", ".join(f"p{k}" for k in range(N + 1))
-    return source.compile("x0, p0", body, f"[{xs}], [{ps}]")
 
 
 # -- built-in systems ----------------------------------------------------

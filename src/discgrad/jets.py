@@ -31,11 +31,18 @@ inputs' values (a zero divisor, the log of zero, the square root or real
 power of a non-positive constant term) when it computes coefficient 0,
 and its emitter writes the same check there, so generated code run from
 new leaf values raises what recording with those values raises.
+
+A scalar that generated code takes as a parameter is a :class:`Param`:
+arithmetic on it records an expression, which the code computes, where a
+plain scalar on a tape is bound into the code's namespace by value.  The
+generated text names scalars, never their values, so one compiled code
+object serves every tape of the same structure in the process.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import SingularJetDivisionError
 
@@ -427,6 +434,56 @@ def horner(coeffs, h):
     return acc
 
 
+def _param_op(fmt, fn, reflected=False):
+    def op(self, other):
+        if not isinstance(other, (float, int)):
+            return NotImplemented
+        args = (other, self) if reflected else (self, other)
+        return Param(fn(*(float(a) if isinstance(a, Param) else a
+                          for a in args)), (fmt, *args))
+    return op
+
+
+class Param(float):
+    """A scalar that generated code computes from its parameters: a float
+    with its value at recording, and ``expr``, either the name of a
+    parameter or a format and its operands.  Arithmetic with plain scalars
+    and the helpers ``gsin`` .. ``gsqrt`` give new Params, so a rule that
+    takes one as its scalar records how to compute it, not the value it
+    had at recording."""
+    __slots__ = ("expr",)
+
+    def __new__(cls, value, expr):
+        param = float.__new__(cls, value)
+        param.expr = expr
+        return param
+
+    __add__ = _param_op("{} + {}", operator.add)
+    __radd__ = _param_op("{} + {}", operator.add, True)
+    __sub__ = _param_op("{} - {}", operator.sub)
+    __rsub__ = _param_op("{} - {}", operator.sub, True)
+    __mul__ = _param_op("{} * {}", operator.mul)
+    __rmul__ = _param_op("{} * {}", operator.mul, True)
+    __truediv__ = _param_op("{} / {}", operator.truediv)
+    __rtruediv__ = _param_op("{} / {}", operator.truediv, True)
+    __pow__ = _param_op("{} ** {}", operator.pow)
+    __rpow__ = _param_op("{} ** {}", operator.pow, True)
+
+    def __neg__(self):
+        return Param(-float(self), ("-{}", self))
+
+
+def _emit_param(k, name, text):
+    # a Param is computed once, with coefficient 0
+    return [f"{name} = {text}"] if k == 0 else []
+
+
+# generated source text -> its code object.  The text names scalars, never
+# their values, so tapes of one structure share one code object, and each
+# function runs it in a namespace of its own tape's scalars
+_CODE = {}
+
+
 class TapeSource:
     """Straight-line Python for the jets recorded on a tape, one
     coefficient at a time (Jorba & Zou's ``taylor``; TIDES, Abad et al.,
@@ -435,25 +492,50 @@ class TapeSource:
     ``leaves`` maps a base name to the coefficient list of each leaf jet;
     the code that calls :meth:`lines` defines each leaf coefficient k as
     the local f"{name}{k}".  Every other list on the tape gets a base name
-    ``v<i>_``, and every scalar a name ``s<i>_`` in the namespace of the
-    compiled functions, bound to the scalar itself.  The names are of the
-    tape's lists by identity, so :meth:`name` is asked while the tape
-    lives.
+    ``v<i>_``; every :class:`Param` the local its ``expr`` names, or a
+    local ``t<i>_`` computed with coefficient 0; and every other scalar a
+    name ``s<i>_`` in the namespace of the compiled functions, bound to the
+    scalar itself.  The names are of the tape's lists and Params by
+    identity, so the tape lives as long as this object.
     """
 
     def __init__(self, tape, leaves):
+        self._tape = tape
         self._names = {id(c): name for name, c in leaves.items()}
         self._env = {"gsin": gsin, "gcos": gcos, "gexp": gexp, "glog": glog,
                     "gsqrt": gsqrt, "_require_divisor": _require_divisor,
                     "_require_log": _require_log,
                     "_require_power": _require_power,
                     "_require_sqrt": _require_sqrt}
-        self._nodes = [(_EMITTERS[rule], [self._bind(a) for a in args])
-                       for rule, args in tape]
+        self._nodes = []
+        self._recorded = 0
+        self.extend()
+
+    def extend(self):
+        """Name what the nodes recorded since the last call hold; return
+        their slice of the nodes, for :meth:`lines`."""
+        start = len(self._nodes)
+        for rule, args in self._tape[self._recorded:]:
+            args = [self._bind(a) for a in args]
+            self._nodes.append((_EMITTERS[rule], args))
+        self._recorded = len(self._tape)
+        return slice(start, len(self._nodes))
 
     def _bind(self, arg):
         if type(arg) is list:
             return self._names.setdefault(id(arg), f"v{len(self._names)}_")
+        if isinstance(arg, Param):
+            name = self._names.get(id(arg))
+            if name is None:
+                if isinstance(arg.expr, str):
+                    name = arg.expr
+                else:
+                    fmt, *operands = arg.expr
+                    text = fmt.format(*map(self._bind, operands))
+                    name = f"t{len(self._names)}_"
+                    self._nodes.append((_emit_param, [name, text]))
+                self._names[id(arg)] = name
+            return name
         name = f"s{len(self._env)}_"
         self._env[name] = arg
         return name
@@ -462,18 +544,23 @@ class TapeSource:
         """The base name of a coefficient list on the tape."""
         return self._names[id(coeffs)]
 
-    def lines(self, k):
-        """Lines that compute coefficient k of every recorded jet, in
-        recording order, from the leaves' coefficients 0 .. k."""
-        return [line for emit, args in self._nodes for line in emit(k, *args)]
+    def lines(self, k, nodes=slice(None)):
+        """Lines that compute coefficient k of every jet the ``nodes``
+        record, in recording order, from the coefficients 0 .. k of their
+        inputs."""
+        return [line for emit, args in self._nodes[nodes]
+                for line in emit(k, *args)]
 
-    def compile(self, params, body, result):
+    def compile(self, params, body, result, names=None):
         """The function ``(params) -> result`` that runs the lines
-        ``body``."""
+        ``body``, with the tape's scalars and ``names`` as its globals."""
         source = "\n    ".join([f"def generated({params}):", *body,
                                 f"return {result}"])
-        namespace = dict(self._env)
-        exec(compile(source, "<tape>", "exec"), namespace)
+        code = _CODE.get(source)
+        if code is None:
+            code = _CODE[source] = compile(source, "<tape>", "exec")
+        namespace = {**self._env, **(names or {})}
+        exec(code, namespace)
         return namespace["generated"]
 
 
@@ -481,10 +568,10 @@ class TapeSource:
 
 def _generic(name):
     """The helper g<name>: math.<name> on a plain float, tried first
-    because every scalar step calls it so; the series method on a jet;
-    math.<name> on other floats and ints; mpmath's function on any other
-    scalar (the mpmath.mpf of the extended-precision delta-series
-    fallback)."""
+    because every scalar step calls it so; the series method on a jet; a
+    new Param on a Param; math.<name> on other floats and ints; mpmath's
+    function on any other scalar (the mpmath.mpf of the
+    extended-precision delta-series fallback)."""
     fn = getattr(math, name)
 
     def helper(x):
@@ -492,6 +579,8 @@ def _generic(name):
             return fn(x)
         if isinstance(x, Jet):
             return getattr(x, name)()
+        if isinstance(x, Param):
+            return Param(fn(float(x)), (f"g{name}({{}})", x))
         if isinstance(x, (float, int)):
             return fn(x)
         import mpmath

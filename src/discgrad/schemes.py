@@ -22,6 +22,12 @@ A :class:`DeltaRule` is that choice and nothing else: a function
 it evaluates ``fn`` at the midpoint of the current iterate on every
 solver iteration.
 
+GR-N's delta is one generated function of (x, p, h) per system object
+and N: the flow to order N + 2, dd_p on it, and, for a state whose
+leading dd_p coefficient is kept and not small (k = 0, amp <= 1e3), the
+series division and the Horner sum, in the operations and order of the
+general path, which every other state takes (see :func:`_compile_delta`).
+
 The step solves F(z) = z - z_n - delta (dd_p, -dd_x)(z_n, z) = 0 by
 simplified Newton from an explicit Euler predictor (Hairer, Lubich &
 Wanner, Geometric Numerical Integration, VIII.6), with J = I - (delta/2) A
@@ -37,8 +43,11 @@ from dataclasses import dataclass
 from .errors import (DivergenceError, NonConvergenceError, ResonanceStepError)
 from .exactlin import AffineStepMap
 from .hamiltonian import (MAX_FLOW_ORDER, HamiltonianSystem, PhaseState,
-                          linearize, taylor_flow_coeffs)
-from .jets import Jet, _div, horner
+                          _system_code, linearize)
+# not called here, where the series delta is generated code, but
+# perfbench/tracer.py patches it under this module's name
+from .hamiltonian import taylor_flow_coeffs  # noqa: F401
+from .jets import _div, horner
 
 import numpy as np
 
@@ -147,44 +156,52 @@ def _leading_index(coeffs, scale):
     return k
 
 
-def _quotient_parts(sys: HamiltonianSystem, x, p, N: int):
-    """X - x and dd_p(x, X, p, P) on the flow jets (X, P), the second a
-    jet also where H_p, and so dd_p, is a constant."""
-    X, P = taylor_flow_coeffs(sys, PhaseState(x, p), N + 2)
-    den = sys.dd_p(x, X, p, P)
-    return X - x, den if isinstance(den, Jet) else Jet.constant(den, N + 2)
-
-
 def _cancel_and_divide(num, den, k: int, N: int) -> list:
-    """The first N coefficients of (num / h^(k+1)) / (den / h^k): num and
-    den share a common h^k factor, with num one power higher.  Each
-    shifted series is zero-padded where it runs out, by zeros of its own
-    constant term's type and sign."""
-    a = num.coeffs[k + 1:k + 1 + N]
-    a += [0.0 * num.coeffs[0]] * (N - len(a))
-    b = den.coeffs[k:k + N]
-    b += [0.0 * den.coeffs[0]] * (N - len(b))
+    """The first N coefficients of (num / h^(k+1)) / (den / h^k), for
+    coefficient lists num and den that share a common h^k factor, with num
+    one power higher.  Each shifted list is zero-padded where it runs out,
+    by zeros of its own constant term's type and sign."""
+    a = num[k + 1:k + 1 + N]
+    a += [0.0 * num[0]] * (N - len(a))
+    b = den[k:k + N]
+    b += [0.0 * den[0]] * (N - len(b))
     q = []
     _div(N, q, a, b)
     return q
 
 
-def delta_series_coefficients(sys: HamiltonianSystem, s: PhaseState,
-                              N: int) -> list:
-    """Series coefficients [a_1, ..., a_N] of the order-N denominator;
-    [1, 0, ..., 0] (delta = h) for a trivial flow."""
-    _check_series_order(N)
-    num, den = _quotient_parts(sys, s.x, s.p, N)
-    dc = den.coeffs
-    if not all(map(math.isfinite, dc)):
+def _parts_lines(code, s: PhaseState, N: int):
+    """Lines that compute the flow (X, P) through (x0, p0) to order N + 2
+    and dd_p(x0, X, p0, P) on it, the text of the list X - x0, and the
+    names of the dd_p coefficients."""
+    body, d = code.dd_p_lines(s, N + 2)
+    num = ", ".join(["x0 - x0"] + [f"x{k}" for k in range(1, N + 3)])
+    return body, f"[{num}]", [f"{d}{k}" for k in range(N + 3)]
+
+
+def _parts_function(code, s: PhaseState, N: int):
+    """The generated function (x0, p0) -> (X - x0, dd_p) as coefficient
+    lists, for the system whose _SystemCode is ``code``."""
+    parts = code.functions.get(("parts", N))
+    if parts is None:
+        body, num, den = _parts_lines(code, s, N)
+        parts = code.functions[("parts", N)] = code.source.compile(
+            "x0, p0", body, f"{num}, [{', '.join(den)}]")
+    return parts
+
+
+def _coefficients(code, x, p, N: int, num: list, den: list) -> list:
+    """[a_1, ..., a_N] from the parts of the quotient at (x, p): the
+    general path, for every state."""
+    if not all(map(math.isfinite, den)):
         raise DivergenceError(
-            f"series delta at ({s.x:.3g}, {s.p:.3g}): the flow "
+            f"series delta at ({x:.3g}, {p:.3g}): the flow "
             "coefficients overflow")
-    scale = max(map(abs, dc))
+    scale = max(map(abs, den))
     if scale == 0.0:
         return [1.0] + [0.0] * (N - 1)
-    k = _leading_index(dc, scale)
-    amp = scale / abs(dc[k])
+    k = _leading_index(den, scale)
+    amp = scale / abs(den[k])
     if amp <= 1e3:
         return _cancel_and_divide(num, den, k, N)
     # near-cancelling leading coefficient (state within ~1e-3 of a turning
@@ -193,17 +210,66 @@ def delta_series_coefficients(sys: HamiltonianSystem, s: PhaseState,
     # result
     import mpmath
     with mpmath.workdps(30 + (N + 2) * int(math.log10(amp) + 1.0)):
-        num, den = _quotient_parts(sys, mpmath.mpf(s.x), mpmath.mpf(s.p), N)
-        dc = den.coeffs
-        k = _leading_index(dc, max(map(abs, dc)))
+        parts = _parts_function(code, PhaseState(x, p), N)
+        num, den = parts(mpmath.mpf(x), mpmath.mpf(p))
+        k = _leading_index(den, max(map(abs, den)))
         q = _cancel_and_divide(num, den, k, N)
     return [float(c) for c in q]
 
 
+def delta_series_coefficients(sys: HamiltonianSystem, s: PhaseState,
+                              N: int) -> list:
+    """Series coefficients [a_1, ..., a_N] of the order-N denominator;
+    [1, 0, ..., 0] (delta = h) for a trivial flow."""
+    _check_series_order(N)
+    code = _system_code(sys, s)
+    parts = _parts_function(code, s, N)
+    return _coefficients(code, s.x, s.p, N, *parts(s.x, s.p))
+
+
+def _compile_delta(code, s: PhaseState, N: int):
+    """The generated function (x0, p0, h) -> delta^{[N]}.  After the
+    parts' lines, where the dd_p coefficients have a finite sum (so each
+    is finite; a sum that overflows only sends the state to the general
+    path), the leading one is kept (k = 0) and amp <= 1e3, it runs the
+    division of :func:`_cancel_and_divide`, unrolled, and the Horner sum;
+    any other state goes through :func:`_coefficients` with the same
+    lists."""
+    body, num, d = _parts_lines(code, s, N)
+    quotient = [f"q{n} = (x{n + 1}"
+                + "".join(f" - {d[j]} * q{n - j}" for j in range(1, n + 1))
+                + f") / {d[0]}" for n in range(N)]
+    acc = f"q{N - 1}"
+    for n in range(N - 2, -1, -1):
+        acc = f"({acc}) * h + q{n}"
+    body += [
+        f"total = {' + '.join(d)}",
+        "if total - total == 0.0:",
+        f"    lead = abs({d[0]})",
+        f"    scale = max(lead, {', '.join(f'abs({v})' for v in d[1:])})",
+        "    if lead > 1e-13 * scale and scale / lead <= 1e3:",
+        *(f"        {line}" for line in quotient),
+        f"        return h * ({acc})"]
+
+    def general(x, p, num, den):
+        return _coefficients(code, x, p, N, num, den)
+    return code.source.compile(
+        "x0, p0, h", body,
+        f"h * horner(general(x0, p0, {num}, [{', '.join(d)}]), h)",
+        {"general": general, "horner": horner})
+
+
 def delta_series(sys: HamiltonianSystem, s: PhaseState, h: float,
                  N: int) -> float:
-    """delta^{[N]} = sum_{k=1}^{N} a_k(x, p) h^k evaluated at h."""
-    return h * horner(delta_series_coefficients(sys, s, N), h)
+    """delta^{[N]} = sum_{k=1}^{N} a_k(x, p) h^k evaluated at h, by one
+    generated function per system object and N: the same value as
+    ``h * horner(delta_series_coefficients(sys, s, N), h)``."""
+    code = _system_code(sys, s)
+    delta = code.functions.get(("delta", N))
+    if delta is None:
+        _check_series_order(N)
+        delta = code.functions[("delta", N)] = _compile_delta(code, s, N)
+    return delta(s.x, s.p, h)
 
 
 def discrete_gradient_residual(sys: HamiltonianSystem, s_n: PhaseState,

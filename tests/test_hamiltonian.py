@@ -7,12 +7,14 @@ import mpmath
 import numpy as np
 import pytest
 
+from discgrad import hamiltonian
 from discgrad.hamiltonian import (MAX_FLOW_ORDER, HamiltonianSystem,
                                   PhaseState, eval_energy, eval_partials,
                                   linearize, make_crossterm, make_harmonic,
                                   make_pendulum, system_from_name,
                                   taylor_flow_coeffs)
-from discgrad.jets import Jet, gcos, gexp, glog, gpow, gsin, gsqrt
+from discgrad.jets import Jet, gcos, gexp, glog, gpow, gsin, gsqrt, horner
+from discgrad.schemes import delta_series, delta_series_coefficients
 
 
 def rand_state(rng, span=2.5):
@@ -348,3 +350,32 @@ def test_energy_first_integral_of_test_systems(rng):
             scale = max(1.0, abs(e.coeffs[0]))
             for k in range(1, 9):
                 assert abs(e.coeffs[k]) <= 1e-11 * scale
+
+
+def _functions(sys, s):
+    """The flow function of order 7 and the gr-7 delta function generated
+    for sys."""
+    taylor_flow_coeffs(sys, s, 7)
+    delta_series(sys, s, 0.25, 7)
+    functions = hamiltonian._flow_memo.functions
+    return functions[7], functions[("delta", 7)]
+
+
+def test_systems_of_one_structure_share_code():
+    # the generated text names scalars, never their values, so it is
+    # compiled once per process and run with each system's own scalars
+    s = PhaseState(0.4, 1.0)
+    first = _functions(make_pendulum(), s)
+    second = _functions(make_pendulum(), s)
+    for a, b in zip(first, second):
+        assert a is not b and a.__code__ is b.__code__
+    slow, fast = make_harmonic(1.3), make_harmonic(2.0)
+    for a, b in zip(_functions(slow, s), _functions(fast, s)):
+        assert a.__code__ is b.__code__
+    # each runs with its own omega: P_1 = -omega^2 x
+    for sys, w in ((slow, 1.3), (fast, 2.0)):
+        assert taylor_flow_coeffs(sys, PhaseState(1.0, 0.0), 2)[1].coeffs[1] \
+            == -(w * w)
+        want = 0.25 * horner(delta_series_coefficients(sys, s, 7), 0.25)
+        assert delta_series(sys, s, 0.25, 7) == want
+    assert delta_series(slow, s, 0.25, 7) != delta_series(fast, s, 0.25, 7)

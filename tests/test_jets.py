@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discgrad.errors import SingularJetDivisionError
-from discgrad.jets import (MAX_ORDER, Jet, TapeSource, gcos, gexp, glog,
-                           gpow, gsin, gsqrt)
+from discgrad.jets import (MAX_ORDER, Jet, Param, TapeSource, _const, gcos,
+                           gexp, glog, gpow, gsin, gsqrt)
 
 
 coeff = st.floats(min_value=-10.0, max_value=10.0,
@@ -290,3 +290,36 @@ def test_helpers_on_other_types_dispatch_by_type():
                 assert repr(got.coeffs) == repr(want.coeffs), name
             else:
                 assert got == want, name
+
+
+PARAM_OPS = {
+    "scalars": lambda a, c: (0.5 * c + 1.0) * a - (c - 2.0) / a + c ** 2,
+    "reflected": lambda a, c: 3.0 / (c + 4.0) + a * (1.0 - c) + a / 2.0 ** c,
+    "helpers": lambda a, c: gsin(c) * a + gexp(-c) - gsqrt(c * c + 1.0) * a,
+    "constant": lambda a, c: c * c,
+}
+
+
+@pytest.mark.parametrize("name", PARAM_OPS)
+def test_param_is_computed_not_bound(name):
+    # recorded with c = 0.7, then run with other values of c: the scalar
+    # expressions of c are generated code, so they match jets made with
+    # each plain c
+    fn = PARAM_OPS[name]
+    a = Jet([0.9, -0.3, 0.25, 1.5])
+    tape = []
+    A = Jet([a.coeffs[0]], tape=tape)
+    out = fn(A, Param(0.7, "c"))
+    if not isinstance(out, Jet):
+        out = A._make(_const, out)
+    source = TapeSource(tape, {"a": A.coeffs})
+    body = [line for k in range(4) for line in source.lines(k)]
+    name = source.name(out.coeffs)
+    generated = source.compile(
+        "a0, a1, a2, a3, c", body,
+        "[" + ", ".join(f"{name}{k}" for k in range(4)) + "]")
+    for c in (0.7, -1.3, 0.0, -0.0, 2.5):
+        want = fn(a, c)
+        want = want.coeffs if isinstance(want, Jet) \
+            else Jet.constant(want, 3).coeffs
+        assert repr(generated(*a.coeffs, c)) == repr(want), c

@@ -1,6 +1,7 @@
 """Discrete-gradient steps and the denominator-function variants."""
 
 import cmath
+import dataclasses
 import math
 import random
 
@@ -9,12 +10,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from discgrad import hamiltonian, jets
 from discgrad.errors import DivergenceError, ResonanceStepError
 from discgrad.exactlin import exact_step_map
 from discgrad.hamiltonian import (HamiltonianSystem, PhaseState, eval_energy,
                                   linearize, make_harmonic, system_from_name,
                                   taylor_flow_coeffs)
-from discgrad.jets import Jet
+from discgrad.jets import Jet, gcos, horner
 from discgrad.schemes import (DeltaRule, SolverConfig, _cancel_and_divide,
                               delta_lex,
                               delta_series, delta_series_coefficients,
@@ -139,7 +141,8 @@ def four_term_series(sys, x, p, N):
         den = H(X, P) + H(x, P) - H(X, p) - H(x, p)
         scale = max(map(abs, den.coeffs))
         k = next(i for i, c in enumerate(den.coeffs) if abs(c) > 1e-30 * scale)
-        return [float(c) for c in _cancel_and_divide(num, den, k, N)]
+        return [float(c) for c in _cancel_and_divide(num.coeffs, den.coeffs,
+                                                      k, N)]
 
 
 def test_series_matches_four_term_energy_quotient():
@@ -211,7 +214,8 @@ def test_cancel_and_divide_tan_like():
     # (h^2 + h^4/3) / h, with the common h cancelled: tan(h)/h to order 2
     num = Jet([0.0, 0.0, 1.0, 0.0, 1.0 / 3.0])
     den = Jet([0.0, 1.0, 0.0, 0.0, 0.0])
-    assert _cancel_and_divide(num, den, 1, 3) == [1.0, 0.0, 1.0 / 3.0]
+    assert _cancel_and_divide(num.coeffs, den.coeffs, 1, 3) \
+        == [1.0, 0.0, 1.0 / 3.0]
 
 
 def shift_divide_truncate(num, den, k, N):
@@ -234,7 +238,7 @@ def test_cancel_and_divide_equals_jet_division(rng):
                 num = Jet([rng.uniform(-2.0, 2.0) for _ in range(N + 3)])
                 den = Jet([0.0] * k + [rng.uniform(-2.0, 2.0)
                                        for _ in range(N + 3 - k)])
-                assert repr(_cancel_and_divide(num, den, k, N)) \
+                assert repr(_cancel_and_divide(num.coeffs, den.coeffs, k, N)) \
                     == repr(shift_divide_truncate(num, den, k, N))
 
 
@@ -451,3 +455,156 @@ def test_lex_trig_identities(pendulum, rng):
         assert (1.0 - 0.25 * w2 * d * d) / den == pytest.approx(
             math.cos(h * w), rel=1e-13, abs=1e-13)
         assert d / den == pytest.approx(math.sin(h * w) / w, rel=1e-13)
+
+
+def _drift_system():
+    # test_series_with_constant_h_p's system: dd_p is the plain constant 2
+    return HamiltonianSystem(
+        name="drift", energy=lambda x, p: 2.0 * p + 0.5 * x * x,
+        dd_x=lambda x, x1, p, p1: 0.5 * (x + x1),
+        dd_p=lambda x, x1, p, p1: 2.0,
+        partials={"x": lambda x, p: x, "p": lambda x, p: 2.0,
+                  "xx": lambda x, p: 1.0, "xp": lambda x, p: 0.0,
+                  "pp": lambda x, p: 0.0})
+
+
+def jet_quotient_coefficients(sys, s, N):
+    """[a_1, ..., a_N] the way the series delta was formed before it was
+    generated code: sys.dd_p on the finished flow jets, X - x, the checks,
+    the shift and the division, and the redo in extended precision where
+    amp > 1e3."""
+    def parts(x, p):
+        X, P = taylor_flow_coeffs(sys, PhaseState(x, p), N + 2)
+        den = sys.dd_p(x, X, p, P)
+        den = den if isinstance(den, Jet) else Jet.constant(den, N + 2)
+        return (X - x).coeffs, den.coeffs
+
+    num, dc = parts(s.x, s.p)
+    if not all(map(math.isfinite, dc)):
+        raise DivergenceError(f"series delta at ({s.x:.3g}, {s.p:.3g}): the "
+                              "flow coefficients overflow")
+    scale = max(map(abs, dc))
+    if scale == 0.0:
+        return [1.0] + [0.0] * (N - 1)
+    k = next(i for i, c in enumerate(dc) if abs(c) > 1e-13 * scale)
+    amp = scale / abs(dc[k])
+    if amp <= 1e3:
+        return _cancel_and_divide(num, dc, k, N)
+    with mpmath.workdps(30 + (N + 2) * int(math.log10(amp) + 1.0)):
+        num, dc = parts(mpmath.mpf(s.x), mpmath.mpf(s.p))
+        scale = max(map(abs, dc))
+        k = next(i for i, c in enumerate(dc) if abs(c) > 1e-13 * scale)
+        return [float(c) for c in _cancel_and_divide(num, dc, k, N)]
+
+
+def _outcome(fn, *args):
+    """fn(*args) by repr, or the type and message of what it raised."""
+    try:
+        return repr(fn(*args))
+    except (ArithmeticError, ValueError, DivergenceError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _series_states(rng):
+    """Seeded states: generic, within 1e-3 of p = 0 (the mpmath band),
+    p = +-0 and below the leading-index cut (k > 0), signed zeros in x,
+    the trivial flow and one that overflows."""
+    states = [PhaseState(0.0, 0.0), PhaseState(-0.0, 0.0),
+              PhaseState(0.0, -0.0), PhaseState(1.2, 0.0),
+              PhaseState(-1.2, -0.0), PhaseState(2.0, 1e-17),
+              PhaseState(-0.0, 0.7), PhaseState(1e300, 1e300)]
+    for _ in range(6):
+        states.append(PhaseState(rng.uniform(-3, 3), rng.uniform(-3, 3)))
+        states.append(PhaseState(rng.uniform(-3, 3),
+                                 rng.uniform(-1e-3, 1e-3)))
+    return states
+
+
+@pytest.mark.parametrize("name", ["pendulum", "harmonic:1.3",
+                                  "crossterm:0.5", "drift"])
+def test_generated_delta_equals_jet_quotient(name):
+    # one system object for every state and order, so most calls run code
+    # recorded at another state
+    sys = _drift_system() if name == "drift" else system_from_name(name)
+    states = _series_states(random.Random(12))
+    for N in range(1, 15):
+        for i, s in enumerate(states):
+            h = (0.1, 0.25, 0.5, -0.25)[i % 4]
+            want = _outcome(jet_quotient_coefficients, sys, s, N)
+            assert _outcome(delta_series_coefficients, sys, s, N) == want, \
+                (s, N)
+            want = _outcome(lambda: h * horner(
+                jet_quotient_coefficients(sys, s, N), h))
+            assert _outcome(delta_series, sys, s, h, N) == want, (s, N)
+
+
+def _scalar_dd_p_systems(pendulum):
+    # dd_p forms that compute with the scalars x and p before they meet
+    # the jets x1 and p1: each must take x and p from the state of the
+    # call, never from the state it was recorded at
+    return [
+        dataclasses.replace(pendulum,
+                            dd_p=lambda x, x1, p, p1: 0.5 * p + 0.5 * p1),
+        dataclasses.replace(pendulum, dd_p=lambda x, x1, p, p1: (
+            (p + 1.0) * 0.5 - 0.5 + p1 / 2.0 + 1.0 / (3.0 + x) * 0.0
+            + (gcos(x) ** 2 - gcos(x) * gcos(x)) - -p * 0.0)),
+    ]
+
+
+def test_dd_p_takes_x_and_p_from_each_call(pendulum):
+    for sys in _scalar_dd_p_systems(pendulum):
+        delta_series(sys, PhaseState(0.4, 1.1), 0.25, 7)
+        for s in (PhaseState(-1.3, 0.6), PhaseState(2.0, -1.7),
+                  PhaseState(0.0, -0.0), PhaseState(0.9, 2e-4)):
+            want = jet_quotient_coefficients(sys, s, 7)
+            assert repr(delta_series_coefficients(sys, s, 7)) == repr(want)
+            assert repr(delta_series(sys, s, 0.25, 7)) \
+                == repr(0.25 * horner(want, 0.25))
+
+
+def test_dd_p_recorded_once_per_system_object(pendulum):
+    calls = []
+
+    def dd_p(x, x1, p, p1):
+        calls.append(1)
+        return pendulum.dd_p(x, x1, p, p1)
+    sys = dataclasses.replace(pendulum, dd_p=dd_p)
+    rng = random.Random(5)
+    for i in range(200):
+        # the mpmath band included: it reads its parts from generated code
+        s = PhaseState(rng.uniform(-3, 3),
+                       rng.uniform(-3, 3) * 10.0 ** -(i % 6))
+        delta_series(sys, s, 0.25, (3, 7, 12)[i % 3])
+        delta_series_coefficients(sys, s, 5)
+    assert len(calls) == 1
+    delta_series(dataclasses.replace(sys), PhaseState(0.3, 1.0), 0.25, 3)
+    assert len(calls) == 2
+
+
+def test_generated_delta_makes_no_jet(pendulum, monkeypatch):
+    states = [PhaseState(0.3, 1.2), PhaseState(-2.0, 0.4)]
+    for N in (1, 7, 14):
+        delta_series(pendulum, states[0], 0.25, N)
+
+    def no_jet(*args, **kwargs):
+        raise AssertionError("a jet was made")
+    for owner in (jets, hamiltonian):
+        monkeypatch.setattr(owner, "_wrap", no_jet)
+    monkeypatch.setattr(Jet, "__init__", no_jet)
+    for N in (1, 7, 14):
+        for s in states:
+            delta_series(pendulum, s, 0.25, N)
+
+
+@pytest.mark.parametrize("key", ["x", "p", "dd_p"])
+def test_a_jet_of_its_own_breaks_the_contract(pendulum, key):
+    def own(*args):
+        return Jet([1.0, 0.0])
+    if key == "dd_p":
+        sys = dataclasses.replace(pendulum, dd_p=own)
+    else:
+        sys = dataclasses.replace(pendulum, partials=dict(pendulum.partials,
+                                                          **{key: own}))
+    with pytest.raises(ValueError, match=r"system contract.*no jets of its "
+                                         r"own"):
+        delta_series(sys, PhaseState(0.3, 1.0), 0.25, 3)
