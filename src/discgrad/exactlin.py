@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateStepError
 from .hamiltonian import LinearSystem
 
@@ -24,15 +22,34 @@ _DEGENERATE_OMEGA_SQ = 1e-12
 
 @dataclass(slots=True)
 class AffineStepMap:
-    M: np.ndarray
-    w: np.ndarray
+    """z -> M z + w, with M the float rows ((m11, m12), (m21, m22)) and w
+    the float pair (w0, w1)."""
+    M: tuple
+    w: tuple
 
     def apply(self, z):
-        return self.M @ np.asarray(z, dtype=float) + self.w
+        (m11, m12), (m21, m22) = self.M
+        return (m11 * z[0] + m12 * z[1] + self.w[0],
+                m21 * z[0] + m22 * z[1] + self.w[1])
 
     def compose(self, first: "AffineStepMap") -> "AffineStepMap":
         """Map equal to `first` followed by self."""
-        return AffineStepMap(self.M @ first.M, self.M @ first.w + self.w)
+        (m11, m12), (m21, m22) = self.M
+        (f11, f12), (f21, f22) = first.M
+        return AffineStepMap(((m11 * f11 + m12 * f21, m11 * f12 + m12 * f22),
+                              (m21 * f11 + m22 * f21, m21 * f12 + m22 * f22)),
+                             self.apply(first.w))
+
+
+def affine_map(lin: LinearSystem, c: float, s: float,
+               p2: float) -> AffineStepMap:
+    """The map (c I + s A) z + s b + p2 A b of the affine system (A, b):
+    a power series in A is c I + s A, since A^2 = -omega_sq I."""
+    (a11, a12), (a21, a22) = lin.A
+    b0, b1 = lin.b
+    return AffineStepMap(((c + s * a11, s * a12), (s * a21, c + s * a22)),
+                         (s * b0 + p2 * (a11 * b0 + a12 * b1),
+                          s * b1 + p2 * (a21 * b0 + a22 * b1)))
 
 
 def _cos_sinc_phi2(omega_sq: float, h: float):
@@ -59,10 +76,7 @@ def _cos_sinc_phi2(omega_sq: float, h: float):
 
 def exact_step_map(lin: LinearSystem, h: float) -> AffineStepMap:
     """One exact step of size h for the affine system (A, b)."""
-    c, s, p2 = _cos_sinc_phi2(lin.omega_sq, h)
-    M = c * np.eye(2) + s * lin.A
-    w = s * lin.b + p2 * (lin.A @ lin.b)
-    return AffineStepMap(M, w)
+    return affine_map(lin, *_cos_sinc_phi2(lin.omega_sq, h))
 
 
 def exact_exp_growth_delta(a: float, h: float) -> float:

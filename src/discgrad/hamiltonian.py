@@ -39,8 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .jets import Jet, Param, TapeSource, _const, _wrap, gcos, gsin
 
 PARTIAL_KEYS = ("x", "p", "xx", "xp", "pp")
@@ -59,11 +57,12 @@ class PhaseState:
 class LinearSystem:
     """Linearized Hamiltonian flow d/dt (xi, eta) = A (xi, eta) + b.
 
-    A is trace-free and satisfies A^2 = -omega_sq * I with
-    omega_sq = H_xx * H_pp - H_xp^2.
+    A is the float rows ((H_xp, H_pp), (-H_xx, -H_xp)) and b the float
+    pair (H_p, -H_x).  A is trace-free and satisfies A^2 = -omega_sq * I
+    with omega_sq = H_xx * H_pp - H_xp^2.
     """
-    A: np.ndarray
-    b: np.ndarray
+    A: tuple
+    b: tuple
     omega_sq: float
 
 
@@ -75,6 +74,9 @@ class HamiltonianSystem:
     dd_x: object = None                 # callable (x, x1, p, p1)
     dd_p: object = None
     quadratic_kinetic: bool = False     # H = p^2/2 + V(x)
+    # this object's recorded tapes and generated functions (_system_code)
+    _code: object = field(default=None, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         missing = [f"partials[{k!r}]" for k in PARTIAL_KEYS
@@ -123,10 +125,9 @@ def eval_partials(sys: HamiltonianSystem, s: PhaseState,
 
 def linearize(sys: HamiltonianSystem, s: PhaseState) -> LinearSystem:
     """Linear system of the flow around a fixed phase point."""
-    d = {k: sys.partials[k](s.x, s.p) for k in PARTIAL_KEYS}
-    A = np.array([[d["xp"], d["pp"]],
-                  [-d["xx"], -d["xp"]]], dtype=float)
-    b = np.array([d["p"], -d["x"]], dtype=float)
+    d = {k: float(sys.partials[k](s.x, s.p)) for k in PARTIAL_KEYS}
+    A = ((d["xp"], d["pp"]), (-d["xx"], -d["xp"]))
+    b = (d["p"], -d["x"])
     omega_sq = d["xx"] * d["pp"] - d["xp"] ** 2
     return LinearSystem(A, b, omega_sq)
 
@@ -136,10 +137,6 @@ def check_flow_order(N: int) -> None:
     if not 1 <= N <= MAX_FLOW_ORDER:
         raise ValueError(f"flow order N must be in [1, {MAX_FLOW_ORDER}], "
                          f"got {N}")
-
-
-# the last system's _SystemCode
-_flow_memo = None
 
 
 class _SystemCode:
@@ -214,14 +211,12 @@ class _SystemCode:
 
 
 def _system_code(sys: HamiltonianSystem, s: PhaseState) -> _SystemCode:
-    """The memo's _SystemCode if it belongs to sys (the system object and
-    its partials and dd_p, compared by identity), else a new one recorded
-    at s.  The memo is not thread-safe; each worker of a process pool has
-    its own."""
-    global _flow_memo
-    code = _flow_memo
+    """The _SystemCode that sys keeps if it still belongs to sys (the
+    system object and its partials and dd_p, compared by identity), else a
+    new one recorded at s, which sys then keeps.  Not thread-safe."""
+    code = sys._code
     if code is None or not code.matches(sys):
-        code = _flow_memo = _SystemCode(sys, s)
+        code = sys._code = _SystemCode(sys, s)
     return code
 
 
@@ -239,7 +234,7 @@ def taylor_flow_coeffs(sys: HamiltonianSystem, s: PhaseState, N: int):
 
     The partials run only on the first call for a system object.  Their
     tape becomes one straight-line function of (x0, p0) per N
-    (:class:`discgrad.jets.TapeSource`), kept in a one-entry memo
+    (:class:`discgrad.jets.TapeSource`), kept on the system object
     (:func:`_system_code`).  The function makes the coefficient rules' own
     operations in their order, so its coefficients are bit-identical to a
     new recording's, it raises what a recording would, and mpmath

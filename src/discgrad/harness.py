@@ -6,13 +6,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+import statistics
 import time
 import warnings
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import baselines, reference, schemes
 from .errors import (DivergenceError, NonConvergenceError,
@@ -22,7 +21,7 @@ from .hamiltonian import (HamiltonianSystem, PhaseState, check_flow_order,
                           eval_energy, system_from_name)
 
 # measured errors below this sit at the round-off floor of a unit-scale state
-PRECISION_FLOOR = 100.0 * np.finfo(float).eps
+PRECISION_FLOOR = 100.0 * math.ulp(1.0)
 
 
 @dataclass(slots=True)
@@ -212,6 +211,8 @@ def _sweep_entry(args):
 def sweep(schemes_list, p0: float, h_list, n_periods: int,
           parallel: bool = True):
     """Global error for every scheme x h combination, merged in spec order."""
+    if not schemes_list:
+        raise ValueError("need at least one scheme")
     pendulum = system_from_name("pendulum")
     for sc in schemes_list:
         make_stepper(sc, pendulum)     # a bad id fails before any entry runs
@@ -246,6 +247,8 @@ def estimate_order(scheme: str, p0: float, h_list,
     """Least-squares slope of log(error) against log(h), on the pendulum."""
     if len(h_list) < 3:
         raise ValueError("need at least 3 step sizes")
+    if len(set(h_list)) < len(h_list):
+        raise ValueError(f"need distinct step sizes, got h = {h_list!r}")
     if not 0.0 < t_final < math.inf:
         raise ValueError(f"need a finite t > 0, got t = {t_final!r}")
     _check_step_counts(t_final, h_list, "t")
@@ -265,9 +268,8 @@ def estimate_order(scheme: str, p0: float, h_list,
     ]
     if len(used) < 2:
         return OrderEstimate(None, pair_slopes, used, excluded)
-    lh = np.log([h for h, _ in used])
-    le = np.log([e for _, e in used])
-    slope = float(np.polyfit(lh, le, 1)[0])
+    slope = statistics.linear_regression(
+        [math.log(h) for h, _ in used], [math.log(e) for _, e in used]).slope
     return OrderEstimate(slope, pair_slopes, used, excluded)
 
 

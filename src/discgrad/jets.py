@@ -21,8 +21,8 @@ the coefficients of every recorded jet from those of the leaf jets, one
 coefficient at a time.
 
 Each operation is written once as a coefficient rule
-``rule(n, out, *args)``, which appends coefficients ``len(out) .. n-1`` to
-the list ``out``, and once as an emitter, which writes the source of
+``rule(n, out, *args)``, which fills the empty list ``out`` with
+coefficients 0 .. n-1, and once as an emitter, which writes the source of
 coefficient k.  Coefficient k of every rule depends only on coefficients
 0..k of its inputs, and the rule and its emitter make the same
 floating-point operations in the same order, so a finished jet and the
@@ -86,9 +86,8 @@ def _require_sqrt(a0):
 
 
 def _const(n, out, value):
-    if not out:
-        out.append(value)
-    out.extend([0.0] * (n - len(out)))
+    out.append(value)
+    out.extend([0.0] * (n - 1))
 
 
 def _emit_const(k, out, value):
@@ -96,7 +95,7 @@ def _emit_const(k, out, value):
 
 
 def _add(n, out, a, b):
-    out.extend([a[k] + b[k] for k in range(len(out), n)])
+    out.extend([a[k] + b[k] for k in range(n)])
 
 
 def _emit_add(k, out, a, b):
@@ -104,9 +103,8 @@ def _emit_add(k, out, a, b):
 
 
 def _add_scalar(n, out, a, c):
-    if not out:
-        out.append(a[0] + c)
-    out.extend(a[len(out):n])
+    out.append(a[0] + c)
+    out.extend(a[1:n])
 
 
 def _emit_add_scalar(k, out, a, c):
@@ -114,7 +112,7 @@ def _emit_add_scalar(k, out, a, c):
 
 
 def _sub(n, out, a, b):
-    out.extend([a[k] - b[k] for k in range(len(out), n)])
+    out.extend([a[k] - b[k] for k in range(n)])
 
 
 def _emit_sub(k, out, a, b):
@@ -122,9 +120,8 @@ def _emit_sub(k, out, a, b):
 
 
 def _sub_scalar(n, out, a, c):
-    if not out:
-        out.append(a[0] - c)
-    out.extend(a[len(out):n])
+    out.append(a[0] - c)
+    out.extend(a[1:n])
 
 
 def _emit_sub_scalar(k, out, a, c):
@@ -132,7 +129,7 @@ def _emit_sub_scalar(k, out, a, c):
 
 
 def _neg(n, out, a):
-    out.extend([-v for v in a[len(out):n]])
+    out.extend([-v for v in a[:n]])
 
 
 def _emit_neg(k, out, a):
@@ -140,7 +137,7 @@ def _emit_neg(k, out, a):
 
 
 def _scale(n, out, a, c):
-    out.extend([v * c for v in a[len(out):n]])
+    out.extend([v * c for v in a[:n]])
 
 
 def _emit_scale(k, out, a, c):
@@ -148,7 +145,7 @@ def _emit_scale(k, out, a, c):
 
 
 def _mul(n, out, a, b):
-    for k in range(len(out), n):
+    for k in range(n):
         s = a[0] * b[k]
         for j in range(1, k + 1):
             s = s + a[j] * b[k - j]
@@ -162,9 +159,8 @@ def _emit_mul(k, out, a, b):
 
 def _div(n, out, a, b):
     b0 = b[0]
-    if not out:
-        _require_divisor(b0)
-    for k in range(len(out), n):
+    _require_divisor(b0)
+    for k in range(n):
         s = a[k]
         for j in range(1, k + 1):
             s = s - b[j] * out[k - j]
@@ -178,10 +174,8 @@ def _emit_div(k, out, a, b):
 
 
 def _exp(n, out, a):
-    for k in range(len(out), n):
-        if k == 0:
-            out.append(gexp(a[0]))
-            continue
+    out.append(gexp(a[0]))
+    for k in range(1, n):
         s = 0.0 * out[0]
         for j in range(1, k + 1):
             s = s + (j * a[j]) * out[k - j]
@@ -198,12 +192,9 @@ def _emit_exp(k, out, a):
 
 def _log(n, out, a):
     a0 = a[0]
-    if not out:
-        _require_log(a0)
-    for k in range(len(out), n):
-        if k == 0:
-            out.append(glog(a0))
-            continue
+    _require_log(a0)
+    out.append(glog(a0))
+    for k in range(1, n):
         s = a[k] * k
         for j in range(1, k):
             s = s - (j * out[j]) * a[k - j]
@@ -220,8 +211,7 @@ def _emit_log(k, out, a):
 
 def _pow_log(n, out, a):
     # the log node of a real power, under the power's own domain check
-    if not out:
-        _require_power(a[0])
+    _require_power(a[0])
     _log(n, out, a)
 
 
@@ -232,11 +222,9 @@ def _emit_pow_log(k, out, a):
 
 def _sin_cos(n, s, c, a):
     # one rule fills both lists: each needs the other's lower coefficients
-    for k in range(len(s), n):
-        if k == 0:
-            s.append(gsin(a[0]))
-            c.append(gcos(a[0]))
-            continue
+    s.append(gsin(a[0]))
+    c.append(gcos(a[0]))
+    for k in range(1, n):
         ts = 0.0 * s[0]
         tc = 0.0 * s[0]
         for j in range(1, k + 1):
@@ -258,12 +246,9 @@ def _emit_sin_cos(k, s, c, a):
 
 
 def _sqrt(n, out, a):
-    if not out:
-        _require_sqrt(a[0])
-    for k in range(len(out), n):
-        if k == 0:
-            out.append(gsqrt(a[0]))
-            continue
+    _require_sqrt(a[0])
+    out.append(gsqrt(a[0]))
+    for k in range(1, n):
         s = a[k]
         for j in range(1, k):
             s = s - out[j] * out[k - j]

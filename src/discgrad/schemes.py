@@ -41,15 +41,13 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import (DivergenceError, NonConvergenceError, ResonanceStepError)
-from .exactlin import AffineStepMap
+from .exactlin import AffineStepMap, affine_map
 from .hamiltonian import (MAX_FLOW_ORDER, HamiltonianSystem, PhaseState,
                           _system_code, linearize)
 # not called here, where the series delta is generated code, but
 # perfbench/tracer.py patches it under this module's name
 from .hamiltonian import taylor_flow_coeffs  # noqa: F401
 from .jets import _div, horner
-
-import numpy as np
 
 # the series quotient needs two flow coefficients beyond its own order
 MAX_SERIES_ORDER = MAX_FLOW_ORDER - 2
@@ -367,8 +365,7 @@ def local_exactness_matrix(sys: HamiltonianSystem, rule: DeltaRule,
     """
     delta = rule.value_at(sys, s_bar, h)
     lin = linearize(sys, s_bar)
-    w2 = lin.omega_sq
-    den = 1.0 + 0.25 * w2 * delta * delta
-    M = ((1.0 - 0.25 * w2 * delta * delta) * np.eye(2) + delta * lin.A) / den
-    w = (delta * lin.b + 0.5 * delta * delta * (lin.A @ lin.b)) / den
-    return AffineStepMap(M, w)
+    q = 0.25 * lin.omega_sq * delta * delta
+    den = 1.0 + q
+    return affine_map(lin, (1.0 - q) / den, delta / den,
+                      0.5 * delta * delta / den)

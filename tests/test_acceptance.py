@@ -79,8 +79,8 @@ def test_criterion_04_local_exactness():
             continue
         lem = local_exactness_matrix(pend, DeltaRule.lex(), s, h)
         ex = exact_step_map(linearize(pend, s), h)
-        worst = max(worst, np.max(np.abs(lem.M - ex.M)),
-                    np.max(np.abs(lem.w - ex.w)))
+        worst = max(worst, np.max(np.abs(np.subtract(lem.M, ex.M))),
+                    np.max(np.abs(np.subtract(lem.w, ex.w))))
         done += 1
     harm = make_harmonic(1.0)
     s = PhaseState(0.3, 1.1)

@@ -1,9 +1,14 @@
 """Command-line driver: subcommands, h-range parsing, exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from discgrad import harness
 from discgrad.cli import (EXIT_NO_CONVERGENCE, EXIT_PRECISION_FLOOR,
                           EXIT_USAGE, main, parse_h_spec)
 
@@ -68,6 +73,46 @@ def test_order_precision_floor_exit(capsys):
                  "--h", "0.2,0.1,0.05", "--t", "2.0"])
     assert code == EXIT_PRECISION_FLOOR
     assert "precision floor" in capsys.readouterr().out
+
+
+def test_repeated_step_size_is_a_usage_error(capsys, monkeypatch):
+    # log(h1 / h2) = 0 has no slope; rejected before any step is taken
+    monkeypatch.setattr(harness, "_error_near",
+                        lambda *args: pytest.fail("took a step"))
+    code = main(["order", "--scheme", "gr", "--p0", "1.8",
+                 "--h", "0.2,0.2,0.2", "--t", "2"])
+    assert code == EXIT_USAGE
+    assert "distinct step sizes" in capsys.readouterr().err
+
+
+def test_empty_scheme_list_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--schemes", ",", "--p0", "1.8", "--h", "0.2,0.1",
+                 "--periods", "1", "--serial", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert "at least one scheme" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_and_steps_load_neither_numpy_nor_mpmath():
+    # a fresh interpreter: the CLI's import and one gr-7 and one tay-10 step
+    # run on the standard library alone
+    probe = """
+import sys
+import discgrad.cli
+from discgrad.hamiltonian import PhaseState, make_pendulum
+from discgrad.harness import make_stepper
+loaded = [sorted({"numpy", "mpmath"} & set(sys.modules))]
+for scheme in ("gr-7", "tay-10"):
+    make_stepper(scheme, make_pendulum())(PhaseState(0.0, 1.8), 0.25)
+    loaded.append(sorted({"numpy", "mpmath"} & set(sys.modules)))
+print(loaded)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[[], [], []]"
 
 
 def test_plot_command(tmp_path):

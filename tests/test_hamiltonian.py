@@ -7,7 +7,6 @@ import mpmath
 import numpy as np
 import pytest
 
-from discgrad import hamiltonian
 from discgrad.hamiltonian import (MAX_FLOW_ORDER, HamiltonianSystem,
                                   PhaseState, eval_energy, eval_partials,
                                   linearize, make_crossterm, make_harmonic,
@@ -104,7 +103,8 @@ def test_linearize_structure(pendulum, crossterm, rng):
         for _ in range(25):
             lin = linearize(sys, rand_state(rng))
             assert np.trace(lin.A) == 0.0
-            resid = lin.A @ lin.A + lin.omega_sq * np.eye(2)
+            A = np.asarray(lin.A)
+            resid = A @ A + lin.omega_sq * np.eye(2)
             assert np.max(np.abs(resid)) <= 1e-13 * max(1.0, abs(lin.omega_sq))
 
 
@@ -357,7 +357,7 @@ def _functions(sys, s):
     for sys."""
     taylor_flow_coeffs(sys, s, 7)
     delta_series(sys, s, 0.25, 7)
-    functions = hamiltonian._flow_memo.functions
+    functions = sys._code.functions
     return functions[7], functions[("delta", 7)]
 
 
@@ -379,3 +379,23 @@ def test_systems_of_one_structure_share_code():
         want = 0.25 * horner(delta_series_coefficients(sys, s, 7), 0.25)
         assert delta_series(sys, s, 0.25, 7) == want
     assert delta_series(slow, s, 0.25, 7) != delta_series(fast, s, 0.25, 7)
+
+
+def test_each_system_object_records_once():
+    # two pendulum objects used in turn each keep their own recording
+    calls = []
+
+    def counted(sys, tag):
+        for key in ("x", "p"):
+            partial = sys.partials[key]
+            sys.partials[key] = lambda x, p, f=partial, key=key: (
+                calls.append((tag, key)), f(x, p))[1]
+        return sys
+
+    pendulums = [counted(make_pendulum(), tag) for tag in (1, 2)]
+    s = PhaseState(0.4, 1.0)
+    for _ in range(3):
+        for sys in pendulums:
+            taylor_flow_coeffs(sys, s, 7)
+            delta_series(sys, s, 0.25, 7)
+    assert sorted(calls) == [(1, "p"), (1, "x"), (2, "p"), (2, "x")]

@@ -409,15 +409,15 @@ def test_local_exactness_lex_equals_exact_map(pendulum, rng):
             continue
         lem = local_exactness_matrix(pendulum, DeltaRule.lex(), s, h)
         ex = exact_step_map(linearize(pendulum, s), h)
-        assert np.max(np.abs(lem.M - ex.M)) <= 1e-12
-        assert np.max(np.abs(lem.w - ex.w)) <= 1e-12
+        assert np.max(np.abs(np.subtract(lem.M, ex.M))) <= 1e-12
+        assert np.max(np.abs(np.subtract(lem.w, ex.w))) <= 1e-12
 
 
 def test_local_exactness_gr_is_cayley(harmonic):
     h = 0.25
     lem = local_exactness_matrix(harmonic, DeltaRule.gr(),
                                  PhaseState(0.7, -0.4), h)
-    A = linearize(harmonic, PhaseState(0.7, -0.4)).A
+    A = np.asarray(linearize(harmonic, PhaseState(0.7, -0.4)).A)
     cayley = (np.eye(2) + 0.5 * h * A) @ np.linalg.inv(np.eye(2) - 0.5 * h * A)
     assert lem.M == pytest.approx(cayley, abs=1e-13)
     assert np.linalg.det(lem.M) == pytest.approx(1.0, abs=1e-14)
