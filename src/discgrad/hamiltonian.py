@@ -237,9 +237,9 @@ def taylor_flow_coeffs(sys: HamiltonianSystem, s: PhaseState, N: int):
     (:class:`discgrad.jets.TapeSource`), kept on the system object
     (:func:`_system_code`).  The function makes the coefficient rules' own
     operations in their order, so its coefficients are bit-identical to a
-    new recording's, it raises what a recording would, and mpmath
-    coefficients (the delta-series fallback) run through it as well.  The
-    returned jets are new on every call.
+    new recording's, and it raises what a recording would.  It runs on
+    mpmath.mpf states as well, which high-precision references use; no
+    runtime path does.  The returned jets are new on every call.
     """
     check_flow_order(N)
     code = _system_code(sys, s)

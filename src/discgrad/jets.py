@@ -6,8 +6,9 @@ All arithmetic truncates at that order, so a jet propagates Taylor
 coefficients through ordinary numerical programs without any symbolic
 algebra.
 
-Coefficients are floats, or mpmath numbers in the extended-precision
-delta-series fallback.  The generic helpers ``gsin``, ``gcos``, ``gexp``,
+Coefficients are floats; any other scalar type with float-like
+arithmetic, such as mpmath's mpf in a high-precision reference, runs
+through the same code.  The generic helpers ``gsin``, ``gcos``, ``gexp``,
 ``gsqrt``, ``glog`` and ``gpow`` dispatch on the argument type so the same
 evaluator code runs on scalars and on jets.  A plain float, the argument
 of every scalar step, goes straight to ``math`` before any other test.
@@ -46,9 +47,9 @@ import operator
 
 from .errors import SingularJetDivisionError
 
-# the largest jet built is the flow series of order MAX_FLOW_ORDER = 16,
-# which feeds gr-N up to N = 14; two orders of headroom above that
-MAX_ORDER = 18
+# the longest series is the flow behind gr-14's deflated quotient, of
+# order 14 + 2 + 4 (schemes._DEFLATE_EXTRA); a finished jet can hold it
+MAX_ORDER = 20
 
 
 # -- coefficient rules and their emitters ------------------------------
@@ -555,8 +556,8 @@ def _generic(name):
     """The helper g<name>: math.<name> on a plain float, tried first
     because every scalar step calls it so; the series method on a jet; a
     new Param on a Param; math.<name> on other floats and ints; mpmath's
-    function on any other scalar (the mpmath.mpf of the
-    extended-precision delta-series fallback)."""
+    function on any other scalar, so that a high-precision mpmath.mpf
+    reference runs the same code (no runtime path passes one)."""
     fn = getattr(math, name)
 
     def helper(x):

@@ -24,9 +24,12 @@ solver iteration.
 
 GR-N's delta is one generated function of (x, p, h) per system object
 and N: the flow to order N + 2, dd_p on it, and, for a state whose
-leading dd_p coefficient is kept and not small (k = 0, amp <= 1e3), the
-series division and the Horner sum, in the operations and order of the
-general path, which every other state takes (see :func:`_compile_delta`).
+leading dd_p coefficient is kept and not small (k = 0, amp within
+:func:`_plain_amp_limit`), the series division and the Horner sum, in the
+operations and order of the general path, which every other state takes
+(see :func:`_compile_delta`).  Near a turning point the general path
+deflates the root that X - x and dd_p share, in floats
+(:func:`_coefficients`).
 
 The step solves F(z) = z - z_n - delta (dd_p, -dd_x)(z_n, z) = 0 by
 simplified Newton from an explicit Euler predictor (Hairer, Lubich &
@@ -188,6 +191,57 @@ def _parts_function(code, s: PhaseState, N: int):
     return parts
 
 
+# Near a turning point X - x and dd_p share a small root r in h (where
+# dd_p = 0 the discrete-gradient identity gives X = x).  Rounded
+# coefficients no longer share it exactly, so the plain division meets a
+# spurious pole there and quotient coefficient j picks up about amp^j eps,
+# with amp = max|dd_p coeff| / |lead|.  Where amp^(N + E + 2) exceeds
+# _PLAIN_LIMIT (1/eps) and dd_p's next coefficient puts the root within
+# _ROOT_NEAR / amp, both series are recomputed with E = _DEFLATE_EXTRA more
+# flow terms and divided by (h - r) from the top coefficient down, the
+# stable direction for a small root (Peters & Wilkinson, J. Inst. Math.
+# Appl. 8, 1971).  The top-down pass carries the truncated tail down by
+# powers of r, so the extra terms keep it off the kept coefficients.
+_DEFLATE_EXTRA = 4
+_ROOT_NEAR = 4.0
+_PLAIN_LIMIT = 1.0 / 2.220446049250313e-16
+
+
+def _plain_amp_limit(N: int) -> float:
+    """The largest amp at which the order-N quotient divides plainly."""
+    return _PLAIN_LIMIT ** (1.0 / (N + _DEFLATE_EXTRA + 2))
+
+
+def _deflate(c: list, r: float) -> list:
+    """c / (h - r) with the remainder dropped, from the top coefficient
+    down: D[j-1] = c[j] + r D[j]."""
+    out = [c[-1]]
+    for v in reversed(c[1:-1]):
+        out.append(v + r * out[-1])
+    out.reverse()
+    return out
+
+
+def _shared_root(b: list, x, p) -> float:
+    """The small root of the series b, by Newton from -b0/b1 until a step
+    is within 2 eps of the root."""
+    r = -b[0] / b[1]
+    for _ in range(50):
+        f = df = 0.0
+        for c in reversed(b):
+            df = df * r + f
+            f = f * r + c
+        dr = f / df if df else math.nan
+        if not math.isfinite(dr):
+            break
+        r -= dr
+        if abs(dr) <= 4.5e-16 * abs(r):
+            return r
+    raise NonConvergenceError(
+        f"series delta at ({x:.3g}, {p:.3g}): Newton finds no shared "
+        "turning-point root to deflate")
+
+
 def _coefficients(code, x, p, N: int, num: list, den: list) -> list:
     """[a_1, ..., a_N] from the parts of the quotient at (x, p): the
     general path, for every state."""
@@ -199,20 +253,14 @@ def _coefficients(code, x, p, N: int, num: list, den: list) -> list:
     if scale == 0.0:
         return [1.0] + [0.0] * (N - 1)
     k = _leading_index(den, scale)
-    amp = scale / abs(den[k])
-    if amp <= 1e3:
-        return _cancel_and_divide(num, den, k, N)
-    # near-cancelling leading coefficient (state within ~1e-3 of a turning
-    # point): the division recurrence loses roughly log10(amp) digits per
-    # order, so redo it in wide enough extended precision and round the
-    # result
-    import mpmath
-    with mpmath.workdps(30 + (N + 2) * int(math.log10(amp) + 1.0)):
-        parts = _parts_function(code, PhaseState(x, p), N)
-        num, den = parts(mpmath.mpf(x), mpmath.mpf(p))
-        k = _leading_index(den, max(map(abs, den)))
-        q = _cancel_and_divide(num, den, k, N)
-    return [float(c) for c in q]
+    if (scale / abs(den[k]) > _plain_amp_limit(N)
+            and abs(den[k + 1]) * _ROOT_NEAR >= scale):
+        parts = _parts_function(code, PhaseState(x, p), N + _DEFLATE_EXTRA)
+        num, den = parts(x, p)
+        r = _shared_root(den[k:], x, p)
+        num = num[:k + 1] + _deflate(num[k + 1:], r)
+        den = den[:k] + _deflate(den[k:], r)
+    return _cancel_and_divide(num, den, k, N)
 
 
 def delta_series_coefficients(sys: HamiltonianSystem, s: PhaseState,
@@ -229,8 +277,9 @@ def _compile_delta(code, s: PhaseState, N: int):
     """The generated function (x0, p0, h) -> delta^{[N]}.  After the
     parts' lines, where the dd_p coefficients have a finite sum (so each
     is finite; a sum that overflows only sends the state to the general
-    path), the leading one is kept (k = 0) and amp <= 1e3, it runs the
-    division of :func:`_cancel_and_divide`, unrolled, and the Horner sum;
+    path), the leading one is kept (k = 0) and amp is within
+    :func:`_plain_amp_limit`, it runs the division of
+    :func:`_cancel_and_divide`, unrolled, and the Horner sum;
     any other state goes through :func:`_coefficients` with the same
     lists."""
     body, num, d = _parts_lines(code, s, N)
@@ -245,7 +294,8 @@ def _compile_delta(code, s: PhaseState, N: int):
         "if total - total == 0.0:",
         f"    lead = abs({d[0]})",
         f"    scale = max(lead, {', '.join(f'abs({v})' for v in d[1:])})",
-        "    if lead > 1e-13 * scale and scale / lead <= 1e3:",
+        "    if lead > 1e-13 * scale and scale / lead <= "
+        f"{_plain_amp_limit(N)!r}:",
         *(f"        {line}" for line in quotient),
         f"        return h * ({acc})"]
 

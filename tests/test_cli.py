@@ -95,7 +95,8 @@ def test_empty_scheme_list_is_a_usage_error(tmp_path, capsys):
 
 
 def test_cli_and_steps_load_neither_numpy_nor_mpmath():
-    # a fresh interpreter: the CLI's import and one gr-7 and one tay-10 step
+    # a fresh interpreter: the CLI's import, one gr-7 and one tay-10 step,
+    # and a gr-12 step from a state that deflates the turning-point root
     # run on the standard library alone
     probe = """
 import sys
@@ -103,8 +104,9 @@ import discgrad.cli
 from discgrad.hamiltonian import PhaseState, make_pendulum
 from discgrad.harness import make_stepper
 loaded = [sorted({"numpy", "mpmath"} & set(sys.modules))]
-for scheme in ("gr-7", "tay-10"):
-    make_stepper(scheme, make_pendulum())(PhaseState(0.0, 1.8), 0.25)
+for scheme, x, p in (("gr-7", 0.0, 1.8), ("tay-10", 0.0, 1.8),
+                     ("gr-12", 1.0, 1e-4)):
+    make_stepper(scheme, make_pendulum())(PhaseState(x, p), 0.25)
     loaded.append(sorted({"numpy", "mpmath"} & set(sys.modules)))
 print(loaded)
 """
@@ -112,7 +114,7 @@ print(loaded)
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[[], [], []]"
+    assert out.strip() == "[[], [], [], []]"
 
 
 def test_plot_command(tmp_path):

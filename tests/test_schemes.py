@@ -11,14 +11,18 @@ import numpy as np
 import pytest
 
 from discgrad import hamiltonian, jets
-from discgrad.errors import DivergenceError, ResonanceStepError
+from discgrad.errors import (DivergenceError, NonConvergenceError,
+                             ResonanceStepError)
 from discgrad.exactlin import exact_step_map
 from discgrad.hamiltonian import (HamiltonianSystem, PhaseState, eval_energy,
                                   linearize, make_harmonic, system_from_name,
                                   taylor_flow_coeffs)
+from discgrad.harness import ExperimentSpec, run_trajectory
 from discgrad.jets import Jet, gcos, horner
-from discgrad.schemes import (DeltaRule, SolverConfig, _cancel_and_divide,
-                              delta_lex,
+from discgrad.schemes import (_DEFLATE_EXTRA, _ROOT_NEAR, DeltaRule,
+                              SolverConfig, _cancel_and_divide, _deflate,
+                              _parts_function, _plain_amp_limit,
+                              _shared_root, delta_lex,
                               delta_series, delta_series_coefficients,
                               discrete_gradient_residual,
                               local_exactness_matrix, omega_sq_at,
@@ -178,16 +182,108 @@ def test_series_with_constant_h_p():
 
 
 def test_series_stable_near_turning_point(pendulum):
-    # the quotient is ill conditioned where H_p ~ 0; the extended-precision
-    # fallback must keep coefficients smooth through the whole band
+    # the plain quotient is ill conditioned where H_p ~ 0; deflating the
+    # root that X - x and dd_p share must keep coefficients smooth through
+    # the whole band
     x = 2.24
     ref = delta_series_coefficients(pendulum, PhaseState(x, 0.0), 9)
     for p in (1e-4, 1e-7, 1e-10, 1e-13):
         a = delta_series_coefficients(pendulum, PhaseState(x, p), 9)
         for got, want in zip(a, ref):
             # coefficients are smooth in p, so they sit within O(p) of the
-            # limit; without the fallback the high orders blow up by 1e10+
+            # limit; divided plainly the high orders blow up by 1e10+
             assert got == pytest.approx(want, rel=1e-6, abs=1e-8 + 10.0 * p)
+
+
+def _final_state(name, scheme, p0, h, n):
+    rec = run_trajectory(ExperimentSpec(scheme=scheme, system=name, p0=p0,
+                                        h=h, n_steps=n, sample_stride=n))
+    return rec.samples[-1]
+
+
+def test_gr_n_error_falls_with_order_to_14():
+    # t = 500 at h = 0.25; a plain division near turning points left gr-12
+    # and gr-14 at 3.6e-3 and 7.4e-2 from p0 1.8 (8.7e-2 and 0.3 from 0.5)
+    for p0 in (0.5, 1.8):
+        errs = [_final_state("pendulum", f"gr-{N}", p0, 0.25, 2000).global_err
+                for N in (7, 9, 12, 14)]
+        assert all(a > b for a, b in zip(errs, errs[1:])), (p0, errs)
+        assert errs[2] <= 1e-10 and errs[3] <= 1e-11, (p0, errs)
+    # crossterm:0.5 is linear, so its exact flow is the linearized one
+    sys = system_from_name("crossterm:0.5")
+    end = _final_state("crossterm:0.5", "gr-12", 1.0, 0.25, 2000)
+    want = exact_step_map(linearize(sys, PhaseState(0.0, 0.0)),
+                          500.0).apply((0.0, 1.0))
+    assert max(abs(end.x - want[0]), abs(end.p - want[1])) <= 1e-10
+
+
+def reference_series_coefficients(sys, s, N):
+    """[a_1, ..., a_N] at 400 digits: the generated parts on mpmath.mpf
+    inputs, then the plain division, which that precision makes exact to
+    far below a float's eps."""
+    code = hamiltonian._system_code(sys, s)
+    with mpmath.workdps(400):
+        num, den = _parts_function(code, s, N)(mpmath.mpf(s.x),
+                                               mpmath.mpf(s.p))
+        scale = max(map(abs, den))
+        k = next(i for i, c in enumerate(den) if abs(c) > 1e-13 * scale)
+        return [float(c) for c in _cancel_and_divide(num, den, k, N)]
+
+
+def _reference_bands(rng, n):
+    """Seeded (system, x, p) in four bands: generic; H_p from 1e-8 to 0.1;
+    the pendulum saddle; fast rotation."""
+    names = ("pendulum", "harmonic:1.3", "crossterm:0.5")
+
+    def sign():
+        return rng.choice((1.0, -1.0))
+    generic = [(name, rng.uniform(-3, 3), rng.uniform(-3, 3))
+               for name in names for _ in range(n)]
+    near_hp = []
+    for name in names:
+        for _ in range(n):
+            x, hp = rng.uniform(-3, 3), sign() * 10.0 ** rng.uniform(-8, -1)
+            near_hp.append((name, x, hp - 0.5 * x if name == "crossterm:0.5"
+                            else hp))
+    saddle = [("pendulum", rng.uniform(2.5, math.pi - 4e-9),
+               sign() * 10.0 ** rng.uniform(-6, -2)) for _ in range(3 * n)]
+    fast = [(name, rng.uniform(-3, 3), sign() * rng.uniform(5, 20))
+            for name in names for _ in range(n)]
+    return {"generic": generic, "near H_p = 0": near_hp, "saddle": saddle,
+            "fast rotation": fast}
+
+
+def test_series_coefficients_match_400_digit_reference():
+    # a plain float division was off by up to 1e16 of the largest
+    # coefficient near H_p = 0 and 8e15 in the saddle band
+    systems = {}
+    for band, states in _reference_bands(random.Random(14), 8).items():
+        for name, x, p in states:
+            sys = systems.setdefault(name, system_from_name(name))
+            s = PhaseState(x, p)
+            for N in (3, 7, 12, 14):
+                ref = reference_series_coefficients(sys, s, N)
+                got = delta_series_coefficients(sys, s, N)
+                err = max(abs(a - b) for a, b in zip(got, ref))
+                assert err <= 1e-8 * max(map(abs, ref)), (band, name, x, p, N)
+
+
+def test_deflate_divides_out_a_linear_factor():
+    # (h - r)(2 - h + 3h^2) = -2r + (2 + r) h - (1 + 3r) h^2 + 3 h^3
+    r = 0.125
+    assert _deflate([-2 * r, 2 + r, -(1 + 3 * r), 3.0], r) == [2.0, -1.0, 3.0]
+    # the remainder, here 1, is dropped
+    assert _deflate([1 - 2 * r, 2 + r, -(1 + 3 * r), 3.0], r) \
+        == [2.0, -1.0, 3.0]
+
+
+def test_shared_root_found_or_a_typed_failure():
+    b = [-0.25, 2.0, 1.0]
+    assert _shared_root(b, 0.0, 0.0) == pytest.approx(-1.0 + math.sqrt(1.25),
+                                                       rel=1e-15)
+    # 1 + h + h^2 has no real root: Newton wanders and the state is named
+    with pytest.raises(NonConvergenceError, match=r"series delta at \(0\.3, "):
+        _shared_root([1.0, 1.0, 1.0], 0.3, 1e-9)
 
 
 def test_series_trivial_flow_returns_h(harmonic):
@@ -468,18 +564,33 @@ def _drift_system():
                   "pp": lambda x, p: 0.0})
 
 
-def jet_quotient_coefficients(sys, s, N):
-    """[a_1, ..., a_N] the way the series delta was formed before it was
-    generated code: sys.dd_p on the finished flow jets, X - x, the checks,
-    the shift and the division, and the redo in extended precision where
-    amp > 1e3."""
-    def parts(x, p):
-        X, P = taylor_flow_coeffs(sys, PhaseState(x, p), N + 2)
-        den = sys.dd_p(x, X, p, P)
-        den = den if isinstance(den, Jet) else Jet.constant(den, N + 2)
-        return (X - x).coeffs, den.coeffs
+def flow_jets(sys, x, p, n):
+    """The flow through (x, p) to order n on finished jets, by n Picard
+    passes (as tests/test_hamiltonian.py's reference): beyond the order
+    taylor_flow_coeffs takes, which the deflation's longer flow needs."""
+    hp, hx = sys.partials["p"], sys.partials["x"]
+    X, P = Jet.constant(x, 0), Jet.constant(p, 0)
+    for i in range(1, n + 1):
+        fx, fp = hp(X, P), hx(X, P)
+        fxc = fx.coeffs if isinstance(fx, Jet) else [fx] + [0.0] * (i - 1)
+        fpc = fp.coeffs if isinstance(fp, Jet) else [fp] + [0.0] * (i - 1)
+        X = Jet([x] + [fxc[k] / (k + 1) for k in range(i)], i)
+        P = Jet([p] + [-fpc[k] / (k + 1) for k in range(i)], i)
+    return X, P
 
-    num, dc = parts(s.x, s.p)
+
+def jet_quotient_coefficients(sys, s, N):
+    """[a_1, ..., a_N] the way the general path forms them, on finished
+    jets: sys.dd_p on the flow jets, X - x, the checks, the shift, and the
+    division, after deflating the shared turning-point root where the
+    general path deflates it."""
+    def parts(n):
+        X, P = flow_jets(sys, s.x, s.p, n + 2)
+        den = sys.dd_p(s.x, X, s.p, P)
+        den = den if isinstance(den, Jet) else Jet.constant(den, n + 2)
+        return (X - s.x).coeffs, den.coeffs
+
+    num, dc = parts(N)
     if not all(map(math.isfinite, dc)):
         raise DivergenceError(f"series delta at ({s.x:.3g}, {s.p:.3g}): the "
                               "flow coefficients overflow")
@@ -487,14 +598,13 @@ def jet_quotient_coefficients(sys, s, N):
     if scale == 0.0:
         return [1.0] + [0.0] * (N - 1)
     k = next(i for i, c in enumerate(dc) if abs(c) > 1e-13 * scale)
-    amp = scale / abs(dc[k])
-    if amp <= 1e3:
-        return _cancel_and_divide(num, dc, k, N)
-    with mpmath.workdps(30 + (N + 2) * int(math.log10(amp) + 1.0)):
-        num, dc = parts(mpmath.mpf(s.x), mpmath.mpf(s.p))
-        scale = max(map(abs, dc))
-        k = next(i for i, c in enumerate(dc) if abs(c) > 1e-13 * scale)
-        return [float(c) for c in _cancel_and_divide(num, dc, k, N)]
+    if (scale / abs(dc[k]) > _plain_amp_limit(N)
+            and abs(dc[k + 1]) * _ROOT_NEAR >= scale):
+        num, dc = parts(N + _DEFLATE_EXTRA)
+        r = _shared_root(dc[k:], s.x, s.p)
+        num = num[:k + 1] + _deflate(num[k + 1:], r)
+        dc = dc[:k] + _deflate(dc[k:], r)
+    return _cancel_and_divide(num, dc, k, N)
 
 
 def _outcome(fn, *args):
@@ -506,13 +616,15 @@ def _outcome(fn, *args):
 
 
 def _series_states(rng):
-    """Seeded states: generic, within 1e-3 of p = 0 (the mpmath band),
-    p = +-0 and below the leading-index cut (k > 0), signed zeros in x,
-    the trivial flow and one that overflows."""
+    """Seeded states: generic, within 1e-3 of p = 0 (where most deflate),
+    near crossterm:0.5's turning line p = -x/2, p = +-0 and below the
+    leading-index cut (k > 0), signed zeros in x, the trivial flow and one
+    that overflows."""
     states = [PhaseState(0.0, 0.0), PhaseState(-0.0, 0.0),
               PhaseState(0.0, -0.0), PhaseState(1.2, 0.0),
               PhaseState(-1.2, -0.0), PhaseState(2.0, 1e-17),
-              PhaseState(-0.0, 0.7), PhaseState(1e300, 1e300)]
+              PhaseState(-0.0, 0.7), PhaseState(1e300, 1e300),
+              PhaseState(1.3, -0.65 + 2e-4), PhaseState(-2.1, 1.05 - 3e-6)]
     for _ in range(6):
         states.append(PhaseState(rng.uniform(-3, 3), rng.uniform(-3, 3)))
         states.append(PhaseState(rng.uniform(-3, 3),
@@ -571,7 +683,8 @@ def test_dd_p_recorded_once_per_system_object(pendulum):
     sys = dataclasses.replace(pendulum, dd_p=dd_p)
     rng = random.Random(5)
     for i in range(200):
-        # the mpmath band included: it reads its parts from generated code
+        # deflating states included: their longer parts are generated code
+        # as well
         s = PhaseState(rng.uniform(-3, 3),
                        rng.uniform(-3, 3) * 10.0 ** -(i % 6))
         delta_series(sys, s, 0.25, (3, 7, 12)[i % 3])
