@@ -66,7 +66,8 @@ def sp_coefficients(M: int) -> SymplecticCoeffs:
     zero kick) are merged into the following substep.
     """
     if not 1 <= M <= 4:
-        raise UnsupportedSchemeError("M must be in [1, 4]")
+        raise UnsupportedSchemeError("the symplectic ids are sp-2, sp-4, "
+                                     "sp-6 and sp-8 (M in [1, 4])")
     c = [0.5, 0.5]
     d = [1.0, 0.0]
     for m in range(1, M):

@@ -19,19 +19,21 @@ A system meets one contract, checked once when it is built.  It supplies
 * ``quadratic_kinetic``: True when H = p^2/2 + V(x); the kick-drift
   baselines need it.
 
-The flow Taylor coefficients call the partials ``x`` and ``p``, and the
-gr-N delta calls ``dd_p``, only once per system object, on jets on a tape
-(:class:`discgrad.jets.Jet`), which record the operations they see; x and
-p reach ``dd_p`` as :class:`discgrad.jets.Param` scalars, which record
-theirs.  The tape becomes generated code that every later call runs from
-its own state.  So these three must be pure functions of their arguments,
-with no side effects; they may use only ``+ - * /`` and ``**`` between
-their arguments and scalars, unary minus and the helpers ``gsin``,
-``gcos``, ``gexp``, ``glog``, ``gsqrt`` and ``gpow``, or return a plain
-constant; they must not build jets of their own (a ValueError names this
-contract), branch on argument values, or turn an argument into a plain
-number (``float(p)``, ``math.sin(x)``), which would fix it at the
-recorded state.
+The partials ``x`` and ``p`` and ``dd_p`` run only once per system
+object, together, on its first gr-N or tay-N call, and from no state: on
+jets on a tape (:class:`discgrad.jets.Jet`) that hold NaN, which record
+the operations they see; x and p reach ``dd_p`` as
+:class:`discgrad.jets.Param` scalars that hold NaN, which record theirs.
+The tape becomes generated code that every call runs from its own state,
+and every value check runs there.  So these three must be pure functions
+of their arguments, with no side effects; they may use only ``+ - * /``
+and ``**`` between their arguments and scalars, unary minus and the
+helpers ``gsin``, ``gcos``, ``gexp``, ``glog``, ``gsqrt`` and ``gpow``, or
+return a plain constant; they must not build jets of their own (a
+ValueError names this contract), branch on argument values, or turn an
+argument into a plain number (``float(p)``, ``math.sin(x)``), which
+carries NaN into the code, so that every gr-N delta ends in a
+DivergenceError.
 """
 
 from __future__ import annotations
@@ -140,46 +142,49 @@ def check_flow_order(N: int) -> None:
 
 
 class _SystemCode:
-    """A system object's ``p`` and ``x`` partials recorded once on jets on
-    one tape, then its ``dd_p`` on the same tape on first need, and the
-    functions generated from that tape, by key (``functions``).
+    """A system object's ``p`` and ``x`` partials and its ``dd_p``, recorded
+    once on one tape from no state, and the functions generated from that
+    tape, by key (``functions``).
 
-    ``dd_p`` is recorded with the flow's leaf jets as x1 and p1 and with x
-    and p as the :class:`discgrad.jets.Param` named ``x0`` and ``p0``, the
-    parameters of every generated function, so no state of the recording
-    is bound into the code.
+    The partials run on the leaf jets X and P, and ``dd_p`` on x, X, p and
+    P, with x and p the :class:`discgrad.jets.Param` named ``x0`` and
+    ``p0``, the parameters of every generated function.  Every leaf holds
+    NaN, so the code binds no state, and a value a callable takes out of
+    its arguments is NaN.  A recording that raises leaves no code.
     """
 
-    def __init__(self, sys: HamiltonianSystem, s: PhaseState):
+    def __init__(self, sys: HamiltonianSystem):
         self.sys, self.hp, self.hx = sys, sys.partials["p"], sys.partials["x"]
         self.dd_p = sys.dd_p
-        self._tape = tape = []
-        self._X, self._P = Jet([s.x], tape=tape), Jet([s.p], tape=tape)
-        self.source = TapeSource(tape, {"x": self._X.coeffs,
-                                        "p": self._P.coeffs})
-        fx, fp = self.hp(self._X, self._P), self.hx(self._X, self._P)
-        fx = self._on_tape("partials['p']", fx)
-        fp = self._on_tape("partials['x']", fp)
+        tape = []
+        X, P = Jet([math.nan], tape=tape), Jet([math.nan], tape=tape)
+        self.source = TapeSource(tape, {"x": X.coeffs, "p": P.coeffs})
+
+        def on_tape(what, f):
+            # what ``what`` returned, as a jet on the tape: a plain scalar
+            # (or a Param) becomes a constant jet
+            if not isinstance(f, Jet):
+                return X._make(_const, f)
+            if f.tape is not tape:
+                raise ValueError(
+                    f"system {sys.name!r}: {what} returned a jet that its "
+                    "arguments did not make; the system contract allows "
+                    "only operations on the arguments, no jets of its own")
+            return f
+        fx, fp = self.hp(X, P), self.hx(X, P)
+        fx = on_tape("partials['p']", fx)
+        fp = on_tape("partials['x']", fp)
         self._flow = self.source.extend()
-        self._fx, self._fp = (self.source.name(f.coeffs) for f in (fx, fp))
-        self._den = None
+        dd = on_tape("dd_p", self.dd_p(Param(math.nan, "x0"), X,
+                                       Param(math.nan, "p0"), P))
+        self._dd = self.source.extend()
+        self._fx, self._fp, self._d = (self.source.name(f.coeffs)
+                                       for f in (fx, fp, dd))
         self.functions = {}
 
     def matches(self, sys: HamiltonianSystem) -> bool:
         return (self.sys is sys and self.hp is sys.partials["p"]
                 and self.hx is sys.partials["x"] and self.dd_p is sys.dd_p)
-
-    def _on_tape(self, what, f):
-        """What ``what`` returned, as a jet on the tape: a plain scalar (or
-        a Param) becomes a constant jet."""
-        if not isinstance(f, Jet):
-            return self._X._make(_const, f)
-        if f.tape is not self._tape:
-            raise ValueError(
-                f"system {self.sys.name!r}: {what} returned a jet that its "
-                "arguments did not make; the system contract allows only "
-                "operations on the arguments, no jets of its own")
-        return f
 
     def flow_lines(self, N: int) -> list:
         """Lines that compute the flow coefficients x1 .. xN and p1 .. pN
@@ -191,32 +196,24 @@ class _SystemCode:
                      f"p{k + 1} = -{self._fp}{k} / {k + 1}"]
         return body
 
-    def dd_p_lines(self, s: PhaseState, n: int):
-        """Lines that compute the flow (X, P) to order n and coefficients
-        0 .. n of dd_p(x0, X, p0, P) on it, and the base name of the
-        latter.  The first call records dd_p at s."""
-        if self._den is None:
-            recorded = len(self._tape)
-            try:
-                den = self._on_tape("dd_p", self.dd_p(
-                    Param(s.x, "x0"), self._X, Param(s.p, "p0"), self._P))
-            except BaseException:
-                del self._tape[recorded:]
-                raise
-            self._den = self.source.extend(), self.source.name(den.coeffs)
-        nodes, name = self._den
-        den = [line for k in range(n + 1)
-               for line in self.source.lines(k, nodes)]
-        return self.flow_lines(n) + den, name
+    def parts_lines(self, n: int):
+        """Lines that compute the flow (X, P) through (x0, p0) to order n
+        and dd_p(x0, X, p0, P) on it, and the texts of coefficients 0 .. n
+        of X - x0 and of dd_p."""
+        dd = [line for k in range(n + 1)
+              for line in self.source.lines(k, self._dd)]
+        num = ["x0 - x0"] + [f"x{k}" for k in range(1, n + 1)]
+        return (self.flow_lines(n) + dd, num,
+                [f"{self._d}{k}" for k in range(n + 1)])
 
 
-def _system_code(sys: HamiltonianSystem, s: PhaseState) -> _SystemCode:
+def _system_code(sys: HamiltonianSystem) -> _SystemCode:
     """The _SystemCode that sys keeps if it still belongs to sys (the
     system object and its partials and dd_p, compared by identity), else a
-    new one recorded at s, which sys then keeps.  Not thread-safe."""
+    new one, which sys then keeps.  Not thread-safe."""
     code = sys._code
     if code is None or not code.matches(sys):
-        code = sys._code = _SystemCode(sys, s)
+        code = sys._code = _SystemCode(sys)
     return code
 
 
@@ -232,17 +229,18 @@ def taylor_flow_coeffs(sys: HamiltonianSystem, s: PhaseState, N: int):
 
     The k-th monomial coefficient equals (d^k x / dt^k) / k!.
 
-    The partials run only on the first call for a system object.  Their
-    tape becomes one straight-line function of (x0, p0) per N
-    (:class:`discgrad.jets.TapeSource`), kept on the system object
-    (:func:`_system_code`).  The function makes the coefficient rules' own
-    operations in their order, so its coefficients are bit-identical to a
-    new recording's, and it raises what a recording would.  It runs on
+    The partials run once per system object, from no state
+    (:class:`_SystemCode`).  Their tape becomes one straight-line function
+    of (x0, p0) per N (:class:`discgrad.jets.TapeSource`), kept on the
+    system object (:func:`_system_code`).  The function makes the
+    coefficient rules' own operations in their order, so its coefficients
+    are bit-identical to the rules' on finished jets, and every value
+    check (a zero divisor, the log of zero, ...) runs in it.  It runs on
     mpmath.mpf states as well, which high-precision references use; no
     runtime path does.  The returned jets are new on every call.
     """
     check_flow_order(N)
-    code = _system_code(sys, s)
+    code = _system_code(sys)
     flow = code.functions.get(N)
     if flow is None:
         xs = ", ".join(f"x{k}" for k in range(N + 1))

@@ -95,10 +95,13 @@ def make_stepper(scheme: str, sys: HamiltonianSystem,
         check_flow_order(N)
         return lambda s, h: (baselines.step_taylor(sys, s, h, N), 0)
     if scheme.startswith("sp-") and scheme[3:].isdigit():
-        order = int(scheme[3:])
-        if order % 2 or order < 2:
-            raise UnsupportedSchemeError(f"bad symplectic order in {scheme!r}")
-        coeffs = baselines.sp_coefficients(order // 2)
+        M, odd = divmod(int(scheme[3:]), 2)
+        try:
+            # an odd order has no M; M = 0 is out of range as well
+            coeffs = baselines.sp_coefficients(0 if odd else M)
+        except UnsupportedSchemeError as exc:
+            raise UnsupportedSchemeError(
+                f"unknown scheme id {scheme!r}: {exc}") from None
         return lambda s, h: (baselines.step_symplectic(sys, s, h, coeffs), 0)
     raise UnsupportedSchemeError(f"unknown scheme id {scheme!r}")
 

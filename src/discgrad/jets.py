@@ -47,11 +47,6 @@ import operator
 
 from .errors import SingularJetDivisionError
 
-# the longest series is the flow behind gr-14's deflated quotient, of
-# order 14 + 2 + 4 (schemes._DEFLATE_EXTRA); a finished jet can hold it
-MAX_ORDER = 20
-
-
 # -- coefficient rules and their emitters ------------------------------
 #
 # An emitter ``_emit_<rule>(k, out, *args)`` returns the source lines that
@@ -284,8 +279,8 @@ class Jet:
             coeffs = list(coeffs)
         if order is None:
             order = len(coeffs) - 1
-        if order < 0 or order > MAX_ORDER:
-            raise ValueError(f"jet order must be in [0, {MAX_ORDER}], got {order}")
+        if order < 0:
+            raise ValueError(f"jet order must be >= 0, got {order}")
         if len(coeffs) != order + 1:
             raise ValueError("coefficient count does not match declared order")
         self.coeffs = coeffs
@@ -406,7 +401,7 @@ class Jet:
 
 def _wrap(coeffs, tape=None):
     """A jet on ``coeffs`` itself, with no copy or check: for a new list
-    of at most MAX_ORDER + 1 coefficients."""
+    of coefficients."""
     jet = object.__new__(Jet)
     jet.coeffs, jet.tape = coeffs, tape
     return jet

@@ -45,15 +45,17 @@ from dataclasses import dataclass
 
 from .errors import (DivergenceError, NonConvergenceError, ResonanceStepError)
 from .exactlin import AffineStepMap, affine_map
-from .hamiltonian import (MAX_FLOW_ORDER, HamiltonianSystem, PhaseState,
-                          _system_code, linearize)
+from .hamiltonian import (HamiltonianSystem, PhaseState, _system_code,
+                          linearize)
 # not called here, where the series delta is generated code, but
 # perfbench/tracer.py patches it under this module's name
 from .hamiltonian import taylor_flow_coeffs  # noqa: F401
 from .jets import _div, horner
 
-# the series quotient needs two flow coefficients beyond its own order
-MAX_SERIES_ORDER = MAX_FLOW_ORDER - 2
+# past N = 14 the error rises again at larger h (pendulum p0 1.8, h 0.5:
+# gr-14 1.2e-10, gr-18 4.4e-9, gr-22 1.4e-5): the delta series has a finite
+# radius of convergence in h
+MAX_SERIES_ORDER = 14
 
 
 def _check_series_order(N: int) -> None:
@@ -171,23 +173,14 @@ def _cancel_and_divide(num, den, k: int, N: int) -> list:
     return q
 
 
-def _parts_lines(code, s: PhaseState, N: int):
-    """Lines that compute the flow (X, P) through (x0, p0) to order N + 2
-    and dd_p(x0, X, p0, P) on it, the text of the list X - x0, and the
-    names of the dd_p coefficients."""
-    body, d = code.dd_p_lines(s, N + 2)
-    num = ", ".join(["x0 - x0"] + [f"x{k}" for k in range(1, N + 3)])
-    return body, f"[{num}]", [f"{d}{k}" for k in range(N + 3)]
-
-
-def _parts_function(code, s: PhaseState, N: int):
+def _parts_function(code, N: int):
     """The generated function (x0, p0) -> (X - x0, dd_p) as coefficient
-    lists, for the system whose _SystemCode is ``code``."""
+    lists 0 .. N + 2, for the system whose _SystemCode is ``code``."""
     parts = code.functions.get(("parts", N))
     if parts is None:
-        body, num, den = _parts_lines(code, s, N)
+        body, num, den = code.parts_lines(N + 2)
         parts = code.functions[("parts", N)] = code.source.compile(
-            "x0, p0", body, f"{num}, [{', '.join(den)}]")
+            "x0, p0", body, f"[{', '.join(num)}], [{', '.join(den)}]")
     return parts
 
 
@@ -248,15 +241,14 @@ def _coefficients(code, x, p, N: int, num: list, den: list) -> list:
     if not all(map(math.isfinite, den)):
         raise DivergenceError(
             f"series delta at ({x:.3g}, {p:.3g}): the flow "
-            "coefficients overflow")
+            "coefficients are not finite")
     scale = max(map(abs, den))
     if scale == 0.0:
         return [1.0] + [0.0] * (N - 1)
     k = _leading_index(den, scale)
     if (scale / abs(den[k]) > _plain_amp_limit(N)
             and abs(den[k + 1]) * _ROOT_NEAR >= scale):
-        parts = _parts_function(code, PhaseState(x, p), N + _DEFLATE_EXTRA)
-        num, den = parts(x, p)
+        num, den = _parts_function(code, N + _DEFLATE_EXTRA)(x, p)
         r = _shared_root(den[k:], x, p)
         num = num[:k + 1] + _deflate(num[k + 1:], r)
         den = den[:k] + _deflate(den[k:], r)
@@ -268,12 +260,12 @@ def delta_series_coefficients(sys: HamiltonianSystem, s: PhaseState,
     """Series coefficients [a_1, ..., a_N] of the order-N denominator;
     [1, 0, ..., 0] (delta = h) for a trivial flow."""
     _check_series_order(N)
-    code = _system_code(sys, s)
-    parts = _parts_function(code, s, N)
+    code = _system_code(sys)
+    parts = _parts_function(code, N)
     return _coefficients(code, s.x, s.p, N, *parts(s.x, s.p))
 
 
-def _compile_delta(code, s: PhaseState, N: int):
+def _compile_delta(code, N: int):
     """The generated function (x0, p0, h) -> delta^{[N]}.  After the
     parts' lines, where the dd_p coefficients have a finite sum (so each
     is finite; a sum that overflows only sends the state to the general
@@ -282,8 +274,8 @@ def _compile_delta(code, s: PhaseState, N: int):
     :func:`_cancel_and_divide`, unrolled, and the Horner sum;
     any other state goes through :func:`_coefficients` with the same
     lists."""
-    body, num, d = _parts_lines(code, s, N)
-    quotient = [f"q{n} = (x{n + 1}"
+    body, num, d = code.parts_lines(N + 2)
+    quotient = [f"q{n} = ({num[n + 1]}"
                 + "".join(f" - {d[j]} * q{n - j}" for j in range(1, n + 1))
                 + f") / {d[0]}" for n in range(N)]
     acc = f"q{N - 1}"
@@ -303,7 +295,8 @@ def _compile_delta(code, s: PhaseState, N: int):
         return _coefficients(code, x, p, N, num, den)
     return code.source.compile(
         "x0, p0, h", body,
-        f"h * horner(general(x0, p0, {num}, [{', '.join(d)}]), h)",
+        f"h * horner(general(x0, p0, [{', '.join(num)}], "
+        f"[{', '.join(d)}]), h)",
         {"general": general, "horner": horner})
 
 
@@ -312,11 +305,11 @@ def delta_series(sys: HamiltonianSystem, s: PhaseState, h: float,
     """delta^{[N]} = sum_{k=1}^{N} a_k(x, p) h^k evaluated at h, by one
     generated function per system object and N: the same value as
     ``h * horner(delta_series_coefficients(sys, s, N), h)``."""
-    code = _system_code(sys, s)
+    code = _system_code(sys)
     delta = code.functions.get(("delta", N))
     if delta is None:
         _check_series_order(N)
-        delta = code.functions[("delta", N)] = _compile_delta(code, s, N)
+        delta = code.functions[("delta", N)] = _compile_delta(code, N)
     return delta(s.x, s.p, h)
 
 

@@ -156,6 +156,14 @@ def test_usage_errors(tmp_path, capsys):
             == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "[1, 16]" in err
+    # a symplectic order outside sp-2 .. sp-8, or an odd one, names the id
+    # and the valid ids
+    for scheme in ("sp-10", "sp-3"):
+        assert main(["integrate", "--scheme", scheme, "--p0", "1.8",
+                     "--h", "0.25", "--steps", "5", "--out", str(out)]) \
+            == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"'{scheme}'" in err and "sp-2, sp-4, sp-6 and sp-8" in err
     # a run length or system parameter that cannot make a finite run is
     # a usage error, named in the message, before any step is taken
     order = ["order", "--scheme", "gr", "--p0", "1.8", "--h", "0.2,0.1,0.05"]

@@ -308,9 +308,9 @@ def test_replayed_flow_equals_a_new_recording(sys):
     assert got == want
 
 
-def _outcome(sys, s):
+def _outcome(sys, s, flow=taylor_flow_coeffs):
     try:
-        return repr(taylor_flow_coeffs(sys, s, 4))
+        return repr(flow(sys, s, 4))
     except (ArithmeticError, ValueError) as exc:
         return type(exc), str(exc)
 
@@ -325,11 +325,15 @@ def test_replayed_flow_raises_what_a_new_recording_raises(pendulum, hx):
     sys = dataclasses.replace(pendulum, partials=dict(pendulum.partials,
                                                       x=hx))
     for x in (0.0, -1.0):
-        # recorded at x = 1, where every partial has a value, then run
-        # as generated code
+        # recorded from no state, then run as generated code at x = 1,
+        # where every partial has a value
         assert _outcome(sys, PhaseState(1.0, 0.5)).startswith("(Jet(")
         s = PhaseState(x, 0.5)
-        assert _outcome(sys, s) == _outcome(dataclasses.replace(sys), s), x
+        # the same as a new system object's code and as the partials on
+        # finished jets
+        want = _outcome(sys, s, picard_flow_coeffs)
+        assert _outcome(sys, s) == _outcome(dataclasses.replace(sys), s) \
+            == want, x
 
 
 def test_held_flow_unchanged_by_later_calls(pendulum):

@@ -221,10 +221,9 @@ def reference_series_coefficients(sys, s, N):
     """[a_1, ..., a_N] at 400 digits: the generated parts on mpmath.mpf
     inputs, then the plain division, which that precision makes exact to
     far below a float's eps."""
-    code = hamiltonian._system_code(sys, s)
+    code = hamiltonian._system_code(sys)
     with mpmath.workdps(400):
-        num, den = _parts_function(code, s, N)(mpmath.mpf(s.x),
-                                               mpmath.mpf(s.p))
+        num, den = _parts_function(code, N)(mpmath.mpf(s.x), mpmath.mpf(s.p))
         scale = max(map(abs, den))
         k = next(i for i, c in enumerate(den) if abs(c) > 1e-13 * scale)
         return [float(c) for c in _cancel_and_divide(num, den, k, N)]
@@ -296,7 +295,7 @@ def test_series_order_bounds(pendulum):
         delta_series(pendulum, PhaseState(0.0, 1.0), 0.1, 0)
     with pytest.raises(ValueError):
         DeltaRule.series(17)
-    # order N needs N + 2 flow coefficients, and the flow stops at 16
+    # past N = 14 the error rises again at larger h
     for N in (15, 16):
         with pytest.raises(ValueError, match=r"\[1, 14\]"):
             DeltaRule.series(N)
@@ -593,7 +592,7 @@ def jet_quotient_coefficients(sys, s, N):
     num, dc = parts(N)
     if not all(map(math.isfinite, dc)):
         raise DivergenceError(f"series delta at ({s.x:.3g}, {s.p:.3g}): the "
-                              "flow coefficients overflow")
+                              "flow coefficients are not finite")
     scale = max(map(abs, dc))
     if scale == 0.0:
         return [1.0] + [0.0] * (N - 1)
@@ -672,6 +671,24 @@ def test_dd_p_takes_x_and_p_from_each_call(pendulum):
             assert repr(delta_series_coefficients(sys, s, 7)) == repr(want)
             assert repr(delta_series(sys, s, 0.25, 7)) \
                 == repr(0.25 * horner(want, 0.25))
+
+
+@pytest.mark.parametrize("leak", [
+    lambda x, x1, p, p1: 0.5 * (abs(p) + p1),
+    lambda x, x1, p, p1: 0.5 * (float(p) + p1),
+    lambda x, x1, p, p1: 0.5 * (p + p1) + 0.0 * math.cos(x),
+], ids=["abs", "float", "math.cos"])
+def test_dd_p_that_makes_a_plain_number_is_divergence(pendulum, leak):
+    # the value dd_p takes out of x or p is NaN at the recording, so every
+    # call, at the first state or another, ends in a typed failure; with
+    # abs(p) a recording at the first state gave delta -0.558 at (-1, -0.8),
+    # where the quotient is 0.2506
+    sys = dataclasses.replace(pendulum, dd_p=leak)
+    for s in (PhaseState(0.3, 1.2), PhaseState(-1.0, -0.8)):
+        with pytest.raises(DivergenceError, match="not finite"):
+            delta_series(sys, s, 0.25, 7)
+        with pytest.raises(DivergenceError, match="not finite"):
+            delta_series_coefficients(sys, s, 7)
 
 
 def test_dd_p_recorded_once_per_system_object(pendulum):
