@@ -232,10 +232,10 @@ def taylor_flow_coeffs(sys: HamiltonianSystem, s: PhaseState, N: int):
     The partials run once per system object, from no state
     (:class:`_SystemCode`).  Their tape becomes one straight-line function
     of (x0, p0) per N (:class:`discgrad.jets.TapeSource`), kept on the
-    system object (:func:`_system_code`).  The function makes the
-    coefficient rules' own operations in their order, so its coefficients
-    are bit-identical to the rules' on finished jets, and every value
-    check (a zero divisor, the log of zero, ...) runs in it.  It runs on
+    system object (:func:`_system_code`).  The function runs the lines of
+    the same operations that finished jets run, in their order, so its
+    coefficients are bit-identical to the partials' on finished jets, and
+    every value check (a zero divisor, the log of zero, ...) runs in it.  It runs on
     mpmath.mpf states as well, which high-precision references use; no
     runtime path does.  The returned jets are new on every call.
     """

@@ -14,24 +14,25 @@ evaluator code runs on scalars and on jets.  A plain float, the argument
 of every scalar step, goes straight to ``math`` before any other test.
 
 A jet may carry a tape: a list on which every operation on it records
-its rule and arguments (Griewank & Walther, Evaluating Derivatives,
+itself and its arguments (Griewank & Walther, Evaluating Derivatives,
 ch. 13).  A jet without a tape is finished.  Jets combine only with jets
 of the same order on the same tape (or both on none), and with scalars.
 :class:`TapeSource` turns a tape into straight-line Python that computes
 the coefficients of every recorded jet from those of the leaf jets, one
 coefficient at a time.
 
-Each operation is written once as a coefficient rule
-``rule(n, out, *args)``, which fills the empty list ``out`` with
-coefficients 0 .. n-1, and once as an emitter, which writes the source of
-coefficient k.  Coefficient k of every rule depends only on coefficients
-0..k of its inputs, and the rule and its emitter make the same
-floating-point operations in the same order, so a finished jet and the
-generated code give bit-identical coefficients.  A rule checks its
-inputs' values (a zero divisor, the log of zero, the square root or real
-power of a non-positive constant term) when it computes coefficient 0,
-and its emitter writes the same check there, so generated code run from
-new leaf values raises what recording with those values raises.
+Each operation is written once, as an emitter that writes the source of
+coefficient k of its output; coefficient k depends only on coefficients
+0..k of its inputs.  A finished jet's operation runs the function that
+:func:`_finished` generates from that emitter for (operation, order), and
+a jet on a tape runs the same function and then records the emitter, so a
+finished jet and the code generated from a tape make the same
+floating-point operations in the same order and give bit-identical
+coefficients.  An emitter writes its value checks (a zero divisor, the log
+of zero, the square root or real power of a non-positive constant term)
+with coefficient 0, so recording raises what finished jets raise, and
+generated code run from new leaf values raises what recording with those
+values raises.
 
 A scalar that generated code takes as a parameter is a :class:`Param`:
 arithmetic on it records an expression, which the code computes, where a
@@ -47,15 +48,14 @@ import operator
 
 from .errors import SingularJetDivisionError
 
-# -- coefficient rules and their emitters ------------------------------
+# -- operations ---------------------------------------------------------
 #
-# An emitter ``_emit_<rule>(k, out, *args)`` returns the source lines that
-# compute coefficient k of the rule's output (see TapeSource): each list
-# argument is a base name, whose coefficient j is the local f"{name}{j}",
-# and each scalar is the name it is bound to in the generated function's
-# namespace.  A factor that the rule recomputes for every k (``j * a[j]``,
-# the zero seed ``0.0 * s[0]``) is computed once, into a local of its own,
-# by the same operation, so its value is the rule's.
+# An operation is its emitter ``_<op>(k, *outputs, *args)``, which returns
+# the source lines that compute coefficient k of its outputs (one list; two
+# for _sin_cos): each list is a base name, whose coefficient j is the local
+# f"{name}{j}", and each scalar is the name of its value in the generated
+# function.  A factor used by every k (``j * a[j]``, the zero seed
+# ``0.0 * s[0]``) is computed once, into a local of its own.
 
 
 def _require_divisor(b0):
@@ -81,104 +81,46 @@ def _require_sqrt(a0):
         raise ValueError("sqrt of a jet with non-positive constant term")
 
 
-def _const(n, out, value):
-    out.append(value)
-    out.extend([0.0] * (n - 1))
-
-
-def _emit_const(k, out, value):
+def _const(k, out, value):
     return [f"{out}{k} = {value if k == 0 else '0.0'}"]
 
 
-def _add(n, out, a, b):
-    out.extend([a[k] + b[k] for k in range(n)])
-
-
-def _emit_add(k, out, a, b):
+def _add(k, out, a, b):
     return [f"{out}{k} = {a}{k} + {b}{k}"]
 
 
-def _add_scalar(n, out, a, c):
-    out.append(a[0] + c)
-    out.extend(a[1:n])
-
-
-def _emit_add_scalar(k, out, a, c):
+def _add_scalar(k, out, a, c):
     return [f"{out}{k} = {a}{k}" + (f" + {c}" if k == 0 else "")]
 
 
-def _sub(n, out, a, b):
-    out.extend([a[k] - b[k] for k in range(n)])
-
-
-def _emit_sub(k, out, a, b):
+def _sub(k, out, a, b):
     return [f"{out}{k} = {a}{k} - {b}{k}"]
 
 
-def _sub_scalar(n, out, a, c):
-    out.append(a[0] - c)
-    out.extend(a[1:n])
-
-
-def _emit_sub_scalar(k, out, a, c):
+def _sub_scalar(k, out, a, c):
     return [f"{out}{k} = {a}{k}" + (f" - {c}" if k == 0 else "")]
 
 
-def _neg(n, out, a):
-    out.extend([-v for v in a[:n]])
-
-
-def _emit_neg(k, out, a):
+def _neg(k, out, a):
     return [f"{out}{k} = -{a}{k}"]
 
 
-def _scale(n, out, a, c):
-    out.extend([v * c for v in a[:n]])
-
-
-def _emit_scale(k, out, a, c):
+def _scale(k, out, a, c):
     return [f"{out}{k} = {a}{k} * {c}"]
 
 
-def _mul(n, out, a, b):
-    for k in range(n):
-        s = a[0] * b[k]
-        for j in range(1, k + 1):
-            s = s + a[j] * b[k - j]
-        out.append(s)
-
-
-def _emit_mul(k, out, a, b):
+def _mul(k, out, a, b):
     return [f"{out}{k} = "
             + " + ".join(f"{a}{j} * {b}{k - j}" for j in range(k + 1))]
 
 
-def _div(n, out, a, b):
-    b0 = b[0]
-    _require_divisor(b0)
-    for k in range(n):
-        s = a[k]
-        for j in range(1, k + 1):
-            s = s - b[j] * out[k - j]
-        out.append(s / b0)
-
-
-def _emit_div(k, out, a, b):
+def _div(k, out, a, b):
     s = "".join(f" - {b}{j} * {out}{k - j}" for j in range(1, k + 1))
     line = f"{out}{k} = ({a}{k}{s}) / {b}0"
     return [f"_require_divisor({b}0)", line] if k == 0 else [line]
 
 
-def _exp(n, out, a):
-    out.append(gexp(a[0]))
-    for k in range(1, n):
-        s = 0.0 * out[0]
-        for j in range(1, k + 1):
-            s = s + (j * a[j]) * out[k - j]
-        out.append(s / k)
-
-
-def _emit_exp(k, out, a):
+def _exp(k, out, a):
     if k == 0:
         return [f"{out}0 = gexp({a}0)"]
     s = "".join(f" + {out}j{j} * {out}{k - j}" for j in range(1, k + 1))
@@ -186,18 +128,7 @@ def _emit_exp(k, out, a):
         f"{out}j{k} = {k} * {a}{k}", f"{out}{k} = ({out}z{s}) / {k}"]
 
 
-def _log(n, out, a):
-    a0 = a[0]
-    _require_log(a0)
-    out.append(glog(a0))
-    for k in range(1, n):
-        s = a[k] * k
-        for j in range(1, k):
-            s = s - (j * out[j]) * a[k - j]
-        out.append(s / (k * a0))
-
-
-def _emit_log(k, out, a):
+def _log(k, out, a):
     if k == 0:
         return [f"_require_log({a}0)", f"{out}0 = glog({a}0)"]
     s = "".join(f" - {out}j{j} * {a}{k - j}" for j in range(1, k))
@@ -205,33 +136,14 @@ def _emit_log(k, out, a):
         f"{out}{k} = ({a}{k} * {k}{s}) / ({k} * {a}0)"]
 
 
-def _pow_log(n, out, a):
+def _pow_log(k, out, a):
     # the log node of a real power, under the power's own domain check
-    _require_power(a[0])
-    _log(n, out, a)
+    return ([f"_require_power({a}0)"] if k == 0 else []) + _log(k, out, a)
 
 
-def _emit_pow_log(k, out, a):
-    return ([f"_require_power({a}0)"] if k == 0 else []) \
-        + _emit_log(k, out, a)
-
-
-def _sin_cos(n, s, c, a):
-    # one rule fills both lists: each needs the other's lower coefficients
-    s.append(gsin(a[0]))
-    c.append(gcos(a[0]))
-    for k in range(1, n):
-        ts = 0.0 * s[0]
-        tc = 0.0 * s[0]
-        for j in range(1, k + 1):
-            ja = j * a[j]
-            ts = ts + ja * c[k - j]
-            tc = tc + ja * s[k - j]
-        s.append(ts / k)
-        c.append(-(tc / k))
-
-
-def _emit_sin_cos(k, s, c, a):
+def _sin_cos(k, s, c, a):
+    # one operation writes both lists: each needs the other's lower
+    # coefficients
     if k == 0:
         return [f"{s}0 = gsin({a}0)", f"{c}0 = gcos({a}0)"]
     ts = "".join(f" + {s}j{j} * {c}{k - j}" for j in range(1, k + 1))
@@ -241,29 +153,11 @@ def _emit_sin_cos(k, s, c, a):
         f"{c}{k} = -(({s}z{tc}) / {k})"]
 
 
-def _sqrt(n, out, a):
-    _require_sqrt(a[0])
-    out.append(gsqrt(a[0]))
-    for k in range(1, n):
-        s = a[k]
-        for j in range(1, k):
-            s = s - out[j] * out[k - j]
-        out.append(s / (2 * out[0]))
-
-
-def _emit_sqrt(k, out, a):
+def _sqrt(k, out, a):
     if k == 0:
         return [f"_require_sqrt({a}0)", f"{out}0 = gsqrt({a}0)"]
     s = "".join(f" - {out}{j} * {out}{k - j}" for j in range(1, k))
     return [f"{out}{k} = ({a}{k}{s}) / (2 * {out}0)"]
-
-
-_EMITTERS = {_const: _emit_const, _add: _emit_add,
-             _add_scalar: _emit_add_scalar, _sub: _emit_sub,
-             _sub_scalar: _emit_sub_scalar, _neg: _emit_neg,
-             _scale: _emit_scale, _mul: _emit_mul, _div: _emit_div,
-             _exp: _emit_exp, _log: _emit_log, _pow_log: _emit_pow_log,
-             _sin_cos: _emit_sin_cos, _sqrt: _emit_sqrt}
 
 
 # -- the series type ----------------------------------------------------
@@ -292,15 +186,14 @@ class Jet:
 
     @classmethod
     def constant(cls, value, order):
-        c = []
-        _const(order + 1, c, value)
-        return cls(c, order)
+        return cls([0.0] * (order + 1))._make(_const, value)
 
     @classmethod
     def variable(cls, value, order):
         """value + h, as a jet of the given order (order >= 1)."""
-        c = [value, 1.0] + [0.0] * (order - 1)
-        return cls(c, order)
+        if order < 1:
+            raise ValueError(f"a variable jet needs order >= 1, got {order}")
+        return cls([value, 1.0] + [0.0] * (order - 1))
 
     def _check(self, other):
         if other.tape is not self.tape:
@@ -312,14 +205,16 @@ class Jet:
             raise ValueError(
                 f"jet order mismatch: {self.order} vs {other.order}")
 
-    def _make(self, rule, *args):
-        out = []
-        rule(len(self.coeffs), out, *args)
-        # out is new and as long as coeffs
-        jet = _wrap(out, self.tape)
-        if jet.tape is not None:
-            jet.tape.append((rule, (out,) + args))
-        return jet
+    def _run(self, op, *args):
+        """The new coefficient lists, as long as this jet's, that op makes
+        from ``args``; a tape records op with them and ``args``."""
+        outs = _finished(op, len(self.coeffs), args)(*args)
+        if self.tape is not None:
+            self.tape.append((op, outs + args))
+        return outs
+
+    def _make(self, op, *args):
+        return _wrap(self._run(op, *args)[0], self.tape)
 
     # -- basic ring operations ------------------------------------------
 
@@ -372,9 +267,8 @@ class Jet:
         return self._make(_log, self.coeffs)
 
     def sin_cos(self):
-        c = []
-        s = self._make(_sin_cos, c, self.coeffs)
-        return s, Jet(c, None, self.tape)
+        s, c = self._run(_sin_cos, self.coeffs)
+        return _wrap(s, self.tape), _wrap(c, self.tape)
 
     def sin(self):
         return self.sin_cos()[0]
@@ -429,9 +323,9 @@ class Param(float):
     """A scalar that generated code computes from its parameters: a float
     with its value at recording, and ``expr``, either the name of a
     parameter or a format and its operands.  Arithmetic with plain scalars
-    and the helpers ``gsin`` .. ``gsqrt`` give new Params, so a rule that
-    takes one as its scalar records how to compute it, not the value it
-    had at recording."""
+    and the helpers ``gsin`` .. ``gsqrt`` give new Params, so an operation
+    that takes one as its scalar records how to compute it, not the value
+    it had at recording."""
     __slots__ = ("expr",)
 
     def __new__(cls, value, expr):
@@ -465,6 +359,40 @@ def _emit_param(k, name, text):
 _CODE = {}
 
 
+def _function_source(params, body, result):
+    return "\n    ".join([f"def generated({params}):", *body,
+                           f"return {result}"])
+
+
+# (operation, coefficient count) -> the function that runs the operation on
+# coefficient lists.  An operation takes a list or a scalar in each place,
+# always the same, so the key needs nothing more
+_FINISHED = {}
+
+
+def _finished(op, n, args):
+    """The function ``(*args) -> outputs`` that computes coefficients
+    0 .. n-1 of op's outputs, a tuple of lists, from the coefficient lists
+    and scalars ``args``: op's lines for k = 0 .. n-1, compiled on the first
+    call for (op, n).  The scalars are parameters, so the code holds no
+    value and serves every call."""
+    fn = _FINISHED.get((op, n))
+    if fn is None:
+        names = "ab"[:len(args)]
+        # op's parameters after k name its outputs, then its arguments
+        outs = "rs"[:op.__code__.co_argcount - 1 - len(args)]
+        body = [f"{', '.join(f'{a}{j}' for j in range(n))}, = {a}"
+                for a, arg in zip(names, args) if type(arg) is list]
+        body += [line for k in range(n) for line in op(k, *outs, *names)]
+        result = "".join(f"[{', '.join(f'{o}{j}' for j in range(n))}], "
+                         for o in outs)
+        namespace = dict(_HELPERS)
+        exec(compile(_function_source(", ".join(names), body, result),
+                     "<jet>", "exec"), namespace)
+        fn = _FINISHED[op, n] = namespace["generated"]
+    return fn
+
+
 class TapeSource:
     """Straight-line Python for the jets recorded on a tape, one
     coefficient at a time (Jorba & Zou's ``taylor``; TIDES, Abad et al.,
@@ -483,11 +411,7 @@ class TapeSource:
     def __init__(self, tape, leaves):
         self._tape = tape
         self._names = {id(c): name for name, c in leaves.items()}
-        self._env = {"gsin": gsin, "gcos": gcos, "gexp": gexp, "glog": glog,
-                    "gsqrt": gsqrt, "_require_divisor": _require_divisor,
-                    "_require_log": _require_log,
-                    "_require_power": _require_power,
-                    "_require_sqrt": _require_sqrt}
+        self._env = dict(_HELPERS)
         self._nodes = []
         self._recorded = 0
         self.extend()
@@ -496,9 +420,8 @@ class TapeSource:
         """Name what the nodes recorded since the last call hold; return
         their slice of the nodes, for :meth:`lines`."""
         start = len(self._nodes)
-        for rule, args in self._tape[self._recorded:]:
-            args = [self._bind(a) for a in args]
-            self._nodes.append((_EMITTERS[rule], args))
+        for op, args in self._tape[self._recorded:]:
+            self._nodes.append((op, [self._bind(a) for a in args]))
         self._recorded = len(self._tape)
         return slice(start, len(self._nodes))
 
@@ -535,8 +458,7 @@ class TapeSource:
     def compile(self, params, body, result, names=None):
         """The function ``(params) -> result`` that runs the lines
         ``body``, with the tape's scalars and ``names`` as its globals."""
-        source = "\n    ".join([f"def generated({params}):", *body,
-                                f"return {result}"])
+        source = _function_source(params, body, result)
         code = _CODE.get(source)
         if code is None:
             code = _CODE[source] = compile(source, "<tape>", "exec")
@@ -575,6 +497,13 @@ gcos = _generic("cos")
 gexp = _generic("exp")
 glog = _generic("log")
 gsqrt = _generic("sqrt")
+
+# the names that generated code calls, in the namespace of every generated
+# function
+_HELPERS = {"gsin": gsin, "gcos": gcos, "gexp": gexp, "glog": glog,
+            "gsqrt": gsqrt, "_require_divisor": _require_divisor,
+            "_require_log": _require_log, "_require_power": _require_power,
+            "_require_sqrt": _require_sqrt}
 
 
 def gpow(x, r):

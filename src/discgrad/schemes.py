@@ -50,7 +50,7 @@ from .hamiltonian import (HamiltonianSystem, PhaseState, _system_code,
 # not called here, where the series delta is generated code, but
 # perfbench/tracer.py patches it under this module's name
 from .hamiltonian import taylor_flow_coeffs  # noqa: F401
-from .jets import _div, horner
+from .jets import _div, _finished, horner
 
 # past N = 14 the error rises again at larger h (pendulum p0 1.8, h 0.5:
 # gr-14 1.2e-10, gr-18 4.4e-9, gr-22 1.4e-5): the delta series has a finite
@@ -168,9 +168,7 @@ def _cancel_and_divide(num, den, k: int, N: int) -> list:
     a += [0.0 * num[0]] * (N - len(a))
     b = den[k:k + N]
     b += [0.0 * den[0]] * (N - len(b))
-    q = []
-    _div(N, q, a, b)
-    return q
+    return _finished(_div, N, (a, b))(a, b)[0]
 
 
 def _parts_function(code, N: int):
