@@ -158,7 +158,6 @@ class _SystemCode:
         self.dd_p = sys.dd_p
         tape = []
         X, P = Jet([math.nan], tape=tape), Jet([math.nan], tape=tape)
-        self.source = TapeSource(tape, {"x": X.coeffs, "p": P.coeffs})
 
         def on_tape(what, f):
             # what ``what`` returned, as a jet on the tape: a plain scalar
@@ -174,10 +173,12 @@ class _SystemCode:
         fx, fp = self.hp(X, P), self.hx(X, P)
         fx = on_tape("partials['p']", fx)
         fp = on_tape("partials['x']", fp)
-        self._flow = self.source.extend()
+        n = len(tape)
         dd = on_tape("dd_p", self.dd_p(Param(math.nan, "x0"), X,
                                        Param(math.nan, "p0"), P))
-        self._dd = self.source.extend()
+        # the partials see no Param, so their n nodes come first
+        self.source = TapeSource(tape, {"x": X.coeffs, "p": P.coeffs})
+        self._flow, self._dd = slice(n), slice(n, None)
         self._fx, self._fp, self._d = (self.source.name(f.coeffs)
                                        for f in (fx, fp, dd))
         self.functions = {}

@@ -335,13 +335,14 @@ def emit_csv(data, path) -> None:
 
 
 _FIGOPTS = {
-    # figure id -> (xlabel, ylabel, logx, logy, column expression)
-    "fig1": ("t", "energy error", False, False, "energy"),
-    "fig2": ("t", "energy error", False, False, "energy"),
-    "fig3": ("t", "|energy error|", False, True, "energy_err"),
-    "fig4": ("h", "global error", True, True, "sweep"),
-    "fig5": ("h", "global error", True, True, "sweep"),
-    "fig6": ("t", "global error", False, True, "global_err"),
+    # figure id -> (xlabel, ylabel, log axes, gnuplot using clause); fig1
+    # and fig2 plot the signed energy drift H(s_n) - H(s_0), energy_err
+    "fig1": ("t", "energy error", "", "2:5 with lines"),
+    "fig2": ("t", "energy error", "", "2:5 with lines"),
+    "fig3": ("t", "|energy error|", "y", "2:(abs($5)) with lines"),
+    "fig4": ("h", "global error", "xy", "2:5 with linespoints"),
+    "fig5": ("h", "global error", "xy", "2:5 with linespoints"),
+    "fig6": ("t", "global error", "y", "2:6 with lines"),
 }
 
 
@@ -351,32 +352,20 @@ def emit_plotscript(csv_paths, figure: str, path) -> None:
         raise ValueError(f"unknown figure id {figure!r}")
     if not csv_paths:
         raise ValueError("need at least one CSV path")
-    xlabel, ylabel, logx, logy, mode = _FIGOPTS[figure]
+    xlabel, ylabel, log_axes, using = _FIGOPTS[figure]
+    plots = [f"    '{p}' skip 1 using {using} title "
+             f"'{str(p).rsplit('/', 1)[-1].removesuffix('.csv')}'"
+             for p in csv_paths]
     lines = [
         f"# gnuplot script for {figure}",
         "set datafile separator ','",
         "set key outside",
         f"set xlabel '{xlabel}'",
         f"set ylabel '{ylabel}'",
+        *(f"set logscale {axis}" for axis in log_axes),
+        "plot \\",
+        ", \\\n".join(plots),
+        "",
     ]
-    if logx:
-        lines.append("set logscale x")
-    if logy:
-        lines.append("set logscale y")
-    plots = []
-    for p in csv_paths:
-        title = str(p).rsplit("/", 1)[-1].removesuffix(".csv")
-        if mode == "sweep":
-            plots.append(f"'{p}' skip 1 using 2:5 with linespoints title '{title}'")
-        elif mode == "energy":
-            # signed energy drift H(s_n) - H(s_0), the energy_err column
-            plots.append(f"'{p}' skip 1 using 2:5 with lines title '{title}'")
-        elif mode == "energy_err":
-            plots.append(f"'{p}' skip 1 using 2:(abs($5)) with lines title '{title}'")
-        else:
-            plots.append(f"'{p}' skip 1 using 2:6 with lines title '{title}'")
-    lines.append("plot \\")
-    lines.append(", \\\n".join("    " + p for p in plots))
-    lines.append("")
     with open(path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines))

@@ -109,6 +109,10 @@ def _scale(k, out, a, c):
     return [f"{out}{k} = {a}{k} * {c}"]
 
 
+def _div_scalar(k, out, a, c):
+    return [f"{out}{k} = {a}{k} / {c}"]
+
+
 def _mul(k, out, a, b):
     return [f"{out}{k} = "
             + " + ".join(f"{a}{j} * {b}{k - j}" for j in range(k + 1))]
@@ -168,15 +172,11 @@ class Jet:
     finished."""
     __slots__ = ("coeffs", "tape")
 
-    def __init__(self, coeffs, order=None, tape=None):
+    def __init__(self, coeffs, *, tape=None):
         if tape is None:
             coeffs = list(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        if order < 0:
-            raise ValueError(f"jet order must be >= 0, got {order}")
-        if len(coeffs) != order + 1:
-            raise ValueError("coefficient count does not match declared order")
+        if not coeffs:
+            raise ValueError("a jet needs at least one coefficient")
         self.coeffs = coeffs
         self.tape = tape
 
@@ -248,7 +248,7 @@ class Jet:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return self._make(_scale, self.coeffs, 1.0 / other)
+            return self._make(_div_scalar, self.coeffs, other)
         self._check(other)
         return self._make(_div, self.coeffs, other.coeffs)
 
@@ -284,7 +284,7 @@ class Jet:
     def differentiate(self):
         out = [(k + 1) * self.coeffs[k + 1] for k in range(self.order)]
         out.append(0.0 * self.coeffs[0])
-        return Jet(out, self.order)
+        return Jet(out)
 
     def evaluate(self, h):
         return horner(self.coeffs, h)
@@ -404,8 +404,9 @@ class TapeSource:
     ``v<i>_``; every :class:`Param` the local its ``expr`` names, or a
     local ``t<i>_`` computed with coefficient 0; and every other scalar a
     name ``s<i>_`` in the namespace of the compiled functions, bound to the
-    scalar itself.  The names are of the tape's lists and Params by
-    identity, so the tape lives as long as this object.
+    scalar itself.  The tape is complete when this object is built, and
+    is named then, once, in recording order.  The names are of the tape's
+    lists and Params by identity, so the tape lives as long as this object.
     """
 
     def __init__(self, tape, leaves):
@@ -413,17 +414,8 @@ class TapeSource:
         self._names = {id(c): name for name, c in leaves.items()}
         self._env = dict(_HELPERS)
         self._nodes = []
-        self._recorded = 0
-        self.extend()
-
-    def extend(self):
-        """Name what the nodes recorded since the last call hold; return
-        their slice of the nodes, for :meth:`lines`."""
-        start = len(self._nodes)
-        for op, args in self._tape[self._recorded:]:
+        for op, args in tape:
             self._nodes.append((op, [self._bind(a) for a in args]))
-        self._recorded = len(self._tape)
-        return slice(start, len(self._nodes))
 
     def _bind(self, arg):
         if type(arg) is list:

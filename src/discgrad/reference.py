@@ -1,9 +1,10 @@
 """Exact pendulum solution via elliptic integrals and Jacobi functions.
 
 Ground truth for the global-error experiments.  Everything is computed
-with the arithmetic-geometric mean: K(k) directly, and sn/cn/dn/am by the
-descending Landen recursion on the amplitude.  The modulus convention is
-k (not m = k^2) throughout.
+with one pass of the arithmetic-geometric mean (``_agm_chain``), which
+gives K(k) and the ratios that the descending Landen recursion on the
+amplitude reads for sn/cn/dn/am.  The modulus convention is k (not
+m = k^2) throughout.
 
 Orbit regimes for H = p^2/2 - cos x started at x = 0:
 
@@ -13,9 +14,10 @@ Orbit regimes for H = p^2/2 - cos x started at x = 0:
 
 A p0 that is not finite, or so large that its period is not a finite
 positive number, raises ValueError.  ``pendulum_exact`` remembers the
-orbit of the last p0 it was asked for, with its AGM chain reduced to what
-the Landen recursion reads, so a trajectory sampled at every step builds
-its chain once; ``classify_orbit`` builds a fresh orbit on every call.
+orbit and Landen data of the last p0 it was asked for, so a trajectory
+sampled at every step runs the AGM once; ``classify_orbit`` builds a
+fresh orbit on every call.  On the separatrix the closed form is written
+in exp(-|t|), so it neither overflows for large |t| nor cancels near 0.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ def _check_modulus(k: float) -> None:
 
 
 def _agm_chain(k: float, kc: float = None):
-    """AGM of 1 and the complementary modulus kc = sqrt(1 - k^2): the means
-    a_0..a_n, the Landen terms c_0 = k, c_i = (a_{i-1} - b_{i-1}) / 2, and
-    the last geometric mean b_n.
+    """The AGM of 1 and kc = sqrt(1 - k^2) (A&S 17.6), as K(k) and the
+    Landen data that the descending recursion (A&S 16.4) reads: the start
+    scale 2^n a_n and the ratios c_i / a_i for i = n .. 1, where c_0 = k
+    and c_i = (a_{i-1} - b_{i-1}) / 2.
 
     kc defaults to sqrt((1 - k)(1 + k)), which, unlike 1 - k*k, does not
     cancel as k -> 1.  A caller that knows kc better than the rounded k
@@ -60,38 +63,24 @@ def _agm_chain(k: float, kc: float = None):
     if kc is None:
         kc = math.sqrt((1.0 - k) * (1.0 + k))
     an, cn, b = 1.0, k, kc
-    a, c = [an], [cn]
+    ratios = []
     for _ in range(_AGM_CAP):
         gap = an - b
         if not 0.0 < abs(gap) < 2.0 * abs(cn):
             break
         an, cn, b = 0.5 * (an + b), 0.5 * gap, math.sqrt(an * b)
-        a.append(an)
-        c.append(cn)
-    return a, c, b
-
-
-def _K(chain) -> float:
-    a, _, b = chain
-    return math.pi / (a[-1] + b)
+        ratios.append(cn / an)
+    return math.pi / (an + b), (2 ** len(ratios) * an, ratios[::-1])
 
 
 def elliptic_K(k: float) -> float:
     """Complete elliptic integral of the first kind, modulus k."""
     _check_modulus(k)
-    return _K(_agm_chain(k))
-
-
-def _landen(chain):
-    """What the descending Landen recursion needs of an AGM chain: the
-    start scale 2^n a_n and the ratios c_i / a_i for i = n .. 1."""
-    a, c, _ = chain
-    n = len(a) - 1
-    return (2 ** n) * a[n], [c[i] / a[i] for i in range(n, 0, -1)]
+    return _agm_chain(k)[0]
 
 
 def _amplitudes(u: float, landen):
-    """Descending Landen recursion (see `_landen`); returns the amplitude
+    """Descending Landen recursion (see `_agm_chain`); returns the amplitude
     phi0 = am(u, k) and the next angle phi1."""
     scale, ratios = landen
     phi = scale * u
@@ -124,7 +113,7 @@ def jacobi_am(u: float, k: float) -> float:
     _check_modulus(k)
     if k == 0.0:
         return u
-    return _amplitudes(u, _landen(_agm_chain(k)))[0]
+    return _amplitudes(u, _agm_chain(k)[1])[0]
 
 
 def jacobi_sn_cn_dn(u: float, k: float):
@@ -132,7 +121,7 @@ def jacobi_sn_cn_dn(u: float, k: float):
     _check_modulus(k)
     if k == 0.0:
         return math.sin(u), math.cos(u), 1.0
-    return _sn_cn_dn(*_amplitudes(u, _landen(_agm_chain(k))), k)
+    return _sn_cn_dn(*_amplitudes(u, _agm_chain(k)[1]), k)
 
 
 @dataclass(slots=True)
@@ -144,8 +133,8 @@ class PendulumOrbit:
 
 
 def _orbit(p0: float):
-    """The orbit through (0, p0) and the AGM chain of its modulus (None on
-    the separatrix).
+    """The orbit through (0, p0) and the Landen data of its modulus (see
+    `_agm_chain`; None on the separatrix).
 
     Raises ValueError for a p0 that is not finite, and for one so large
     that its period is not a finite positive number (the complementary
@@ -159,17 +148,17 @@ def _orbit(p0: float):
         return PendulumOrbit(p0, "separatrix", 1.0, math.inf), None
     if a < 2.0:
         k = a / 2.0
-        chain = _agm_chain(k)
-        regime, period = "libration", 4.0 * _K(chain)
+        K, landen = _agm_chain(k)
+        regime, period = "libration", 4.0 * K
     else:
         k = 2.0 / a
         # a - 2 is exact, so kc carries no cancellation near the separatrix
-        chain = _agm_chain(k, math.sqrt((a - 2.0) * (a + 2.0)) / a)
-        regime, period = "rotation", 2.0 * k * _K(chain)
+        K, landen = _agm_chain(k, math.sqrt((a - 2.0) * (a + 2.0)) / a)
+        regime, period = "rotation", 2.0 * k * K
     if not 0.0 < period < math.inf:
         raise ValueError(
             f"p0 = {p0!r}: the orbit's period {period!r} is not finite and > 0")
-    return PendulumOrbit(p0, regime, k, period), chain
+    return PendulumOrbit(p0, regime, k, period), landen
 
 
 def classify_orbit(p0: float) -> PendulumOrbit:
@@ -206,13 +195,9 @@ def _reduce_time(t: float, period: float):
     return n, (t - prod) - err
 
 
-@functools.lru_cache(maxsize=1)
-def _exact_orbit(p0: float):
-    """The orbit through (0, p0) and the Landen data of its AGM chain (None
-    on the separatrix), remembered for the last p0 only: a trajectory asks
-    for one p0 at every sample, so it builds its chain once."""
-    orbit, chain = _orbit(p0)
-    return orbit, None if chain is None else _landen(chain)
+# the orbit of the last p0 asked for: a trajectory asks for one p0 at every
+# sample, so it builds its chain once
+_exact_orbit = functools.lru_cache(maxsize=1)(_orbit)
 
 
 def pendulum_exact(p0: float, t: float) -> PhaseState:
@@ -227,9 +212,9 @@ def pendulum_exact(p0: float, t: float) -> PhaseState:
     orbit, landen = _exact_orbit(p0)
     k = orbit.k
     if orbit.regime == "separatrix":
-        x = 4.0 * math.atan(math.exp(t)) - math.pi
-        p = 2.0 / math.cosh(t)
-        return PhaseState(x, p)
+        e = math.exp(-abs(t))
+        return PhaseState(4.0 * math.atan(math.tanh(0.5 * t)),
+                          4.0 * e / (1.0 + e * e))
     n, r = _reduce_time(t, orbit.period)
     if orbit.regime == "libration":
         sn, cn, _ = _sn_cn_dn(*_amplitudes(r, landen), k)

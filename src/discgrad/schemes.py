@@ -88,16 +88,7 @@ class DeltaRule:
 
     @classmethod
     def mod_gr(cls, x_bar):
-        # delta depends only on (sys, h): remember the last one, keyed by
-        # the system object so one rule never hands a system another's delta
-        last = (None, None, None)
-
-        def fn(sys, x, p, h):
-            nonlocal last
-            if last[0] is not sys or last[1] != h:
-                last = (sys, h, delta_lex(omega_sq_at(sys, x_bar, 0.0), h))
-            return last[2]
-        return cls(fn)
+        return cls(lambda sys, x, p, h: _delta_lex_at(sys, x_bar, 0.0, h))
 
     @classmethod
     def lex(cls):

@@ -47,6 +47,15 @@ def test_integrate_writes_csv(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_separatrix_runs_past_exp_overflow(tmp_path):
+    # the oracle at t > 709.8, where e^t overflows a double
+    out = tmp_path / "x.csv"
+    assert main(["integrate", "--scheme", "gr", "--p0", "2", "--h", "0.25",
+                 "--steps", "3000", "--out", str(out)]) == 0
+    assert main(["order", "--scheme", "gr", "--p0", "2",
+                 "--h", "0.5,0.25,0.125", "--t", "800"]) == 0
+
+
 def test_sweep_writes_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--schemes", "gr,lf", "--p0", "1.8",

@@ -196,8 +196,8 @@ def picard_flow_coeffs(sys, s, N):
         fp = hx(X, P)
         fxc = fx.coeffs if isinstance(fx, Jet) else [fx] + [0.0] * (i - 1)
         fpc = fp.coeffs if isinstance(fp, Jet) else [fp] + [0.0] * (i - 1)
-        X = Jet([x0] + [fxc[k] / (k + 1) for k in range(i)], i)
-        P = Jet([p0] + [-fpc[k] / (k + 1) for k in range(i)], i)
+        X = Jet([x0] + [fxc[k] / (k + 1) for k in range(i)])
+        P = Jet([p0] + [-fpc[k] / (k + 1) for k in range(i)])
     return X, P
 
 

@@ -76,10 +76,12 @@ def test_period_where_agm_means_never_meet():
 def test_agm_chain_ends_by_its_stop_test(rng):
     moduli = [rng.random() for _ in range(10000)]
     moduli += [1.0 - 10.0 ** -rng.uniform(1.0, 16.0) for _ in range(10000)]
-    for k in moduli:
-        a, _, b = _agm_chain(k)
-        assert len(a) - 1 < _AGM_CAP
-        assert abs(a[-1] - b) <= math.ulp(a[-1])
+    with mpmath.workdps(50):
+        for k in moduli:
+            K, (_, ratios) = _agm_chain(k)
+            assert len(ratios) < _AGM_CAP
+            want = mpmath.ellipk(mpmath.mpf(k) ** 2)
+            assert abs(K - want) <= 4 * math.ulp(K), k
 
 
 def test_quoted_periods():
@@ -229,6 +231,20 @@ def test_separatrix_closed_form():
     far = pendulum_exact(2.0, 40.0)
     assert far.x == pytest.approx(math.pi, abs=1e-12)
     assert far.p == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [0.3, 40.0, 1e3, 1e6])
+def test_separatrix_within_one_ulp_of_mpmath(t):
+    # 4 atan(e^t) - pi and 2 sech t at 60 digits; past t = 709.8 the
+    # closed form in e^t overflows a double
+    with mpmath.workdps(60):
+        T = mpmath.mpf(t)
+        want = (4 * mpmath.atan(mpmath.exp(T)) - mpmath.pi,
+                2 / mpmath.cosh(T))
+        for sign in (1.0, -1.0):
+            s = pendulum_exact(2.0, sign * t)
+            for got, ref in zip((s.x, s.p), (sign * want[0], want[1])):
+                assert abs(got - ref) <= math.ulp(float(ref)), (sign, got)
 
 
 def test_negative_momentum_symmetry():

@@ -573,8 +573,8 @@ def flow_jets(sys, x, p, n):
         fx, fp = hp(X, P), hx(X, P)
         fxc = fx.coeffs if isinstance(fx, Jet) else [fx] + [0.0] * (i - 1)
         fpc = fp.coeffs if isinstance(fp, Jet) else [fp] + [0.0] * (i - 1)
-        X = Jet([x] + [fxc[k] / (k + 1) for k in range(i)], i)
-        P = Jet([p] + [-fpc[k] / (k + 1) for k in range(i)], i)
+        X = Jet([x] + [fxc[k] / (k + 1) for k in range(i)])
+        P = Jet([p] + [-fpc[k] / (k + 1) for k in range(i)])
     return X, P
 
 
