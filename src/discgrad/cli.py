@@ -9,7 +9,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 solver failure at a step
 (non-convergence, divergence, or h*omega >= pi for a locally exact
-denominator), 4 precision-floor-only order result.
+denominator), 4 order result with no slope: fewer than 2 errors lie
+between the precision floor and saturation (error >= 1).
 """
 
 from __future__ import annotations
@@ -115,7 +116,14 @@ def main(argv=None) -> int:
             for h, e in est.used + est.excluded:
                 print(f"  h = {h:<10g} error = {e:.6e}")
             if est.slope is None:
-                print("all points at the precision floor; no slope")
+                floor = sum(e < harness.PRECISION_FLOOR
+                            for _, e in est.excluded)
+                causes = [f"{n} {what}" for n, what in (
+                    (floor, "at the precision floor"),
+                    (len(est.excluded) - floor, "saturated (error >= 1)"))
+                    if n]
+                print(f"{' and '.join(causes)}; fewer than 2 points left, "
+                      "no slope")
                 return EXIT_PRECISION_FLOOR
             print(f"fitted order: {est.slope:.3f}  "
                   f"(pairwise: {', '.join(f'{s:.3f}' for s in est.pair_slopes)})")

@@ -37,3 +37,8 @@ class UnsupportedSchemeError(ValueError):
 
 class PrecisionFloorWarning(UserWarning):
     """Measured error sits at the round-off floor; point excluded from fits."""
+
+
+class SaturationWarning(UserWarning):
+    """Measured error is not small against the state, so it is outside the
+    asymptotic regime; point excluded from fits."""

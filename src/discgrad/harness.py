@@ -16,12 +16,15 @@ from dataclasses import dataclass, field
 from . import baselines, reference, schemes
 from .errors import (DivergenceError, NonConvergenceError,
                      PrecisionFloorWarning, ResonanceStepError,
-                     UnsupportedSchemeError)
+                     SaturationWarning, UnsupportedSchemeError)
 from .hamiltonian import (HamiltonianSystem, PhaseState, check_flow_order,
                           eval_energy, system_from_name)
 
 # measured errors below this sit at the round-off floor of a unit-scale state
 PRECISION_FLOOR = 100.0 * math.ulp(1.0)
+# measured errors from this up are not small against a unit-scale state: the
+# orbit is off by a swing or by whole turns, not by C h^r
+SATURATION_ERROR = 1.0
 
 
 @dataclass(slots=True)
@@ -239,15 +242,16 @@ def sweep(schemes_list, p0: float, h_list, n_periods: int,
 
 @dataclass(slots=True)
 class OrderEstimate:
-    slope: float          # None when every point sat on the precision floor
+    slope: float          # None when fewer than 2 points entered the fit
     pair_slopes: list
     used: list            # (h, error) pairs that entered the fit
-    excluded: list        # (h, error) pairs below the precision floor
+    excluded: list        # (h, error) pairs at the floor or saturated
 
 
 def estimate_order(scheme: str, p0: float, h_list,
                    t_final: float) -> OrderEstimate:
-    """Least-squares slope of log(error) against log(h), on the pendulum."""
+    """Least-squares slope of log(error) against log(h), on the pendulum,
+    over the errors between PRECISION_FLOOR and SATURATION_ERROR."""
     if len(h_list) < 3:
         raise ValueError("need at least 3 step sizes")
     if len(set(h_list)) < len(h_list):
@@ -262,6 +266,12 @@ def estimate_order(scheme: str, p0: float, h_list,
             warnings.warn(
                 f"{scheme} at h={h:g}: error {err:.2e} is at the round-off "
                 "floor; excluded from the order fit", PrecisionFloorWarning)
+            excluded.append((h, err))
+        elif err >= SATURATION_ERROR:
+            warnings.warn(
+                f"{scheme} at h={h:g}: error {err:.2e} is not small against "
+                "the state (saturated); excluded from the order fit",
+                SaturationWarning)
             excluded.append((h, err))
         else:
             used.append((h, err))

@@ -16,11 +16,11 @@ scheme; the choice of delta sets the accuracy:
               dd_p(x, X, p, P) on the flow (X, P) through (x, p): with it
               the exact flow meets the x-equation to order N
 
-A :class:`DeltaRule` is that choice and nothing else: a function
-``fn(sys, x, p, h) -> delta`` and a flag ``midpoint``.  The step evaluates
-``fn`` once, at its start point, unless ``midpoint`` is set (GR-SLEX); then
-it evaluates ``fn`` at the midpoint of the current iterate on every
-solver iteration.
+A :class:`DeltaRule` is that choice: a function ``fn(sys, x, p, h) ->
+delta`` and a flag ``midpoint``, and for GR-N the ``start`` that gives
+delta with the step's predictor.  The step evaluates ``fn`` once, at its
+start point, unless ``midpoint`` is set (GR-SLEX); then it evaluates
+``fn`` at the midpoint of the current iterate on every solver iteration.
 
 GR-N's delta is one generated function of (x, p, h) per system object
 and N: the flow to order N + 2, dd_p on it, and, for a state whose
@@ -29,12 +29,17 @@ leading dd_p coefficient is kept and not small (k = 0, amp within
 operations and order of the general path, which every other state takes
 (see :func:`_compile_delta`).  Near a turning point the general path
 deflates the root that X - x and dd_p share, in floats
-(:func:`_coefficients`).
+(:func:`_coefficients`).  Both paths return the flow's (X(h), P(h)) with
+delta.
 
 The step solves F(z) = z - z_n - delta (dd_p, -dd_x)(z_n, z) = 0 by
-simplified Newton from an explicit Euler predictor (Hairer, Lubich &
-Wanner, Geometric Numerical Integration, VIII.6), with J = I - (delta/2) A
-and the Hessian in A frozen at the predicted midpoint.
+simplified Newton (Hairer, Lubich & Wanner, Geometric Numerical
+Integration, VIII.6), with J = I - (delta/2) A and the Hessian in A frozen
+at the predicted midpoint.  GR-N starts from the flow (X(h), P(h)) that its
+delta already computes: the exact flow to order N + 2, so within gr-N's
+own local error of the converged iterate, a starting approximation in the
+sense of GNI VIII.6.1.  Every other rule starts from an explicit Euler
+predictor, within O(h^2).
 """
 
 from __future__ import annotations
@@ -78,9 +83,13 @@ class SolverConfig:
 class DeltaRule:
     """Denominator choice for the discrete-gradient step: delta is
     ``fn(sys, x, p, h)``, taken at the step's start point, or at the
-    iterate's midpoint on every iteration when ``midpoint`` is set."""
+    iterate's midpoint on every iteration when ``midpoint`` is set.  A
+    ``start(sys, x, p, h) -> (delta, xc, pc)`` gives delta at the start
+    point with the step's predictor (xc, pc); without one the step starts
+    from explicit Euler."""
     fn: Callable[[HamiltonianSystem, float, float, float], float]
     midpoint: bool = False
+    start: Callable[[HamiltonianSystem, float, float, float], tuple] = None
 
     @classmethod
     def gr(cls):
@@ -102,7 +111,9 @@ class DeltaRule:
     def series(cls, N):
         _check_series_order(N)
         return cls(lambda sys, x, p, h: delta_series(sys, PhaseState(x, p),
-                                                     h, N))
+                                                     h, N),
+                   start=lambda sys, x, p, h: _series_function(sys, N)(
+                       x, p, h))
 
     def value_at(self, sys: HamiltonianSystem, s: PhaseState, h: float) -> float:
         """delta at the fixed point s; for slex the midpoint is s itself,
@@ -254,8 +265,18 @@ def delta_series_coefficients(sys: HamiltonianSystem, s: PhaseState,
     return _coefficients(code, s.x, s.p, N, *parts(s.x, s.p))
 
 
+def _horner_text(names) -> str:
+    """Text of the polynomial in h with the coefficients ``names``, summed
+    as :func:`discgrad.jets.horner` sums it."""
+    acc = names[-1]
+    for v in reversed(names[:-1]):
+        acc = f"({acc}) * h + {v}"
+    return acc
+
+
 def _compile_delta(code, N: int):
-    """The generated function (x0, p0, h) -> delta^{[N]}.  After the
+    """The generated function (x0, p0, h) -> (delta^{[N]}, X(h), P(h)),
+    with (X, P) the flow through (x0, p0) to order N + 2.  After the
     parts' lines, where the dd_p coefficients have a finite sum (so each
     is finite; a sum that overflows only sends the state to the general
     path), the leading one is kept (k = 0) and amp is within
@@ -267,9 +288,8 @@ def _compile_delta(code, N: int):
     quotient = [f"q{n} = ({num[n + 1]}"
                 + "".join(f" - {d[j]} * q{n - j}" for j in range(1, n + 1))
                 + f") / {d[0]}" for n in range(N)]
-    acc = f"q{N - 1}"
-    for n in range(N - 2, -1, -1):
-        acc = f"({acc}) * h + q{n}"
+    flow = ", ".join(_horner_text([f"{v}{k}" for k in range(N + 3)])
+                     for v in "xp")
     body += [
         f"total = {' + '.join(d)}",
         "if total - total == 0.0:",
@@ -278,15 +298,27 @@ def _compile_delta(code, N: int):
         "    if lead > 1e-13 * scale and scale / lead <= "
         f"{_plain_amp_limit(N)!r}:",
         *(f"        {line}" for line in quotient),
-        f"        return h * ({acc})"]
+        f"        return h * ({_horner_text([f'q{n}' for n in range(N)])}), "
+        f"{flow}"]
 
     def general(x, p, num, den):
         return _coefficients(code, x, p, N, num, den)
     return code.source.compile(
         "x0, p0, h", body,
         f"h * horner(general(x0, p0, [{', '.join(num)}], "
-        f"[{', '.join(d)}]), h)",
+        f"[{', '.join(d)}]), h), {flow}",
         {"general": general, "horner": horner})
+
+
+def _series_function(sys: HamiltonianSystem, N: int):
+    """The generated function of :func:`_compile_delta` for sys and N,
+    made once per system object and N."""
+    code = _system_code(sys)
+    fn = code.functions.get(("delta", N))
+    if fn is None:
+        _check_series_order(N)
+        fn = code.functions[("delta", N)] = _compile_delta(code, N)
+    return fn
 
 
 def delta_series(sys: HamiltonianSystem, s: PhaseState, h: float,
@@ -294,12 +326,7 @@ def delta_series(sys: HamiltonianSystem, s: PhaseState, h: float,
     """delta^{[N]} = sum_{k=1}^{N} a_k(x, p) h^k evaluated at h, by one
     generated function per system object and N: the same value as
     ``h * horner(delta_series_coefficients(sys, s, N), h)``."""
-    code = _system_code(sys)
-    delta = code.functions.get(("delta", N))
-    if delta is None:
-        _check_series_order(N)
-        delta = code.functions[("delta", N)] = _compile_delta(code, N)
-    return delta(s.x, s.p, h)
+    return _series_function(sys, N)(s.x, s.p, h)[0]
 
 
 def discrete_gradient_residual(sys: HamiltonianSystem, s_n: PhaseState,
@@ -338,15 +365,21 @@ def step_gradient_info(sys: HamiltonianSystem, rule: DeltaRule,
         cfg = SolverConfig()
     x, p = s_n.x, s_n.p
     fn, midpoint = rule.fn, rule.midpoint
-    delta = None if midpoint else fn(sys, x, p, h)
     dd_x, dd_p = sys.dd_x, sys.dd_p
     d = sys.partials
-    # explicit Euler predictor
-    xc = x + h * d["p"](x, p)
-    pc = p - h * d["x"](x, p)
+    start = rule.start
+    if start is None:
+        delta = None if midpoint else fn(sys, x, p, h)
+        # explicit Euler predictor, O(h^2) off the fixed point
+        xc = x + h * d["p"](x, p)
+        pc = p - h * d["x"](x, p)
+    else:
+        # the rule's own: for gr-N the flow to order N + 2 at h
+        delta, xc, pc = start(sys, x, p, h)
     if not (math.isfinite(xc) and math.isfinite(pc)):
-        raise DivergenceError(f"Euler predictor ({xc:.3g}, {pc:.3g}) "
-                              "is not finite")
+        raise DivergenceError(
+            f"{'Euler predictor' if start is None else 'flow start'} "
+            f"({xc:.3g}, {pc:.3g}) is not finite")
     xm, pm = 0.5 * (x + xc), 0.5 * (p + pc)
     hxx, hxp, hpp = d["xx"](xm, pm), d["xp"](xm, pm), d["pp"](xm, pm)
     if not midpoint:

@@ -47,13 +47,20 @@ def test_integrate_writes_csv(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
-def test_separatrix_runs_past_exp_overflow(tmp_path):
+@pytest.mark.filterwarnings("ignore::discgrad.errors.SaturationWarning")
+def test_separatrix_runs_past_exp_overflow(tmp_path, capsys):
     # the oracle at t > 709.8, where e^t overflows a double
     out = tmp_path / "x.csv"
     assert main(["integrate", "--scheme", "gr", "--p0", "2", "--h", "0.25",
                  "--steps", "3000", "--out", str(out)]) == 0
-    assert main(["order", "--scheme", "gr", "--p0", "2",
-                 "--h", "0.5,0.25,0.125", "--t", "800"]) == 0
+    # every orbit leaves the separatrix and goes over the top: errors of
+    # whole turns give no slope, and the message says why
+    capsys.readouterr()
+    code = main(["order", "--scheme", "gr", "--p0", "2",
+                 "--h", "0.5,0.25,0.125", "--t", "800"])
+    assert code == EXIT_PRECISION_FLOOR
+    out = capsys.readouterr().out
+    assert "3 saturated" in out and "fitted order" not in out
 
 
 def test_sweep_writes_csv(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from discgrad import harness
 from discgrad.errors import (NonConvergenceError, PrecisionFloorWarning,
-                             UnsupportedSchemeError)
+                             SaturationWarning, UnsupportedSchemeError)
 from discgrad.harness import (ExperimentSpec, TrajectoryRecord, emit_csv,
                               emit_plotscript, estimate_order, make_stepper,
                               run_trajectory, sweep)
@@ -93,6 +93,14 @@ def test_iteration_statistics():
     assert 1 <= it["min"] <= it["mean"] <= it["max"] <= 100
     rec = run_trajectory(_spec(scheme="rk4", n_steps=10))
     assert rec.metadata["iterations"]["max"] == 0
+
+
+def test_gr_n_iterations_from_the_flow_start():
+    # from the Euler predictor both took 5.65 iterations per step here
+    for scheme, most in (("gr-7", 4.0), ("gr-3", 5.2)):
+        rec = run_trajectory(_spec(scheme=scheme, n_steps=1000,
+                                   sample_stride=100))
+        assert rec.metadata["iterations"]["mean"] <= most
 
 
 def test_nonconvergence_reports_step_index():
@@ -243,6 +251,16 @@ def test_estimate_order_floor_exclusion():
         est = estimate_order("tay-10", 1.8, [0.1, 0.05, 0.025, 0.0125], 2.0)
     assert est.excluded
     assert all(e < 100 * np.finfo(float).eps for _, e in est.excluded)
+
+
+def test_estimate_order_saturation_exclusion():
+    # every orbit leaves the separatrix band and goes over the top, so the
+    # errors count whole turns (44.0, 37.7, 31.4), not truncation
+    with pytest.warns(SaturationWarning):
+        est = estimate_order("gr", 2.0, [0.5, 0.25, 0.125], 800.0)
+    assert est.slope is None and est.used == []
+    assert len(est.excluded) == 3
+    assert all(e >= harness.SATURATION_ERROR for _, e in est.excluded)
 
 
 def test_estimate_order_validation():

@@ -435,8 +435,34 @@ def test_equilibrium_kept_where_newton_matrix_is_singular(pendulum):
 
 
 def test_overflowing_predictor_is_divergence(pendulum):
-    with pytest.raises(DivergenceError, match="Euler predictor"):
-        step_gradient(pendulum, DeltaRule.gr(), PhaseState(0.0, 1.8), 1e308)
+    # gr-3's delta coefficients are finite at (0, 1.8); its flow start at
+    # h = 1e308 is not
+    for rule, message in ((DeltaRule.gr(), "Euler predictor"),
+                          (DeltaRule.series(3), "not finite")):
+        with pytest.raises(DivergenceError, match=message):
+            step_gradient(pendulum, rule, PhaseState(0.0, 1.8), 1e308)
+
+
+def test_gr_n_start_is_delta_and_its_flow(pendulum):
+    # the generated delta hands back the flow to order N + 2 at h, summed as
+    # horner sums the flow's own coefficients; (1.0, 1e-4) deflates
+    for N, s in ((3, PhaseState(0.3, 1.2)), (7, PhaseState(-1.0, -0.8)),
+                 (12, PhaseState(1.0, 1e-4))):
+        X, P = taylor_flow_coeffs(pendulum, s, N + 2)
+        assert DeltaRule.series(N).start(pendulum, s.x, s.p, 0.25) == (
+            delta_series(pendulum, s, 0.25, N), horner(X.coeffs, 0.25),
+            horner(P.coeffs, 0.25))
+
+
+def test_gr_n_starts_near_its_fixed_point(pendulum):
+    # from the flow (X(h), P(h)) one iteration reaches tol where the Euler
+    # predictor takes two; at the deflating (1.0, 1e-4) Euler takes five
+    _, its = step_gradient_info(pendulum, DeltaRule.series(7),
+                                PhaseState(0.0, 0.02), 0.0125)
+    assert its == 1
+    _, its = step_gradient_info(pendulum, DeltaRule.series(12),
+                                PhaseState(1.0, 1e-4), 0.25)
+    assert its <= 3
 
 
 def test_overflowing_series_flow_is_divergence():
