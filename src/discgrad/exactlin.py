@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import DegenerateStepError
 from .hamiltonian import LinearSystem
 
-# below this |omega_sq|, sin/sinh closed forms lose digits; use the series
+# below this |omega_sq| the closed forms lose digits; use the series
 _DEGENERATE_OMEGA_SQ = 1e-12
 
 

@@ -132,14 +132,6 @@ def _advance(stepper, s: PhaseState, h: float, start: int, stop: int,
     return s
 
 
-def _global_errors(p0: float, t: float, s: PhaseState):
-    """Max-norm distance of s from the exact pendulum state at t, plain and
-    with the phase difference reduced mod 2 pi."""
-    ex = reference.pendulum_exact(p0, t)
-    dx, dp = s.x - ex.x, abs(s.p - ex.p)
-    return max(abs(dx), dp), max(abs(math.remainder(dx, 2.0 * math.pi)), dp)
-
-
 def run_trajectory(spec: ExperimentSpec,
                    cfg: schemes.SolverConfig = None) -> TrajectoryRecord:
     """Integrate one trajectory, sampling every sample_stride steps.
@@ -161,7 +153,10 @@ def run_trajectory(spec: ExperimentSpec,
         t = n * spec.h
         g = gm = None
         if want_global:
-            g, gm = _global_errors(spec.p0, t, s)
+            ex = reference.pendulum_exact(spec.p0, t)
+            dx, dp = s.x - ex.x, abs(s.p - ex.p)
+            g = max(abs(dx), dp)
+            gm = max(abs(math.remainder(dx, 2.0 * math.pi)), dp)
         samples.append(Sample(n, t, s.x, s.p, eval_energy(sys, s) - e0,
                               g, gm))
 
@@ -185,15 +180,16 @@ def run_trajectory(spec: ExperimentSpec,
 
 
 def _final_global_error(scheme: str, p0: float, h: float, n: int) -> float:
-    stepper = make_stepper(scheme, system_from_name("pendulum"))
-    s = _advance(stepper, PhaseState(0.0, p0), h, 0, n, defaultdict(int))
-    return _global_errors(p0, n * h, s)[0]
+    spec = ExperimentSpec(scheme, "pendulum", p0, h, n, sample_stride=n)
+    return run_trajectory(spec).samples[-1].global_err
 
 
 def _check_step_counts(target: float, h_list, name: str) -> None:
-    """Every step count target / h must be finite, so that _error_near can
-    round it; name says what target is."""
+    """Every h must be finite and > 0, and every step count target / h
+    finite, so that _error_near can round it; name says what target is."""
     for h in h_list:
+        if not 0.0 < h < math.inf:
+            raise ValueError(f"need a finite h > 0, got h = {h!r}")
         if not math.isfinite(target / h):
             raise ValueError(f"the step count {name} / h = {target!r} / "
                              f"{h!r} is not finite")

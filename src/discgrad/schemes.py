@@ -49,7 +49,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import (DivergenceError, NonConvergenceError, ResonanceStepError)
-from .exactlin import AffineStepMap, affine_map
+from .exactlin import _DEGENERATE_OMEGA_SQ, AffineStepMap, affine_map
 from .hamiltonian import (HamiltonianSystem, PhaseState, _system_code,
                           linearize)
 # not called here, where the series delta is generated code, but
@@ -135,14 +135,14 @@ def delta_lex(omega_sq: float, h: float) -> float:
     """
     if h == 0.0:
         raise ValueError("h must be nonzero")
-    if omega_sq > 1e-12:
+    if omega_sq > _DEGENERATE_OMEGA_SQ:
         w = math.sqrt(omega_sq)
         if abs(h) * w >= math.pi:
             raise ResonanceStepError(
                 f"h*omega = {abs(h) * w:.3g} >= pi: step too large "
                 "for the locally exact denominator")
         return 2.0 / w * math.tan(0.5 * h * w)
-    if omega_sq < -1e-12:
+    if omega_sq < -_DEGENERATE_OMEGA_SQ:
         mu = math.sqrt(-omega_sq)
         return 2.0 / mu * math.tanh(0.5 * h * mu)
     return h + h ** 3 * omega_sq / 12.0

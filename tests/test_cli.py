@@ -226,6 +226,10 @@ def test_p0_the_oracle_cannot_take_is_a_usage_error(tmp_path, capsys):
             == EXIT_USAGE
         err = capsys.readouterr().err
         assert names in err and "separatrix" not in err
+        assert main(["order", "--scheme", "gr", "--p0", p0,
+                     "--h", "0.2,0.1,0.05", "--t", "2"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert names in err and "step" not in err
     # x0 feeds no oracle, but a run from it would be all NaN rows
     assert main(["integrate", "--scheme", "lf", "--system", "harmonic:1",
                  "--p0", "1.0", "--x0", "inf", "--h", "0.25", "--steps", "3",

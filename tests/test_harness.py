@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,39 @@ def test_sweep_resolves_every_id_before_running(monkeypatch):
     with pytest.raises(UnsupportedSchemeError):
         sweep(["gr", "warp"], 0.02, [0.4, 0.2], 1, parallel=False)
     assert entries == []
+
+
+def test_sweep_error_is_the_trajectory_final_error():
+    # a sweep entry is one run_trajectory, whether it ran in a worker or not
+    for parallel in (False, True):
+        rows = sweep(["gr", "gr-7", "sp-4", "tay-10"], 1.8, [0.2, 0.1], 1,
+                     parallel=parallel)
+        assert len(rows) == 8
+        for r in rows:
+            rec = run_trajectory(_spec(scheme=r["scheme"], h=r["h"],
+                                       n_steps=r["n"], sample_stride=r["n"]))
+            assert r["error"] == rec.samples[-1].global_err, (parallel, r)
+
+
+def test_bad_step_sizes_rejected_before_any_entry(monkeypatch):
+    def fail(*args):
+        pytest.fail("an entry ran")
+    monkeypatch.setattr(harness, "_sweep_entry", fail)
+    monkeypatch.setattr(harness, "_error_near", fail)
+    for h in (0.0, -0.1, math.nan, math.inf):
+        names = re.escape(f"need a finite h > 0, got h = {h!r}")
+        with pytest.raises(ValueError, match=names):
+            sweep(["gr"], 0.5, [h], 1)
+        with pytest.raises(ValueError, match=names):
+            estimate_order("gr", 0.5, [0.1, h, 0.025], 2.0)
+
+
+def test_estimate_order_rejects_p0_before_any_step(monkeypatch):
+    monkeypatch.setattr(harness, "make_stepper",
+                        lambda *args: pytest.fail("resolved a stepper"))
+    for p0 in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="need a finite p0"):
+            estimate_order("gr", p0, [0.2, 0.1, 0.05], 2.0)
 
 
 def test_sweep_matches_serial_and_order():
