@@ -7,10 +7,11 @@
     discgrad order --scheme gr-slex --p0 1.8 --h 0.2,0.1,0.05,0.025 --t 18.24
     discgrad plot --figure fig4 --csv fig4.csv --out fig4.gp
 
-Exit codes: 0 success, 2 usage error, 3 solver failure at a step
-(non-convergence, divergence, or h*omega >= pi for a locally exact
-denominator), 4 order result with no slope: fewer than 2 errors lie
-between the precision floor and saturation (error >= 1).
+Exit codes: 0 success, 2 usage error, 3 failure at a step, named in the
+message (non-convergence, divergence, h*omega >= pi for a locally exact
+denominator, or a state out of float range or a math error in a step),
+4 order result with no slope: fewer than 2 errors lie between the
+precision floor and saturation (error >= 1).
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import math
 import sys as _sys
 
 from . import harness
-from .errors import (DivergenceError, NonConvergenceError,
-                     ResonanceStepError, UnsupportedSchemeError)
+from .errors import StepError
 
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
@@ -131,10 +131,10 @@ def main(argv=None) -> int:
             harness.emit_plotscript(
                 [c for c in args.csv.split(",") if c], args.figure, args.out)
             print(f"wrote {args.out}")
-    except (NonConvergenceError, DivergenceError, ResonanceStepError) as exc:
+    except StepError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (ValueError, UnsupportedSchemeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
     return 0

@@ -5,7 +5,12 @@ class SingularJetDivisionError(ZeroDivisionError):
     """Division by a truncated series whose constant term vanishes."""
 
 
-class ResonanceStepError(ValueError):
+class StepError(Exception):
+    """A step of a run failed.  run_trajectory prefixes the message with
+    "step n: ", n the index of the failed step; the CLI exits 3 on it."""
+
+
+class ResonanceStepError(StepError, ValueError):
     """Step size too large for the locally exact denominator (tan pole)."""
 
 
@@ -13,21 +18,14 @@ class DegenerateStepError(ZeroDivisionError):
     """sin(omega*h) vanished where the momentum reconstruction needs it."""
 
 
-class NonConvergenceError(RuntimeError):
-    """The implicit solve ran out of solver iterations.
-
-    Carries the last increment so callers can judge how close it got.
-    The default lets pickle rebuild the error from its message alone, as a
-    process pool does; the increment then comes back with its attributes.
-    """
-
-    def __init__(self, message, last_increment=None):
-        super().__init__(message)
-        self.last_increment = last_increment
+class NonConvergenceError(StepError, RuntimeError):
+    """The implicit solve ran out of solver iterations; the message states
+    the last increment."""
 
 
-class DivergenceError(RuntimeError):
-    """A solver iteration's increment blew past the divergence guard."""
+class DivergenceError(StepError, RuntimeError):
+    """A solver iteration's increment blew past the divergence guard, or a
+    state left float range (chained to the math error it caused, if any)."""
 
 
 class UnsupportedSchemeError(ValueError):

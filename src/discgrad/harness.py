@@ -14,9 +14,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import baselines, reference, schemes
-from .errors import (DivergenceError, NonConvergenceError,
-                     PrecisionFloorWarning, ResonanceStepError,
-                     SaturationWarning, UnsupportedSchemeError)
+from .errors import (DivergenceError, PrecisionFloorWarning,
+                     SaturationWarning, StepError, UnsupportedSchemeError)
 from .hamiltonian import (HamiltonianSystem, PhaseState, check_flow_order,
                           eval_energy, system_from_name)
 
@@ -87,49 +86,27 @@ def make_stepper(scheme: str, sys: HamiltonianSystem,
         return gradient(schemes.DeltaRule.lex())
     if scheme == "gr-slex":
         return gradient(schemes.DeltaRule.slex())
-    if scheme.startswith("gr-") and scheme[3:].isdigit():
-        return gradient(schemes.DeltaRule.series(int(scheme[3:])))
     if scheme == "lf":
         return lambda s, h: (baselines.step_leapfrog(sys, s, h), 0)
     if scheme == "rk4":
         return lambda s, h: (baselines.step_rk4(sys, s, h), 0)
-    if scheme.startswith("tay-") and scheme[4:].isdigit():
-        N = int(scheme[4:])
-        check_flow_order(N)
-        return lambda s, h: (baselines.step_taylor(sys, s, h, N), 0)
-    if scheme.startswith("sp-") and scheme[3:].isdigit():
-        M, odd = divmod(int(scheme[3:]), 2)
-        try:
+    try:
+        if scheme.startswith("gr-") and scheme[3:].isdigit():
+            return gradient(schemes.DeltaRule.series(int(scheme[3:])))
+        if scheme.startswith("tay-") and scheme[4:].isdigit():
+            N = int(scheme[4:])
+            check_flow_order(N)
+            return lambda s, h: (baselines.step_taylor(sys, s, h, N), 0)
+        if scheme.startswith("sp-") and scheme[3:].isdigit():
+            M, odd = divmod(int(scheme[3:]), 2)
             # an odd order has no M; M = 0 is out of range as well
             coeffs = baselines.sp_coefficients(0 if odd else M)
-        except UnsupportedSchemeError as exc:
-            raise UnsupportedSchemeError(
-                f"unknown scheme id {scheme!r}: {exc}") from None
-        return lambda s, h: (baselines.step_symplectic(sys, s, h, coeffs), 0)
+            return lambda s, h: (baselines.step_symplectic(sys, s, h, coeffs),
+                                 0)
+    except ValueError as exc:
+        raise UnsupportedSchemeError(
+            f"unknown scheme id {scheme!r}: {exc}") from None
     raise UnsupportedSchemeError(f"unknown scheme id {scheme!r}")
-
-
-def _advance(stepper, s: PhaseState, h: float, start: int, stop: int,
-             iterations: defaultdict) -> PhaseState:
-    """Take steps start+1 .. stop from s, counting each step's solver
-    iterations into the histogram `iterations`.
-
-    This is the only place the harness calls a stepper.  Solver failures
-    gain the index of the step that failed; a state out of float range at
-    the end, which explicit steps do not check, fails at step stop.
-    """
-    n = start
-    try:
-        for n in range(start + 1, stop + 1):
-            s, its = stepper(s, h)
-            iterations[its] += 1
-        if not (math.isfinite(s.x) and math.isfinite(s.p)):
-            raise DivergenceError(f"state ({s.x:.3g}, {s.p:.3g}) is not "
-                                  "finite")
-    except (NonConvergenceError, DivergenceError, ResonanceStepError) as exc:
-        exc.args = (f"step {n}: {exc.args[0]}",) + exc.args[1:]
-        raise
-    return s
 
 
 def run_trajectory(spec: ExperimentSpec,
@@ -160,11 +137,34 @@ def run_trajectory(spec: ExperimentSpec,
         samples.append(Sample(n, t, s.x, s.p, eval_energy(sys, s) - e0,
                               g, gm))
 
+    # The only loop that calls a stepper.  A step failure gains the index
+    # of the step that failed.  Explicit steps do not check their state: one
+    # out of float range fails at the end of its block, or at the first
+    # step whose math it breaks, named as the step it left range in.
+    h = spec.h
     t_start = time.perf_counter()
     record(0, s)
     for start in range(0, spec.n_steps, spec.sample_stride):
         stop = min(start + spec.sample_stride, spec.n_steps)
-        s = _advance(stepper, s, spec.h, start, stop, iterations)
+        try:
+            for n in range(start + 1, stop + 1):
+                s, its = stepper(s, h)
+                iterations[its] += 1
+            if not (math.isfinite(s.x) and math.isfinite(s.p)):
+                raise DivergenceError(f"state ({s.x:.3g}, {s.p:.3g}) is not "
+                                      "finite")
+        except StepError as exc:
+            exc.args = (f"step {n}: {exc}",)
+            raise
+        except UnsupportedSchemeError:
+            raise
+        except (ArithmeticError, ValueError) as exc:
+            if math.isfinite(s.x) and math.isfinite(s.p):
+                msg = f"step {n}: {exc} from state ({s.x:.3g}, {s.p:.3g})"
+            else:
+                msg = (f"step {n - 1}: state ({s.x:.3g}, {s.p:.3g}) is not "
+                       "finite")
+            raise DivergenceError(msg) from exc
         record(stop, s)
     wall = time.perf_counter() - t_start
     meta = {

@@ -412,7 +412,7 @@ def step_gradient_info(sys: HamiltonianSystem, rule: DeltaRule,
                 f"fixed-point increment {inc:.3g} exceeded guard {guard:.3g}")
     raise NonConvergenceError(
         f"no convergence in {cfg.max_iter} iterations "
-        f"(last increment {inc:.3g})", inc)
+        f"(last increment {inc:.3g})")
 
 
 def step_gradient(sys: HamiltonianSystem, rule: DeltaRule, s_n: PhaseState,

@@ -180,6 +180,18 @@ def test_usage_errors(tmp_path, capsys):
             == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"'{scheme}'" in err and "sp-2, sp-4, sp-6 and sp-8" in err
+    # every bad scheme id names itself, in integrate and in sweep
+    run = ["--p0", "1.8", "--h", "0.25", "--out", str(out)]
+    for scheme, argv in (
+            ("gr-0", ["integrate", "--scheme", "gr-0", "--steps", "5"]),
+            ("gr-15", ["integrate", "--scheme", "gr-15", "--steps", "5"]),
+            ("tay-0", ["integrate", "--scheme", "tay-0", "--steps", "5"]),
+            ("gr-15", ["sweep", "--schemes", "gr,gr-15", "--periods", "1",
+                       "--serial"])):
+        assert main(argv + run) == EXIT_USAGE, argv
+        assert capsys.readouterr().err.startswith(
+            f"error: unknown scheme id '{scheme}': "), argv
+        assert not out.exists(), argv
     # a run length or system parameter that cannot make a finite run is
     # a usage error, named in the message, before any step is taken
     order = ["order", "--scheme", "gr", "--p0", "1.8", "--h", "0.2,0.1,0.05"]
@@ -281,10 +293,29 @@ def test_explicit_step_leaving_float_range_is_divergence(tmp_path, capsys):
             (["--scheme", "lf", "--system", "harmonic:1e150", "--p0", "1",
               "--h", "0.25", "--steps", "4"], 2),
             (["--scheme", "sp-4", "--system", "harmonic:1e150", "--p0", "1",
-              "--h", "0.25", "--steps", "8", "--stride", "4"], 4)):
+              "--h", "0.25", "--steps", "8", "--stride", "4"], 4),
+            # on the pendulum the next step's sin(inf) raises inside the
+            # block; the run fails at the step that left float range
+            (["--scheme", "lf", "--p0", "1", "--h", "1e154", "--steps", "10",
+              "--stride", "10"], 4),
+            (["--scheme", "tay-10", "--p0", "1", "--h", "1e154", "--steps",
+              "10", "--stride", "10"], 1)):
         assert main(["integrate"] + argv + ["--out", str(out)]) \
             == EXIT_NO_CONVERGENCE
         err = capsys.readouterr().err
         assert err.startswith(f"error: step {step}: state (")
         assert "is not finite" in err
         assert not out.exists()
+    # the stride does not change the failure: the same line at every
+    # stride, and sp-4, which leaves float range within one step, names
+    # the step whose math failed
+    for scheme in ("lf", "tay-10", "sp-4"):
+        errs = set()
+        for stride in ("1", "3", "10"):
+            assert main(["integrate", "--scheme", scheme, "--p0", "1",
+                         "--h", "1e154", "--steps", "10", "--stride", stride,
+                         "--out", str(out)]) == EXIT_NO_CONVERGENCE
+            errs.add(capsys.readouterr().err)
+            assert not out.exists()
+        assert len(errs) == 1
+        assert errs.pop().startswith("error: step ")

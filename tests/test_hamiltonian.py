@@ -64,6 +64,8 @@ def test_partials_point_values(pendulum):
     d = eval_partials(pendulum, PhaseState(math.pi / 2, 0.0))
     assert d["x"] == pytest.approx(1.0)
     assert d["xx"] == pytest.approx(0.0, abs=1e-15)
+    with pytest.raises(ValueError, match="max_order"):
+        eval_partials(pendulum, PhaseState(0.0, 1.0), max_order=4)
 
 
 def test_partials_jet_vs_closed_form(pendulum, harmonic, crossterm, rng):
@@ -155,6 +157,9 @@ def test_system_from_name():
     assert system_from_name("pendulum").name == "pendulum"
     assert system_from_name("harmonic:2.5").name == "harmonic:2.5"
     assert system_from_name("crossterm:0.25").name == "crossterm:0.25"
+    # a kind without a parameter takes its default
+    assert system_from_name("harmonic").name == "harmonic:1"
+    assert system_from_name("crossterm").name == "crossterm:0.5"
     w = system_from_name("harmonic:3")
     assert eval_energy(w, PhaseState(1.0, 0.0)) == pytest.approx(4.5)
     with pytest.raises(ValueError):

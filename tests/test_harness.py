@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from discgrad import harness
-from discgrad.errors import (NonConvergenceError, PrecisionFloorWarning,
-                             SaturationWarning, UnsupportedSchemeError)
+from discgrad.errors import (DivergenceError, NonConvergenceError,
+                             PrecisionFloorWarning, SaturationWarning,
+                             StepError, UnsupportedSchemeError)
 from discgrad.harness import (ExperimentSpec, TrajectoryRecord, emit_csv,
                               emit_plotscript, estimate_order, make_stepper,
                               run_trajectory, sweep)
@@ -109,6 +110,18 @@ def test_nonconvergence_reports_step_index():
         run_trajectory(_spec(h=50.0, n_steps=10),
                        cfg=SolverConfig(max_iter=20))
     assert "step 1" in str(exc_info.value)
+    # one step-failure family, which the CLI exits 3 on
+    assert isinstance(exc_info.value, StepError)
+
+
+def test_math_error_in_a_step_is_a_chained_divergence():
+    # sp-4 on the pendulum overflows x within step 6, and that step's own
+    # sin(x) then fails: the error names the step and keeps its cause
+    with pytest.raises(DivergenceError) as exc_info:
+        run_trajectory(_spec(scheme="sp-4", p0=1.0, h=1e154, n_steps=10,
+                             sample_stride=10))
+    assert str(exc_info.value).startswith("step 6: math domain error ")
+    assert type(exc_info.value.__cause__) is ValueError
 
 
 def test_determinism_bitwise():

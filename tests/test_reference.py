@@ -118,10 +118,10 @@ def test_jacobi_trig_limit(rng):
         assert sn == math.sin(u) and cn == math.cos(u) and dn == 1.0
 
 
-@pytest.mark.parametrize("k", [1e-9, 1e-17])
+@pytest.mark.parametrize("k", [1e-9, 1e-17, 0.0])
 def test_jacobi_tiny_modulus(k):
     # sqrt(1 - k^2) rounds to 1 here, so the AGM chain is empty; dn must
-    # still be 1, not cos(u)
+    # still be 1, not cos(u); at k = 0, am(u) is u itself
     for u in (0.5, 1.5, 2.0, 3.0, -3.0, 7.0):
         sn, cn, dn = jacobi_sn_cn_dn(u, k)
         assert sn == pytest.approx(math.sin(u), abs=1e-15)

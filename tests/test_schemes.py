@@ -283,6 +283,10 @@ def test_shared_root_found_or_a_typed_failure():
     # 1 + h + h^2 has no real root: Newton wanders and the state is named
     with pytest.raises(NonConvergenceError, match=r"series delta at \(0\.3, "):
         _shared_root([1.0, 1.0, 1.0], 0.3, 1e-9)
+    # 1 + 2h + 2h^2 has a flat point at the first guess -1/2: Newton's
+    # derivative is 0 there, and the failure is typed at once
+    with pytest.raises(NonConvergenceError, match="no shared turning-point"):
+        _shared_root([1.0, 2.0, 2.0], 0.3, 1e-9)
 
 
 def test_series_trivial_flow_returns_h(harmonic):
