@@ -72,6 +72,8 @@ def make_stepper(scheme: str, sys: HamiltonianSystem,
     """
     if cfg is None:
         cfg = schemes.SolverConfig()
+    if scheme == "lf":
+        scheme = "sp-2"         # leap-frog is the order-2 composition
 
     def gradient(rule):
         def step(s, h):
@@ -86,8 +88,6 @@ def make_stepper(scheme: str, sys: HamiltonianSystem,
         return gradient(schemes.DeltaRule.lex())
     if scheme == "gr-slex":
         return gradient(schemes.DeltaRule.slex())
-    if scheme == "lf":
-        return lambda s, h: (baselines.step_leapfrog(sys, s, h), 0)
     if scheme == "rk4":
         return lambda s, h: (baselines.step_rk4(sys, s, h), 0)
     try:
@@ -138,9 +138,10 @@ def run_trajectory(spec: ExperimentSpec,
                               g, gm))
 
     # The only loop that calls a stepper.  A step failure gains the index
-    # of the step that failed.  Explicit steps do not check their state: one
-    # out of float range fails at the end of its block, or at the first
-    # step whose math it breaks, named as the step it left range in.
+    # of the step that failed.  Explicit steps do not check their state, so
+    # the loop checks each step's state as it is made: a state that leaves
+    # float range fails at the step that made it, and every step starts
+    # from a finite state.
     h = spec.h
     t_start = time.perf_counter()
     record(0, s)
@@ -150,21 +151,17 @@ def run_trajectory(spec: ExperimentSpec,
             for n in range(start + 1, stop + 1):
                 s, its = stepper(s, h)
                 iterations[its] += 1
-            if not (math.isfinite(s.x) and math.isfinite(s.p)):
-                raise DivergenceError(f"state ({s.x:.3g}, {s.p:.3g}) is not "
-                                      "finite")
+                if not (math.isfinite(s.x) and math.isfinite(s.p)):
+                    raise DivergenceError(f"state ({s.x:.3g}, {s.p:.3g}) "
+                                          "is not finite")
         except StepError as exc:
             exc.args = (f"step {n}: {exc}",)
             raise
         except UnsupportedSchemeError:
             raise
         except (ArithmeticError, ValueError) as exc:
-            if math.isfinite(s.x) and math.isfinite(s.p):
-                msg = f"step {n}: {exc} from state ({s.x:.3g}, {s.p:.3g})"
-            else:
-                msg = (f"step {n - 1}: state ({s.x:.3g}, {s.p:.3g}) is not "
-                       "finite")
-            raise DivergenceError(msg) from exc
+            raise DivergenceError(f"step {n}: {exc} from state "
+                                  f"({s.x:.3g}, {s.p:.3g})") from exc
         record(stop, s)
     wall = time.perf_counter() - t_start
     meta = {

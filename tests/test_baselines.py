@@ -11,6 +11,7 @@ from discgrad.baselines import (SymplecticCoeffs, sp_coefficients,
 from discgrad.errors import UnsupportedSchemeError
 from discgrad.hamiltonian import (PhaseState, eval_energy, make_harmonic,
                                   make_pendulum)
+from discgrad.harness import make_stepper
 from discgrad.reference import pendulum_exact
 
 
@@ -44,7 +45,7 @@ def test_leapfrog_equals_sp2(pendulum, rng):
         s = PhaseState(rng.uniform(-2, 2), rng.uniform(-2, 2))
         a = step_leapfrog(pendulum, s, 0.25)
         b = step_symplectic(pendulum, s, 0.25, coeffs)
-        assert abs(a.x - b.x) <= 1e-15 and abs(a.p - b.p) <= 1e-15
+        assert a == b
 
 
 def test_leapfrog_rejects_nonseparable(crossterm):
@@ -146,16 +147,16 @@ def test_taylor_five_energy_grows(pendulum):
 def test_sp_coefficient_sums():
     for M in (1, 2, 3, 4):
         co = sp_coefficients(M)
-        assert len(co.c) == len(co.d) == 3 ** (M - 1) + 1
+        assert len(co.d) == 3 ** (M - 1) and all(co.d)
+        assert len(co.c) == len(co.d) + 1
         assert math.fsum(co.c) == pytest.approx(1.0, abs=1e-13)
         assert math.fsum(co.d) == pytest.approx(1.0, abs=1e-13)
-        assert co.d[-1] == 0.0
 
 
 def test_sp1_closed_form():
     co = sp_coefficients(1)
     assert co.c == [0.5, 0.5]
-    assert co.d == [1.0, 0.0]
+    assert co.d == [1.0]
 
 
 def test_sp2_closed_form():
@@ -166,7 +167,27 @@ def test_sp2_closed_form():
     d1 = 1.0 / (2.0 - r)
     d2 = -r / (2.0 - r)
     assert co.c == pytest.approx([c1, c2, c2, c1], abs=1e-15)
-    assert co.d == pytest.approx([d1, d2, d1, 0.0], abs=1e-15)
+    assert co.d == pytest.approx([d1, d2, d1], abs=1e-15)
+
+
+def test_force_evaluations_per_step():
+    # a kick-drift step costs one V' per kick: 3^(M-1) for sp-2M, one for lf
+    harm = make_harmonic(1.0)
+    vprime = harm.partials["x"]
+    calls = []
+
+    def counted(x, p):
+        calls.append(x)
+        return vprime(x, p)
+    harm.partials["x"] = counted
+    s = PhaseState(0.3, 1.1)
+    for M in (1, 2, 3, 4):
+        calls.clear()
+        step_symplectic(harm, s, 0.25, sp_coefficients(M))
+        assert len(calls) == 3 ** (M - 1)
+    calls.clear()
+    make_stepper("lf", harm)(s, 0.25)
+    assert len(calls) == 1
 
 
 def test_sp_bad_order():

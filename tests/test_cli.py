@@ -282,40 +282,32 @@ def test_solver_failure_exit(tmp_path, capsys):
 
 
 def test_explicit_step_leaving_float_range_is_divergence(tmp_path, capsys):
-    # explicit steps do not check their state; a state that overflows
-    # fails at the last step of its sample block, and no file is written
+    # explicit steps do not check their state, run_trajectory checks it
+    # after every step: a state that overflows fails at the step that made
+    # it, with the same line at every stride, and no file is written
     out = tmp_path / "x.csv"
-    for argv, step in (
+    pendulum = ["--p0", "1", "--h", "1e154", "--steps", "10"]
+    for argv, head in (
             (["--scheme", "rk4", "--system", "crossterm:1e300", "--p0", "1",
-              "--h", "0.25", "--steps", "3"], 1),
+              "--h", "0.25", "--steps", "3"], "step 1: state ("),
             (["--scheme", "tay-4", "--system", "crossterm:1e300", "--p0",
-              "1", "--h", "0.25", "--steps", "3"], 1),
+              "1", "--h", "0.25", "--steps", "3"], "step 1: state ("),
             (["--scheme", "lf", "--system", "harmonic:1e150", "--p0", "1",
-              "--h", "0.25", "--steps", "4"], 2),
+              "--h", "0.25", "--steps", "4"], "step 2: state ("),
             (["--scheme", "sp-4", "--system", "harmonic:1e150", "--p0", "1",
-              "--h", "0.25", "--steps", "8", "--stride", "4"], 4),
-            # on the pendulum the next step's sin(inf) raises inside the
-            # block; the run fails at the step that left float range
-            (["--scheme", "lf", "--p0", "1", "--h", "1e154", "--steps", "10",
-              "--stride", "10"], 4),
-            (["--scheme", "tay-10", "--p0", "1", "--h", "1e154", "--steps",
-              "10", "--stride", "10"], 1)):
-        assert main(["integrate"] + argv + ["--out", str(out)]) \
-            == EXIT_NO_CONVERGENCE
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: step {step}: state (")
-        assert "is not finite" in err
-        assert not out.exists()
-    # the stride does not change the failure: the same line at every
-    # stride, and sp-4, which leaves float range within one step, names
-    # the step whose math failed
-    for scheme in ("lf", "tay-10", "sp-4"):
+              "--h", "0.25", "--steps", "8"], "step 1: state ("),
+            (["--scheme", "lf"] + pendulum, "step 4: state ("),
+            (["--scheme", "tay-10"] + pendulum, "step 1: state ("),
+            # sp-4 overflows inside step 6, whose sin(inf) raises
+            (["--scheme", "sp-4"] + pendulum, "step 6: ")):
         errs = set()
-        for stride in ("1", "3", "10"):
-            assert main(["integrate", "--scheme", scheme, "--p0", "1",
-                         "--h", "1e154", "--steps", "10", "--stride", stride,
-                         "--out", str(out)]) == EXIT_NO_CONVERGENCE
+        for stride in ("1", "3", "4", "10"):
+            assert main(["integrate"] + argv + ["--stride", stride, "--out",
+                                                str(out)]) \
+                == EXIT_NO_CONVERGENCE
             errs.add(capsys.readouterr().err)
             assert not out.exists()
         assert len(errs) == 1
-        assert errs.pop().startswith("error: step ")
+        err = errs.pop()
+        assert err.startswith(f"error: {head}")
+        assert ("is not finite" in err) == head.endswith("state (")
