@@ -27,6 +27,9 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_PRECISION_FLOOR = 4
 
+# each step size is at least one trajectory; the README sweeps use 6
+MAX_H_VALUES = 1000
+
 
 def parse_h_spec(spec: str):
     """Comma list ('0.2,0.1') or geometric range ('0.4:0.0125:/2') of
@@ -42,6 +45,10 @@ def parse_h_spec(spec: str):
             raise ValueError(f"bad h range {spec!r}; expected start:stop:/factor")
         if not (0.0 < stop <= start < math.inf and 1.0 < factor < math.inf):
             raise ValueError(f"bad h range {spec!r}")
+        count = 1 + int((math.log(start) - math.log(stop)) / math.log(factor))
+        if count > MAX_H_VALUES:
+            raise ValueError(f"h range {spec!r} has {count} step sizes; at "
+                             f"most {MAX_H_VALUES} are allowed")
         out = []
         h = start
         while h >= stop * (1.0 - 1e-12):

@@ -20,26 +20,29 @@ A system meets one contract, checked once when it is built.  It supplies
   baselines need it.
 
 The partials ``x`` and ``p`` and ``dd_p`` run only once per system
-object, together, on its first gr-N or tay-N call, and from no state: on
-jets on a tape (:class:`discgrad.jets.Jet`) that hold NaN, which record
-the operations they see; x and p reach ``dd_p`` as
-:class:`discgrad.jets.Param` scalars that hold NaN, which record theirs.
-The tape becomes generated code that every call runs from its own state,
-and every value check runs there.  So these three must be pure functions
-of their arguments, with no side effects; they may use only ``+ - * /``
-and ``**`` between their arguments and scalars, unary minus and the
-helpers ``gsin``, ``gcos``, ``gexp``, ``glog``, ``gsqrt`` and ``gpow``, or
-return a plain constant; they must not build jets of their own (a
-ValueError names this contract), branch on argument values, or turn an
-argument into a plain number (``float(p)``, ``math.sin(x)``), which
-carries NaN into the code, so that every gr-N delta ends in a
-DivergenceError.
+object, together, when it is built, and from no state: on jets on a tape
+(:class:`discgrad.jets.Jet`) that hold NaN, which record the operations
+they see; x and p reach ``dd_p`` as :class:`discgrad.jets.Param` scalars
+that hold NaN, which record theirs.  The tape becomes generated code that
+every gr-N and tay-N call runs from its own state, and every value check
+runs there.  So these three must be pure functions of their arguments,
+with no side effects; they may use only ``+ - * /`` and ``**`` between
+their arguments and scalars, unary minus and the helpers ``gsin``,
+``gcos``, ``gexp``, ``glog``, ``gsqrt`` and ``gpow``, or return a plain
+constant; they must not build jets of their own (building the system
+raises a ValueError that names this contract), branch on argument values,
+or turn an argument into a plain number (``float(p)``, ``math.sin(x)``),
+which carries NaN into the code, so that every gr-N delta ends in a
+DivergenceError.  A built system is immutable and its ``partials`` a
+read-only mapping, so what it recorded cannot go stale;
+``dataclasses.replace`` builds a variant, which records anew.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .jets import Jet, Param, TapeSource, _const, _wrap, gcos, gsin
 
@@ -68,7 +71,7 @@ class LinearSystem:
     omega_sq: float
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class HamiltonianSystem:
     name: str
     energy: object                      # callable (x, p) -> scalar, generic
@@ -76,9 +79,8 @@ class HamiltonianSystem:
     dd_x: object = None                 # callable (x, x1, p, p1)
     dd_p: object = None
     quadratic_kinetic: bool = False     # H = p^2/2 + V(x)
-    # this object's recorded tapes and generated functions (_system_code)
-    _code: object = field(default=None, init=False, repr=False,
-                          compare=False)
+    # this object's recorded tape and generated functions
+    _code: _SystemCode = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         missing = [f"partials[{k!r}]" for k in PARTIAL_KEYS
@@ -87,6 +89,9 @@ class HamiltonianSystem:
         if missing:
             raise ValueError(
                 f"system {self.name!r} lacks {', '.join(missing)}")
+        object.__setattr__(self, "partials",
+                           MappingProxyType(dict(self.partials)))
+        object.__setattr__(self, "_code", _SystemCode(self))
 
 
 def eval_energy(sys: HamiltonianSystem, s: PhaseState) -> float:
@@ -150,12 +155,10 @@ class _SystemCode:
     P, with x and p the :class:`discgrad.jets.Param` named ``x0`` and
     ``p0``, the parameters of every generated function.  Every leaf holds
     NaN, so the code binds no state, and a value a callable takes out of
-    its arguments is NaN.  A recording that raises leaves no code.
+    its arguments is NaN.  A recording that raises leaves no system.
     """
 
     def __init__(self, sys: HamiltonianSystem):
-        self.sys, self.hp, self.hx = sys, sys.partials["p"], sys.partials["x"]
-        self.dd_p = sys.dd_p
         tape = []
         X, P = Jet([math.nan], tape=tape), Jet([math.nan], tape=tape)
 
@@ -170,22 +173,18 @@ class _SystemCode:
                     "arguments did not make; the system contract allows "
                     "only operations on the arguments, no jets of its own")
             return f
-        fx, fp = self.hp(X, P), self.hx(X, P)
+        fx, fp = sys.partials["p"](X, P), sys.partials["x"](X, P)
         fx = on_tape("partials['p']", fx)
         fp = on_tape("partials['x']", fp)
         n = len(tape)
-        dd = on_tape("dd_p", self.dd_p(Param(math.nan, "x0"), X,
-                                       Param(math.nan, "p0"), P))
+        dd = on_tape("dd_p", sys.dd_p(Param(math.nan, "x0"), X,
+                                      Param(math.nan, "p0"), P))
         # the partials see no Param, so their n nodes come first
         self.source = TapeSource(tape, {"x": X.coeffs, "p": P.coeffs})
         self._flow, self._dd = slice(n), slice(n, None)
         self._fx, self._fp, self._d = (self.source.name(f.coeffs)
                                        for f in (fx, fp, dd))
         self.functions = {}
-
-    def matches(self, sys: HamiltonianSystem) -> bool:
-        return (self.sys is sys and self.hp is sys.partials["p"]
-                and self.hx is sys.partials["x"] and self.dd_p is sys.dd_p)
 
     def flow_lines(self, N: int) -> list:
         """Lines that compute the flow coefficients x1 .. xN and p1 .. pN
@@ -208,16 +207,6 @@ class _SystemCode:
                 [f"{self._d}{k}" for k in range(n + 1)])
 
 
-def _system_code(sys: HamiltonianSystem) -> _SystemCode:
-    """The _SystemCode that sys keeps if it still belongs to sys (the
-    system object and its partials and dd_p, compared by identity), else a
-    new one, which sys then keeps.  Not thread-safe."""
-    code = sys._code
-    if code is None or not code.matches(sys):
-        code = sys._code = _SystemCode(sys)
-    return code
-
-
 def taylor_flow_coeffs(sys: HamiltonianSystem, s: PhaseState, N: int):
     """Taylor series of the flow through (x, p), as monomial-basis jets.
 
@@ -230,18 +219,18 @@ def taylor_flow_coeffs(sys: HamiltonianSystem, s: PhaseState, N: int):
 
     The k-th monomial coefficient equals (d^k x / dt^k) / k!.
 
-    The partials run once per system object, from no state
+    The partials ran once, from no state, when the system was built
     (:class:`_SystemCode`).  Their tape becomes one straight-line function
     of (x0, p0) per N (:class:`discgrad.jets.TapeSource`), kept on the
-    system object (:func:`_system_code`).  The function runs the lines of
-    the same operations that finished jets run, in their order, so its
-    coefficients are bit-identical to the partials' on finished jets, and
-    every value check (a zero divisor, the log of zero, ...) runs in it.  It runs on
+    immutable system object.  The function runs the lines of the same
+    operations that finished jets run, in their order, so its coefficients
+    are bit-identical to the partials' on finished jets, and every value
+    check (a zero divisor, the log of zero, ...) runs in it.  It runs on
     mpmath.mpf states as well, which high-precision references use; no
     runtime path does.  The returned jets are new on every call.
     """
     check_flow_order(N)
-    code = _system_code(sys)
+    code = sys._code
     flow = code.functions.get(N)
     if flow is None:
         xs = ", ".join(f"x{k}" for k in range(N + 1))

@@ -356,9 +356,10 @@ def emit_plotscript(csv_paths, figure: str, path) -> None:
     if not csv_paths:
         raise ValueError("need at least one CSV path")
     xlabel, ylabel, log_axes, using = _FIGOPTS[figure]
-    plots = [f"    '{p}' skip 1 using {using} title "
-             f"'{str(p).rsplit('/', 1)[-1].removesuffix('.csv')}'"
-             for p in csv_paths]
+    # gnuplot escapes ' inside a single-quoted string by doubling it
+    plots = [f"    '{q}' skip 1 using {using} title "
+             f"'{q.rsplit('/', 1)[-1].removesuffix('.csv')}'"
+             for q in (str(p).replace("'", "''") for p in csv_paths)]
     lines = [
         f"# gnuplot script for {figure}",
         "set datafile separator ','",

@@ -50,8 +50,7 @@ from dataclasses import dataclass
 
 from .errors import (DivergenceError, NonConvergenceError, ResonanceStepError)
 from .exactlin import _DEGENERATE_OMEGA_SQ, AffineStepMap, affine_map
-from .hamiltonian import (HamiltonianSystem, PhaseState, _system_code,
-                          linearize)
+from .hamiltonian import HamiltonianSystem, PhaseState, linearize
 # not called here, where the series delta is generated code, but
 # perfbench/tracer.py patches it under this module's name
 from .hamiltonian import taylor_flow_coeffs  # noqa: F401
@@ -260,7 +259,7 @@ def delta_series_coefficients(sys: HamiltonianSystem, s: PhaseState,
     """Series coefficients [a_1, ..., a_N] of the order-N denominator;
     [1, 0, ..., 0] (delta = h) for a trivial flow."""
     _check_series_order(N)
-    code = _system_code(sys)
+    code = sys._code
     parts = _parts_function(code, N)
     return _coefficients(code, s.x, s.p, N, *parts(s.x, s.p))
 
@@ -313,7 +312,7 @@ def _compile_delta(code, N: int):
 def _series_function(sys: HamiltonianSystem, N: int):
     """The generated function of :func:`_compile_delta` for sys and N,
     made once per system object and N."""
-    code = _system_code(sys)
+    code = sys._code
     fn = code.functions.get(("delta", N))
     if fn is None:
         _check_series_order(N)
@@ -325,7 +324,8 @@ def delta_series(sys: HamiltonianSystem, s: PhaseState, h: float,
                  N: int) -> float:
     """delta^{[N]} = sum_{k=1}^{N} a_k(x, p) h^k evaluated at h, by one
     generated function per system object and N: the same value as
-    ``h * horner(delta_series_coefficients(sys, s, N), h)``."""
+    ``h * horner(delta_series_coefficients(sys, s, N), h)``.  It runs the
+    whole function, the flow (X(h), P(h)) included, and drops the flow."""
     return _series_function(sys, N)(s.x, s.p, h)[0]
 
 

@@ -1,5 +1,6 @@
 """Comparison integrators: leap-frog, RK-4, Taylor-N, composed symplectic."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -179,7 +180,7 @@ def test_force_evaluations_per_step():
     def counted(x, p):
         calls.append(x)
         return vprime(x, p)
-    harm.partials["x"] = counted
+    harm = dataclasses.replace(harm, partials=dict(harm.partials, x=counted))
     s = PhaseState(0.3, 1.1)
     for M in (1, 2, 3, 4):
         calls.clear()

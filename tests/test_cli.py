@@ -29,7 +29,9 @@ def test_parse_h_rejects_garbage():
                 # every h must be finite and > 0
                 "0.2,0.1,0", "0.1,-0.05", "nan", "0.1,inf", "inf:0.1:/2",
                 "0.4:nan:/2", "0.4:0.1:/nan", "0.4:0.1:/inf", "0.4:0:/2",
-                "", ","):
+                "", ",",
+                # about 3.5e13 step sizes: rejected before any is listed
+                "0.4:0.0125:/1.0000000000001"):
         with pytest.raises(ValueError):
             parse_h_spec(bad)
 
@@ -208,6 +210,11 @@ def test_usage_errors(tmp_path, capsys):
             (sweep + ["--h", "0.2,0.1", "--periods", "0"], "periods = 0"),
             (sweep + ["--h", "0.2,0.1", "--periods", "-3"], "periods = -3"),
             (sweep + ["--h", "5e-324", "--periods", "1"], "/ 5e-324"),
+            # an h range too long to list, in sweep and order alike
+            (sweep + ["--h", "0.4:0.0125:/1.0000000000001", "--periods",
+                      "1"], "step sizes; at most 1000"),
+            (order + ["--h", "0.4:0.1:/1.001", "--t", "1"],
+             "has 1387 step sizes; at most 1000"),
             (integrate + ["--scheme", "lf", "--system", "harmonic:nan"],
              "system 'harmonic:nan'"),
             (integrate + ["--scheme", "gr", "--system", "crossterm:inf"],
@@ -217,6 +224,9 @@ def test_usage_errors(tmp_path, capsys):
             # omega^2 overflows although omega is finite
             (integrate + ["--scheme", "lf", "--system", "harmonic:1e200"],
              "system 'harmonic:1e+200'"),
+            # the kick-drift baselines need H = p^2/2 + V(x)
+            (integrate + ["--scheme", "lf", "--system", "crossterm:0.5"],
+             "lf and sp-2M need H = p^2/2 + V(x)"),
             # an int periods too large to convert to a float
             (sweep + ["--h", "0.2,0.1", "--periods", "1" + "0" * 400],
              "periods * period / h = inf / 0.2")):

@@ -391,20 +391,30 @@ def test_systems_of_one_structure_share_code():
 
 
 def test_each_system_object_records_once():
-    # two pendulum objects used in turn each keep their own recording
+    # two pendulum objects used in turn each keep their own recording,
+    # made when each is built
     calls = []
 
     def counted(sys, tag):
-        for key in ("x", "p"):
-            partial = sys.partials[key]
-            sys.partials[key] = lambda x, p, f=partial, key=key: (
+        return dataclasses.replace(sys, partials=dict(sys.partials, **{
+            key: lambda x, p, f=sys.partials[key], key=key: (
                 calls.append((tag, key)), f(x, p))[1]
-        return sys
+            for key in ("x", "p")}))
 
     pendulums = [counted(make_pendulum(), tag) for tag in (1, 2)]
+    want = [(1, "p"), (1, "x"), (2, "p"), (2, "x")]
+    assert sorted(calls) == want
     s = PhaseState(0.4, 1.0)
     for _ in range(3):
         for sys in pendulums:
             taylor_flow_coeffs(sys, s, 7)
             delta_series(sys, s, 0.25, 7)
-    assert sorted(calls) == [(1, "p"), (1, "x"), (2, "p"), (2, "x")]
+    assert sorted(calls) == want
+
+
+def test_built_system_is_immutable(pendulum):
+    # what a system recorded when it was built cannot go stale
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pendulum.dd_p = lambda x, x1, p, p1: p1
+    with pytest.raises(TypeError):
+        pendulum.partials["x"] = lambda x, p: x

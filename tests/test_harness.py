@@ -327,6 +327,10 @@ def test_plotscript_modes(tmp_path):
         assert ("set logscale y" in text) == wants_log
         assert str(csv_path) in text
     assert "set logscale x" in (tmp_path / "fig4.gp").read_text()
+    # a ' in the path is doubled, gnuplot's escape inside single quotes
+    emit_plotscript([str(tmp_path / "it's.csv")], "fig4", out)
+    assert f"'{tmp_path}/it''s.csv' skip 1" in out.read_text()
+    assert "title 'it''s'" in out.read_text()
     with pytest.raises(ValueError):
         emit_plotscript([str(csv_path)], "fig7", tmp_path / "x.gp")
     with pytest.raises(ValueError):
