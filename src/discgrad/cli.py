@@ -4,7 +4,7 @@
         --h 0.25 --steps 100000 --stride 100 --out run.csv
     discgrad sweep --schemes gr,gr-3,gr-7 --p0 0.02 --h 0.4:0.0125:/2 \
         --periods 120 --out fig4.csv
-    discgrad order --scheme gr-slex --p0 1.8 --h 0.2,0.1,0.05,0.025 --t 18.24
+    discgrad order --scheme gr-slex --p0 1.8 --h 0.2,0.1,0.05,0.025 --t 18.2
     discgrad plot --figure fig4 --csv fig4.csv --out fig4.gp
 
 Exit codes: 0 success, 2 usage error, 3 failure at a step, named in the

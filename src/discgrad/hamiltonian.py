@@ -15,9 +15,7 @@ A system meets one contract, checked once when it is built.  It supplies
   written in a form that does not cancel as x1 -> x or p1 -> p (these
   keep the implicit solver convergent to round-off near turning points).
   gr-N also calls ``dd_p`` with x1 and p1 the flow's jets; a form that
-  never divides by p1 - p runs on them as it is;
-* ``quadratic_kinetic``: True when H = p^2/2 + V(x); the kick-drift
-  baselines need it.
+  never divides by p1 - p runs on them as it is.
 
 The partials ``x`` and ``p`` and ``dd_p`` run only once per system
 object, together, when it is built, and from no state: on jets on a tape
@@ -48,7 +46,8 @@ from .jets import Jet, Param, TapeSource, _const, _wrap, gcos, gsin
 
 PARTIAL_KEYS = ("x", "p", "xx", "xp", "pp")
 
-# highest degree of the flow Taylor series
+# highest degree N of tay-N and taylor_flow_coeffs; a gr-N delta generates
+# its own flow, to degree N + 2 (N + 6 where it deflates: 20 at gr-14)
 MAX_FLOW_ORDER = 16
 
 
@@ -78,7 +77,7 @@ class HamiltonianSystem:
     partials: dict = field(default_factory=dict)  # PARTIAL_KEYS -> (x, p)
     dd_x: object = None                 # callable (x, x1, p, p1)
     dd_p: object = None
-    quadratic_kinetic: bool = False     # H = p^2/2 + V(x)
+    quadratic_kinetic: bool = field(init=False)  # recorded: H = p^2/2 + V(x)
     # this object's recorded tape and generated functions
     _code: _SystemCode = field(init=False, repr=False, compare=False)
 
@@ -92,6 +91,7 @@ class HamiltonianSystem:
         object.__setattr__(self, "partials",
                            MappingProxyType(dict(self.partials)))
         object.__setattr__(self, "_code", _SystemCode(self))
+        object.__setattr__(self, "quadratic_kinetic", self._code.p_is_leaf)
 
 
 def eval_energy(sys: HamiltonianSystem, s: PhaseState) -> float:
@@ -140,7 +140,7 @@ def linearize(sys: HamiltonianSystem, s: PhaseState) -> LinearSystem:
 
 
 def check_flow_order(N: int) -> None:
-    """The flow series (and so tay-N) runs from degree 1 to MAX_FLOW_ORDER."""
+    """tay-N and taylor_flow_coeffs take a degree N in [1, MAX_FLOW_ORDER]."""
     if not 1 <= N <= MAX_FLOW_ORDER:
         raise ValueError(f"flow order N must be in [1, {MAX_FLOW_ORDER}], "
                          f"got {N}")
@@ -174,6 +174,7 @@ class _SystemCode:
                     "only operations on the arguments, no jets of its own")
             return f
         fx, fp = sys.partials["p"](X, P), sys.partials["x"](X, P)
+        self.p_is_leaf = fx is P        # H_p = p: H = p^2/2 + V(x)
         fx = on_tape("partials['p']", fx)
         fp = on_tape("partials['x']", fp)
         n = len(tape)
@@ -255,7 +256,6 @@ def make_pendulum() -> HamiltonianSystem:
     return HamiltonianSystem(
         name="pendulum",
         energy=lambda x, p: 0.5 * p * p - gcos(x),
-        quadratic_kinetic=True,
         dd_x=_cos_difference_quotient,
         dd_p=lambda x, x1, p, p1: 0.5 * (p + p1),
         partials={
@@ -278,7 +278,6 @@ def make_harmonic(omega: float = 1.0) -> HamiltonianSystem:
     return HamiltonianSystem(
         name=name,
         energy=lambda x, p: 0.5 * p * p + 0.5 * w2 * x * x,
-        quadratic_kinetic=True,
         dd_x=lambda x, x1, p, p1: 0.5 * w2 * (x + x1),
         dd_p=lambda x, x1, p, p1: 0.5 * (p + p1),
         partials={

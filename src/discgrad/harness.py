@@ -181,30 +181,28 @@ def _final_global_error(scheme: str, p0: float, h: float, n: int) -> float:
     return run_trajectory(spec).samples[-1].global_err
 
 
-def _check_step_counts(target: float, h_list, name: str) -> None:
-    """Every h must be finite and > 0, and every step count target / h
-    finite, so that _error_near can round it; name says what target is."""
+def _step_counts(target: float, h_list, name: str) -> list:
+    """The step count round(target / h) of every h: each error is taken at
+    n*h, the end nearest to time target.  Every h must be finite and > 0,
+    and every count finite and at least 1; name says what target is."""
+    counts = []
     for h in h_list:
         if not 0.0 < h < math.inf:
             raise ValueError(f"need a finite h > 0, got h = {h!r}")
         if not math.isfinite(target / h):
             raise ValueError(f"the step count {name} / h = {target!r} / "
                              f"{h!r} is not finite")
-
-
-def _error_near(scheme: str, p0: float, h: float, target: float):
-    """(n, final global error) of the trajectory whose end n*h lies nearest
-    to time target (at least one step)."""
-    n = max(1, round(target / h))
-    return n, _final_global_error(scheme, p0, h, n)
+        n = round(target / h)
+        if n < 1:
+            raise ValueError(f"need h < twice {name} = {target!r}, so that "
+                             f"a step ends near it; got h = {h!r}")
+        counts.append(n)
+    return counts
 
 
 def _sweep_entry(args):
-    scheme, p0, h, n_periods, period = args
-    target = n_periods * period
-    n, err = _error_near(scheme, p0, h, target)
-    return {"scheme": scheme, "h": h, "n": n, "t": n * h, "error": err,
-            "residual_fraction": (n * h - target) / period}
+    """The pool task: (scheme, p0, h, n) -> final global error."""
+    return _final_global_error(*args)
 
 
 def sweep(schemes_list, p0: float, h_list, n_periods: int,
@@ -222,15 +220,17 @@ def sweep(schemes_list, p0: float, h_list, n_periods: int,
         target = n_periods * period
     except OverflowError:          # an int periods beyond float range
         target = math.inf
-    _check_step_counts(target, h_list, "periods * period")
-    tasks = [(sc, p0, h, n_periods, period)
-             for sc in schemes_list for h in h_list]
+    counts = _step_counts(target, h_list, "periods * period")
+    tasks = [(sc, p0, h, n) for sc in schemes_list
+             for h, n in zip(h_list, counts)]
     if parallel and len(tasks) > 1:
         with ProcessPoolExecutor() as pool:
-            results = list(pool.map(_sweep_entry, tasks))
+            errors = list(pool.map(_sweep_entry, tasks))
     else:
-        results = [_sweep_entry(t) for t in tasks]
-    return results
+        errors = [_sweep_entry(t) for t in tasks]
+    return [{"scheme": sc, "h": h, "n": n, "t": n * h, "error": err,
+             "residual_fraction": (n * h - target) / period}
+            for (sc, _, h, n), err in zip(tasks, errors)]
 
 
 @dataclass(slots=True)
@@ -251,10 +251,9 @@ def estimate_order(scheme: str, p0: float, h_list,
         raise ValueError(f"need distinct step sizes, got h = {h_list!r}")
     if not 0.0 < t_final < math.inf:
         raise ValueError(f"need a finite t > 0, got t = {t_final!r}")
-    _check_step_counts(t_final, h_list, "t")
     used, excluded = [], []
-    for h in h_list:
-        _, err = _error_near(scheme, p0, h, t_final)
+    for h, n in zip(h_list, _step_counts(t_final, h_list, "t")):
+        err = _final_global_error(scheme, p0, h, n)
         if err < PRECISION_FLOOR:
             warnings.warn(
                 f"{scheme} at h={h:g}: error {err:.2e} is at the round-off "

@@ -206,6 +206,8 @@ def pendulum_exact(p0: float, t: float) -> PhaseState:
     In the rotation regime x is unwrapped: it accumulates 2 pi per period
     instead of being reduced to a fundamental interval.
     """
+    if p0 == 0.0:               # at rest at the stable equilibrium
+        return PhaseState(0.0, 0.0)
     if p0 < 0.0:
         s = pendulum_exact(-p0, t)
         return PhaseState(-s.x, -s.p)

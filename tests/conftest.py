@@ -1,8 +1,14 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from discgrad.hamiltonian import (make_crossterm, make_harmonic, make_pendulum)
+
+# the property tests draw the same examples on every run and keep no
+# example database, so the suite is deterministic
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -10,8 +10,8 @@ from discgrad.baselines import (SymplecticCoeffs, sp_coefficients,
                                 step_leapfrog, step_rk4, step_symplectic,
                                 step_taylor)
 from discgrad.errors import UnsupportedSchemeError
-from discgrad.hamiltonian import (PhaseState, eval_energy, make_harmonic,
-                                  make_pendulum)
+from discgrad.hamiltonian import (HamiltonianSystem, PhaseState,
+                                  eval_energy, make_harmonic, make_pendulum)
 from discgrad.harness import make_stepper
 from discgrad.reference import pendulum_exact
 
@@ -55,6 +55,29 @@ def test_leapfrog_rejects_nonseparable(crossterm):
     with pytest.raises(UnsupportedSchemeError):
         step_symplectic(crossterm, PhaseState(0.0, 1.0), 0.25,
                         sp_coefficients(2))
+
+
+def test_kick_drift_runs_a_system_built_without_a_flag():
+    # H = p^2/2 + x^4/4: its p partial returns p, so sp-4 takes it
+    quartic = HamiltonianSystem(
+        name="quartic", energy=lambda x, p: 0.5 * p * p + 0.25 * x ** 4,
+        dd_x=lambda x, x1, p, p1: 0.25 * (x + x1) * (x * x + x1 * x1),
+        dd_p=lambda x, x1, p, p1: 0.5 * (p + p1),
+        partials={
+            "x": lambda x, p: x ** 3,
+            "p": lambda x, p: p,
+            "xx": lambda x, p: 3.0 * x * x,
+            "xp": lambda x, p: 0.0,
+            "pp": lambda x, p: 1.0,
+        })
+    assert quartic.quadratic_kinetic
+    step = make_stepper("sp-4", quartic)
+    s, drift = PhaseState(0.0, 1.0), 0.0
+    for _ in range(1000):
+        s, _ = step(s, 0.1)
+        drift = max(drift, abs(eval_energy(quartic, s) - 0.5))
+    # bounded, O(h^4): the largest |dE| is 6.4e-5 (leap-frog: 2.4e-3)
+    assert drift < 1e-4
 
 
 def test_leapfrog_order_two():

@@ -95,12 +95,39 @@ def test_order_precision_floor_exit(capsys):
 
 def test_repeated_step_size_is_a_usage_error(capsys, monkeypatch):
     # log(h1 / h2) = 0 has no slope; rejected before any step is taken
-    monkeypatch.setattr(harness, "_error_near",
+    monkeypatch.setattr(harness, "_final_global_error",
                         lambda *args: pytest.fail("took a step"))
     code = main(["order", "--scheme", "gr", "--p0", "1.8",
                  "--h", "0.2,0.2,0.2", "--t", "2"])
     assert code == EXIT_USAGE
     assert "distinct step sizes" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::discgrad.errors.PrecisionFloorWarning")
+def test_pendulum_at_rest_at_the_equilibrium(tmp_path, capsys):
+    # the exact orbit of p0 = 0 is the state (0, 0) at every t
+    out = tmp_path / "x.csv"
+    for scheme in ("gr-7", "sp-4"):
+        assert main(["integrate", "--scheme", scheme, "--p0", "0",
+                     "--h", "0.25", "--steps", "20", "--stride", "5",
+                     "--out", str(out)]) == 0
+        with open(out, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 5
+        for r in rows:
+            assert float(r["global_err"]) == float(r["global_err_mod"]) == 0.0
+    capsys.readouterr()
+    # every error sits at the precision floor: no slope
+    assert main(["order", "--scheme", "gr", "--p0", "0",
+                 "--h", "0.2,0.1,0.05", "--t", "2"]) == EXIT_PRECISION_FLOOR
+    assert "3 at the precision floor" in capsys.readouterr().out
+    # a sweep counts periods, and the equilibrium has none
+    out.unlink()
+    assert main(["sweep", "--schemes", "gr", "--p0", "0", "--h", "0.1",
+                 "--periods", "1", "--serial", "--out", str(out)]) \
+        == EXIT_USAGE
+    assert "stable equilibrium" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empty_scheme_list_is_a_usage_error(tmp_path, capsys):
@@ -207,6 +234,13 @@ def test_usage_errors(tmp_path, capsys):
             (order + ["--t", "-1"], "t = -1.0"),
             (order + ["--t", "0"], "t = 0.0"),
             (order + ["--t", "1e308"], "t / h = 1e+308 / 0.2"),
+            # round(t / h) = 0: no step ends near t
+            (order + ["--t", "0.01"], "twice t = 0.01, so that a step ends "
+             "near it; got h = 0.2"),
+            (["sweep", "--schemes", "lf", "--p0", "1.8", "--h", "20,5",
+              "--periods", "1", "--out", str(out)],
+             "twice periods * period = 9.122196553691081, so that a step "
+             "ends near it; got h = 20.0"),
             (sweep + ["--h", "0.2,0.1", "--periods", "0"], "periods = 0"),
             (sweep + ["--h", "0.2,0.1", "--periods", "-3"], "periods = -3"),
             (sweep + ["--h", "5e-324", "--periods", "1"], "/ 5e-324"),
@@ -266,7 +300,7 @@ def test_solver_failure_exit(tmp_path, capsys):
             ["integrate", "--scheme", "gr", "--p0", "1.8", "--h", "50",
              "--steps", "10"] + out,
             ["sweep", "--schemes", "gr", "--p0", "1.8", "--h", "50",
-             "--periods", "1", "--serial"] + out,
+             "--periods", "3", "--serial"] + out,
             ["order", "--scheme", "gr", "--p0", "1.8", "--h", "50,40,30",
              "--t", "100"],
             # the series delta is finite; the Newton increments of order

@@ -418,3 +418,20 @@ def test_built_system_is_immutable(pendulum):
         pendulum.dd_p = lambda x, x1, p, p1: p1
     with pytest.raises(TypeError):
         pendulum.partials["x"] = lambda x, p: x
+
+
+def test_kick_drift_structure_is_read_from_the_recording(pendulum):
+    # H = p^2/2 + V(x) exactly when partials['p'] returned its p argument
+    assert pendulum.quadratic_kinetic
+    assert make_harmonic(1.3).quadratic_kinetic
+    assert not make_crossterm(0.5).quadratic_kinetic
+    assert not make_crossterm(0.0).quadratic_kinetic
+    scaled = dataclasses.replace(pendulum, partials=dict(
+        pendulum.partials, p=lambda x, p: 1.0 * p))
+    assert not scaled.quadratic_kinetic
+    # it is not an argument, so it cannot be set wrong
+    with pytest.raises(TypeError, match="quadratic_kinetic"):
+        HamiltonianSystem(name="flagged", energy=pendulum.energy,
+                          partials=dict(pendulum.partials),
+                          dd_x=pendulum.dd_x, dd_p=pendulum.dd_p,
+                          quadratic_kinetic=True)

@@ -247,13 +247,28 @@ def test_bad_step_sizes_rejected_before_any_entry(monkeypatch):
     def fail(*args):
         pytest.fail("an entry ran")
     monkeypatch.setattr(harness, "_sweep_entry", fail)
-    monkeypatch.setattr(harness, "_error_near", fail)
+    monkeypatch.setattr(harness, "_final_global_error", fail)
     for h in (0.0, -0.1, math.nan, math.inf):
         names = re.escape(f"need a finite h > 0, got h = {h!r}")
         with pytest.raises(ValueError, match=names):
             sweep(["gr"], 0.5, [h], 1)
         with pytest.raises(ValueError, match=names):
             estimate_order("gr", 0.5, [0.1, h, 0.025], 2.0)
+
+
+def test_step_count_below_one_rejected_before_any_entry(monkeypatch):
+    # each error is taken at n*h with n = round(t / h); an h of twice t or
+    # more gives n = 0, so no step ends near t
+    def fail(*args):
+        pytest.fail("an entry ran")
+    monkeypatch.setattr(harness, "_final_global_error", fail)
+    with pytest.raises(ValueError, match=r"twice t = 0\.01, .*h = 0\.2$"):
+        estimate_order("gr", 1.8, [0.2, 0.1, 0.05], 0.01)
+    with pytest.raises(ValueError, match=r"twice t = 2\.0, .*h = 4\.0$"):
+        estimate_order("gr", 1.8, [0.2, 0.1, 4.0], 2.0)
+    for parallel in (False, True):
+        with pytest.raises(ValueError, match=r"got h = 20\.0$"):
+            sweep(["lf"], 1.8, [20.0, 5.0], 1, parallel=parallel)
 
 
 def test_estimate_order_rejects_p0_before_any_step(monkeypatch):
@@ -275,11 +290,12 @@ def test_sweep_matches_serial_and_order():
 
 
 def test_sweep_and_order_failures_report_step_index():
-    # one step of h = 50 spans several periods at p0 = 1.8; the implicit
-    # solve does not converge on it
+    # one step of h = 50 spans several periods at p0 = 1.8 (3 periods are
+    # 27.4, so round(27.4 / 50) = 1 step); the implicit solve does not
+    # converge on it
     for parallel in (False, True):
         with pytest.raises(NonConvergenceError, match=r"^step 1: "):
-            sweep(["gr", "lf"], 1.8, [50.0], 1, parallel=parallel)
+            sweep(["gr", "lf"], 1.8, [50.0], 3, parallel=parallel)
     with pytest.raises(NonConvergenceError, match=r"^step 1: "):
         estimate_order("gr", 1.8, [50.0, 40.0, 30.0], 100.0)
 
