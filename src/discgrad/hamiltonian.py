@@ -14,26 +14,28 @@ A system meets one contract, checked once when it is built.  It supplies
 
   written in a form that does not cancel as x1 -> x or p1 -> p (these
   keep the implicit solver convergent to round-off near turning points).
-  gr-N also calls ``dd_p`` with x1 and p1 the flow's jets; a form that
-  never divides by p1 - p runs on them as it is.
 
-The partials ``x`` and ``p`` and ``dd_p`` run only once per system
-object, together, when it is built, and from no state: on jets on a tape
-(:class:`discgrad.jets.Jet`) that hold NaN, which record the operations
-they see; x and p reach ``dd_p`` as :class:`discgrad.jets.Param` scalars
-that hold NaN, which record theirs.  The tape becomes generated code that
-every gr-N and tay-N call runs from its own state, and every value check
-runs there.  So these three must be pure functions of their arguments,
-with no side effects; they may use only ``+ - * /`` and ``**`` between
-their arguments and scalars, unary minus and the helpers ``gsin``,
-``gcos``, ``gexp``, ``glog``, ``gsqrt`` and ``gpow``, or return a plain
-constant; they must not build jets of their own (building the system
-raises a ValueError that names this contract), branch on argument values,
-or turn an argument into a plain number (``float(p)``, ``math.sin(x)``),
-which carries NaN into the code, so that every gr-N delta ends in a
-DivergenceError.  A built system is immutable and its ``partials`` a
-read-only mapping, so what it recorded cannot go stale;
-``dataclasses.replace`` builds a variant, which records anew.
+Each of these seven callables runs only once per system object, when it
+is built, and from no state: on :class:`discgrad.jets.Param` scalars that
+hold NaN and record the arithmetic done on them.  The recordings become
+the code of every implicit step, and, replayed on jets on a tape
+(:class:`discgrad.jets.Jet`) that record the operations they see, the
+partials ``x`` and ``p`` become the flow of every gr-N and tay-N call and
+``dd_p`` gr-N's delta, with x1 and p1 the flow's jets (a form that never
+divides by p1 - p runs on them as it is).  All of it runs from each call's
+own state, value checks included.  So these seven must be pure functions
+of their arguments, with no side effects; they may use only ``+ - * /``
+and ``**`` between their arguments and scalars, unary minus and the
+helpers ``gsin``, ``gcos``, ``gexp``, ``glog``, ``gsqrt`` and ``gpow``
+(and ``gsinc``, in ``dd_x`` and the second partials, which meet no jets),
+or return a plain constant; they must not build jets of their own
+(building the system raises a ValueError that names this contract),
+branch on argument values, or turn an argument into a plain number
+(``float(p)``, ``math.sin(x)``), which carries NaN into the code, so that
+every implicit step, and every gr-N delta, ends in a DivergenceError.  A
+built system is immutable and its ``partials`` a read-only mapping, so
+what it recorded cannot go stale; ``dataclasses.replace`` builds a
+variant, which records anew.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .jets import Jet, Param, TapeSource, _const, _wrap, gcos, gsin
+from .jets import (Jet, Param, TapeSource, _const, _wrap, gcos, gsin,
+                   gsinc, replay)
 
 PARTIAL_KEYS = ("x", "p", "xx", "xp", "pp")
 
@@ -147,39 +150,53 @@ def check_flow_order(N: int) -> None:
 
 
 class _SystemCode:
-    """A system object's ``p`` and ``x`` partials and its ``dd_p``, recorded
-    once on one tape from no state, and the functions generated from that
-    tape, by key (``functions``).
+    """A system object's partials, ``dd_p`` and ``dd_x``, recorded once
+    from no state, and the functions generated from them, by key
+    (``functions``).
 
-    The partials run on the leaf jets X and P, and ``dd_p`` on x, X, p and
-    P, with x and p the :class:`discgrad.jets.Param` named ``x0`` and
-    ``p0``, the parameters of every generated function.  Every leaf holds
-    NaN, so the code binds no state, and a value a callable takes out of
-    its arguments is NaN.  A recording that raises leaves no system.
+    Each callable runs once, on :class:`discgrad.jets.Param` scalars named
+    ``x``, ``p`` (and ``x1``, ``p1`` for the divided differences) that
+    hold NaN; ``scalars`` keeps what each returned, by key (``x`` .. ``pp``,
+    ``dd_p``, ``dd_x``), as the expression that computes it.  The ``p``
+    and ``x`` partials are then replayed on the leaf jets X and P of one
+    tape, and ``dd_p`` on x, X, p and P, with x and p the Params named
+    ``x0`` and ``p0``, the parameters of every generated function.  Every
+    leaf holds NaN, so the code binds no state, and a value a callable
+    takes out of its arguments is NaN.  A recording that raises leaves no
+    system.
     """
 
     def __init__(self, sys: HamiltonianSystem):
-        tape = []
-        X, P = Jet([math.nan], tape=tape), Jet([math.nan], tape=tape)
+        x, x1, p, p1 = (Param(math.nan, name) for name in ("x", "x1", "p",
+                                                            "p1"))
 
-        def on_tape(what, f):
-            # what ``what`` returned, as a jet on the tape: a plain scalar
-            # (or a Param) becomes a constant jet
-            if not isinstance(f, Jet):
-                return X._make(_const, f)
-            if f.tape is not tape:
+        def recorded(what, f):
+            if isinstance(f, Jet):
                 raise ValueError(
                     f"system {sys.name!r}: {what} returned a jet that its "
                     "arguments did not make; the system contract allows "
                     "only operations on the arguments, no jets of its own")
             return f
-        fx, fp = sys.partials["p"](X, P), sys.partials["x"](X, P)
-        self.p_is_leaf = fx is P        # H_p = p: H = p^2/2 + V(x)
-        fx = on_tape("partials['p']", fx)
-        fp = on_tape("partials['x']", fp)
+        self.scalars = {key: recorded(f"partials[{key!r}]",
+                                      sys.partials[key](x, p))
+                        for key in PARTIAL_KEYS}
+        self.scalars["dd_p"] = recorded("dd_p", sys.dd_p(x, x1, p, p1))
+        self.scalars["dd_x"] = recorded("dd_x", sys.dd_x(x, x1, p, p1))
+        self.p_is_leaf = self.scalars["p"] is p   # H_p = p: H = p^2/2 + V(x)
+
+        tape = []
+        X, P = Jet([math.nan], tape=tape), Jet([math.nan], tape=tape)
+
+        def on_tape(key, leaves):
+            # the recording replayed on the tape: a plain scalar (or a
+            # Param) becomes a constant jet
+            f = replay(self.scalars[key], leaves)
+            return f if isinstance(f, Jet) else X._make(_const, f)
+        fx = on_tape("p", {"x": X, "p": P})
+        fp = on_tape("x", {"x": X, "p": P})
         n = len(tape)
-        dd = on_tape("dd_p", sys.dd_p(Param(math.nan, "x0"), X,
-                                      Param(math.nan, "p0"), P))
+        dd = on_tape("dd_p", {"x": Param(math.nan, "x0"), "x1": X,
+                              "p": Param(math.nan, "p0"), "p1": P})
         # the partials see no Param, so their n nodes come first
         self.source = TapeSource(tape, {"x": X.coeffs, "p": P.coeffs})
         self._flow, self._dd = slice(n), slice(n, None)
@@ -244,19 +261,14 @@ def taylor_flow_coeffs(sys: HamiltonianSystem, s: PhaseState, N: int):
 
 # -- built-in systems ----------------------------------------------------
 
-def _cos_difference_quotient(x, x1, p, p1):
-    # (cos x - cos x1)/(x1 - x) via the product identity: no cancellation
-    half = 0.5 * (x1 - x)
-    ratio = math.sin(half) / half if half != 0.0 else 1.0
-    return math.sin(0.5 * (x + x1)) * ratio
-
-
 def make_pendulum() -> HamiltonianSystem:
     """H = p^2/2 - cos x."""
     return HamiltonianSystem(
         name="pendulum",
         energy=lambda x, p: 0.5 * p * p - gcos(x),
-        dd_x=_cos_difference_quotient,
+        # (cos x - cos x1) / (x1 - x) by the product identity: no
+        # cancellation as x1 -> x
+        dd_x=lambda x, x1, p, p1: gsin(0.5 * (x + x1)) * gsinc(0.5 * (x1 - x)),
         dd_p=lambda x, x1, p, p1: 0.5 * (p + p1),
         partials={
             "x": lambda x, p: gsin(x),

@@ -10,7 +10,6 @@ import statistics
 import time
 import warnings
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import baselines, reference, schemes
@@ -171,6 +170,8 @@ def run_trajectory(spec: ExperimentSpec,
             "min": min(iterations),
             "max": max(iterations),
             "mean": sum(k * v for k, v in iterations.items()) / spec.n_steps,
+            # solver iterations -> the number of steps that took them
+            "histogram": dict(sorted(iterations.items())),
         },
     }
     return TrajectoryRecord(samples, meta)
@@ -224,6 +225,9 @@ def sweep(schemes_list, p0: float, h_list, n_periods: int,
     tasks = [(sc, p0, h, n) for sc in schemes_list
              for h, n in zip(h_list, counts)]
     if parallel and len(tasks) > 1:
+        # imported here: the pool's modules take about a fifth of the
+        # package's import time, and only a sweep needs them
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor() as pool:
             errors = list(pool.map(_sweep_entry, tasks))
     else:

@@ -12,6 +12,7 @@ through the same code.  The generic helpers ``gsin``, ``gcos``, ``gexp``,
 ``gsqrt``, ``glog`` and ``gpow`` dispatch on the argument type so the same
 evaluator code runs on scalars and on jets.  A plain float, the argument
 of every scalar step, goes straight to ``math`` before any other test.
+``gsinc``, sin(v)/v with 1 at 0, runs on scalars only.
 
 A jet may carry a tape: a list on which every operation on it records
 itself and its arguments (Griewank & Walther, Evaluating Derivatives,
@@ -38,7 +39,11 @@ A scalar that generated code takes as a parameter is a :class:`Param`:
 arithmetic on it records an expression, which the code computes, where a
 plain scalar on a tape is bound into the code's namespace by value.  The
 generated text names scalars, never their values, so one compiled code
-object serves every tape of the same structure in the process.
+object serves every tape of the same structure in the process.  A function
+called on Params alone records its whole computation: :func:`replay` runs
+it again on other arguments, such as jets on a tape, and
+:func:`scalar_lines` writes it as code that runs on floats, with finite
+constants as literals.
 """
 
 from __future__ import annotations
@@ -309,7 +314,13 @@ def horner(coeffs, h):
     return acc
 
 
+# a Param operation's format -> the operation, which :func:`replay` runs again
+_PARAM_OPS = {}
+
+
 def _param_op(fmt, fn, reflected=False):
+    _PARAM_OPS[fmt] = fn
+
     def op(self, other):
         if not isinstance(other, (float, int)):
             return NotImplemented
@@ -346,6 +357,75 @@ class Param(float):
 
     def __neg__(self):
         return Param(-float(self), ("-{}", self))
+
+
+_PARAM_OPS["-{}"] = operator.neg
+
+
+def replay(value, leaves):
+    """What the operations that made the recorded scalar ``value`` make
+    when each parameter Param is replaced by ``leaves[its name]``: on jets
+    they record on the jets' tape what calling the recorded function on
+    those jets would record.  Each operation runs once however often its
+    result is used."""
+    done = {}
+
+    def run(v):
+        if not isinstance(v, Param):
+            return v
+        if id(v) not in done:
+            if isinstance(v.expr, str):
+                done[id(v)] = leaves[v.expr]
+            else:
+                fmt, *operands = v.expr
+                done[id(v)] = _PARAM_OPS[fmt](*map(run, operands))
+        return done[id(v)]
+    return run(value)
+
+
+def scalar_lines(values, names, local):
+    """The lines that compute the recorded scalars ``values`` and the text
+    of each, for generated code that runs on floats: each parameter Param
+    is the text ``names[its name]``, a finite float or int the literal of
+    its value, and every other scalar a name bound in the returned
+    namespace.  An operation whose result is used more than once is
+    computed once, into the local ``local<i>``; any other is written
+    inside the text that uses it, in parentheses, so the text makes the
+    recorded operations in their order."""
+    uses = {}
+
+    def count(v):
+        if isinstance(v, Param) and not isinstance(v.expr, str):
+            uses[id(v)] = uses.get(id(v), 0) + 1
+            if uses[id(v)] == 1:
+                for a in v.expr[1:]:
+                    count(a)
+    for v in values:
+        count(v)
+    lines, texts, bound = [], {}, {}
+
+    def operand(text):
+        return text if text.isidentifier() else f"({text})"
+
+    def text(v):
+        if not isinstance(v, Param):
+            if type(v) is int or type(v) is float and math.isfinite(v):
+                return repr(v)
+            name = f"{local}_s{len(bound)}"
+            bound[name] = v
+            return name
+        if isinstance(v.expr, str):
+            return names[v.expr]
+        key = id(v)
+        if key not in texts:
+            fmt, *operands = v.expr
+            t = fmt.format(*(operand(text(a)) for a in operands))
+            if uses[key] > 1:
+                lines.append(f"{local}{len(lines)} = {t}")
+                t = f"{local}{len(lines) - 1}"
+            texts[key] = t
+        return texts[key]
+    return lines, [text(v) for v in values], bound
 
 
 def _emit_param(k, name, text):
@@ -461,13 +541,13 @@ class TapeSource:
 
 # -- generic dispatch ----------------------------------------------------
 
-def _generic(name):
-    """The helper g<name>: math.<name> on a plain float, tried first
-    because every scalar step calls it so; the series method on a jet; a
-    new Param on a Param; math.<name> on other floats and ints; mpmath's
-    function on any other scalar, so that a high-precision mpmath.mpf
-    reference runs the same code (no runtime path passes one)."""
-    fn = getattr(math, name)
+def _generic(name, fn=None):
+    """The helper g<name>: ``fn`` (by default math.<name>) on a plain
+    float, tried first because every scalar step calls it so; the series
+    method on a jet; a new Param on a Param; ``fn`` on other floats and
+    ints; mpmath's function on any other scalar, so that a high-precision
+    mpmath.mpf reference runs the same code (no runtime path passes one)."""
+    fn = fn or getattr(math, name)
 
     def helper(x):
         if type(x) is float:
@@ -481,7 +561,19 @@ def _generic(name):
         import mpmath
         return getattr(mpmath, name)(x)
     helper.__name__ = helper.__qualname__ = "g" + name
+    _PARAM_OPS[f"g{name}({{}})"] = helper
+    FLOAT_HELPERS[helper.__name__] = fn
     return helper
+
+
+def _sinc(v):
+    """sin(v) / v, 1 at v = 0."""
+    return math.sin(v) / v if v != 0.0 else 1.0
+
+
+# the float function of each helper, which code that runs on floats only
+# calls in its place
+FLOAT_HELPERS = {}
 
 
 gsin = _generic("sin")
@@ -489,11 +581,14 @@ gcos = _generic("cos")
 gexp = _generic("exp")
 glog = _generic("log")
 gsqrt = _generic("sqrt")
+# sin(v) / v on floats, Params and mpmath scalars; jets have no sinc
+gsinc = _generic("sinc", _sinc)
 
 # the names that generated code calls, in the namespace of every generated
 # function
 _HELPERS = {"gsin": gsin, "gcos": gcos, "gexp": gexp, "glog": glog,
-            "gsqrt": gsqrt, "_require_divisor": _require_divisor,
+            "gsqrt": gsqrt, "gsinc": gsinc,
+            "_require_divisor": _require_divisor,
             "_require_log": _require_log, "_require_power": _require_power,
             "_require_sqrt": _require_sqrt}
 

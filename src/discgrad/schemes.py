@@ -40,6 +40,13 @@ delta already computes: the exact flow to order N + 2, so within gr-N's
 own local error of the converged iterate, a starting approximation in the
 sense of GNI VIII.6.1.  Every other rule starts from an explicit Euler
 predictor, within O(h^2).
+
+The step is one generated function per system object and rule name
+(:func:`_compile_step`, as TIDES generates its Taylor steps): one
+straight-line text with the system's recorded partials, dd_p and dd_x
+written in (:class:`discgrad.hamiltonian._SystemCode`), run on floats,
+where each helper (``gsin`` ..) is its math function.  It makes the
+operations of the system's own callables in their order.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ from .hamiltonian import HamiltonianSystem, PhaseState, linearize
 # not called here, where the series delta is generated code, but
 # perfbench/tracer.py patches it under this module's name
 from .hamiltonian import taylor_flow_coeffs  # noqa: F401
-from .jets import _div, _finished, horner
+from .jets import FLOAT_HELPERS, _div, _finished, horner, scalar_lines
 
 # past N = 14 the error rises again at larger h (pendulum p0 1.8, h 0.5:
 # gr-14 1.2e-10, gr-18 4.4e-9, gr-22 1.4e-5): the delta series has a finite
@@ -85,26 +92,32 @@ class DeltaRule:
     iterate's midpoint on every iteration when ``midpoint`` is set.  A
     ``start(sys, x, p, h) -> (delta, xc, pc)`` gives delta at the start
     point with the step's predictor (xc, pc); without one the step starts
-    from explicit Euler."""
+    from explicit Euler.  ``name`` is the scheme id of a built-in rule:
+    the step is generated once per system object and name, and writes
+    gr's, gr-lex's and gr-slex's delta in.  Rules without a name share one
+    step per system object, ``midpoint`` and presence of ``start``, which
+    calls the rule's ``fn`` and ``start``."""
     fn: Callable[[HamiltonianSystem, float, float, float], float]
     midpoint: bool = False
     start: Callable[[HamiltonianSystem, float, float, float], tuple] = None
+    name: str = None
 
     @classmethod
     def gr(cls):
-        return cls(lambda sys, x, p, h: h)
+        return cls(lambda sys, x, p, h: h, name="gr")
 
     @classmethod
     def mod_gr(cls, x_bar):
-        return cls(lambda sys, x, p, h: _delta_lex_at(sys, x_bar, 0.0, h))
+        return cls(lambda sys, x, p, h: _delta_lex_at(sys, x_bar, 0.0, h),
+                   name=f"mod-gr:{x_bar!r}")
 
     @classmethod
     def lex(cls):
-        return cls(_delta_lex_at)
+        return cls(_delta_lex_at, name="gr-lex")
 
     @classmethod
     def slex(cls):
-        return cls(_delta_lex_at, midpoint=True)
+        return cls(_delta_lex_at, midpoint=True, name="gr-slex")
 
     @classmethod
     def series(cls, N):
@@ -112,7 +125,7 @@ class DeltaRule:
         return cls(lambda sys, x, p, h: delta_series(sys, PhaseState(x, p),
                                                      h, N),
                    start=lambda sys, x, p, h: _series_function(sys, N)(
-                       x, p, h))
+                       x, p, h), name=f"gr-{N}")
 
     def value_at(self, sys: HamiltonianSystem, s: PhaseState, h: float) -> float:
         """delta at the fixed point s; for slex the midpoint is s itself,
@@ -346,73 +359,151 @@ def discrete_gradient_residual(sys: HamiltonianSystem, s_n: PhaseState,
 _MIN_NEWTON_DET = 0.5
 
 
-def _newton_inverse(c: float, hxx: float, hxp: float, hpp: float):
-    """Row-major entries of J^{-1} for J = I - c A with
-    A = [[H_xp, H_pp], [-H_xx, -H_xp]].  A^2 = -w^2 I with
-    w^2 = H_xx H_pp - H_xp^2, so J^{-1} = (I + c A) / (1 + c^2 w^2)."""
-    det = 1.0 + c * c * (hxx * hpp - hxp * hxp)
-    if not _MIN_NEWTON_DET <= abs(det) < math.inf:
-        return 1.0, 0.0, 0.0, 1.0
-    c /= det
-    return 1.0 / det + c * hxp, c * hpp, -c * hxx, 1.0 / det - c * hxp
+# The lines that set j11 .. j22, the row-major entries of J^{-1} for
+# J = I - c A with c = delta/2 and A = [[H_xp, H_pp], [-H_xx, -H_xp]] of the
+# frozen Hessian hxx, hxp, hpp.  A^2 = -w^2 I with w^2 = H_xx H_pp - H_xp^2,
+# so J^{-1} = (I + c A) / (1 + c^2 w^2); J = I where |det J| is below
+# _MIN_NEWTON_DET or not finite
+_INVERSE_LINES = ["c = 0.5 * delta",
+                  "det = 1.0 + c * c * (hxx * hpp - hxp * hxp)",
+                  f"if {_MIN_NEWTON_DET!r} <= abs(det) < inf:",
+                  "    c /= det",
+                  "    j11 = 1.0 / det + c * hxp",
+                  "    j12 = c * hpp",
+                  "    j21 = -c * hxx",
+                  "    j22 = 1.0 / det - c * hxp",
+                  "else:",
+                  "    j11, j12, j21, j22 = 1.0, 0.0, 0.0, 1.0"]
+
+
+def _compile_step(sys: HamiltonianSystem, rule: DeltaRule):
+    """The generated function (x0, p0, h, tol, max_iter, guard, rule) ->
+    (x1, p1, iterations) of one step of sys: one straight-line text, with
+    the system's recorded scalars written in.  It serves every rule with
+    rule's name; for a rule without a name, every rule without one that
+    has its ``midpoint`` and has, or lacks, a ``start``.
+
+    It takes delta and the predictor (xc, pc) from the rule's ``start``,
+    or else delta at the start point and explicit Euler.  It freezes the
+    Hessian at the predicted midpoint and solves by simplified Newton on
+    dd_p and dd_x, with delta at the iterate's midpoint on every iteration
+    for a ``midpoint`` rule.  delta is h for gr, delta_lex of w^2 from the
+    recorded Hessian for gr-lex and gr-slex, and a call of the rule's
+    ``fn`` otherwise.  The solve stops at an increment <= tol
+    or at round-off stagnation; it raises on a predictor that is not
+    finite, a Hessian that is not a number, an increment past guard and
+    after max_iter iterations."""
+    code = sys._code
+    names = {**_STEP_NAMES, "sys": sys}
+
+    def scalars(keys, x, p, local):
+        # the recorded scalars at (x, p), the divided differences at
+        # (x, xc, p, pc)
+        lines, texts, bound = scalar_lines(
+            [code.scalars[k] for k in keys],
+            {"x": x, "p": p, "x1": "xc", "p1": "pc"}, local)
+        names.update(bound)
+        return lines, texts
+
+    def delta_at(x, p, local):
+        if rule.name == "gr":
+            return ["delta = h"]
+        if rule.name not in ("gr-lex", "gr-slex"):
+            return [f"delta = rule.fn(sys, {x}, {p}, h)"]
+        # w^2 as omega_sq_at forms it
+        lines, (hxx, hxp, hpp) = scalars(("xx", "xp", "pp"), x, p, local)
+        return lines + [
+            f"delta = delta_lex(({hxx}) * ({hpp}) - ({hxp}) ** 2, h)"]
+
+    if rule.start is not None:
+        # the rule's own: for gr-N the flow to order N + 2 at h
+        body = ["delta, xc, pc = rule.start(sys, x0, p0, h)"]
+        what = "flow start"
+    else:
+        body = [] if rule.midpoint else delta_at("x0", "p0", "s")
+        # explicit Euler predictor, O(h^2) off the fixed point
+        lines, (hp, hx) = scalars(("p", "x"), "x0", "p0", "e")
+        body += [*lines, f"xc = x0 + h * ({hp})", f"pc = p0 - h * ({hx})"]
+        what = "Euler predictor"
+    lines, hessian = scalars(("xx", "xp", "pp"), "xm", "pm", "m")
+    body += [
+        "if not (isfinite(xc) and isfinite(pc)):",
+        f"    raise DivergenceError(f'{what} ({{xc:.3g}}, {{pc:.3g}}) is "
+        "not finite')",
+        "xm, pm = 0.5 * (x0 + xc), 0.5 * (p0 + pc)",
+        *lines,
+        "hxx, hxp, hpp = " + ", ".join(hessian),
+        # NaN from a partial that took a plain number out of its arguments
+        # would otherwise only turn the solve into the plain J = I one
+        "if hxx != hxx or hxp != hxp or hpp != hpp:",
+        "    raise DivergenceError(f'Hessian ({hxx:.3g}, {hxp:.3g}, "
+        "{hpp:.3g}) at the predicted midpoint ({xm:.3g}, {pm:.3g}) is not "
+        "a number')"]
+    if rule.midpoint:
+        loop = ["xh, ph = 0.5 * (x0 + xc), 0.5 * (p0 + pc)",
+                *delta_at("xh", "ph", "i"), *_INVERSE_LINES]
+    else:
+        body += _INVERSE_LINES
+        loop = []
+    lines, (ddp, ddx) = scalars(("dd_p", "dd_x"), "x0", "p0", "d")
+    loop += [
+        *lines,
+        f"rx = x0 + delta * ({ddp}) - xc",
+        f"rp = p0 - delta * ({ddx}) - pc",
+        "dx = j11 * rx + j12 * rp",
+        "dp = j21 * rx + j22 * rp",
+        "xc += dx",
+        "pc += dp",
+        # max(abs(dx), abs(dp)), NaN included, without the call
+        "inc = abs(dx)",
+        "if abs(dp) > inc:",
+        "    inc = abs(dp)",
+        "if inc <= tol:",
+        "    return xc, pc, it",
+        # round-off stagnation: increments have stopped shrinking at a few
+        # ulp of the state scale, which is as converged as doubles get
+        "if inc >= prev_inc and inc <= 64.0 * 2.220446049250313e-16 "
+        "* max(1.0, abs(xc), abs(pc)):",
+        "    return xc, pc, it",
+        "prev_inc = inc",
+        "if inc > guard or not isfinite(inc):",
+        "    raise DivergenceError(f'fixed-point increment {inc:.3g} "
+        "exceeded guard {guard:.3g}')"]
+    body += ["inc = prev_inc = inf",
+             "for it in range(1, max_iter + 1):",
+             *(f"    {line}" for line in loop),
+             "raise NonConvergenceError(f'no convergence in {max_iter} "
+             "iterations (last increment {inc:.3g})')"]
+    return code.source.compile("x0, p0, h, tol, max_iter, guard, rule",
+                               body, "None", names)
+
+
+# the step's globals besides the system and the recorded constants it
+# binds: it runs on floats only, so each helper is its math function
+_STEP_NAMES = {**FLOAT_HELPERS, "isfinite": math.isfinite, "inf": math.inf,
+               "delta_lex": delta_lex, "DivergenceError": DivergenceError,
+               "NonConvergenceError": NonConvergenceError}
+
+_DEFAULT_CONFIG = SolverConfig()
 
 
 def step_gradient_info(sys: HamiltonianSystem, rule: DeltaRule,
                        s_n: PhaseState, h: float,
                        cfg: SolverConfig = None):
-    """One implicit step; returns (next state, solver iterations)."""
+    """One implicit step; returns (next state, solver iterations).  It
+    runs the function :func:`_compile_step` generates once per system
+    object and rule name (per ``midpoint`` and presence of ``start`` for
+    rules without a name), so a rule built anew for every step compiles
+    nothing new."""
     if cfg is None:
-        cfg = SolverConfig()
-    x, p = s_n.x, s_n.p
-    fn, midpoint = rule.fn, rule.midpoint
-    dd_x, dd_p = sys.dd_x, sys.dd_p
-    d = sys.partials
-    start = rule.start
-    if start is None:
-        delta = None if midpoint else fn(sys, x, p, h)
-        # explicit Euler predictor, O(h^2) off the fixed point
-        xc = x + h * d["p"](x, p)
-        pc = p - h * d["x"](x, p)
-    else:
-        # the rule's own: for gr-N the flow to order N + 2 at h
-        delta, xc, pc = start(sys, x, p, h)
-    if not (math.isfinite(xc) and math.isfinite(pc)):
-        raise DivergenceError(
-            f"{'Euler predictor' if start is None else 'flow start'} "
-            f"({xc:.3g}, {pc:.3g}) is not finite")
-    xm, pm = 0.5 * (x + xc), 0.5 * (p + pc)
-    hxx, hxp, hpp = d["xx"](xm, pm), d["xp"](xm, pm), d["pp"](xm, pm)
-    if not midpoint:
-        j11, j12, j21, j22 = _newton_inverse(0.5 * delta, hxx, hxp, hpp)
-    tol = cfg.tol
-    guard = cfg.divergence_guard
-    inc = prev_inc = math.inf
-    for it in range(1, cfg.max_iter + 1):
-        if midpoint:
-            delta = fn(sys, 0.5 * (x + xc), 0.5 * (p + pc), h)
-            j11, j12, j21, j22 = _newton_inverse(0.5 * delta, hxx, hxp, hpp)
-        rx = x + delta * dd_p(x, xc, p, pc) - xc
-        rp = p - delta * dd_x(x, xc, p, pc) - pc
-        dx = j11 * rx + j12 * rp
-        dp = j21 * rx + j22 * rp
-        xc += dx
-        pc += dp
-        inc = max(abs(dx), abs(dp))
-        if inc <= tol:
-            return PhaseState(xc, pc), it
-        # round-off stagnation: increments have stopped shrinking at a few
-        # ulp of the state scale, which is as converged as doubles get
-        if (inc >= prev_inc
-                and inc <= 64.0 * 2.220446049250313e-16
-                * max(1.0, abs(xc), abs(pc))):
-            return PhaseState(xc, pc), it
-        prev_inc = inc
-        if inc > guard or not math.isfinite(inc):
-            raise DivergenceError(
-                f"fixed-point increment {inc:.3g} exceeded guard {guard:.3g}")
-    raise NonConvergenceError(
-        f"no convergence in {cfg.max_iter} iterations "
-        f"(last increment {inc:.3g})")
+        cfg = _DEFAULT_CONFIG
+    key = rule.name or (rule.midpoint, rule.start is None)
+    step = sys._code.functions.get(key)
+    if step is None:
+        step = sys._code.functions[key] = _compile_step(sys, rule)
+    x, p, its = step(s_n.x, s_n.p, h, cfg.tol, cfg.max_iter,
+                     cfg.divergence_guard, rule)
+    return PhaseState(x, p), its
 
 
 def step_gradient(sys: HamiltonianSystem, rule: DeltaRule, s_n: PhaseState,

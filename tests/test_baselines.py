@@ -57,9 +57,9 @@ def test_leapfrog_rejects_nonseparable(crossterm):
                         sp_coefficients(2))
 
 
-def test_kick_drift_runs_a_system_built_without_a_flag():
-    # H = p^2/2 + x^4/4: its p partial returns p, so sp-4 takes it
-    quartic = HamiltonianSystem(
+def _quartic():
+    """H = p^2/2 + x^4/4."""
+    return HamiltonianSystem(
         name="quartic", energy=lambda x, p: 0.5 * p * p + 0.25 * x ** 4,
         dd_x=lambda x, x1, p, p1: 0.25 * (x + x1) * (x * x + x1 * x1),
         dd_p=lambda x, x1, p, p1: 0.5 * (p + p1),
@@ -70,6 +70,11 @@ def test_kick_drift_runs_a_system_built_without_a_flag():
             "xp": lambda x, p: 0.0,
             "pp": lambda x, p: 1.0,
         })
+
+
+def test_kick_drift_runs_a_system_built_without_a_flag():
+    # its p partial returns p, so sp-4 takes it
+    quartic = _quartic()
     assert quartic.quadratic_kinetic
     step = make_stepper("sp-4", quartic)
     s, drift = PhaseState(0.0, 1.0), 0.0

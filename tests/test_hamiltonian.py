@@ -230,10 +230,9 @@ def _relativistic_softplus():
             "x": lambda x, p: (1.0 / (1.0 + gexp(-x)) + glog(x + 3.0)
                                + gcos(x) + x * gpow(1.0 + x * x, 0.5)),
             "p": lambda x, p: p / gsqrt(1.0 + gpow(p, 2)),
-            "xx": lambda x, p: (math.exp(-x) / (1.0 + math.exp(-x)) ** 2
-                                + 1.0 / (x + 3.0) - math.sin(x)
-                                + (1.0 + 2.0 * x * x)
-                                / math.sqrt(1.0 + x * x)),
+            "xx": lambda x, p: (gexp(-x) / (1.0 + gexp(-x)) ** 2
+                                + 1.0 / (x + 3.0) - gsin(x)
+                                + (1.0 + 2.0 * x * x) / gsqrt(1.0 + x * x)),
             "xp": lambda x, p: 0.0,
             "pp": lambda x, p: (1.0 + p * p) ** -1.5,
         },
@@ -250,7 +249,7 @@ def _drift():
         partials={
             "x": lambda x, p: gsin(x),
             "p": lambda x, p: 1.0,
-            "xx": lambda x, p: math.cos(x),
+            "xx": lambda x, p: gcos(x),
             "xp": lambda x, p: 0.0,
             "pp": lambda x, p: 0.0,
         },

@@ -97,6 +97,17 @@ def test_iteration_statistics():
     assert rec.metadata["iterations"]["max"] == 0
 
 
+def test_iteration_histogram():
+    for scheme in ("gr-slex", "gr-7", "rk4"):
+        rec = run_trajectory(_spec(scheme=scheme, n_steps=300))
+        it = rec.metadata["iterations"]
+        histogram = it["histogram"]
+        assert sum(histogram.values()) == 300
+        assert sum(k * v for k, v in histogram.items()) / 300 == it["mean"]
+        assert (min(histogram), max(histogram)) == (it["min"], it["max"])
+    assert histogram == {0: 300}        # rk4 solves nothing
+
+
 def test_gr_n_iterations_from_the_flow_start():
     # from the Euler predictor both took 5.65 iterations per step here
     for scheme, most in (("gr-7", 4.0), ("gr-3", 5.2)):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from discgrad import jets as jets_module
 from discgrad.errors import SingularJetDivisionError
 from discgrad.jets import (Jet, Param, TapeSource, _const, gcos, gexp, glog,
-                           gpow, gsin, gsqrt)
+                           gpow, gsin, gsinc, gsqrt, scalar_lines)
 
 
 coeff = st.floats(min_value=-10.0, max_value=10.0,
@@ -406,3 +406,54 @@ def test_param_is_computed_not_bound(name):
         want = want.coeffs if isinstance(want, Jet) \
             else Jet.constant(want, 3).coeffs
         assert repr(generated(*a.coeffs, c)) == repr(want), c
+
+
+def test_gsinc_against_mpmath():
+    # sin(v) / v, 1 at v = 0, within an ulp of the 50-digit quotient
+    with mpmath.workdps(50):
+        for v in (0.0, 5e-324, -5e-324, 1e-8, 1.0, 1e6):
+            want = (float(mpmath.sin(mpmath.mpf(v)) / v) if v else 1.0)
+            got = gsinc(v)
+            assert type(got) is float
+            assert abs(got - want) <= math.ulp(want), v
+        assert gsinc(mpmath.mpf("0.7")) == mpmath.sinc(mpmath.mpf("0.7"))
+    # the float the divided difference of cos used: no branch left there
+    assert [gsinc(v) for v in (0.0, -0.0, 0.5)] \
+        == [1.0, 1.0, math.sin(0.5) / 0.5]
+
+
+def test_gsinc_on_a_param_records_itself():
+    out = gsinc(2.0 * Param(math.nan, "c"))
+    assert isinstance(out, Param)
+    assert out.expr[0] == "gsinc({})"
+    (text,) = scalar_lines([out], {"c": "y"}, "t")[1]
+    assert text.startswith("gsinc(")
+    assert eval(text, {"gsinc": gsinc, "y": 0.25}) == gsinc(0.5)
+
+
+SCALAR_OPS = {
+    **PARAM_OPS,
+    "sinc": lambda a, c: gsinc(a - c) * gcos(c),
+    # a result used three times is computed once
+    "shared": lambda a, c: (lambda t: t - t / (t * 2.0 + 3.0))(a * c - 1.0),
+    # a negative literal keeps its sign where it is a power's base
+    "negative base": lambda a, c: (0.0 - 0.5) ** (a * 0.0 + 2.0) - c,
+    "not finite": lambda a, c: a * math.inf + c,
+    "grouping": lambda a, c: 1.0 / (1.0 + gexp(-a)) - 2.0 ** (c - a) ** 2,
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_OPS)
+def test_scalar_lines_make_the_recorded_operations(name):
+    # recorded on Params, the lines and text run on floats as the function
+    # itself does, bit for bit
+    fn = SCALAR_OPS[name]
+    value = fn(Param(math.nan, "a"), Param(math.nan, "c"))
+    lines, (text,), bound = scalar_lines([value], {"a": "x", "c": "y"}, "t")
+    namespace = {**jets_module.FLOAT_HELPERS, **bound}
+    exec("\n    ".join(["def f(x, y):", *lines, f"return {text}"]),
+         namespace)
+    if name == "shared":
+        assert len(lines) == 1
+    for a, c in ((0.9, 0.7), (-1.3, 2.5), (0.5, -0.0), (1e-3, 3.0)):
+        assert repr(namespace["f"](a, c)) == repr(fn(a, c)), (a, c)

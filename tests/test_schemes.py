@@ -12,13 +12,13 @@ import pytest
 
 from discgrad import hamiltonian, jets
 from discgrad.errors import (DivergenceError, NonConvergenceError,
-                             ResonanceStepError)
+                             ResonanceStepError, StepError)
 from discgrad.exactlin import exact_step_map
 from discgrad.hamiltonian import (HamiltonianSystem, PhaseState, eval_energy,
                                   linearize, make_harmonic, system_from_name,
                                   taylor_flow_coeffs)
 from discgrad.harness import ExperimentSpec, run_trajectory
-from discgrad.jets import Jet, gcos, horner
+from discgrad.jets import Jet, gcos, gsin, horner
 from discgrad.schemes import (_DEFLATE_EXTRA, _ROOT_NEAR, DeltaRule,
                               SolverConfig, _cancel_and_divide, _deflate,
                               _parts_function, _plain_amp_limit,
@@ -27,6 +27,8 @@ from discgrad.schemes import (_DEFLATE_EXTRA, _ROOT_NEAR, DeltaRule,
                               discrete_gradient_residual,
                               local_exactness_matrix, omega_sq_at,
                               step_gradient, step_gradient_info)
+from test_baselines import _quartic
+from test_hamiltonian import _drift, _relativistic_softplus
 
 
 def rand_state(rng, span=2.5):
@@ -517,6 +519,173 @@ def test_convergence_domain():
                     for _ in range(40):
                         s = step_gradient(sys, rule, s, h)
     assert inputs == 792
+
+
+def reference_step(sys, rule, s_n, h, cfg=None):
+    """The hand-written step the generated one replaced, on the system's
+    own callables: (x, p, iterations), the reference it must equal."""
+    cfg = cfg or SolverConfig()
+    x, p = s_n.x, s_n.p
+    fn, midpoint = rule.fn, rule.midpoint
+    dd_x, dd_p = sys.dd_x, sys.dd_p
+    d = sys.partials
+
+    def newton_inverse(c, hxx, hxp, hpp):
+        det = 1.0 + c * c * (hxx * hpp - hxp * hxp)
+        if not 0.5 <= abs(det) < math.inf:
+            return 1.0, 0.0, 0.0, 1.0
+        c /= det
+        return 1.0 / det + c * hxp, c * hpp, -c * hxx, 1.0 / det - c * hxp
+    start = rule.start
+    if start is None:
+        delta = None if midpoint else fn(sys, x, p, h)
+        xc = x + h * d["p"](x, p)
+        pc = p - h * d["x"](x, p)
+    else:
+        delta, xc, pc = start(sys, x, p, h)
+    if not (math.isfinite(xc) and math.isfinite(pc)):
+        raise DivergenceError(
+            f"{'Euler predictor' if start is None else 'flow start'} "
+            f"({xc:.3g}, {pc:.3g}) is not finite")
+    xm, pm = 0.5 * (x + xc), 0.5 * (p + pc)
+    hxx, hxp, hpp = d["xx"](xm, pm), d["xp"](xm, pm), d["pp"](xm, pm)
+    if not midpoint:
+        j11, j12, j21, j22 = newton_inverse(0.5 * delta, hxx, hxp, hpp)
+    inc = prev_inc = math.inf
+    for it in range(1, cfg.max_iter + 1):
+        if midpoint:
+            delta = fn(sys, 0.5 * (x + xc), 0.5 * (p + pc), h)
+            j11, j12, j21, j22 = newton_inverse(0.5 * delta, hxx, hxp, hpp)
+        rx = x + delta * dd_p(x, xc, p, pc) - xc
+        rp = p - delta * dd_x(x, xc, p, pc) - pc
+        dx = j11 * rx + j12 * rp
+        dp = j21 * rx + j22 * rp
+        xc += dx
+        pc += dp
+        inc = max(abs(dx), abs(dp))
+        if inc <= cfg.tol:
+            return xc, pc, it
+        if (inc >= prev_inc
+                and inc <= 64.0 * 2.220446049250313e-16
+                * max(1.0, abs(xc), abs(pc))):
+            return xc, pc, it
+        prev_inc = inc
+        if inc > cfg.divergence_guard or not math.isfinite(inc):
+            raise DivergenceError(
+                f"fixed-point increment {inc:.3g} exceeded guard "
+                f"{cfg.divergence_guard:.3g}")
+    raise NonConvergenceError(
+        f"no convergence in {cfg.max_iter} iterations "
+        f"(last increment {inc:.3g})")
+
+
+def _step_outcome(step, *args):
+    """repr of step(*args) as (x, p, iterations), or the type and message
+    of what it raised."""
+    try:
+        out = step(*args)
+    except (ArithmeticError, ValueError, StepError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out[0], PhaseState):
+        out = (out[0].x, out[0].p, out[1])
+    return repr(out)
+
+
+STEP_RULES = {"gr": DeltaRule.gr(), "mod-gr": DeltaRule.mod_gr(0.0),
+              "gr-lex": DeltaRule.lex(), "gr-slex": DeltaRule.slex(),
+              **{f"gr-{N}": DeltaRule.series(N) for N in (1, 3, 7, 14)}}
+
+
+def _step_systems():
+    # the built-in systems and the test files' own, whose divided
+    # differences are quotients of energies and whose partials use every
+    # helper
+    return [system_from_name(name) for name in ("pendulum", "harmonic:1.3",
+                                                 "crossterm:0.5")] + [
+        _drift_system(), _relativistic_softplus(), _drift(), _quartic()]
+
+
+@pytest.mark.parametrize("rule", STEP_RULES)
+def test_generated_step_equals_the_hand_written_one(rule):
+    rule = STEP_RULES[rule]
+    rng = random.Random(24)
+    states = [rand_state(rng) for _ in range(200)]
+    for sys in _step_systems():
+        for s in states:
+            for h in (0.25, -0.25, 1.0, -1.0):
+                assert _step_outcome(step_gradient_info, sys, rule, s, h) \
+                    == _step_outcome(reference_step, sys, rule, s, h), \
+                    (sys.name, s, h)
+
+
+@pytest.mark.parametrize("x, p, h, max_iter, scheme, error", [
+    # the saddle, where gr's J = I - (h/2) A is singular at h = 2 and
+    # nearly so at 1.999999: the solve falls back to J = I
+    (math.pi, 0.0, 2.0, 100, "gr", None),
+    (math.pi, 0.0, 1.999999, 100, "gr", None),
+    # h w >= pi
+    (0.0, 0.0, 3.2, 100, "gr-lex", ResonanceStepError),
+    (0.3, 1.8, 50.0, 20, "gr", NonConvergenceError),
+    (0.3, 1.8, 50.0, 20, "gr-7", DivergenceError),
+    (0.0, 1.8, 1e308, 100, "gr", DivergenceError),
+    (0.0, 1.8, 1e308, 100, "gr-14", DivergenceError),
+])
+def test_generated_step_equals_the_hand_written_one_at_the_edges(
+        pendulum, x, p, h, max_iter, scheme, error):
+    # every rule equals the reference; the named one ends as stated
+    s, cfg = PhaseState(x, p), SolverConfig(max_iter=max_iter)
+    for name, rule in STEP_RULES.items():
+        got = _step_outcome(step_gradient_info, pendulum, rule, s, h, cfg)
+        assert got == _step_outcome(reference_step, pendulum, rule, s, h,
+                                    cfg), name
+        if name == scheme:
+            # a state's repr starts with "(", an error is (type, message)
+            assert got[0] == (error.__name__ if error else "(")
+
+
+def test_step_compiled_once_per_system_and_rule_name():
+    # a rule built anew for every step finds the step generated for its
+    # name, or for every rule without one; a second system of the same
+    # structure runs the same code
+    pendulum = hamiltonian.make_pendulum()
+    s = PhaseState(0.0, 1.8)
+    for new_rule in (DeltaRule.gr, lambda: DeltaRule(lambda *args: 0.25)):
+        s = step_gradient(pendulum, new_rule(), s, 0.25)
+        functions = dict(pendulum._code.functions)
+        for _ in range(1000):
+            s = step_gradient(pendulum, new_rule(), s, 0.25)
+        assert pendulum._code.functions == functions
+    compiled = len(jets._CODE)
+    other = hamiltonian.make_pendulum()
+    assert step_gradient_info(other, DeltaRule.gr(), s, 0.25) \
+        == step_gradient_info(pendulum, DeltaRule.gr(), s, 0.25)
+    assert len(jets._CODE) == compiled
+    assert other._code.functions["gr"].__code__ \
+        is pendulum._code.functions["gr"].__code__
+
+
+@pytest.mark.parametrize("key, leak", [
+    ("xx", lambda x, p: math.cos(x)),
+    ("xp", lambda x, p: 0.0 * math.sin(x)),
+    ("pp", lambda x, p: float(p) * 0.0 + 1.0),
+], ids=["xx", "xp", "pp"])
+def test_hessian_that_makes_a_plain_number_is_divergence(pendulum, key,
+                                                         leak):
+    # the value taken out of x or p is NaN at the recording; the frozen
+    # Hessian is then NaN, which must not pass for a J = I solve
+    sys = dataclasses.replace(pendulum, partials=dict(pendulum.partials,
+                                                      **{key: leak}))
+    for rule in STEP_RULES.values():
+        with pytest.raises(DivergenceError, match="is not a number"):
+            step_gradient(sys, rule, PhaseState(0.3, 1.2), 0.25)
+
+
+def test_dd_x_that_makes_a_plain_number_is_divergence(pendulum):
+    sys = dataclasses.replace(pendulum, dd_x=lambda x, x1, p, p1: (
+        gsin(0.5 * (x + x1)) + 0.0 * math.sin(x)))
+    for rule in STEP_RULES.values():
+        with pytest.raises(DivergenceError, match="increment nan"):
+            step_gradient(sys, rule, PhaseState(0.3, 1.2), 0.25)
 
 
 def test_solver_config_validation():
