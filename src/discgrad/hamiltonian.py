@@ -28,14 +28,15 @@ of their arguments, with no side effects; they may use only ``+ - * /``
 and ``**`` between their arguments and scalars, unary minus and the
 helpers ``gsin``, ``gcos``, ``gexp``, ``glog``, ``gsqrt`` and ``gpow``
 (and ``gsinc``, in ``dd_x`` and the second partials, which meet no jets),
-or return a plain constant; they must not build jets of their own
-(building the system raises a ValueError that names this contract),
-branch on argument values, or turn an argument into a plain number
-(``float(p)``, ``math.sin(x)``), which carries NaN into the code, so that
-every implicit step, and every gr-N delta, ends in a DivergenceError.  A
-built system is immutable and its ``partials`` a read-only mapping, so
-what it recorded cannot go stale; ``dataclasses.replace`` builds a
-variant, which records anew.
+or return a plain constant; they must not build jets of their own, or
+branch on argument values (building the system raises a ValueError that
+names this contract: a recording cannot see a branch, so a comparison or
+truth test of a Param raises), or turn an argument into a plain number
+(``float(p)``, ``abs(p)``, ``math.sin(x)``), which carries NaN into the
+code, so that every implicit step, and every gr-N delta, ends in a
+DivergenceError.  A built system is immutable and its ``partials`` a
+read-only mapping, so what it recorded cannot go stale;
+``dataclasses.replace`` builds a variant, which records anew.
 """
 
 from __future__ import annotations

@@ -42,8 +42,8 @@ generated text names scalars, never their values, so one compiled code
 object serves every tape of the same structure in the process.  A function
 called on Params alone records its whole computation: :func:`replay` runs
 it again on other arguments, such as jets on a tape, and
-:func:`scalar_lines` writes it as code that runs on floats, with finite
-constants as literals.
+:func:`scalar_text` writes it as code, for a tape and for code that runs
+on floats.
 """
 
 from __future__ import annotations
@@ -63,26 +63,28 @@ from .errors import SingularJetDivisionError
 # ``0.0 * s[0]``) is computed once, into a local of its own.
 
 
+# each check passes a Param, at recording: its value is not known until
+# the generated code runs, which runs the check
 def _require_divisor(b0):
-    if b0 == 0:
+    if not isinstance(b0, Param) and b0 == 0:
         raise SingularJetDivisionError(
             "division by a jet with zero constant term; cancel the common "
             "leading power of h from both series first")
 
 
 def _require_log(a0):
-    if a0 == 0:
+    if not isinstance(a0, Param) and a0 == 0:
         raise SingularJetDivisionError("log of a jet with zero constant term")
 
 
 def _require_power(a0):
-    if a0 <= 0:
+    if not isinstance(a0, Param) and a0 <= 0:
         raise ValueError(
             "non-integer power of a jet needs a positive constant term")
 
 
 def _require_sqrt(a0):
-    if a0 <= 0:
+    if not isinstance(a0, Param) and a0 <= 0:
         raise ValueError("sqrt of a jet with non-positive constant term")
 
 
@@ -336,13 +338,28 @@ class Param(float):
     parameter or a format and its operands.  Arithmetic with plain scalars
     and the helpers ``gsin`` .. ``gsqrt`` give new Params, so an operation
     that takes one as its scalar records how to compute it, not the value
-    it had at recording."""
+    it had at recording.  A recording is straight-line: a comparison or
+    truth test of a Param, a branch on a value the recording does not
+    know, raises a ValueError.  ``abs`` is outside the recorded operations:
+    it gives a Param that is NaN in the generated code, as a number taken
+    out of a Param is, which a branch still cannot test."""
     __slots__ = ("expr",)
 
     def __new__(cls, value, expr):
         param = float.__new__(cls, value)
         param.expr = expr
         return param
+
+    def _branch(self, *other):
+        raise ValueError(
+            "a system callable compared or tested a value of its arguments; "
+            "the system contract allows no branches on argument values")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _branch
+    __bool__ = _branch
+
+    def __abs__(self):
+        return self * math.nan
 
     __add__ = _param_op("{} + {}", operator.add)
     __radd__ = _param_op("{} + {}", operator.add, True)
@@ -383,49 +400,29 @@ def replay(value, leaves):
     return run(value)
 
 
-def scalar_lines(values, names, local):
-    """The lines that compute the recorded scalars ``values`` and the text
-    of each, for generated code that runs on floats: each parameter Param
-    is the text ``names[its name]``, a finite float or int the literal of
-    its value, and every other scalar a name bound in the returned
-    namespace.  An operation whose result is used more than once is
-    computed once, into the local ``local<i>``; any other is written
-    inside the text that uses it, in parentheses, so the text makes the
-    recorded operations in their order."""
-    uses = {}
-
-    def count(v):
-        if isinstance(v, Param) and not isinstance(v.expr, str):
-            uses[id(v)] = uses.get(id(v), 0) + 1
-            if uses[id(v)] == 1:
-                for a in v.expr[1:]:
-                    count(a)
-    for v in values:
-        count(v)
-    lines, texts, bound = [], {}, {}
-
-    def operand(text):
-        return text if text.isidentifier() else f"({text})"
-
-    def text(v):
-        if not isinstance(v, Param):
-            if type(v) is int or type(v) is float and math.isfinite(v):
-                return repr(v)
-            name = f"{local}_s{len(bound)}"
-            bound[name] = v
-            return name
-        if isinstance(v.expr, str):
-            return names[v.expr]
-        key = id(v)
-        if key not in texts:
-            fmt, *operands = v.expr
-            t = fmt.format(*(operand(text(a)) for a in operands))
-            if uses[key] > 1:
-                lines.append(f"{local}{len(lines)} = {t}")
-                t = f"{local}{len(lines) - 1}"
-            texts[key] = t
-        return texts[key]
-    return lines, [text(v) for v in values], bound
+def scalar_text(v, known, param, constant, line):
+    """The text of the recorded scalar ``v`` in generated code: ``param``
+    of its name for a parameter Param; for any other Param what
+    ``line(v, text)`` gives for the text of its operation, at its first
+    use, kept in ``known`` by the Param's identity: the name of a local
+    that ``line`` computes it into, once, or the text itself for a Param
+    used once; ``constant(v)`` for any other scalar.  So the code makes
+    the recorded operations in their order, each once however often its
+    result is used."""
+    if not isinstance(v, Param):
+        return constant(v)
+    if isinstance(v.expr, str):
+        return param(v.expr)
+    name = known.get(id(v))
+    if name is None:
+        fmt, *operands = v.expr
+        texts = (scalar_text(a, known, param, constant, line)
+                 for a in operands)
+        # an operand that is not a name, a negative literal included, in
+        # parentheses
+        name = known[id(v)] = line(v, fmt.format(
+            *(t if t.isidentifier() else f"({t})" for t in texts)))
+    return name
 
 
 def _emit_param(k, name, text):
@@ -500,20 +497,17 @@ class TapeSource:
     def _bind(self, arg):
         if type(arg) is list:
             return self._names.setdefault(id(arg), f"v{len(self._names)}_")
-        if isinstance(arg, Param):
-            name = self._names.get(id(arg))
-            if name is None:
-                if isinstance(arg.expr, str):
-                    name = arg.expr
-                else:
-                    fmt, *operands = arg.expr
-                    text = fmt.format(*map(self._bind, operands))
-                    name = f"t{len(self._names)}_"
-                    self._nodes.append((_emit_param, [name, text]))
-                self._names[id(arg)] = name
-            return name
+        return scalar_text(arg, self._names, str, self._constant,
+                           self._param_line)
+
+    def _constant(self, value):
         name = f"s{len(self._env)}_"
-        self._env[name] = arg
+        self._env[name] = value
+        return name
+
+    def _param_line(self, param, text):
+        name = f"t{len(self._names)}_"
+        self._nodes.append((_emit_param, [name, text]))
         return name
 
     def name(self, coeffs):

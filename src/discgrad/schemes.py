@@ -41,7 +41,7 @@ own local error of the converged iterate, a starting approximation in the
 sense of GNI VIII.6.1.  Every other rule starts from an explicit Euler
 predictor, within O(h^2).
 
-The step is one generated function per system object and rule name
+The step is one generated function per system object and rule
 (:func:`_compile_step`, as TIDES generates its Taylor steps): one
 straight-line text with the system's recorded partials, dd_p and dd_x
 written in (:class:`discgrad.hamiltonian._SystemCode`), run on floats,
@@ -61,7 +61,8 @@ from .hamiltonian import HamiltonianSystem, PhaseState, linearize
 # not called here, where the series delta is generated code, but
 # perfbench/tracer.py patches it under this module's name
 from .hamiltonian import taylor_flow_coeffs  # noqa: F401
-from .jets import FLOAT_HELPERS, _div, _finished, horner, scalar_lines
+from .jets import (FLOAT_HELPERS, Param, _div, _finished, horner,
+                   scalar_text)
 
 # past N = 14 the error rises again at larger h (pendulum p0 1.8, h 0.5:
 # gr-14 1.2e-10, gr-18 4.4e-9, gr-22 1.4e-5): the delta series has a finite
@@ -92,32 +93,26 @@ class DeltaRule:
     iterate's midpoint on every iteration when ``midpoint`` is set.  A
     ``start(sys, x, p, h) -> (delta, xc, pc)`` gives delta at the start
     point with the step's predictor (xc, pc); without one the step starts
-    from explicit Euler.  ``name`` is the scheme id of a built-in rule:
-    the step is generated once per system object and name, and writes
-    gr's, gr-lex's and gr-slex's delta in.  Rules without a name share one
-    step per system object, ``midpoint`` and presence of ``start``, which
-    calls the rule's ``fn`` and ``start``."""
+    from explicit Euler."""
     fn: Callable[[HamiltonianSystem, float, float, float], float]
     midpoint: bool = False
     start: Callable[[HamiltonianSystem, float, float, float], tuple] = None
-    name: str = None
 
     @classmethod
     def gr(cls):
-        return cls(lambda sys, x, p, h: h, name="gr")
+        return cls(_gr_delta)
 
     @classmethod
     def mod_gr(cls, x_bar):
-        return cls(lambda sys, x, p, h: _delta_lex_at(sys, x_bar, 0.0, h),
-                   name=f"mod-gr:{x_bar!r}")
+        return cls(lambda sys, x, p, h: _delta_lex_at(sys, x_bar, 0.0, h))
 
     @classmethod
     def lex(cls):
-        return cls(_delta_lex_at, name="gr-lex")
+        return cls(_delta_lex_at)
 
     @classmethod
     def slex(cls):
-        return cls(_delta_lex_at, midpoint=True, name="gr-slex")
+        return cls(_delta_lex_at, midpoint=True)
 
     @classmethod
     def series(cls, N):
@@ -125,7 +120,7 @@ class DeltaRule:
         return cls(lambda sys, x, p, h: delta_series(sys, PhaseState(x, p),
                                                      h, N),
                    start=lambda sys, x, p, h: _series_function(sys, N)(
-                       x, p, h), name=f"gr-{N}")
+                       x, p, h))
 
     def value_at(self, sys: HamiltonianSystem, s: PhaseState, h: float) -> float:
         """delta at the fixed point s; for slex the midpoint is s itself,
@@ -162,6 +157,10 @@ def delta_lex(omega_sq: float, h: float) -> float:
 
 def _delta_lex_at(sys: HamiltonianSystem, x, p, h: float) -> float:
     return delta_lex(omega_sq_at(sys, x, p), h)
+
+
+def _gr_delta(sys: HamiltonianSystem, x, p, h: float) -> float:
+    return h
 
 
 def _leading_index(coeffs, scale):
@@ -380,35 +379,60 @@ def _compile_step(sys: HamiltonianSystem, rule: DeltaRule):
     """The generated function (x0, p0, h, tol, max_iter, guard, rule) ->
     (x1, p1, iterations) of one step of sys: one straight-line text, with
     the system's recorded scalars written in.  It serves every rule with
-    rule's name; for a rule without a name, every rule without one that
-    has its ``midpoint`` and has, or lacks, a ``start``.
+    rule's ``midpoint``, presence of ``start`` and, for gr, gr-lex and
+    gr-slex, ``fn``.
 
     It takes delta and the predictor (xc, pc) from the rule's ``start``,
     or else delta at the start point and explicit Euler.  It freezes the
     Hessian at the predicted midpoint and solves by simplified Newton on
     dd_p and dd_x, with delta at the iterate's midpoint on every iteration
-    for a ``midpoint`` rule.  delta is h for gr, delta_lex of w^2 from the
-    recorded Hessian for gr-lex and gr-slex, and a call of the rule's
-    ``fn`` otherwise.  The solve stops at an increment <= tol
+    for a ``midpoint`` rule.  delta is h for gr's ``fn``, delta_lex of
+    w^2 from the recorded Hessian for gr-lex's and gr-slex's, and a call of
+    the rule's ``fn`` otherwise.  The solve stops at an increment <= tol
     or at round-off stagnation; it raises on a predictor that is not
     finite, a Hessian that is not a number, an increment past guard and
     after max_iter iterations."""
     code = sys._code
     names = {**_STEP_NAMES, "sys": sys}
 
+    def constant(v):
+        # a finite constant as its literal, any other scalar by name
+        if type(v) is int or type(v) is float and math.isfinite(v):
+            return repr(v)
+        names[f"s{len(names)}_"] = v
+        return f"s{len(names) - 1}_"
+
     def scalars(keys, x, p, local):
         # the recorded scalars at (x, p), the divided differences at
-        # (x, xc, p, pc)
-        lines, texts, bound = scalar_lines(
-            [code.scalars[k] for k in keys],
-            {"x": x, "p": p, "x1": "xc", "p1": "pc"}, local)
-        names.update(bound)
-        return lines, texts
+        # (x, xc, p, pc): an operation whose result is used more than once
+        # into a local f"{local}<i>", any other inside the text that uses
+        # it
+        values = [code.scalars[k] for k in keys]
+        uses = {}
+
+        def count(v):
+            if isinstance(v, Param) and not isinstance(v.expr, str):
+                uses[id(v)] = uses.get(id(v), 0) + 1
+                if uses[id(v)] == 1:
+                    for a in v.expr[1:]:
+                        count(a)
+        for v in values:
+            count(v)
+        lines, known = [], {}
+
+        def line(v, text):
+            if uses[id(v)] == 1:
+                return text
+            lines.append(f"{local}{len(lines)} = {text}")
+            return f"{local}{len(lines) - 1}"
+        params = {"x": x, "p": p, "x1": "xc", "p1": "pc"}.__getitem__
+        return lines, [scalar_text(v, known, params, constant, line)
+                       for v in values]
 
     def delta_at(x, p, local):
-        if rule.name == "gr":
+        if rule.fn is _gr_delta:
             return ["delta = h"]
-        if rule.name not in ("gr-lex", "gr-slex"):
+        if rule.fn is not _delta_lex_at:
             return [f"delta = rule.fn(sys, {x}, {p}, h)"]
         # w^2 as omega_sq_at forms it
         lines, (hxx, hxp, hpp) = scalars(("xx", "xp", "pp"), x, p, local)
@@ -492,12 +516,15 @@ def step_gradient_info(sys: HamiltonianSystem, rule: DeltaRule,
                        cfg: SolverConfig = None):
     """One implicit step; returns (next state, solver iterations).  It
     runs the function :func:`_compile_step` generates once per system
-    object and rule name (per ``midpoint`` and presence of ``start`` for
-    rules without a name), so a rule built anew for every step compiles
-    nothing new."""
+    object and what the step's text depends on: the delta it writes in
+    (gr's, gr-lex's and gr-slex's ``fn``; any other ``fn`` is called),
+    ``midpoint`` and whether the rule has a ``start``.  So a rule built
+    anew for every step compiles nothing new."""
     if cfg is None:
         cfg = _DEFAULT_CONFIG
-    key = rule.name or (rule.midpoint, rule.start is None)
+    fn = rule.fn
+    key = ("step", fn if fn is _gr_delta or fn is _delta_lex_at else None,
+           rule.midpoint, rule.start is None)
     step = sys._code.functions.get(key)
     if step is None:
         step = sys._code.functions[key] = _compile_step(sys, rule)

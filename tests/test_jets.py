@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from discgrad import jets as jets_module
 from discgrad.errors import SingularJetDivisionError
 from discgrad.jets import (Jet, Param, TapeSource, _const, gcos, gexp, glog,
-                           gpow, gsin, gsinc, gsqrt, scalar_lines)
+                           gpow, gsin, gsinc, gsqrt, scalar_text)
 
 
 coeff = st.floats(min_value=-10.0, max_value=10.0,
@@ -426,15 +426,36 @@ def test_gsinc_on_a_param_records_itself():
     out = gsinc(2.0 * Param(math.nan, "c"))
     assert isinstance(out, Param)
     assert out.expr[0] == "gsinc({})"
-    (text,) = scalar_lines([out], {"c": "y"}, "t")[1]
-    assert text.startswith("gsinc(")
-    assert eval(text, {"gsinc": gsinc, "y": 0.25}) == gsinc(0.5)
+    lines, text, bound = _float_code(out, {"c": "y"})
+    assert lines[-1].startswith(f"{text} = gsinc(")
+    namespace = {"gsinc": gsinc}
+    exec("\n    ".join(["def f(y):", *lines, f"return {text}"]), namespace)
+    assert namespace["f"](0.25) == gsinc(0.5)
+
+
+def _float_code(value, params):
+    """The lines, text and bound names of the recorded scalar ``value`` as
+    the implicit step writes it: each operation into a local, a finite
+    constant as its literal."""
+    lines, bound = [], {}
+
+    def constant(v):
+        if type(v) is int or type(v) is float and math.isfinite(v):
+            return repr(v)
+        bound[f"s{len(bound)}"] = v
+        return f"s{len(bound) - 1}"
+
+    def line(param, text):
+        lines.append(f"t{len(lines)} = {text}")
+        return f"t{len(lines) - 1}"
+    return (lines, scalar_text(value, {}, params.__getitem__, constant, line),
+            bound)
 
 
 SCALAR_OPS = {
     **PARAM_OPS,
     "sinc": lambda a, c: gsinc(a - c) * gcos(c),
-    # a result used three times is computed once
+    # a result used three times is computed once: six operations in all
     "shared": lambda a, c: (lambda t: t - t / (t * 2.0 + 3.0))(a * c - 1.0),
     # a negative literal keeps its sign where it is a power's base
     "negative base": lambda a, c: (0.0 - 0.5) ** (a * 0.0 + 2.0) - c,
@@ -444,16 +465,16 @@ SCALAR_OPS = {
 
 
 @pytest.mark.parametrize("name", SCALAR_OPS)
-def test_scalar_lines_make_the_recorded_operations(name):
+def test_scalar_text_makes_the_recorded_operations(name):
     # recorded on Params, the lines and text run on floats as the function
     # itself does, bit for bit
     fn = SCALAR_OPS[name]
     value = fn(Param(math.nan, "a"), Param(math.nan, "c"))
-    lines, (text,), bound = scalar_lines([value], {"a": "x", "c": "y"}, "t")
+    lines, text, bound = _float_code(value, {"a": "x", "c": "y"})
     namespace = {**jets_module.FLOAT_HELPERS, **bound}
     exec("\n    ".join(["def f(x, y):", *lines, f"return {text}"]),
          namespace)
     if name == "shared":
-        assert len(lines) == 1
+        assert len(lines) == 6
     for a, c in ((0.9, 0.7), (-1.3, 2.5), (0.5, -0.0), (1e-3, 3.0)):
         assert repr(namespace["f"](a, c)) == repr(fn(a, c)), (a, c)

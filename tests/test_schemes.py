@@ -643,25 +643,59 @@ def test_generated_step_equals_the_hand_written_one_at_the_edges(
             assert got[0] == (error.__name__ if error else "(")
 
 
-def test_step_compiled_once_per_system_and_rule_name():
-    # a rule built anew for every step finds the step generated for its
-    # name, or for every rule without one; a second system of the same
-    # structure runs the same code
+def test_step_compiled_once_per_system_and_rule_value():
+    # a rule built anew for every step, with its own closure (mod-gr's x_bar,
+    # gr-N's N, a user's fn), finds the step generated for its value; a
+    # second system of the same structure runs the same code
     pendulum = hamiltonian.make_pendulum()
+
+    def steps():
+        return {k: f for k, f in pendulum._code.functions.items()
+                if isinstance(k, tuple) and k[0] == "step"}
     s = PhaseState(0.0, 1.8)
-    for new_rule in (DeltaRule.gr, lambda: DeltaRule(lambda *args: 0.25)):
-        s = step_gradient(pendulum, new_rule(), s, 0.25)
-        functions = dict(pendulum._code.functions)
-        for _ in range(1000):
-            s = step_gradient(pendulum, new_rule(), s, 0.25)
-        assert pendulum._code.functions == functions
+    for new_rule in (lambda i: DeltaRule.gr(),
+                     lambda i: DeltaRule(lambda *args: 0.25),
+                     lambda i: DeltaRule.mod_gr(1e-3 * i),
+                     lambda i: DeltaRule.series(1 + i % 14)):
+        s = step_gradient(pendulum, new_rule(0), s, 0.25)
+        functions = steps()
+        for i in range(1000):
+            s = step_gradient(pendulum, new_rule(i), s, 0.25)
+        assert steps() == functions
+    assert len(steps()) == 3
     compiled = len(jets._CODE)
     other = hamiltonian.make_pendulum()
     assert step_gradient_info(other, DeltaRule.gr(), s, 0.25) \
         == step_gradient_info(pendulum, DeltaRule.gr(), s, 0.25)
     assert len(jets._CODE) == compiled
-    assert other._code.functions["gr"].__code__ \
-        is pendulum._code.functions["gr"].__code__
+    (key,) = (k for k in other._code.functions
+              if isinstance(k, tuple) and k[0] == "step")
+    assert other._code.functions[key].__code__ \
+        is pendulum._code.functions[key].__code__
+
+
+def test_rules_that_share_fn_or_midpoint_run_steps_of_their_own():
+    # rules equal in fn but not in midpoint or start, or in midpoint and
+    # start but not in fn, each run the hand-written step, whichever of
+    # them ran first on the system
+    gr, lex, slex = DeltaRule.gr(), DeltaRule.lex(), DeltaRule.slex()
+    series = DeltaRule.series(3)
+    rules = [gr, lex, slex, DeltaRule(lambda sys, x, p, h: 1.01 * h),
+             dataclasses.replace(gr, midpoint=True),
+             dataclasses.replace(slex, midpoint=False),
+             dataclasses.replace(lex, midpoint=True),
+             DeltaRule(DeltaRule.mod_gr(0.5).fn, midpoint=True),
+             series, DeltaRule(series.fn),
+             dataclasses.replace(series, midpoint=True),
+             dataclasses.replace(series, fn=lex.fn),
+             DeltaRule(lex.fn, start=series.start)]
+    s = PhaseState(0.3, 1.2)
+    for order in (rules, rules[::-1]):
+        pendulum = hamiltonian.make_pendulum()
+        for rule in order:
+            assert _step_outcome(step_gradient_info, pendulum, rule, s, 0.5) \
+                == _step_outcome(reference_step, pendulum, rule, s, 0.5), \
+                rule
 
 
 @pytest.mark.parametrize("key, leak", [
@@ -936,3 +970,25 @@ def test_a_jet_of_its_own_breaks_the_contract(pendulum, key):
         else:
             dataclasses.replace(pendulum, partials=dict(pendulum.partials,
                                                         **{key: own}))
+
+
+@pytest.mark.parametrize("key, branching", [
+    ("dd_x", lambda x, x1, p, p1: ((gcos(x) - gcos(x1)) / (x1 - x)
+                                   if abs(x1 - x) > 1e-8 else gsin(x))),
+    ("dd_x", lambda x, x1, p, p1: (gsin(x) if x1 == x
+                                   else (gcos(x) - gcos(x1)) / (x1 - x))),
+    ("xx", lambda x, p: max(gcos(x), -1.0)),
+    ("pp", lambda x, p: 1.0 if p else 1.0),
+], ids=["guarded-quotient", "equal", "max", "truth"])
+def test_a_branch_on_an_argument_breaks_the_contract(pendulum, key,
+                                                     branching):
+    # every comparison with the NaN of a recording is false, so a recording
+    # that branched would keep one branch for every state; building the
+    # system raises instead
+    with pytest.raises(ValueError, match="system contract allows no "
+                                         "branches"):
+        if key == "dd_x":
+            dataclasses.replace(pendulum, dd_x=branching)
+        else:
+            dataclasses.replace(pendulum, partials=dict(pendulum.partials,
+                                                        **{key: branching}))
