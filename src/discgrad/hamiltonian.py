@@ -16,27 +16,26 @@ A system meets one contract, checked once when it is built.  It supplies
   keep the implicit solver convergent to round-off near turning points).
 
 Each of these seven callables runs only once per system object, when it
-is built, and from no state: on :class:`discgrad.jets.Param` scalars that
-hold NaN and record the arithmetic done on them.  The recordings become
-the code of every implicit step, and, replayed on jets on a tape
-(:class:`discgrad.jets.Jet`) that record the operations they see, the
-partials ``x`` and ``p`` become the flow of every gr-N and tay-N call and
-``dd_p`` gr-N's delta, with x1 and p1 the flow's jets (a form that never
-divides by p1 - p runs on them as it is).  All of it runs from each call's
-own state, value checks included.  So these seven must be pure functions
-of their arguments, with no side effects; they may use only ``+ - * /``
-and ``**`` between their arguments and scalars, unary minus and the
-helpers ``gsin``, ``gcos``, ``gexp``, ``glog``, ``gsqrt`` and ``gpow``
-(and ``gsinc``, in ``dd_x`` and the second partials, which meet no jets),
-or return a plain constant; they must not build jets of their own, or
-branch on argument values (building the system raises a ValueError that
-names this contract: a recording cannot see a branch, so a comparison or
-truth test of a Param raises), or turn an argument into a plain number
-(``float(p)``, ``abs(p)``, ``math.sin(x)``), which carries NaN into the
-code, so that every implicit step, and every gr-N delta, ends in a
-DivergenceError.  A built system is immutable and its ``partials`` a
-read-only mapping, so what it recorded cannot go stale;
-``dataclasses.replace`` builds a variant, which records anew.
+is built, and from no state: on :class:`discgrad.jets.Param` scalars,
+which hold no value and record the arithmetic done on them.  The
+recordings become the code of every implicit step, and, replayed on jets
+on a tape (:class:`discgrad.jets.Jet`) that record the operations they
+see, the partials ``x`` and ``p`` become the flow of every gr-N and tay-N
+call and ``dd_p`` gr-N's delta, with x1 and p1 the flow's jets (a form
+that never divides by p1 - p runs on them as it is).  All of it runs from
+each call's own state, value checks included.  So these seven must be
+pure functions of their arguments, with no side effects; they may use
+only ``+ - * /`` and ``**`` between their arguments and scalars, unary
+minus and the helpers ``gsin``, ``gcos``, ``gexp``, ``glog``, ``gsqrt``
+and ``gpow`` (and ``gsinc``, in ``dd_x`` and the second partials, which
+meet no jets), or return a plain constant; they must not build jets of
+their own.  A recording is straight-line and its arguments hold no
+number, so a callable that branches on an argument or takes a number out
+of one (a comparison, a truth test, ``abs``, ``float``, ``math.sin``)
+breaks the contract, and building the system raises a ValueError that
+names it.  A built system is immutable and its ``partials`` a read-only
+mapping, so what it recorded cannot go stale; ``dataclasses.replace``
+builds a variant, which records anew.
 """
 
 from __future__ import annotations
@@ -156,20 +155,19 @@ class _SystemCode:
     (``functions``).
 
     Each callable runs once, on :class:`discgrad.jets.Param` scalars named
-    ``x``, ``p`` (and ``x1``, ``p1`` for the divided differences) that
-    hold NaN; ``scalars`` keeps what each returned, by key (``x`` .. ``pp``,
-    ``dd_p``, ``dd_x``), as the expression that computes it.  The ``p``
-    and ``x`` partials are then replayed on the leaf jets X and P of one
-    tape, and ``dd_p`` on x, X, p and P, with x and p the Params named
-    ``x0`` and ``p0``, the parameters of every generated function.  Every
-    leaf holds NaN, so the code binds no state, and a value a callable
-    takes out of its arguments is NaN.  A recording that raises leaves no
-    system.
+    ``x``, ``p`` (and ``x1``, ``p1`` for the divided differences), which
+    hold no value; ``scalars`` keeps what each returned, by key (``x`` ..
+    ``pp``, ``dd_p``, ``dd_x``), as the expression that computes it.  The
+    ``p`` and ``x`` partials are then replayed on the leaf jets X and P of
+    one tape, which hold NaN, and ``dd_p`` on x, X, p and P, with x and p
+    the Params named ``x0`` and ``p0``, the parameters of every generated
+    function.  So the code binds no state.  A recording that raises, as
+    one that branches on or takes a number out of its arguments does,
+    leaves no system.
     """
 
     def __init__(self, sys: HamiltonianSystem):
-        x, x1, p, p1 = (Param(math.nan, name) for name in ("x", "x1", "p",
-                                                            "p1"))
+        x, x1, p, p1 = map(Param, ("x", "x1", "p", "p1"))
 
         def recorded(what, f):
             if isinstance(f, Jet):
@@ -196,8 +194,8 @@ class _SystemCode:
         fx = on_tape("p", {"x": X, "p": P})
         fp = on_tape("x", {"x": X, "p": P})
         n = len(tape)
-        dd = on_tape("dd_p", {"x": Param(math.nan, "x0"), "x1": X,
-                              "p": Param(math.nan, "p0"), "p1": P})
+        dd = on_tape("dd_p", {"x": Param("x0"), "x1": X, "p": Param("p0"),
+                              "p1": P})
         # the partials see no Param, so their n nodes come first
         self.source = TapeSource(tape, {"x": X.coeffs, "p": P.coeffs})
         self._flow, self._dd = slice(n), slice(n, None)

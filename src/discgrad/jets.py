@@ -36,14 +36,15 @@ generated code run from new leaf values raises what recording with those
 values raises.
 
 A scalar that generated code takes as a parameter is a :class:`Param`:
-arithmetic on it records an expression, which the code computes, where a
-plain scalar on a tape is bound into the code's namespace by value.  The
-generated text names scalars, never their values, so one compiled code
-object serves every tape of the same structure in the process.  A function
-called on Params alone records its whole computation: :func:`replay` runs
-it again on other arguments, such as jets on a tape, and
-:func:`scalar_text` writes it as code, for a tape and for code that runs
-on floats.
+it holds no value, and arithmetic on it records an expression, which the
+code computes, where a plain scalar on a tape is bound into the code's
+namespace by value.  The generated text names scalars, never their
+values, so one compiled code object serves every tape of the same
+structure in the process.  A function called on Params alone records its
+whole computation: :func:`replay` runs it again on other arguments, such
+as jets on a tape, and :func:`scalar_text` writes it as code, for a tape
+and for code that runs on floats.  Any use of a Param that needs its
+value, a branch or a number taken out of it, raises a ValueError.
 """
 
 from __future__ import annotations
@@ -324,42 +325,35 @@ def _param_op(fmt, fn, reflected=False):
     _PARAM_OPS[fmt] = fn
 
     def op(self, other):
-        if not isinstance(other, (float, int)):
+        if not isinstance(other, (float, int, Param)):
             return NotImplemented
-        args = (other, self) if reflected else (self, other)
-        return Param(fn(*(float(a) if isinstance(a, Param) else a
-                          for a in args)), (fmt, *args))
+        return Param((fmt, other, self) if reflected else (fmt, self, other))
     return op
 
 
-class Param(float):
-    """A scalar that generated code computes from its parameters: a float
-    with its value at recording, and ``expr``, either the name of a
-    parameter or a format and its operands.  Arithmetic with plain scalars
-    and the helpers ``gsin`` .. ``gsqrt`` give new Params, so an operation
-    that takes one as its scalar records how to compute it, not the value
-    it had at recording.  A recording is straight-line: a comparison or
-    truth test of a Param, a branch on a value the recording does not
-    know, raises a ValueError.  ``abs`` is outside the recorded operations:
-    it gives a Param that is NaN in the generated code, as a number taken
-    out of a Param is, which a branch still cannot test."""
+class Param:
+    """A scalar that generated code computes from its parameters: only
+    ``expr``, either the name of a parameter or a format and its operands,
+    and no value.  Arithmetic with plain scalars and other Params and the
+    helpers ``gsin`` .. ``gsqrt`` give new Params, so an operation that
+    takes one as its scalar records how to compute it.  A recording is
+    straight-line, so any use that needs a value, which the recording does
+    not know, raises a ValueError: a comparison or truth test (a branch),
+    ``abs``, ``float``, ``int``, ``round`` and use as an index, and through
+    ``float`` every ``math`` function."""
     __slots__ = ("expr",)
 
-    def __new__(cls, value, expr):
-        param = float.__new__(cls, value)
-        param.expr = expr
-        return param
+    def __init__(self, expr):
+        self.expr = expr
 
-    def _branch(self, *other):
+    def _value(self, *other):
         raise ValueError(
-            "a system callable compared or tested a value of its arguments; "
-            "the system contract allows no branches on argument values")
+            "a system callable compared, tested or took a number out of a "
+            "value made from its arguments; the system contract allows no "
+            "branches on argument values and no numbers taken out of them")
 
-    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _branch
-    __bool__ = _branch
-
-    def __abs__(self):
-        return self * math.nan
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _value
+    __bool__ = __abs__ = __float__ = __int__ = __round__ = __index__ = _value
 
     __add__ = _param_op("{} + {}", operator.add)
     __radd__ = _param_op("{} + {}", operator.add, True)
@@ -373,7 +367,7 @@ class Param(float):
     __rpow__ = _param_op("{} ** {}", operator.pow, True)
 
     def __neg__(self):
-        return Param(-float(self), ("-{}", self))
+        return Param(("-{}", self))
 
 
 _PARAM_OPS["-{}"] = operator.neg
@@ -549,7 +543,7 @@ def _generic(name, fn=None):
         if isinstance(x, Jet):
             return getattr(x, name)()
         if isinstance(x, Param):
-            return Param(fn(float(x)), (f"g{name}({{}})", x))
+            return Param((f"g{name}({{}})", x))
         if isinstance(x, (float, int)):
             return fn(x)
         import mpmath

@@ -457,8 +457,8 @@ def _compile_step(sys: HamiltonianSystem, rule: DeltaRule):
         "xm, pm = 0.5 * (x0 + xc), 0.5 * (p0 + pc)",
         *lines,
         "hxx, hxp, hpp = " + ", ".join(hessian),
-        # NaN from a partial that took a plain number out of its arguments
-        # would otherwise only turn the solve into the plain J = I one
+        # a second partial that overflows at a finite midpoint (inf - inf,
+        # 0 * inf) would otherwise only turn the solve into the J = I one
         "if hxx != hxx or hxp != hxp or hpp != hpp:",
         "    raise DivergenceError(f'Hessian ({hxx:.3g}, {hxp:.3g}, "
         "{hpp:.3g}) at the predicted midpoint ({xm:.3g}, {pm:.3g}) is not "

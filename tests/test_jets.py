@@ -1,5 +1,6 @@
 """Truncated power series arithmetic."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from discgrad import jets as jets_module
 from discgrad.errors import SingularJetDivisionError
+from discgrad.hamiltonian import make_pendulum
 from discgrad.jets import (Jet, Param, TapeSource, _const, gcos, gexp, glog,
                            gpow, gsin, gsinc, gsqrt, scalar_text)
 
@@ -385,14 +387,14 @@ PARAM_OPS = {
 
 @pytest.mark.parametrize("name", PARAM_OPS)
 def test_param_is_computed_not_bound(name):
-    # recorded with c = 0.7, then run with other values of c: the scalar
-    # expressions of c are generated code, so they match jets made with
-    # each plain c
+    # recorded on a Param c, which holds no value, then run with values of
+    # c: the scalar expressions of c are generated code, so they match jets
+    # made with each plain c
     fn = PARAM_OPS[name]
     a = Jet([0.9, -0.3, 0.25, 1.5])
     tape = []
     A = Jet([a.coeffs[0]], tape=tape)
-    out = fn(A, Param(0.7, "c"))
+    out = fn(A, Param("c"))
     if not isinstance(out, Jet):
         out = A._make(_const, out)
     source = TapeSource(tape, {"a": A.coeffs})
@@ -423,7 +425,7 @@ def test_gsinc_against_mpmath():
 
 
 def test_gsinc_on_a_param_records_itself():
-    out = gsinc(2.0 * Param(math.nan, "c"))
+    out = gsinc(2.0 * Param("c"))
     assert isinstance(out, Param)
     assert out.expr[0] == "gsinc({})"
     lines, text, bound = _float_code(out, {"c": "y"})
@@ -469,7 +471,7 @@ def test_scalar_text_makes_the_recorded_operations(name):
     # recorded on Params, the lines and text run on floats as the function
     # itself does, bit for bit
     fn = SCALAR_OPS[name]
-    value = fn(Param(math.nan, "a"), Param(math.nan, "c"))
+    value = fn(Param("a"), Param("c"))
     lines, text, bound = _float_code(value, {"a": "x", "c": "y"})
     namespace = {**jets_module.FLOAT_HELPERS, **bound}
     exec("\n    ".join(["def f(x, y):", *lines, f"return {text}"]),
@@ -478,3 +480,26 @@ def test_scalar_text_makes_the_recorded_operations(name):
         assert len(lines) == 6
     for a, c in ((0.9, 0.7), (-1.3, 2.5), (0.5, -0.0), (1e-3, 3.0)):
         assert repr(namespace["f"](a, c)) == repr(fn(a, c)), (a, c)
+
+
+@pytest.mark.parametrize("use", [
+    lambda x: x == 0.3,
+    lambda x: x < 0.3,
+    bool,
+    abs,
+    float,
+    int,
+    round,
+    math.sin,
+    math.isfinite,
+    range,
+], ids=["==", "<", "bool", "abs", "float", "int", "round", "math.sin",
+        "math.isfinite", "range"])
+def test_a_value_taken_out_of_a_param_breaks_the_contract(use):
+    # a Param holds no value, so every use that needs one raises when the
+    # system is built, before anything is recorded
+    pendulum = make_pendulum()
+    with pytest.raises(ValueError, match="system contract allows no "
+                                         "branches"):
+        dataclasses.replace(pendulum, partials=dict(
+            pendulum.partials, xx=lambda x, p: gcos(x) + 0.0 * use(x)))
