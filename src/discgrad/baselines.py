@@ -1,13 +1,22 @@
 """Comparison integrators: leap-frog, classical RK-4, Taylor methods of
-order N, and Yoshida-composed explicit symplectic schemes of order 2M."""
+order N, and Yoshida-composed explicit symplectic schemes of order 2M.
+
+A run steps each of them by its stride block (:func:`kick_drift_block`,
+:func:`rk4_block`, :func:`taylor_block`): one generated ``for`` loop per
+system object and scheme, with the system's recorded partials written in
+(:meth:`discgrad.hamiltonian._SystemCode.block`).  Each block makes the
+operations of the hand-written step of its scheme in their order, so the
+two give bit-identical states.  The hand-written steps (``step_*``) are the
+references; no run calls them.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import UnsupportedSchemeError
 from .hamiltonian import HamiltonianSystem, PhaseState, taylor_flow_coeffs
+from .jets import horner_text
 
 
 def step_rk4(sys: HamiltonianSystem, s: PhaseState, h: float) -> PhaseState:
@@ -92,3 +101,55 @@ def step_leapfrog(sys: HamiltonianSystem, s: PhaseState,
                   h: float) -> PhaseState:
     """Drift-kick-drift leap-frog: the order-2 composition sp-2."""
     return step_symplectic(sys, s, h, _LEAPFROG)
+
+
+def kick_drift_block(sys: HamiltonianSystem, M: int):
+    """The stride block of sp-2M on sys (lf is sp-2): the drifts and kicks
+    of :func:`step_symplectic`, with V' from the recorded x partial and
+    each h c_i and h d_i once per block."""
+    if not sys.quadratic_kinetic:
+        raise UnsupportedSchemeError(
+            f"lf and sp-2M need H = p^2/2 + V(x), got {sys.name!r}")
+
+    def write(names):
+        co = sp_coefficients(M)
+        before = [f"hc{i} = h * {c!r}" for i, c in enumerate(co.c)]
+        before += [f"hd{i} = h * {d!r}" for i, d in enumerate(co.d)]
+        step = ["x0 = x0 + hc0 * p0"]
+        for i in range(len(co.d)):
+            lines, (force,) = sys._code.scalar_lines(
+                ("x",), {"x": "x0", "p": "p0"}, f"k{i}_", names)
+            step += [*lines, f"p0 = p0 - hd{i} * ({force})",
+                     f"x0 = x0 + hc{i + 1} * p0"]
+        return before, step, ["hist[0] += m"]
+    return sys._code.block(f"sp-{2 * M}", write)
+
+
+def rk4_block(sys: HamiltonianSystem):
+    """The stride block of rk4 on sys: the stages of :func:`step_rk4`
+    from the recorded p and x partials."""
+    def write(names):
+        def stage(i, x, p):
+            lines, (fx, fp) = sys._code.scalar_lines(
+                ("p", "x"), {"x": x, "p": p}, f"k{i}_", names)
+            return [*lines, f"k{i}x = {fx}", f"k{i}p = -({fp})"]
+        step = stage(1, "x0", "p0")
+        for i, c in ((2, "hh"), (3, "hh"), (4, "h")):
+            step += [f"xs = x0 + {c} * k{i - 1}x",
+                     f"ps = p0 + {c} * k{i - 1}p", *stage(i, "xs", "ps")]
+        step.append("x0, p0 = (x0 + h6 * (k1x + 2 * k2x + 2 * k3x + k4x), "
+                    "p0 + h6 * (k1p + 2 * k2p + 2 * k3p + k4p))")
+        return ["hh = 0.5 * h", "h6 = h / 6.0"], step, ["hist[0] += m"]
+    return sys._code.block("rk4", write)
+
+
+def taylor_block(sys: HamiltonianSystem, N: int):
+    """The stride block of tay-N on sys: the flow coefficients of
+    :func:`discgrad.hamiltonian.taylor_flow_coeffs`, summed at h as
+    :meth:`discgrad.jets.Jet.evaluate` sums them."""
+    def write(names):
+        xs, ps = ([f"{v}{k}" for k in range(N + 1)] for v in "xp")
+        return [], [*sys._code.flow_lines(N),
+                    f"x0, p0 = {horner_text(xs)}, {horner_text(ps)}"], \
+            ["hist[0] += m"]
+    return sys._code.block(f"tay-{N}", write)

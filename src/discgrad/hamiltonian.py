@@ -18,7 +18,8 @@ A system meets one contract, checked once when it is built.  It supplies
 Each of these seven callables runs only once per system object, when it
 is built, and from no state: on :class:`discgrad.jets.Param` scalars,
 which hold no value and record the arithmetic done on them.  The
-recordings become the code of every implicit step, and, replayed on jets
+recordings become the code of every stride block, the generated loop that
+makes a run's steps, and, replayed on jets
 on a tape (:class:`discgrad.jets.Jet`) that record the operations they
 see, the partials ``x`` and ``p`` become the flow of every gr-N and tay-N
 call and ``dd_p`` gr-N's delta, with x1 and p1 the flow's jets (a form
@@ -44,8 +45,9 @@ import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .jets import (Jet, Param, TapeSource, _const, _wrap, gcos, gsin,
-                   gsinc, replay)
+from .errors import DivergenceError
+from .jets import (FLOAT_HELPERS, Jet, Param, TapeSource, _const, _wrap,
+                   gcos, gsin, gsinc, replay, scalar_text)
 
 PARTIAL_KEYS = ("x", "p", "xx", "xp", "pp")
 
@@ -149,6 +151,12 @@ def check_flow_order(N: int) -> None:
                          f"got {N}")
 
 
+def not_finite(*names) -> str:
+    """Text that is true where a float of ``names`` is not finite: x - x
+    is 0 exactly for a finite x, and the test makes no call."""
+    return " or ".join(f"{v} - {v} != 0.0" for v in names)
+
+
 class _SystemCode:
     """A system object's partials, ``dd_p`` and ``dd_x``, recorded once
     from no state, and the functions generated from them, by key
@@ -169,18 +177,32 @@ class _SystemCode:
     def __init__(self, sys: HamiltonianSystem):
         x, x1, p, p1 = map(Param, ("x", "x1", "p", "p1"))
 
-        def recorded(what, f):
-            if isinstance(f, Jet):
+        def recorded(what, f, *args):
+            # every way of breaking the contract raises a ValueError that
+            # names the callable: an operation a Param does not define
+            # (x % c, math.trunc(x)) raises a TypeError in the callable
+            try:
+                v = f(*args)
+            except TypeError as exc:
+                raise ValueError(
+                    f"system {sys.name!r}: {what} made an operation the "
+                    f"system contract does not allow ({exc}); it allows "
+                    "only + - * / ** between the arguments and scalars, "
+                    "unary minus and the g* helpers") from exc
+            except ValueError as exc:
+                raise ValueError(f"system {sys.name!r}: {what}: {exc}") \
+                    from exc
+            if isinstance(v, Jet):
                 raise ValueError(
                     f"system {sys.name!r}: {what} returned a jet that its "
                     "arguments did not make; the system contract allows "
                     "only operations on the arguments, no jets of its own")
-            return f
-        self.scalars = {key: recorded(f"partials[{key!r}]",
-                                      sys.partials[key](x, p))
+            return v
+        self.scalars = {key: recorded(f"partials[{key!r}]", sys.partials[key],
+                                      x, p)
                         for key in PARTIAL_KEYS}
-        self.scalars["dd_p"] = recorded("dd_p", sys.dd_p(x, x1, p, p1))
-        self.scalars["dd_x"] = recorded("dd_x", sys.dd_x(x, x1, p, p1))
+        self.scalars["dd_p"] = recorded("dd_p", sys.dd_p, x, x1, p, p1)
+        self.scalars["dd_x"] = recorded("dd_x", sys.dd_x, x, x1, p, p1)
         self.p_is_leaf = self.scalars["p"] is p   # H_p = p: H = p^2/2 + V(x)
 
         tape = []
@@ -222,6 +244,74 @@ class _SystemCode:
         num = ["x0 - x0"] + [f"x{k}" for k in range(1, n + 1)]
         return (self.flow_lines(n) + dd, num,
                 [f"{self._d}{k}" for k in range(n + 1)])
+
+    def scalar_lines(self, keys, params: dict, local: str, names: dict):
+        """Lines and texts that compute the recorded scalars ``keys`` on
+        floats, with each parameter (x, p, x1, p1) written as ``params``
+        names it: an operation whose result is used more than once into a
+        local f"{local}<i>", any other inside the text that uses it, a
+        finite constant as its literal and any other scalar by a name bound
+        in ``names``; ``gsinc`` as the expression its float function
+        computes.  So the code makes the recorded operations in their
+        order."""
+        values = [self.scalars[k] for k in keys]
+        uses = {}
+
+        def count(v):
+            if isinstance(v, Param) and not isinstance(v.expr, str):
+                uses[id(v)] = uses.get(id(v), 0) + 1
+                if uses[id(v)] == 1:
+                    for a in v.expr[1:]:
+                        count(a)
+        for v in values:
+            count(v)
+        lines, known = [], {}
+
+        def line(v, text):
+            if v.expr[0] == "gsinc({})":
+                # without a call; one name _u serves every nesting, as a
+                # conditional expression tests before it evaluates a branch
+                u = scalar_text(v.expr[1], known, params.__getitem__,
+                                constant, line)
+                text = f"(gsin(_u) / _u if (_u := {u}) != 0.0 else 1.0)"
+            if uses[id(v)] == 1:
+                return text
+            lines.append(f"{local}{len(lines)} = {text}")
+            return f"{local}{len(lines) - 1}"
+
+        def constant(v):
+            if type(v) is int or type(v) is float and math.isfinite(v):
+                return repr(v)
+            names[f"c{len(names)}_"] = v
+            return f"c{len(names) - 1}_"
+        return lines, [scalar_text(v, known, params.__getitem__, constant,
+                                   line) for v in values]
+
+    def block(self, key, write):
+        """The stride block ``(x0, p0, h, m, hist, tol, max_iter, guard,
+        rule=None) -> (x, p)`` of one scheme, made once per system object
+        and ``key``: m steps from (x0, p0), each checked to end in a finite
+        state, as one generated ``for`` loop (TIDES's stepping core, Abad
+        et al., ACM TOMS 39, 2012).  ``write(names)`` gives the lines
+        before the loop, the lines of one step, which take (x0, p0) to the
+        next state and count the step's solver iterations in ``hist``, and
+        the lines after it, and binds what they call in ``names``, over
+        the float helpers.  A block runs on floats; it raises what a step
+        raises, and does not say which step that was."""
+        block = self.functions.get(key)
+        if block is None:
+            names = {**FLOAT_HELPERS, "DivergenceError": DivergenceError}
+            before, step, after = write(names)
+            body = [*before, "for _ in range(m):",
+                    *(f"    {line}" for line in step),
+                    f"    if {not_finite('x0', 'p0')}:",
+                    "        raise DivergenceError(f'state ({x0:.3g}, "
+                    "{p0:.3g}) is not finite')",
+                    *after]
+            block = self.functions[key] = self.source.compile(
+                "x0, p0, h, m, hist, tol, max_iter, guard, rule=None", body,
+                "x0, p0", names)
+        return block
 
 
 def taylor_flow_coeffs(sys: HamiltonianSystem, s: PhaseState, N: int):

@@ -1,5 +1,11 @@
 """Experiment runner: trajectories, error sweeps, order estimation, and
-CSV / gnuplot-script emission for the standard benchmark figures."""
+CSV / gnuplot-script emission for the standard benchmark figures.
+
+A scheme id resolves to one stride block per system object (the implicit
+ones from :func:`discgrad.schemes.gradient_block`, the explicit ones from
+:mod:`discgrad.baselines`): a generated function that runs m steps.  A run
+makes one block call per sample stride.
+"""
 
 from __future__ import annotations
 
@@ -9,14 +15,13 @@ import math
 import statistics
 import time
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from . import baselines, reference, schemes
 from .errors import (DivergenceError, PrecisionFloorWarning,
                      SaturationWarning, StepError, UnsupportedSchemeError)
-from .hamiltonian import (HamiltonianSystem, PhaseState, check_flow_order,
-                          eval_energy, system_from_name)
+from .hamiltonian import (HamiltonianSystem, check_flow_order,
+                          system_from_name)
 
 # measured errors below this sit at the round-off floor of a unit-scale state
 PRECISION_FLOOR = 100.0 * math.ulp(1.0)
@@ -63,115 +68,120 @@ class TrajectoryRecord:
     metadata: dict = field(default_factory=dict)
 
 
-def make_stepper(scheme: str, sys: HamiltonianSystem,
-                 cfg: schemes.SolverConfig = None):
-    """Resolve a scheme id to a callable (state, h) -> (state, iterations).
+# the implicit scheme ids that name one rule each
+_RULES = {"gr": schemes.DeltaRule.gr,
+          "mod-gr": lambda: schemes.DeltaRule.mod_gr(0.0),
+          "gr-lex": schemes.DeltaRule.lex, "gr-slex": schemes.DeltaRule.slex}
+
+
+def _block_maker(scheme: str):
+    """Resolve a scheme id to the function sys -> the scheme's stride block
+    on sys (see :meth:`discgrad.hamiltonian._SystemCode.block`); a bad id
+    raises here, before any system is built.
 
     Ids: gr, mod-gr, gr-lex, gr-slex, gr-N, lf, rk4, tay-N, sp-2M.
     """
-    if cfg is None:
-        cfg = schemes.SolverConfig()
     if scheme == "lf":
         scheme = "sp-2"         # leap-frog is the order-2 composition
 
     def gradient(rule):
-        def step(s, h):
-            return schemes.step_gradient_info(sys, rule, s, h, cfg)
-        return step
+        return lambda sys: schemes.gradient_block(sys, rule, scheme)
 
-    if scheme == "gr":
-        return gradient(schemes.DeltaRule.gr())
-    if scheme == "mod-gr":
-        return gradient(schemes.DeltaRule.mod_gr(0.0))
-    if scheme == "gr-lex":
-        return gradient(schemes.DeltaRule.lex())
-    if scheme == "gr-slex":
-        return gradient(schemes.DeltaRule.slex())
+    if scheme in _RULES:
+        return gradient(_RULES[scheme]())
     if scheme == "rk4":
-        return lambda s, h: (baselines.step_rk4(sys, s, h), 0)
+        return baselines.rk4_block
     try:
         if scheme.startswith("gr-") and scheme[3:].isdigit():
             return gradient(schemes.DeltaRule.series(int(scheme[3:])))
         if scheme.startswith("tay-") and scheme[4:].isdigit():
             N = int(scheme[4:])
             check_flow_order(N)
-            return lambda s, h: (baselines.step_taylor(sys, s, h, N), 0)
+            return lambda sys: baselines.taylor_block(sys, N)
         if scheme.startswith("sp-") and scheme[3:].isdigit():
             M, odd = divmod(int(scheme[3:]), 2)
             # an odd order has no M; M = 0 is out of range as well
-            coeffs = baselines.sp_coefficients(0 if odd else M)
-            return lambda s, h: (baselines.step_symplectic(sys, s, h, coeffs),
-                                 0)
+            baselines.sp_coefficients(0 if odd else M)
+            return lambda sys: baselines.kick_drift_block(sys, M)
     except ValueError as exc:
         raise UnsupportedSchemeError(
             f"unknown scheme id {scheme!r}: {exc}") from None
     raise UnsupportedSchemeError(f"unknown scheme id {scheme!r}")
 
 
+def make_stepper(scheme: str, sys: HamiltonianSystem,
+                 cfg: schemes.SolverConfig = None):
+    """Resolve a scheme id to a callable (state, h) -> (state, iterations):
+    one step of the scheme's stride block on sys."""
+    block = _block_maker(scheme)(sys)
+    return lambda s, h: schemes.one_step(block, s, h, cfg)
+
+
 def run_trajectory(spec: ExperimentSpec,
                    cfg: schemes.SolverConfig = None) -> TrajectoryRecord:
     """Integrate one trajectory, sampling every sample_stride steps.
 
+    The steps of a stride are one call of the scheme's stride block.
     energy_err is H(s_n) - H(s_0); global_err compares against the exact
     elliptic-function solution in the max norm over (x, p), with the mod-2pi
     phase distance as a secondary column.  That solution starts at x = 0, so
     both columns are None unless the system is the pendulum and x0 = 0.
     """
     sys = system_from_name(spec.system)
-    stepper = make_stepper(spec.scheme, sys, cfg)
+    block = _block_maker(spec.scheme)(sys)
+    if cfg is None:
+        cfg = schemes.SolverConfig()
+    solver = (cfg.tol, cfg.max_iter, cfg.divergence_guard)
     want_global = spec.system == "pendulum" and spec.x0 == 0.0
-    s = PhaseState(spec.x0, spec.p0)
-    e0 = eval_energy(sys, s)
+    x, p = spec.x0, spec.p0
+    e0 = sys.energy(x, p)
     samples = []
-    iterations = defaultdict(int)
+    # solver iterations -> the number of steps that took them
+    hist = [0] * (cfg.max_iter + 1)
 
-    def record(n, s):
+    def record(n, x, p):
         t = n * spec.h
         g = gm = None
         if want_global:
             ex = reference.pendulum_exact(spec.p0, t)
-            dx, dp = s.x - ex.x, abs(s.p - ex.p)
+            dx, dp = x - ex.x, abs(p - ex.p)
             g = max(abs(dx), dp)
             gm = max(abs(math.remainder(dx, 2.0 * math.pi)), dp)
-        samples.append(Sample(n, t, s.x, s.p, eval_energy(sys, s) - e0,
-                              g, gm))
+        samples.append(Sample(n, t, x, p, sys.energy(x, p) - e0, g, gm))
 
-    # The only loop that calls a stepper.  A step failure gains the index
-    # of the step that failed.  Explicit steps do not check their state, so
-    # the loop checks each step's state as it is made: a state that leaves
-    # float range fails at the step that made it, and every step starts
-    # from a finite state.
+    # A block checks each step's state as it is made, so a state that
+    # leaves float range fails at the step that made it, and every step
+    # starts from a finite state.  A failed block does not say which of its
+    # steps failed: the stride runs again one step per block call, from its
+    # start state, where the same step fails and gains its index.
     h = spec.h
     t_start = time.perf_counter()
-    record(0, s)
+    record(0, x, p)
     for start in range(0, spec.n_steps, spec.sample_stride):
-        stop = min(start + spec.sample_stride, spec.n_steps)
+        m = min(spec.sample_stride, spec.n_steps - start)
         try:
-            for n in range(start + 1, stop + 1):
-                s, its = stepper(s, h)
-                iterations[its] += 1
-                if not (math.isfinite(s.x) and math.isfinite(s.p)):
-                    raise DivergenceError(f"state ({s.x:.3g}, {s.p:.3g}) "
-                                          "is not finite")
-        except StepError as exc:
-            exc.args = (f"step {n}: {exc}",)
-            raise
-        except UnsupportedSchemeError:
-            raise
-        except (ArithmeticError, ValueError) as exc:
-            raise DivergenceError(f"step {n}: {exc} from state "
-                                  f"({s.x:.3g}, {s.p:.3g})") from exc
-        record(stop, s)
+            x, p = block(x, p, h, m, hist, *solver)
+        except (StepError, ArithmeticError, ValueError):
+            for n in range(start + 1, start + m + 1):
+                try:
+                    x, p = block(x, p, h, 1, hist, *solver)
+                except StepError as exc:
+                    exc.args = (f"step {n}: {exc}",)
+                    raise
+                except (ArithmeticError, ValueError) as exc:
+                    raise DivergenceError(f"step {n}: {exc} from state "
+                                          f"({x:.3g}, {p:.3g})") from exc
+        record(start + m, x, p)
     wall = time.perf_counter() - t_start
+    histogram = {k: v for k, v in enumerate(hist) if v}
     meta = {
         "spec": spec,
         "wall_time": wall,
         "iterations": {
-            "min": min(iterations),
-            "max": max(iterations),
-            "mean": sum(k * v for k, v in iterations.items()) / spec.n_steps,
-            # solver iterations -> the number of steps that took them
-            "histogram": dict(sorted(iterations.items())),
+            "min": min(histogram),
+            "max": max(histogram),
+            "mean": sum(k * v for k, v in histogram.items()) / spec.n_steps,
+            "histogram": histogram,
         },
     }
     return TrajectoryRecord(samples, meta)
@@ -211,9 +221,8 @@ def sweep(schemes_list, p0: float, h_list, n_periods: int,
     """Global error for every scheme x h combination, merged in spec order."""
     if not schemes_list:
         raise ValueError("need at least one scheme")
-    pendulum = system_from_name("pendulum")
     for sc in schemes_list:
-        make_stepper(sc, pendulum)     # a bad id fails before any entry runs
+        _block_maker(sc)               # a bad id fails before any entry runs
     if n_periods < 1:
         raise ValueError(f"need periods >= 1, got periods = {n_periods!r}")
     period = reference.pendulum_period(p0)

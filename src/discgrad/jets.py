@@ -317,6 +317,15 @@ def horner(coeffs, h):
     return acc
 
 
+def horner_text(names) -> str:
+    """Text of the polynomial in h with the coefficients ``names``, summed
+    as :func:`horner` sums it."""
+    acc = names[-1]
+    for v in reversed(names[:-1]):
+        acc = f"({acc}) * h + {v}"
+    return acc
+
+
 # a Param operation's format -> the operation, which :func:`replay` runs again
 _PARAM_OPS = {}
 

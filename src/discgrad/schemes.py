@@ -41,12 +41,13 @@ own local error of the converged iterate, a starting approximation in the
 sense of GNI VIII.6.1.  Every other rule starts from an explicit Euler
 predictor, within O(h^2).
 
-The step is one generated function per system object and rule
-(:func:`_compile_step`, as TIDES generates its Taylor steps): one
-straight-line text with the system's recorded partials, dd_p and dd_x
-written in (:class:`discgrad.hamiltonian._SystemCode`), run on floats,
-where each helper (``gsin`` ..) is its math function.  It makes the
-operations of the system's own callables in their order.
+A run makes its steps by a stride block (:func:`gradient_block`, as
+TIDES generates its Taylor steps): one generated ``for`` loop over the
+straight-line text of a step, with the system's recorded partials, dd_p
+and dd_x written in (:class:`discgrad.hamiltonian._SystemCode`), run on
+floats, where each helper (``gsin`` ..) is its math function.  It makes
+the operations of the system's own callables in their order.  One step,
+:func:`step_gradient_info`, is the block run for m = 1.
 """
 
 from __future__ import annotations
@@ -54,15 +55,15 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (DivergenceError, NonConvergenceError, ResonanceStepError)
 from .exactlin import _DEGENERATE_OMEGA_SQ, AffineStepMap, affine_map
-from .hamiltonian import HamiltonianSystem, PhaseState, linearize
+from .hamiltonian import HamiltonianSystem, PhaseState, linearize, not_finite
 # not called here, where the series delta is generated code, but
 # perfbench/tracer.py patches it under this module's name
 from .hamiltonian import taylor_flow_coeffs  # noqa: F401
-from .jets import (FLOAT_HELPERS, Param, _div, _finished, horner,
-                   scalar_text)
+from .jets import _div, _finished, horner, horner_text
 
 # past N = 14 the error rises again at larger h (pendulum p0 1.8, h 0.5:
 # gr-14 1.2e-10, gr-18 4.4e-9, gr-22 1.4e-5): the delta series has a finite
@@ -104,7 +105,7 @@ class DeltaRule:
 
     @classmethod
     def mod_gr(cls, x_bar):
-        return cls(lambda sys, x, p, h: _delta_lex_at(sys, x_bar, 0.0, h))
+        return cls(partial(_mod_gr_delta, x_bar))
 
     @classmethod
     def lex(cls):
@@ -117,10 +118,7 @@ class DeltaRule:
     @classmethod
     def series(cls, N):
         _check_series_order(N)
-        return cls(lambda sys, x, p, h: delta_series(sys, PhaseState(x, p),
-                                                     h, N),
-                   start=lambda sys, x, p, h: _series_function(sys, N)(
-                       x, p, h))
+        return cls(partial(_series_delta, N), start=partial(_series_start, N))
 
     def value_at(self, sys: HamiltonianSystem, s: PhaseState, h: float) -> float:
         """delta at the fixed point s; for slex the midpoint is s itself,
@@ -161,6 +159,10 @@ def _delta_lex_at(sys: HamiltonianSystem, x, p, h: float) -> float:
 
 def _gr_delta(sys: HamiltonianSystem, x, p, h: float) -> float:
     return h
+
+
+def _mod_gr_delta(x_bar, sys: HamiltonianSystem, x, p, h: float) -> float:
+    return _delta_lex_at(sys, x_bar, 0.0, h)
 
 
 def _leading_index(coeffs, scale):
@@ -276,15 +278,6 @@ def delta_series_coefficients(sys: HamiltonianSystem, s: PhaseState,
     return _coefficients(code, s.x, s.p, N, *parts(s.x, s.p))
 
 
-def _horner_text(names) -> str:
-    """Text of the polynomial in h with the coefficients ``names``, summed
-    as :func:`discgrad.jets.horner` sums it."""
-    acc = names[-1]
-    for v in reversed(names[:-1]):
-        acc = f"({acc}) * h + {v}"
-    return acc
-
-
 def _compile_delta(code, N: int):
     """The generated function (x0, p0, h) -> (delta^{[N]}, X(h), P(h)),
     with (X, P) the flow through (x0, p0) to order N + 2.  After the
@@ -299,7 +292,7 @@ def _compile_delta(code, N: int):
     quotient = [f"q{n} = ({num[n + 1]}"
                 + "".join(f" - {d[j]} * q{n - j}" for j in range(1, n + 1))
                 + f") / {d[0]}" for n in range(N)]
-    flow = ", ".join(_horner_text([f"{v}{k}" for k in range(N + 3)])
+    flow = ", ".join(horner_text([f"{v}{k}" for k in range(N + 3)])
                      for v in "xp")
     body += [
         f"total = {' + '.join(d)}",
@@ -309,7 +302,7 @@ def _compile_delta(code, N: int):
         "    if lead > 1e-13 * scale and scale / lead <= "
         f"{_plain_amp_limit(N)!r}:",
         *(f"        {line}" for line in quotient),
-        f"        return h * ({_horner_text([f'q{n}' for n in range(N)])}), "
+        f"        return h * ({horner_text([f'q{n}' for n in range(N)])}), "
         f"{flow}"]
 
     def general(x, p, num, den):
@@ -339,6 +332,14 @@ def delta_series(sys: HamiltonianSystem, s: PhaseState, h: float,
     ``h * horner(delta_series_coefficients(sys, s, N), h)``.  It runs the
     whole function, the flow (X(h), P(h)) included, and drops the flow."""
     return _series_function(sys, N)(s.x, s.p, h)[0]
+
+
+def _series_delta(N: int, sys: HamiltonianSystem, x, p, h: float) -> float:
+    return delta_series(sys, PhaseState(x, p), h, N)
+
+
+def _series_start(N: int, sys: HamiltonianSystem, x, p, h: float) -> tuple:
+    return _series_function(sys, N)(x, p, h)
 
 
 def discrete_gradient_residual(sys: HamiltonianSystem, s_n: PhaseState,
@@ -374,84 +375,83 @@ _INVERSE_LINES = ["c = 0.5 * delta",
                   "else:",
                   "    j11, j12, j21, j22 = 1.0, 0.0, 0.0, 1.0"]
 
+# delta = delta_lex(w2, h) with w2 set, in delta_lex's operations, checks
+# and messages
+_LEX_LINES = ["if h == 0.0:",
+              "    raise ValueError('h must be nonzero')",
+              f"if w2 > {_DEGENERATE_OMEGA_SQ!r}:",
+              "    w = sqrt(w2)",
+              "    if abs(h) * w >= pi:",
+              "        raise ResonanceStepError(f'h*omega = {abs(h) * w:.3g} "
+              ">= pi: step too large for the locally exact denominator')",
+              "    delta = 2.0 / w * tan(0.5 * h * w)",
+              f"elif w2 < -{_DEGENERATE_OMEGA_SQ!r}:",
+              "    mu = sqrt(-w2)",
+              "    delta = 2.0 / mu * tanh(0.5 * h * mu)",
+              "else:",
+              "    delta = h + h ** 3 * w2 / 12.0"]
 
-def _compile_step(sys: HamiltonianSystem, rule: DeltaRule):
-    """The generated function (x0, p0, h, tol, max_iter, guard, rule) ->
-    (x1, p1, iterations) of one step of sys: one straight-line text, with
-    the system's recorded scalars written in.  It serves every rule with
-    rule's ``midpoint``, presence of ``start`` and, for gr, gr-lex and
-    gr-slex, ``fn``.
 
-    It takes delta and the predictor (xc, pc) from the rule's ``start``,
-    or else delta at the start point and explicit Euler.  It freezes the
-    Hessian at the predicted midpoint and solves by simplified Newton on
-    dd_p and dd_x, with delta at the iterate's midpoint on every iteration
-    for a ``midpoint`` rule.  delta is h for gr's ``fn``, delta_lex of
-    w^2 from the recorded Hessian for gr-lex's and gr-slex's, and a call of
-    the rule's ``fn`` otherwise.  The solve stops at an increment <= tol
-    or at round-off stagnation; it raises on a predictor that is not
-    finite, a Hessian that is not a number, an increment past guard and
-    after max_iter iterations."""
+def _gradient_lines(sys: HamiltonianSystem, rule: DeltaRule, written: bool,
+                    names: dict):
+    """The lines of :func:`gradient_block`: before the loop, of one step
+    and after the loop.
+
+    A step takes delta and the predictor (xc, pc) from the rule's
+    ``start``, or else delta at the start point and explicit Euler.  It
+    freezes the Hessian at the predicted midpoint and solves by simplified
+    Newton on dd_p and dd_x, with delta at the iterate's midpoint on every
+    iteration for a ``midpoint`` rule.  delta is h for gr's ``fn``, set
+    once; delta_lex of w^2 from the recorded Hessian, as omega_sq_at forms
+    it, for gr-lex's and gr-slex's, and, when ``written``, at (x_bar, 0)
+    once for mod-gr's; any other ``fn`` is called.  When ``written``,
+    gr-N's ``start`` is its generated delta, called directly.  The solve
+    stops at an increment <= tol or at round-off stagnation; it raises on
+    a predictor that is not finite, a Hessian that is not a number, an
+    increment past guard and after max_iter iterations."""
     code = sys._code
-    names = {**_STEP_NAMES, "sys": sys}
-
-    def constant(v):
-        # a finite constant as its literal, any other scalar by name
-        if type(v) is int or type(v) is float and math.isfinite(v):
-            return repr(v)
-        names[f"s{len(names)}_"] = v
-        return f"s{len(names) - 1}_"
+    names.update(_STEP_NAMES, sys=sys)
+    before = []
 
     def scalars(keys, x, p, local):
-        # the recorded scalars at (x, p), the divided differences at
-        # (x, xc, p, pc): an operation whose result is used more than once
-        # into a local f"{local}<i>", any other inside the text that uses
-        # it
-        values = [code.scalars[k] for k in keys]
-        uses = {}
+        return code.scalar_lines(
+            keys, {"x": x, "p": p, "x1": "xc", "p1": "pc"}, local, names)
 
-        def count(v):
-            if isinstance(v, Param) and not isinstance(v.expr, str):
-                uses[id(v)] = uses.get(id(v), 0) + 1
-                if uses[id(v)] == 1:
-                    for a in v.expr[1:]:
-                        count(a)
-        for v in values:
-            count(v)
-        lines, known = [], {}
-
-        def line(v, text):
-            if uses[id(v)] == 1:
-                return text
-            lines.append(f"{local}{len(lines)} = {text}")
-            return f"{local}{len(lines) - 1}"
-        params = {"x": x, "p": p, "x1": "xc", "p1": "pc"}.__getitem__
-        return lines, [scalar_text(v, known, params, constant, line)
-                       for v in values]
-
-    def delta_at(x, p, local):
-        if rule.fn is _gr_delta:
-            return ["delta = h"]
-        if rule.fn is not _delta_lex_at:
-            return [f"delta = rule.fn(sys, {x}, {p}, h)"]
-        # w^2 as omega_sq_at forms it
+    def lex(x, p, local):
         lines, (hxx, hxp, hpp) = scalars(("xx", "xp", "pp"), x, p, local)
-        return lines + [
-            f"delta = delta_lex(({hxx}) * ({hpp}) - ({hxp}) ** 2, h)"]
+        return [*lines, f"w2 = ({hxx}) * ({hpp}) - ({hxp}) ** 2",
+                *_LEX_LINES]
 
-    if rule.start is not None:
-        # the rule's own: for gr-N the flow to order N + 2 at h
-        body = ["delta, xc, pc = rule.start(sys, x0, p0, h)"]
+    fn, start = rule.fn, rule.start
+    delta_at = None             # delta at a point, where it depends on one
+    if fn is _gr_delta:
+        before = ["delta = h"]
+    elif written and isinstance(fn, partial) and fn.func is _mod_gr_delta:
+        names["xbar"] = fn.args[0]
+        before = lex("xbar", "0.0", "b")
+    elif fn is _delta_lex_at:
+        delta_at = lex
+    else:
+        def delta_at(x, p, local):
+            return [f"delta = rule.fn(sys, {x}, {p}, h)"]
+
+    if written and isinstance(start, partial) and start.func is _series_start:
+        names["series"] = _series_function(sys, start.args[0])
+        step = ["delta, xc, pc = series(x0, p0, h)"]
+        what = "flow start"
+    elif start is not None:
+        step = ["delta, xc, pc = rule.start(sys, x0, p0, h)"]
         what = "flow start"
     else:
-        body = [] if rule.midpoint else delta_at("x0", "p0", "s")
+        step = ([] if rule.midpoint or delta_at is None
+                else delta_at("x0", "p0", "s"))
         # explicit Euler predictor, O(h^2) off the fixed point
         lines, (hp, hx) = scalars(("p", "x"), "x0", "p0", "e")
-        body += [*lines, f"xc = x0 + h * ({hp})", f"pc = p0 - h * ({hx})"]
+        step += [*lines, f"xc = x0 + h * ({hp})", f"pc = p0 - h * ({hx})"]
         what = "Euler predictor"
     lines, hessian = scalars(("xx", "xp", "pp"), "xm", "pm", "m")
-    body += [
-        "if not (isfinite(xc) and isfinite(pc)):",
+    step += [
+        f"if {not_finite('xc', 'pc')}:",
         f"    raise DivergenceError(f'{what} ({{xc:.3g}}, {{pc:.3g}}) is "
         "not finite')",
         "xm, pm = 0.5 * (x0 + xc), 0.5 * (p0 + pc)",
@@ -463,12 +463,14 @@ def _compile_step(sys: HamiltonianSystem, rule: DeltaRule):
         "    raise DivergenceError(f'Hessian ({hxx:.3g}, {hxp:.3g}, "
         "{hpp:.3g}) at the predicted midpoint ({xm:.3g}, {pm:.3g}) is not "
         "a number')"]
-    if rule.midpoint:
+    if not rule.midpoint:
+        step += _INVERSE_LINES
+        loop = []
+    elif delta_at is None:
+        loop = list(_INVERSE_LINES)
+    else:
         loop = ["xh, ph = 0.5 * (x0 + xc), 0.5 * (p0 + pc)",
                 *delta_at("xh", "ph", "i"), *_INVERSE_LINES]
-    else:
-        body += _INVERSE_LINES
-        loop = []
     lines, (ddp, ddx) = scalars(("dd_p", "dd_x"), "x0", "p0", "d")
     loop += [
         *lines,
@@ -483,54 +485,81 @@ def _compile_step(sys: HamiltonianSystem, rule: DeltaRule):
         "if abs(dp) > inc:",
         "    inc = abs(dp)",
         "if inc <= tol:",
-        "    return xc, pc, it",
+        "    break",
         # round-off stagnation: increments have stopped shrinking at a few
         # ulp of the state scale, which is as converged as doubles get
         "if inc >= prev_inc and inc <= 64.0 * 2.220446049250313e-16 "
         "* max(1.0, abs(xc), abs(pc)):",
-        "    return xc, pc, it",
+        "    break",
         "prev_inc = inc",
-        "if inc > guard or not isfinite(inc):",
+        f"if inc > guard or {not_finite('inc')}:",
         "    raise DivergenceError(f'fixed-point increment {inc:.3g} "
         "exceeded guard {guard:.3g}')"]
-    body += ["inc = prev_inc = inf",
-             "for it in range(1, max_iter + 1):",
+    before.append("iterations = range(1, max_iter + 1)")
+    step += ["inc = prev_inc = inf",
+             "for it in iterations:",
              *(f"    {line}" for line in loop),
-             "raise NonConvergenceError(f'no convergence in {max_iter} "
-             "iterations (last increment {inc:.3g})')"]
-    return code.source.compile("x0, p0, h, tol, max_iter, guard, rule",
-                               body, "None", names)
+             "else:",
+             "    raise NonConvergenceError(f'no convergence in {max_iter} "
+             "iterations (last increment {inc:.3g})')",
+             "hist[it] += 1",
+             "x0, p0 = xc, pc"]
+    return before, step, []
 
 
-# the step's globals besides the system and the recorded constants it
-# binds: it runs on floats only, so each helper is its math function
-_STEP_NAMES = {**FLOAT_HELPERS, "isfinite": math.isfinite, "inf": math.inf,
-               "delta_lex": delta_lex, "DivergenceError": DivergenceError,
+# the block's names besides the float helpers, the system and the recorded
+# constants it binds
+_STEP_NAMES = {"inf": math.inf, "pi": math.pi,
+               "sqrt": math.sqrt, "tan": math.tan, "tanh": math.tanh,
+               "ResonanceStepError": ResonanceStepError,
                "NonConvergenceError": NonConvergenceError}
 
+
+def gradient_block(sys: HamiltonianSystem, rule: DeltaRule,
+                   scheme: str = None):
+    """The stride block of rule's implicit steps on sys (see
+    :meth:`discgrad.hamiltonian._SystemCode.block`), one straight-line
+    text with the system's recorded partials, dd_p and dd_x written in, as
+    TIDES generates its Taylor steps.  It makes the operations of the
+    system's own callables in their order.
+
+    Under a scheme id, its key, the text also writes in mod-gr's delta and
+    calls gr-N's generated delta directly.  Without one the block is keyed
+    by what its text depends on, gr's and gr-lex's ``fn``, ``midpoint``
+    and whether there is a ``start``, and calls any other ``fn`` or
+    ``start`` through the rule passed to it, so a rule built anew for
+    every step compiles nothing new (:func:`step_gradient_info`)."""
+    key = scheme
+    if key is None:
+        fn = rule.fn
+        key = ("step", fn if fn is _gr_delta or fn is _delta_lex_at else None,
+               rule.midpoint, rule.start is None)
+    return sys._code.block(key, lambda names: _gradient_lines(
+        sys, rule, scheme is not None, names))
+
+
 _DEFAULT_CONFIG = SolverConfig()
+
+
+def one_step(block, s: PhaseState, h: float, cfg: SolverConfig = None,
+             rule: DeltaRule = None):
+    """One step of a stride block, its m = 1 view: (next state, solver
+    iterations)."""
+    if cfg is None:
+        cfg = _DEFAULT_CONFIG
+    hist = [0] * (cfg.max_iter + 1)
+    x, p = block(s.x, s.p, h, 1, hist, cfg.tol, cfg.max_iter,
+                 cfg.divergence_guard, rule)
+    return PhaseState(x, p), hist.index(1)
 
 
 def step_gradient_info(sys: HamiltonianSystem, rule: DeltaRule,
                        s_n: PhaseState, h: float,
                        cfg: SolverConfig = None):
     """One implicit step; returns (next state, solver iterations).  It
-    runs the function :func:`_compile_step` generates once per system
-    object and what the step's text depends on: the delta it writes in
-    (gr's, gr-lex's and gr-slex's ``fn``; any other ``fn`` is called),
-    ``midpoint`` and whether the rule has a ``start``.  So a rule built
-    anew for every step compiles nothing new."""
-    if cfg is None:
-        cfg = _DEFAULT_CONFIG
-    fn = rule.fn
-    key = ("step", fn if fn is _gr_delta or fn is _delta_lex_at else None,
-           rule.midpoint, rule.start is None)
-    step = sys._code.functions.get(key)
-    if step is None:
-        step = sys._code.functions[key] = _compile_step(sys, rule)
-    x, p, its = step(s_n.x, s_n.p, h, cfg.tol, cfg.max_iter,
-                     cfg.divergence_guard, rule)
-    return PhaseState(x, p), its
+    runs one step of rule's :func:`gradient_block`, and raises where the
+    step does not end in a finite state."""
+    return one_step(gradient_block(sys, rule), s_n, h, cfg, rule)
 
 
 def step_gradient(sys: HamiltonianSystem, rule: DeltaRule, s_n: PhaseState,

@@ -2,17 +2,20 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
+from discgrad import jets
 from discgrad.baselines import (SymplecticCoeffs, sp_coefficients,
                                 step_leapfrog, step_rk4, step_symplectic,
                                 step_taylor)
 from discgrad.errors import UnsupportedSchemeError
 from discgrad.hamiltonian import (HamiltonianSystem, PhaseState,
-                                  eval_energy, make_harmonic, make_pendulum)
-from discgrad.harness import make_stepper
+                                  eval_energy, make_harmonic, make_pendulum,
+                                  system_from_name)
+from discgrad.harness import ExperimentSpec, make_stepper, run_trajectory
 from discgrad.reference import pendulum_exact
 
 
@@ -199,7 +202,7 @@ def test_sp2_closed_form():
     assert co.d == pytest.approx([d1, d2, d1], abs=1e-15)
 
 
-def test_force_evaluations_per_step():
+def test_force_evaluations_per_step(monkeypatch):
     # a kick-drift step costs one V' per kick: 3^(M-1) for sp-2M, one for lf
     harm = make_harmonic(1.0)
     vprime = harm.partials["x"]
@@ -214,9 +217,21 @@ def test_force_evaluations_per_step():
         calls.clear()
         step_symplectic(harm, s, 0.25, sp_coefficients(M))
         assert len(calls) == 3 ** (M - 1)
-    calls.clear()
-    make_stepper("lf", harm)(s, 0.25)
-    assert len(calls) == 1
+    # the generated block writes the recorded V' in once per kick; on the
+    # pendulum, V' = gsin(x) is the step's only sine, and a block built
+    # after this binds the counting one
+    sines = []
+
+    def counted_sin(v):
+        sines.append(v)
+        return math.sin(v)
+    monkeypatch.setitem(jets.FLOAT_HELPERS, "gsin", counted_sin)
+    pendulum = make_pendulum()
+    for scheme, kicks in (("lf", 1), ("sp-2", 1), ("sp-4", 3), ("sp-6", 9),
+                          ("sp-8", 27)):
+        sines.clear()
+        make_stepper(scheme, pendulum)(s, 0.25)
+        assert len(sines) == kicks, scheme
 
 
 def test_sp_bad_order():
@@ -266,3 +281,50 @@ def test_lf_sp4_energy_bounded(pendulum):
             if n == 10 ** 3:
                 early = worst
         assert worst < 10.0 * early
+
+
+def _hand_written(scheme, sys):
+    """The hand-written step of an explicit scheme id, the reference its
+    generated block must equal."""
+    if scheme == "rk4":
+        return lambda s, h: step_rk4(sys, s, h)
+    if scheme.startswith("tay-"):
+        return lambda s, h: step_taylor(sys, s, h, int(scheme[4:]))
+    if scheme == "lf":
+        return lambda s, h: step_leapfrog(sys, s, h)
+    co = sp_coefficients(int(scheme[3:]) // 2)
+    return lambda s, h: step_symplectic(sys, s, h, co)
+
+
+@pytest.mark.parametrize("scheme, system", [
+    (scheme, system)
+    for scheme in ("lf", "sp-4", "sp-6", "rk4", "tay-1", "tay-10", "tay-16")
+    for system in ("pendulum", "harmonic:1.3", "crossterm:0.5")
+    # the kick-drift schemes need H = p^2/2 + V(x)
+    if system != "crossterm:0.5" or not scheme.startswith(("lf", "sp-"))])
+def test_block_equals_the_hand_written_step(scheme, system):
+    # a run's block makes the hand-written step's operations in their
+    # order: the state after 200 steps is the same to the bit
+    rng = random.Random(26)
+    sys = system_from_name(system)
+    step = _hand_written(scheme, sys)
+    for _ in range(4):
+        x0, p0 = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        for h in (0.25, 0.1):
+            s = PhaseState(x0, p0)
+            for _ in range(200):
+                s = step(s, h)
+            rec = run_trajectory(ExperimentSpec(scheme, system, p0, h, 200,
+                                                x0=x0, sample_stride=200))
+            assert (rec.samples[-1].x, rec.samples[-1].p) == (s.x, s.p)
+            assert rec.metadata["iterations"]["histogram"] == {0: 200}
+
+
+def test_kick_drift_block_rejects_nonseparable():
+    # resolving the block refuses the system before any step
+    for scheme in ("lf", "sp-4", "sp-6"):
+        with pytest.raises(UnsupportedSchemeError,
+                           match=r"need H = p\^2/2 \+ V\(x\), got "
+                                 "'crossterm:0.5'"):
+            run_trajectory(ExperimentSpec(scheme, "crossterm:0.5", 1.0, 0.25,
+                                          10))

@@ -135,6 +135,48 @@ def test_math_error_in_a_step_is_a_chained_divergence():
     assert type(exc_info.value.__cause__) is ValueError
 
 
+@pytest.mark.parametrize("scheme, system, p0, h, head", [
+    # the solve stops converging in step 7; its increment passes the guard
+    # in step 9
+    ("gr", "pendulum", 1.8, 2.0, "step 7: no convergence in 100 "),
+    ("gr-7", "pendulum", 1.8, 2.5, "step 9: fixed-point increment "),
+    # h w = 2.5e7 and 2500 are far outside the stability intervals: the
+    # state grows until it leaves float range
+    ("rk4", "harmonic:1e8", 1.0, 0.25, "step 11: state ("),
+    ("tay-10", "harmonic:1e4", 1.0, 0.25, "step 11: state ("),
+    # mod-gr's delta is taken once per block, before its first step
+    ("mod-gr", "pendulum", 1.8, 3.2, "step 1: h*omega = 3.2 >= pi"),
+])
+def test_a_failure_inside_a_stride_names_its_step(scheme, system, p0, h,
+                                                   head):
+    # a block that fails runs its stride again, one step per call, so the
+    # error names the same step at every stride
+    errors = set()
+    for stride in (1, 7, 20):
+        with pytest.raises(StepError) as exc_info:
+            run_trajectory(_spec(scheme=scheme, system=system, p0=p0, h=h,
+                                 n_steps=20, sample_stride=stride))
+        errors.add(str(exc_info.value))
+    (error,) = errors
+    assert error.startswith(head)
+
+
+@pytest.mark.parametrize("scheme", ["gr-slex", "gr-7"])
+@pytest.mark.parametrize("p0", [1.8, 2.001])
+def test_iteration_histogram_counts_every_step(scheme, p0):
+    # the block's histogram is the one that one step at a time gives
+    rec = run_trajectory(_spec(scheme=scheme, p0=p0, n_steps=500,
+                               sample_stride=100))
+    step = make_stepper(scheme, make_pendulum())
+    s, want = PhaseState(0.0, p0), {}
+    for _ in range(500):
+        s, its = step(s, 0.25)
+        want[its] = want.get(its, 0) + 1
+    assert rec.metadata["iterations"]["histogram"] == dict(sorted(
+        want.items()))
+    assert (rec.samples[-1].x, rec.samples[-1].p) == (s.x, s.p)
+
+
 def test_determinism_bitwise():
     a = run_trajectory(_spec(n_steps=200, sample_stride=20))
     b = run_trajectory(_spec(n_steps=200, sample_stride=20))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -503,3 +504,18 @@ def test_a_value_taken_out_of_a_param_breaks_the_contract(use):
                                          "branches"):
         dataclasses.replace(pendulum, partials=dict(
             pendulum.partials, xx=lambda x, p: gcos(x) + 0.0 * use(x)))
+
+
+@pytest.mark.parametrize("op", [lambda x: x % (2.0 * math.pi),
+                                lambda x: x // 1.0, math.trunc],
+                         ids=["%", "//", "math.trunc"])
+def test_an_operation_a_param_lacks_breaks_the_contract(op):
+    # a Param does not define the operation, which raises a TypeError in
+    # the callable; building the system raises the contract's ValueError,
+    # as for a value taken out, and names the callable
+    pendulum = make_pendulum()
+    with pytest.raises(ValueError, match=re.escape(
+            "system 'pendulum': partials['xx'] made an operation the system "
+            "contract does not allow")):
+        dataclasses.replace(pendulum, partials=dict(
+            pendulum.partials, xx=lambda x, p: gcos(op(x))))

@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from discgrad import hamiltonian, jets
+from discgrad import hamiltonian, harness, jets
 from discgrad.errors import (DivergenceError, NonConvergenceError,
                              ResonanceStepError, StepError)
 from discgrad.exactlin import exact_step_map
@@ -696,6 +696,40 @@ def test_rules_that_share_fn_or_midpoint_run_steps_of_their_own():
             assert _step_outcome(step_gradient_info, pendulum, rule, s, 0.5) \
                 == _step_outcome(reference_step, pendulum, rule, s, 0.5), \
                 rule
+
+
+@pytest.mark.parametrize("scheme", ["gr", "mod-gr", "gr-lex", "gr-slex",
+                                    "gr-1", "gr-3", "gr-7", "gr-14"])
+def test_scheme_block_equals_the_hand_written_steps(scheme):
+    # a run's block, which writes mod-gr's delta in and calls gr-N's
+    # generated delta directly, makes in one call the states, the iteration
+    # counts and the errors of the hand-written steps
+    rule = STEP_RULES[scheme]
+    rng = random.Random(26)
+
+    def outcome(run):
+        try:
+            return repr(run())
+        except (ArithmeticError, ValueError, StepError) as exc:
+            return type(exc).__name__, str(exc)
+    for sys in _step_systems():
+        block = harness._block_maker(scheme)(sys)
+        for s0 in [rand_state(rng) for _ in range(5)]:
+            for h in (0.25, -1.0):
+                def by_hand():
+                    s, hist = s0, [0] * 101
+                    for _ in range(50):
+                        x, p, its = reference_step(sys, rule, s, h)
+                        s = PhaseState(x, p)
+                        hist[its] += 1
+                    return s.x, s.p, hist
+
+                def by_block():
+                    hist = [0] * 101
+                    return (*block(s0.x, s0.p, h, 50, hist, 1e-15, 100,
+                                   1e6), hist)
+                assert outcome(by_block) == outcome(by_hand), (sys.name, s0,
+                                                               h)
 
 
 @pytest.mark.parametrize("key, leak", [
