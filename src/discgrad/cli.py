@@ -17,6 +17,7 @@ precision floor and saturation (error >= 1).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys as _sys
 
@@ -61,6 +62,8 @@ def parse_h_spec(spec: str):
     return out
 
 
+# built once per process: a build takes about nine times a parse
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="discgrad")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -85,7 +85,7 @@ def _block_maker(scheme: str):
         scheme = "sp-2"         # leap-frog is the order-2 composition
 
     def gradient(rule):
-        return lambda sys: schemes.gradient_block(sys, rule, scheme)
+        return lambda sys: schemes.gradient_block(sys, rule)
 
     if scheme in _RULES:
         return gradient(_RULES[scheme]())

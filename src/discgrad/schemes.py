@@ -41,13 +41,13 @@ own local error of the converged iterate, a starting approximation in the
 sense of GNI VIII.6.1.  Every other rule starts from an explicit Euler
 predictor, within O(h^2).
 
-A run makes its steps by a stride block (:func:`gradient_block`, as
-TIDES generates its Taylor steps): one generated ``for`` loop over the
+Every step runs in a stride block (:func:`gradient_block`, as TIDES
+generates its Taylor steps): one generated ``for`` loop over the
 straight-line text of a step, with the system's recorded partials, dd_p
 and dd_x written in (:class:`discgrad.hamiltonian._SystemCode`), run on
 floats, where each helper (``gsin`` ..) is its math function.  It makes
-the operations of the system's own callables in their order.  One step,
-:func:`step_gradient_info`, is the block run for m = 1.
+the operations of the system's own callables in their order.  A run and
+:func:`step_gradient_info` call the same block, per stride and per step.
 """
 
 from __future__ import annotations
@@ -392,25 +392,24 @@ _LEX_LINES = ["if h == 0.0:",
               "    delta = h + h ** 3 * w2 / 12.0"]
 
 
-def _gradient_lines(sys: HamiltonianSystem, rule: DeltaRule, written: bool,
-                    names: dict):
-    """The lines of :func:`gradient_block`: before the loop, of one step
-    and after the loop.
+def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
+    """The lines of :func:`gradient_block` for a rule of this kind, which
+    they read as ``rule``: before the loop, of one step and after it.
 
     A step takes delta and the predictor (xc, pc) from the rule's
     ``start``, or else delta at the start point and explicit Euler.  It
     freezes the Hessian at the predicted midpoint and solves by simplified
     Newton on dd_p and dd_x, with delta at the iterate's midpoint on every
-    iteration for a ``midpoint`` rule.  delta is h for gr's ``fn``, set
-    once; delta_lex of w^2 from the recorded Hessian, as omega_sq_at forms
-    it, for gr-lex's and gr-slex's, and, when ``written``, at (x_bar, 0)
-    once for mod-gr's; any other ``fn`` is called.  When ``written``,
+    iteration for a ``midpoint`` rule, which drops the start's delta.
+    delta is h for gr's ``fn``, set once; delta_lex of w^2 from the
+    recorded Hessian, as omega_sq_at forms it, for gr-lex's and gr-slex's,
+    and at (x_bar, 0) once for mod-gr's; any other ``fn`` is called.
     gr-N's ``start`` is its generated delta, called directly.  The solve
     stops at an increment <= tol or at round-off stagnation; it raises on
     a predictor that is not finite, a Hessian that is not a number, an
     increment past guard and after max_iter iterations."""
     code = sys._code
-    names.update(_STEP_NAMES, sys=sys)
+    names.update(_STEP_NAMES, sys=sys, series_function=_series_function)
     before = []
 
     def scalars(keys, x, p, local):
@@ -422,28 +421,27 @@ def _gradient_lines(sys: HamiltonianSystem, rule: DeltaRule, written: bool,
         return [*lines, f"w2 = ({hxx}) * ({hpp}) - ({hxp}) ** 2",
                 *_LEX_LINES]
 
-    fn, start = rule.fn, rule.start
+    _, fn, start, midpoint = kind
     delta_at = None             # delta at a point, where it depends on one
     if fn is _gr_delta:
         before = ["delta = h"]
-    elif written and isinstance(fn, partial) and fn.func is _mod_gr_delta:
-        names["xbar"] = fn.args[0]
-        before = lex("xbar", "0.0", "b")
+    elif fn is _mod_gr_delta:
+        before = ["xbar = rule.fn.args[0]", *lex("xbar", "0.0", "b")]
     elif fn is _delta_lex_at:
         delta_at = lex
     else:
         def delta_at(x, p, local):
             return [f"delta = rule.fn(sys, {x}, {p}, h)"]
 
-    if written and isinstance(start, partial) and start.func is _series_start:
-        names["series"] = _series_function(sys, start.args[0])
-        step = ["delta, xc, pc = series(x0, p0, h)"]
-        what = "flow start"
-    elif start is not None:
-        step = ["delta, xc, pc = rule.start(sys, x0, p0, h)"]
+    if start is not None:
+        call = "rule.start(sys, x0, p0, h)"
+        if start is _series_start:
+            before.append("series = series_function(sys, rule.start.args[0])")
+            call = "series(x0, p0, h)"
+        step = [f"{'_' if midpoint else 'delta'}, xc, pc = {call}"]
         what = "flow start"
     else:
-        step = ([] if rule.midpoint or delta_at is None
+        step = ([] if midpoint or delta_at is None
                 else delta_at("x0", "p0", "s"))
         # explicit Euler predictor, O(h^2) off the fixed point
         lines, (hp, hx) = scalars(("p", "x"), "x0", "p0", "e")
@@ -463,7 +461,7 @@ def _gradient_lines(sys: HamiltonianSystem, rule: DeltaRule, written: bool,
         "    raise DivergenceError(f'Hessian ({hxx:.3g}, {hxp:.3g}, "
         "{hpp:.3g}) at the predicted midpoint ({xm:.3g}, {pm:.3g}) is not "
         "a number')"]
-    if not rule.midpoint:
+    if not midpoint:
         step += _INVERSE_LINES
         loop = []
     elif delta_at is None:
@@ -515,41 +513,40 @@ _STEP_NAMES = {"inf": math.inf, "pi": math.pi,
                "NonConvergenceError": NonConvergenceError}
 
 
-def gradient_block(sys: HamiltonianSystem, rule: DeltaRule,
-                   scheme: str = None):
+def gradient_block(sys: HamiltonianSystem, rule: DeltaRule):
     """The stride block of rule's implicit steps on sys (see
-    :meth:`discgrad.hamiltonian._SystemCode.block`), one straight-line
-    text with the system's recorded partials, dd_p and dd_x written in, as
-    TIDES generates its Taylor steps.  It makes the operations of the
-    system's own callables in their order.
-
-    Under a scheme id, its key, the text also writes in mod-gr's delta and
-    calls gr-N's generated delta directly.  Without one the block is keyed
-    by what its text depends on, gr's and gr-lex's ``fn``, ``midpoint``
-    and whether there is a ``start``, and calls any other ``fn`` or
-    ``start`` through the rule passed to it, so a rule built anew for
-    every step compiles nothing new (:func:`step_gradient_info`)."""
-    key = scheme
-    if key is None:
-        fn = rule.fn
-        key = ("step", fn if fn is _gr_delta or fn is _delta_lex_at else None,
-               rule.midpoint, rule.start is None)
-    return sys._code.block(key, lambda names: _gradient_lines(
-        sys, rule, scheme is not None, names))
+    :meth:`discgrad.hamiltonian._SystemCode.block`), with rule bound to
+    it.  It is made once per system object and rule kind, all that its
+    text depends on: which built-in ``fn`` (gr's, gr-lex's, mod-gr's
+    without a ``start``) or other, which ``start`` (gr-N's, another or
+    none) and ``midpoint``.  A run, :func:`step_gradient_info` and a rule
+    built anew for every step share it; it reads mod-gr's x_bar, gr-N's N
+    and any other ``fn`` or ``start`` from the rule at every call."""
+    fn, start = rule.fn, rule.start
+    if isinstance(fn, partial) and fn.func is _mod_gr_delta:
+        fn = _mod_gr_delta if start is None else None
+    elif fn is not _gr_delta and fn is not _delta_lex_at:
+        fn = None
+    if isinstance(start, partial) and start.func is _series_start:
+        start = _series_start
+    elif start is not None:
+        start = True
+    kind = ("step", fn, start, rule.midpoint)
+    return partial(sys._code.block(
+        kind, lambda names: _gradient_lines(sys, kind, names)), rule=rule)
 
 
 _DEFAULT_CONFIG = SolverConfig()
 
 
-def one_step(block, s: PhaseState, h: float, cfg: SolverConfig = None,
-             rule: DeltaRule = None):
+def one_step(block, s: PhaseState, h: float, cfg: SolverConfig = None):
     """One step of a stride block, its m = 1 view: (next state, solver
     iterations)."""
     if cfg is None:
         cfg = _DEFAULT_CONFIG
     hist = [0] * (cfg.max_iter + 1)
     x, p = block(s.x, s.p, h, 1, hist, cfg.tol, cfg.max_iter,
-                 cfg.divergence_guard, rule)
+                 cfg.divergence_guard)
     return PhaseState(x, p), hist.index(1)
 
 
@@ -559,7 +556,7 @@ def step_gradient_info(sys: HamiltonianSystem, rule: DeltaRule,
     """One implicit step; returns (next state, solver iterations).  It
     runs one step of rule's :func:`gradient_block`, and raises where the
     step does not end in a finite state."""
-    return one_step(gradient_block(sys, rule), s_n, h, cfg, rule)
+    return one_step(gradient_block(sys, rule), s_n, h, cfg)
 
 
 def step_gradient(sys: HamiltonianSystem, rule: DeltaRule, s_n: PhaseState,

@@ -49,6 +49,24 @@ def test_integrate_writes_csv(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+def test_integrate_twice_in_one_process_takes_the_defaults(tmp_path):
+    # the parser is built once per process: a call without --stride and
+    # --x0 gets their defaults, not the values of the call before it
+    def rows(*options):
+        out = tmp_path / "run.csv"
+        assert main(["integrate", "--scheme", "gr", "--p0", "1.8", "--h",
+                     "0.25", "--steps", "10", *options, "--out",
+                     str(out)]) == 0
+        with open(out, newline="") as f:
+            return list(csv.reader(f))[1:]
+    first = rows("--stride", "5", "--x0", "0.1")
+    assert [r[0] for r in first] == ["0", "5", "10"]
+    assert float(first[0][2]) == 0.1
+    second = rows()
+    assert [r[0] for r in second] == [str(n) for n in range(11)]
+    assert float(second[0][2]) == 0.0
+
+
 @pytest.mark.filterwarnings("ignore::discgrad.errors.SaturationWarning")
 def test_separatrix_runs_past_exp_overflow(tmp_path, capsys):
     # the oracle at t > 709.8, where e^t overflows a double

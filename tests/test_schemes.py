@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import itertools
 import math
 import random
 
@@ -662,7 +663,7 @@ def test_step_compiled_once_per_system_and_rule_value():
         for i in range(1000):
             s = step_gradient(pendulum, new_rule(i), s, 0.25)
         assert steps() == functions
-    assert len(steps()) == 3
+    assert len(steps()) == 4
     compiled = len(jets._CODE)
     other = hamiltonian.make_pendulum()
     assert step_gradient_info(other, DeltaRule.gr(), s, 0.25) \
@@ -696,6 +697,62 @@ def test_rules_that_share_fn_or_midpoint_run_steps_of_their_own():
             assert _step_outcome(step_gradient_info, pendulum, rule, s, 0.5) \
                 == _step_outcome(reference_step, pendulum, rule, s, 0.5), \
                 rule
+
+
+def test_every_fn_start_and_midpoint_runs_the_hand_written_step():
+    # each built-in fn and a user's, with no start, gr-N's or a user's,
+    # with and without midpoint: a midpoint rule takes delta from fn, not
+    # from its start, and a rule with a start makes no delta of fn's
+    # before it (mod-gr's raises at h w >= pi)
+    series = DeltaRule.series(3)
+    fns = [DeltaRule.gr().fn, DeltaRule.mod_gr(0.3).fn, DeltaRule.lex().fn,
+           series.fn, lambda sys, x, p, h: 1.01 * h]
+    starts = [None, series.start,
+              lambda sys, x, p, h: (1.01 * h, x + h * p, p)]
+    rng = random.Random(27)
+    states = [rand_state(rng) for _ in range(10)]
+    for sys in _step_systems():
+        for fn, start, midpoint in itertools.product(fns, starts,
+                                                     (False, True)):
+            rule = DeltaRule(fn, midpoint, start)
+            for s in states:
+                for h in (0.5, -1.0, 3.5):
+                    assert _step_outcome(step_gradient_info, sys, rule, s,
+                                         h) \
+                        == _step_outcome(reference_step, sys, rule, s, h), \
+                        (sys.name, rule, s, h)
+
+
+@pytest.mark.parametrize("system", ["pendulum", "crossterm:0.5"])
+@pytest.mark.parametrize("scheme", ["gr", "mod-gr", "gr-lex", "gr-slex",
+                                    "gr-1", "gr-7", "gr-14"])
+def test_run_stepper_and_step_share_one_block(monkeypatch, scheme, system):
+    # a run, make_stepper and step_gradient_info on one system object run
+    # one generated block, the one the hand-written steps check
+    sys = system_from_name(system)
+    monkeypatch.setattr(harness, "system_from_name", lambda name: sys)
+    compile_, blocks, ran = sys._code.source.compile, [], set()
+
+    def recording(params, *args):
+        fn = compile_(params, *args)
+        if not params.startswith("x0, p0, h, m, hist"):
+            return fn
+        blocks.append(fn)
+
+        def block(*args, **kwargs):
+            ran.add(fn)
+            return fn(*args, **kwargs)
+        return block
+    monkeypatch.setattr(sys._code.source, "compile", recording)
+    s = PhaseState(0.0, 1.8)
+    spec = ExperimentSpec(scheme, system, 1.8, 0.25, 20, sample_stride=7)
+    for call in (lambda: run_trajectory(spec),
+                 lambda: harness.make_stepper(scheme, sys)(s, 0.25),
+                 lambda: step_gradient_info(sys, STEP_RULES[scheme], s,
+                                            0.25)):
+        ran.clear()
+        call()
+        assert len(blocks) == 1 and ran == set(blocks)
 
 
 @pytest.mark.parametrize("scheme", ["gr", "mod-gr", "gr-lex", "gr-slex",
