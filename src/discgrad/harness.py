@@ -133,6 +133,8 @@ def run_trajectory(spec: ExperimentSpec,
         cfg = schemes.SolverConfig()
     solver = (cfg.tol, cfg.max_iter, cfg.divergence_guard)
     want_global = spec.system == "pendulum" and spec.x0 == 0.0
+    if want_global:
+        exact = reference.exact_solution(spec.p0)      # t -> (x, p)
     x, p = spec.x0, spec.p0
     e0 = sys.energy(x, p)
     samples = []
@@ -143,8 +145,8 @@ def run_trajectory(spec: ExperimentSpec,
         t = n * spec.h
         g = gm = None
         if want_global:
-            ex = reference.pendulum_exact(spec.p0, t)
-            dx, dp = x - ex.x, abs(p - ex.p)
+            ex, ep = exact(t)
+            dx, dp = x - ex, abs(p - ep)
             g = max(abs(dx), dp)
             gm = max(abs(math.remainder(dx, 2.0 * math.pi)), dp)
         samples.append(Sample(n, t, x, p, sys.energy(x, p) - e0, g, gm))

@@ -13,11 +13,16 @@ Orbit regimes for H = p^2/2 - cos x started at x = 0:
     separatrix  |p0| = 2,  sech/tanh closed form, infinite period
 
 A p0 that is not finite, or so large that its period is not a finite
-positive number, raises ValueError.  ``pendulum_exact`` remembers the
-orbit and Landen data of the last p0 it was asked for, so a trajectory
-sampled at every step runs the AGM once; ``classify_orbit`` builds a
-fresh orbit on every call.  On the separatrix the closed form is written
-in exp(-|t|), so it neither overflows for large |t| nor cancels near 0.
+positive number, raises ValueError.  The exact solution of one orbit is
+one generated straight-line function t -> (x, p) (``_orbit_source``):
+the period reduction, the unrolled Landen recursion and sn/cn/dn, with
+the orbit's constants bound by name, so one code object serves every
+orbit of a regime and chain length.  ``pendulum_exact`` remembers that
+function for the last |p0| it was asked for, so a trajectory sampled at
+every step runs the AGM and builds it once; ``exact_solution`` hands it
+to a run, which calls it per sample.  ``classify_orbit`` builds a fresh
+orbit on every call.  On the separatrix the closed form is written in
+exp(-|t|), so it neither overflows for large |t| nor cancels near 0.
 """
 
 from __future__ import annotations
@@ -195,35 +200,118 @@ def _reduce_time(t: float, period: float):
     return n, (t - prod) - err
 
 
-# the orbit of the last p0 asked for: a trajectory asks for one p0 at every
-# sample, so it builds its chain once
-_exact_orbit = functools.lru_cache(maxsize=1)(_orbit)
+# max(-1.0, min(1.0, v)) and max(0.0, v), for every float v, NaN and -0.0
+# included
+_CLAMPED_V = "(v if -1.0 < v < 1.0 else (-1.0 if v < 1.0 else 1.0))"
+_NONNEGATIVE_V = "(v if v > 0.0 else 0.0)"
+
+
+def _orbit_source(regime: str, n: int) -> str:
+    """The text of the exact solution t -> (x, p) on a libration or
+    rotation orbit whose Landen chain has n ratios c0 .. c<n-1>:
+    `_reduce_time`, then `_amplitudes` unrolled and `_sn_cn_dn`, in one
+    function that computes what they compute, bit for bit.  It names its
+    constants (see `_orbit_function`), so one code object serves every
+    orbit of a regime and chain length."""
+    libration = regime == "libration"
+    body = ["n = round(t / period)",
+            "prod = n * period",
+            "c = 134217729.0 * n",          # Veltkamp split of n
+            "n_hi = c - (c - n)",
+            "n_lo = n - n_hi",
+            "err = ((n_hi * p_hi - prod) + n_hi * p_lo + n_lo * p_hi) "
+            "+ n_lo * p_lo",
+            "r = (t - prod) - err",
+            "phi = scale * r" if libration else "phi = scale * (r / k)"]
+    # rotation reads phi1, the angle before the last Landen step
+    if n == 0 and not libration:
+        body.append("phi1 = 2.0 * phi")
+    for i in range(n):
+        if i == n - 1 and not libration:
+            body.append("phi1 = phi")
+        body += [f"v = c{i} * sin(phi)",
+                 f"phi = 0.5 * (phi + asin({_CLAMPED_V}))"]
+    if libration:
+        body += ["v = k * sin(phi)",
+                 f"x = 2.0 * asin({_CLAMPED_V})",
+                 "p = 2.0 * k * cos(phi)"]
+    else:
+        # dn as `_sn_cn_dn` finds it; libration has no use for dn
+        body += ["den = cos(phi1 - phi)",
+                 "if abs(den) > 0.5:",
+                 "    dn = cos(phi) / den",
+                 "else:",
+                 "    v = 1.0 - (k * sin(phi)) ** 2",
+                 f"    dn = sqrt({_NONNEGATIVE_V})",
+                 "x = 2.0 * phi + tau * n",
+                 "p = 2.0 / k * dn"]
+    return "\n    ".join(["def exact(t):", *body, "return x, p"])
+
+
+# (regime, chain length) -> the code object of `_orbit_source`
+_ORBIT_CODE = {}
+
+
+def _separatrix(t: float):
+    e = math.exp(-abs(t))
+    return 4.0 * math.atan(math.tanh(0.5 * t)), 4.0 * e / (1.0 + e * e)
+
+
+def _orbit_function(p0: float):
+    """The exact solution t -> (x, p) of the orbit through (0, p0), p0 > 0:
+    the generated `_orbit_source` with this orbit's period, its split
+    halves, the Landen scale and ratios and k bound by name, or the
+    separatrix closed form."""
+    orbit, landen = _orbit(p0)
+    if orbit.regime == "separatrix":
+        return _separatrix
+    scale, ratios = landen
+    key = orbit.regime, len(ratios)
+    code = _ORBIT_CODE.get(key)
+    if code is None:
+        code = _ORBIT_CODE[key] = compile(_orbit_source(*key), "<orbit>",
+                                          "exec")
+    p_hi, p_lo = _split(orbit.period)
+    namespace = {"sin": math.sin, "cos": math.cos, "asin": math.asin,
+                 "sqrt": math.sqrt, "tau": 2.0 * math.pi, "k": orbit.k,
+                 "period": orbit.period, "p_hi": p_hi, "p_lo": p_lo,
+                 "scale": scale,
+                 **{f"c{i}": c for i, c in enumerate(ratios)}}
+    exec(code, namespace)
+    return namespace["exact"]
+
+
+# the solution of the last |p0| asked for: a trajectory asks for one p0 at
+# every sample, so it runs the AGM and builds its function once
+_exact_orbit = functools.lru_cache(maxsize=1)(_orbit_function)
+
+
+def _at_rest(t: float):
+    return 0.0, 0.0
+
+
+def exact_solution(p0: float):
+    """The exact pendulum solution t -> (x, p) for x(0) = 0, p(0) = p0, as
+    `pendulum_exact` gives it; a run binds it once and calls it per
+    sample."""
+    if p0 == 0.0:               # at rest at the stable equilibrium
+        return _at_rest
+    if p0 < 0.0:
+        mirror = _exact_orbit(-p0)
+
+        def mirrored(t):
+            x, p = mirror(t)
+            return -x, -p
+        return mirrored
+    return _exact_orbit(p0)
 
 
 def pendulum_exact(p0: float, t: float) -> PhaseState:
     """Exact pendulum state at time t for x(0) = 0, p(0) = p0.
 
     In the rotation regime x is unwrapped: it accumulates 2 pi per period
-    instead of being reduced to a fundamental interval.
+    instead of being reduced to a fundamental interval.  The state comes
+    from the generated solution of |p0|'s orbit (`_orbit_function`),
+    which is remembered for the last |p0| asked for.
     """
-    if p0 == 0.0:               # at rest at the stable equilibrium
-        return PhaseState(0.0, 0.0)
-    if p0 < 0.0:
-        s = pendulum_exact(-p0, t)
-        return PhaseState(-s.x, -s.p)
-    orbit, landen = _exact_orbit(p0)
-    k = orbit.k
-    if orbit.regime == "separatrix":
-        e = math.exp(-abs(t))
-        return PhaseState(4.0 * math.atan(math.tanh(0.5 * t)),
-                          4.0 * e / (1.0 + e * e))
-    n, r = _reduce_time(t, orbit.period)
-    if orbit.regime == "libration":
-        sn, cn, _ = _sn_cn_dn(*_amplitudes(r, landen), k)
-        x = 2.0 * math.asin(max(-1.0, min(1.0, k * sn)))
-        p = 2.0 * k * cn
-        return PhaseState(x, p)
-    phi0, phi1 = _amplitudes(r / k, landen)
-    x = 2.0 * phi0 + 2.0 * math.pi * n
-    p = 2.0 / k * _sn_cn_dn(phi0, phi1, k)[2]
-    return PhaseState(x, p)
+    return PhaseState(*exact_solution(p0)(t))

@@ -63,7 +63,7 @@ from .hamiltonian import HamiltonianSystem, PhaseState, linearize, not_finite
 # not called here, where the series delta is generated code, but
 # perfbench/tracer.py patches it under this module's name
 from .hamiltonian import taylor_flow_coeffs  # noqa: F401
-from .jets import _div, _finished, horner, horner_text
+from .jets import FLOAT_HELPERS, _div, _finished, horner, horner_text
 
 # past N = 14 the error rises again at larger h (pendulum p0 1.8, h 0.5:
 # gr-14 1.2e-10, gr-18 4.4e-9, gr-22 1.4e-5): the delta series has a finite
@@ -287,7 +287,8 @@ def _compile_delta(code, N: int):
     :func:`_plain_amp_limit`, it runs the division of
     :func:`_cancel_and_divide`, unrolled, and the Horner sum;
     any other state goes through :func:`_coefficients` with the same
-    lists."""
+    lists.  It runs on floats: the float helpers stand in for the generic
+    ones, as in a stride block."""
     body, num, d = code.parts_lines(N + 2)
     quotient = [f"q{n} = ({num[n + 1]}"
                 + "".join(f" - {d[j]} * q{n - j}" for j in range(1, n + 1))
@@ -311,7 +312,7 @@ def _compile_delta(code, N: int):
         "x0, p0, h", body,
         f"h * horner(general(x0, p0, [{', '.join(num)}], "
         f"[{', '.join(d)}]), h), {flow}",
-        {"general": general, "horner": horner})
+        {**FLOAT_HELPERS, "general": general, "horner": horner})
 
 
 def _series_function(sys: HamiltonianSystem, N: int):

@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from discgrad import reference
+from discgrad import harness, reference
 from discgrad.reference import (_AGM_CAP, EquilibriumError,
-                                InfinitePeriodError, _agm_chain,
-                                _reduce_time, classify_orbit, elliptic_K,
-                                jacobi_am, jacobi_sn_cn_dn, pendulum_exact,
-                                pendulum_period)
+                                InfinitePeriodError, _agm_chain, _amplitudes,
+                                _reduce_time, _sn_cn_dn, classify_orbit,
+                                elliptic_K, jacobi_am, jacobi_sn_cn_dn,
+                                pendulum_exact, pendulum_period)
 
 
 def _quadrature_K(k):
@@ -322,3 +322,91 @@ def test_p0_without_a_finite_period_is_rejected():
     # a p0 just below that overflow keeps working
     assert 0.0 < pendulum_period(1e153) < 1e-152
     assert pendulum_exact(1e153, 1e-160).p == 1e153
+
+
+def _per_call_exact(p0, t):
+    """The exact state by the per-call route that the generated orbit
+    function unrolls: `_reduce_time`, `_amplitudes` and `_sn_cn_dn` called
+    in turn, on a fresh orbit.  Also says whether rotation's dn took its
+    fallback branch, |cos(phi1 - phi0)| <= 0.5."""
+    if p0 == 0.0:
+        return (0.0, 0.0), False
+    if p0 < 0.0:
+        (x, p), fallback = _per_call_exact(-p0, t)
+        return (-x, -p), fallback
+    orbit, landen = reference._orbit(p0)
+    k = orbit.k
+    if orbit.regime == "separatrix":
+        e = math.exp(-abs(t))
+        return (4.0 * math.atan(math.tanh(0.5 * t)),
+                4.0 * e / (1.0 + e * e)), False
+    n, r = _reduce_time(t, orbit.period)
+    if orbit.regime == "libration":
+        sn, cn, _ = _sn_cn_dn(*_amplitudes(r, landen), k)
+        x = 2.0 * math.asin(max(-1.0, min(1.0, k * sn)))
+        return (x, 2.0 * k * cn), False
+    phi0, phi1 = _amplitudes(r / k, landen)
+    x = 2.0 * phi0 + 2.0 * math.pi * n
+    fallback = abs(math.cos(phi1 - phi0)) <= 0.5
+    return (x, 2.0 / k * _sn_cn_dn(phi0, phi1, k)[2]), fallback
+
+
+# empty chains (1e-9, 1e153), a one-ratio chain (3e-8), both sides of the
+# separatrix at 1e-9 and the separatrix itself
+ORACLE_P0 = [1e-9, 3e-8, 0.0213, 1.8, 1.999999999, 2.0, 2.000000001, 2.001,
+             5.0, 1e6, 1e153]
+
+
+def test_generated_oracle_matches_per_call_route(rng):
+    fallbacks = 0
+    for p0 in [0.0] + ORACLE_P0 + [-p0 for p0 in ORACLE_P0]:
+        times = [0.0] + [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3, 9)
+                         for _ in range(1000)]
+        for t in times:
+            s = pendulum_exact(p0, t)
+            want, fallback = _per_call_exact(p0, t)
+            assert (s.x.hex(), s.p.hex()) == tuple(v.hex() for v in want), \
+                (p0, t)
+            fallbacks += fallback
+    # rotation's dn fallback is reached, not only its amplitude-ratio form
+    assert fallbacks > 0
+
+
+def test_generated_clamps_match_min_max():
+    # no orbit reaches a clamp (each ratio and k is below 1), so check the
+    # texts on the floats where min and max decide
+    for v in (math.nan, -math.inf, -2.0, -1.0, -0.5, -0.0, 0.0, 5e-324, 0.5,
+              1.0, 2.0, math.inf):
+        assert repr(eval(reference._CLAMPED_V, {"v": v})) == \
+            repr(max(-1.0, min(1.0, v)))
+        assert repr(eval(reference._NONNEGATIVE_V, {"v": v})) == \
+            repr(max(0.0, v))
+
+
+def test_one_orbit_build_per_run(monkeypatch):
+    # two libration orbits whose Landen chains are as long
+    assert len(reference._orbit(1.8)[1][1]) == \
+        len(reference._orbit(1.9)[1][1])
+    calls = []
+
+    def counting(k, *kc):
+        calls.append(k)
+        return _agm_chain(k, *kc)
+    monkeypatch.setattr(reference, "_agm_chain", counting)
+
+    def run(p0):
+        reference._exact_orbit.cache_clear()
+        calls.clear()
+        record = harness.run_trajectory(harness.ExperimentSpec(
+            "lf", "pendulum", p0, 0.25, 2000))
+        assert len(record.samples) == 2001
+        assert len(calls) == 1
+        assert reference._exact_orbit.cache_info().misses == 1
+        return reference._exact_orbit(p0)
+
+    first = run(1.8)
+    codes = dict(reference._ORBIT_CODE)
+    # the second orbit compiles nothing: it runs the first one's code
+    second = run(1.9)
+    assert reference._ORBIT_CODE == codes
+    assert second is not first and second.__code__ is first.__code__
