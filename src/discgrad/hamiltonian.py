@@ -288,16 +288,17 @@ class _SystemCode:
                                    line) for v in values]
 
     def block(self, key, write):
-        """The stride block ``(x0, p0, h, m, hist, tol, max_iter, guard,
-        rule=None) -> (x, p)`` of one scheme, made once per system object
-        and ``key``: m steps from (x0, p0), each checked to end in a finite
-        state, as one generated ``for`` loop (TIDES's stepping core, Abad
-        et al., ACM TOMS 39, 2012).  ``write(names)`` gives the lines
-        before the loop, the lines of one step, which take (x0, p0) to the
-        next state and count the step's solver iterations in ``hist``, and
-        the lines after it, and binds what they call in ``names``, over
-        the float helpers.  A block runs on floats; it raises what a step
-        raises, and does not say which step that was."""
+        """The stride block ``(x0, p0, h, m, hist, max_iter, rule=None) ->
+        (x, p)`` of one scheme, made once per system object and ``key``:
+        m steps from (x0, p0), each checked to end in a finite state, as
+        one generated ``for`` loop (TIDES's stepping core, Abad et al., ACM
+        TOMS 39, 2012).  ``write(names)`` gives the lines before the loop,
+        the lines of one step, which take (x0, p0) to the next state and
+        count the step's solver iterations in ``hist``, of at most
+        ``max_iter``, and the lines after it, and binds what they call in
+        ``names``, over the float helpers.  A block runs on floats; it
+        raises what a step raises, and does not say which step that
+        was."""
         block = self.functions.get(key)
         if block is None:
             names = {**FLOAT_HELPERS, "DivergenceError": DivergenceError}
@@ -309,7 +310,7 @@ class _SystemCode:
                     "{p0:.3g}) is not finite')",
                     *after]
             block = self.functions[key] = self.source.compile(
-                "x0, p0, h, m, hist, tol, max_iter, guard, rule=None", body,
+                "x0, p0, h, m, hist, max_iter, rule=None", body,
                 "x0, p0", names)
         return block
 

@@ -130,8 +130,7 @@ def run_trajectory(spec: ExperimentSpec,
     sys = system_from_name(spec.system)
     block = _block_maker(spec.scheme)(sys)
     if cfg is None:
-        cfg = schemes.SolverConfig()
-    solver = (cfg.tol, cfg.max_iter, cfg.divergence_guard)
+        cfg = schemes._DEFAULT_CONFIG
     want_global = spec.system == "pendulum" and spec.x0 == 0.0
     if want_global:
         exact = reference.exact_solution(spec.p0)      # t -> (x, p)
@@ -162,11 +161,11 @@ def run_trajectory(spec: ExperimentSpec,
     for start in range(0, spec.n_steps, spec.sample_stride):
         m = min(spec.sample_stride, spec.n_steps - start)
         try:
-            x, p = block(x, p, h, m, hist, *solver)
+            x, p = block(x, p, h, m, hist, cfg.max_iter)
         except (StepError, ArithmeticError, ValueError):
             for n in range(start + 1, start + m + 1):
                 try:
-                    x, p = block(x, p, h, 1, hist, *solver)
+                    x, p = block(x, p, h, 1, hist, cfg.max_iter)
                 except StepError as exc:
                     exc.args = (f"step {n}: {exc}",)
                     raise

@@ -14,10 +14,12 @@ Orbit regimes for H = p^2/2 - cos x started at x = 0:
 
 A p0 that is not finite, or so large that its period is not a finite
 positive number, raises ValueError.  The exact solution of one orbit is
-one generated straight-line function t -> (x, p) (``_orbit_source``):
+one generated straight-line function t -> (x, p) (``_orbit_lines``):
 the period reduction, the unrolled Landen recursion and sn/cn/dn, with
-the orbit's constants bound by name, so one code object serves every
-orbit of a regime and chain length.  ``pendulum_exact`` remembers that
+the orbit's constants bound by name.  So its text is a function of the
+regime and the chain length, and ``jets.generate``, which compiles each
+text once, makes one code object serve every orbit of a regime and chain
+length.  ``pendulum_exact`` remembers that
 function for the last |p0| it was asked for, so a trajectory sampled at
 every step runs the AGM and builds it once; ``exact_solution`` hands it
 to a run, which calls it per sample.  ``classify_orbit`` builds a fresh
@@ -32,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .hamiltonian import PhaseState
+from .jets import generate
 
 # the AGM converges quadratically: from any k < 1 the gap reaches round-off
 # in under 10 steps
@@ -206,13 +209,13 @@ _CLAMPED_V = "(v if -1.0 < v < 1.0 else (-1.0 if v < 1.0 else 1.0))"
 _NONNEGATIVE_V = "(v if v > 0.0 else 0.0)"
 
 
-def _orbit_source(regime: str, n: int) -> str:
-    """The text of the exact solution t -> (x, p) on a libration or
+def _orbit_lines(regime: str, n: int) -> list:
+    """The lines of the exact solution t -> (x, p) on a libration or
     rotation orbit whose Landen chain has n ratios c0 .. c<n-1>:
     `_reduce_time`, then `_amplitudes` unrolled and `_sn_cn_dn`, in one
-    function that computes what they compute, bit for bit.  It names its
-    constants (see `_orbit_function`), so one code object serves every
-    orbit of a regime and chain length."""
+    function that computes what they compute, bit for bit.  They name
+    their constants (see `_orbit_function`), so one code object serves
+    every orbit of a regime and chain length."""
     libration = regime == "libration"
     body = ["n = round(t / period)",
             "prod = n * period",
@@ -245,11 +248,7 @@ def _orbit_source(regime: str, n: int) -> str:
                  f"    dn = sqrt({_NONNEGATIVE_V})",
                  "x = 2.0 * phi + tau * n",
                  "p = 2.0 / k * dn"]
-    return "\n    ".join(["def exact(t):", *body, "return x, p"])
-
-
-# (regime, chain length) -> the code object of `_orbit_source`
-_ORBIT_CODE = {}
+    return body
 
 
 def _separatrix(t: float):
@@ -259,26 +258,19 @@ def _separatrix(t: float):
 
 def _orbit_function(p0: float):
     """The exact solution t -> (x, p) of the orbit through (0, p0), p0 > 0:
-    the generated `_orbit_source` with this orbit's period, its split
+    the generated `_orbit_lines` with this orbit's period, its split
     halves, the Landen scale and ratios and k bound by name, or the
     separatrix closed form."""
     orbit, landen = _orbit(p0)
     if orbit.regime == "separatrix":
         return _separatrix
     scale, ratios = landen
-    key = orbit.regime, len(ratios)
-    code = _ORBIT_CODE.get(key)
-    if code is None:
-        code = _ORBIT_CODE[key] = compile(_orbit_source(*key), "<orbit>",
-                                          "exec")
     p_hi, p_lo = _split(orbit.period)
-    namespace = {"sin": math.sin, "cos": math.cos, "asin": math.asin,
-                 "sqrt": math.sqrt, "tau": 2.0 * math.pi, "k": orbit.k,
-                 "period": orbit.period, "p_hi": p_hi, "p_lo": p_lo,
-                 "scale": scale,
-                 **{f"c{i}": c for i, c in enumerate(ratios)}}
-    exec(code, namespace)
-    return namespace["exact"]
+    return generate("t", _orbit_lines(orbit.regime, len(ratios)), "x, p", {
+        "sin": math.sin, "cos": math.cos, "asin": math.asin,
+        "sqrt": math.sqrt, "tau": 2.0 * math.pi, "k": orbit.k,
+        "period": orbit.period, "p_hi": p_hi, "p_lo": p_lo, "scale": scale,
+        **{f"c{i}": c for i, c in enumerate(ratios)}})
 
 
 # the solution of the last |p0| asked for: a trajectory asks for one p0 at

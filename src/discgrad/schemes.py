@@ -16,11 +16,11 @@ scheme; the choice of delta sets the accuracy:
               dd_p(x, X, p, P) on the flow (X, P) through (x, p): with it
               the exact flow meets the x-equation to order N
 
-A :class:`DeltaRule` is that choice: a function ``fn(sys, x, p, h) ->
-delta`` and a flag ``midpoint``, and for GR-N the ``start`` that gives
-delta with the step's predictor.  The step evaluates ``fn`` once, at its
-start point, unless ``midpoint`` is set (GR-SLEX); then it evaluates
-``fn`` at the midpoint of the current iterate on every solver iteration.
+A :class:`DeltaRule` is that choice and nothing else: a function
+``fn(sys, x, p, h) -> delta`` and a flag ``midpoint``.  The step evaluates
+``fn`` once, at its start point, unless ``midpoint`` is set (GR-SLEX);
+then it evaluates ``fn`` at the midpoint of the current iterate on every
+solver iteration.
 
 GR-N's delta is one generated function of (x, p, h) per system object
 and N: the flow to order N + 2, dd_p on it, and, for a state whose
@@ -35,11 +35,14 @@ delta.
 The step solves F(z) = z - z_n - delta (dd_p, -dd_x)(z_n, z) = 0 by
 simplified Newton (Hairer, Lubich & Wanner, Geometric Numerical
 Integration, VIII.6), with J = I - (delta/2) A and the Hessian in A frozen
-at the predicted midpoint.  GR-N starts from the flow (X(h), P(h)) that its
-delta already computes: the exact flow to order N + 2, so within gr-N's
-own local error of the converged iterate, a starting approximation in the
-sense of GNI VIII.6.1.  Every other rule starts from an explicit Euler
-predictor, within O(h^2).
+at the predicted midpoint.  The starting guess, the tolerance and the
+divergence guard belong to the solver, not to the rule: a GR-N ``fn``
+starts from the flow (X(h), P(h)) that its delta already computes, the
+exact flow to order N + 2, so within gr-N's own local error of the
+converged iterate, a starting approximation in the sense of GNI VIII.6.1;
+every other ``fn`` starts from an explicit Euler predictor, within
+O(h^2).  The solve stops at an increment of at most ``_TOL`` and fails
+past ``_GUARD``, both written into the step's text.
 
 Every step runs in a stride block (:func:`gradient_block`, as TIDES
 generates its Taylor steps): one generated ``for`` loop over the
@@ -76,28 +79,27 @@ def _check_series_order(N: int) -> None:
         raise ValueError(f"series order must be in [1, {MAX_SERIES_ORDER}]")
 
 
+# the solve's stopping increment and divergence guard, step-text literals
+_TOL = 1e-15
+_GUARD = 1e6
+
+
 @dataclass(slots=True)
 class SolverConfig:
-    tol: float = 1e-15
     max_iter: int = 100
-    divergence_guard: float = 1e6
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("need tol > 0 and max_iter >= 1")
+        if self.max_iter < 1:
+            raise ValueError("need max_iter >= 1")
 
 
 @dataclass(frozen=True, slots=True)
 class DeltaRule:
     """Denominator choice for the discrete-gradient step: delta is
     ``fn(sys, x, p, h)``, taken at the step's start point, or at the
-    iterate's midpoint on every iteration when ``midpoint`` is set.  A
-    ``start(sys, x, p, h) -> (delta, xc, pc)`` gives delta at the start
-    point with the step's predictor (xc, pc); without one the step starts
-    from explicit Euler."""
+    iterate's midpoint on every iteration when ``midpoint`` is set."""
     fn: Callable[[HamiltonianSystem, float, float, float], float]
     midpoint: bool = False
-    start: Callable[[HamiltonianSystem, float, float, float], tuple] = None
 
     @classmethod
     def gr(cls):
@@ -118,7 +120,7 @@ class DeltaRule:
     @classmethod
     def series(cls, N):
         _check_series_order(N)
-        return cls(partial(_series_delta, N), start=partial(_series_start, N))
+        return cls(partial(_series_delta, N))
 
     def value_at(self, sys: HamiltonianSystem, s: PhaseState, h: float) -> float:
         """delta at the fixed point s; for slex the midpoint is s itself,
@@ -339,10 +341,6 @@ def _series_delta(N: int, sys: HamiltonianSystem, x, p, h: float) -> float:
     return delta_series(sys, PhaseState(x, p), h, N)
 
 
-def _series_start(N: int, sys: HamiltonianSystem, x, p, h: float) -> tuple:
-    return _series_function(sys, N)(x, p, h)
-
-
 def discrete_gradient_residual(sys: HamiltonianSystem, s_n: PhaseState,
                                s_next: PhaseState, delta: float):
     """Residual (r_x, r_p) of the implicit step equations."""
@@ -397,18 +395,18 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
     """The lines of :func:`gradient_block` for a rule of this kind, which
     they read as ``rule``: before the loop, of one step and after it.
 
-    A step takes delta and the predictor (xc, pc) from the rule's
-    ``start``, or else delta at the start point and explicit Euler.  It
-    freezes the Hessian at the predicted midpoint and solves by simplified
-    Newton on dd_p and dd_x, with delta at the iterate's midpoint on every
-    iteration for a ``midpoint`` rule, which drops the start's delta.
-    delta is h for gr's ``fn``, set once; delta_lex of w^2 from the
-    recorded Hessian, as omega_sq_at forms it, for gr-lex's and gr-slex's,
-    and at (x_bar, 0) once for mod-gr's; any other ``fn`` is called.
-    gr-N's ``start`` is its generated delta, called directly.  The solve
-    stops at an increment <= tol or at round-off stagnation; it raises on
-    a predictor that is not finite, a Hessian that is not a number, an
-    increment past guard and after max_iter iterations."""
+    A step for gr-N's ``fn`` takes the predictor (xc, pc) and delta from
+    gr-N's generated delta, called directly; any other takes explicit
+    Euler and delta at the start point.  It freezes the Hessian at the
+    predicted midpoint and solves by simplified Newton on dd_p and dd_x,
+    with delta at the iterate's midpoint on every iteration for a
+    ``midpoint`` rule whose delta depends on the point.  delta is h for
+    gr's ``fn``, set once; delta_lex of w^2 from the recorded Hessian, as
+    omega_sq_at forms it, for gr-lex's and gr-slex's, and at (x_bar, 0)
+    once for mod-gr's; any other ``fn`` is called.  The solve stops at an
+    increment <= _TOL or at round-off stagnation; it raises on a predictor
+    that is not finite, a Hessian that is not a number, an increment past
+    _GUARD and after max_iter iterations."""
     code = sys._code
     names.update(_STEP_NAMES, sys=sys, series_function=_series_function)
     before = []
@@ -422,7 +420,7 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
         return [*lines, f"w2 = ({hxx}) * ({hpp}) - ({hxp}) ** 2",
                 *_LEX_LINES]
 
-    _, fn, start, midpoint = kind
+    _, fn, midpoint = kind
     delta_at = None             # delta at a point, where it depends on one
     if fn is _gr_delta:
         before = ["delta = h"]
@@ -434,12 +432,9 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
         def delta_at(x, p, local):
             return [f"delta = rule.fn(sys, {x}, {p}, h)"]
 
-    if start is not None:
-        call = "rule.start(sys, x0, p0, h)"
-        if start is _series_start:
-            before.append("series = series_function(sys, rule.start.args[0])")
-            call = "series(x0, p0, h)"
-        step = [f"{'_' if midpoint else 'delta'}, xc, pc = {call}"]
+    if fn is _series_delta:
+        before.append("series = series_function(sys, rule.fn.args[0])")
+        step = [f"{'_' if midpoint else 'delta'}, xc, pc = series(x0, p0, h)"]
         what = "flow start"
     else:
         step = ([] if midpoint or delta_at is None
@@ -462,14 +457,13 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
         "    raise DivergenceError(f'Hessian ({hxx:.3g}, {hxp:.3g}, "
         "{hpp:.3g}) at the predicted midpoint ({xm:.3g}, {pm:.3g}) is not "
         "a number')"]
-    if not midpoint:
-        step += _INVERSE_LINES
-        loop = []
-    elif delta_at is None:
-        loop = list(_INVERSE_LINES)
-    else:
+    if midpoint and delta_at is not None:
         loop = ["xh, ph = 0.5 * (x0 + xc), 0.5 * (p0 + pc)",
                 *delta_at("xh", "ph", "i"), *_INVERSE_LINES]
+    else:
+        # delta and the frozen Hessian are fixed for the step: one J^-1
+        step += _INVERSE_LINES
+        loop = []
     lines, (ddp, ddx) = scalars(("dd_p", "dd_x"), "x0", "p0", "d")
     loop += [
         *lines,
@@ -483,7 +477,7 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
         "inc = abs(dx)",
         "if abs(dp) > inc:",
         "    inc = abs(dp)",
-        "if inc <= tol:",
+        f"if inc <= {_TOL!r}:",
         "    break",
         # round-off stagnation: increments have stopped shrinking at a few
         # ulp of the state scale, which is as converged as doubles get
@@ -491,9 +485,9 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
         "* max(1.0, abs(xc), abs(pc)):",
         "    break",
         "prev_inc = inc",
-        f"if inc > guard or {not_finite('inc')}:",
+        f"if inc > {_GUARD!r} or {not_finite('inc')}:",
         "    raise DivergenceError(f'fixed-point increment {inc:.3g} "
-        "exceeded guard {guard:.3g}')"]
+        f"exceeded guard {_GUARD:.3g}')"]
     before.append("iterations = range(1, max_iter + 1)")
     step += ["inc = prev_inc = inf",
              "for it in iterations:",
@@ -518,21 +512,16 @@ def gradient_block(sys: HamiltonianSystem, rule: DeltaRule):
     """The stride block of rule's implicit steps on sys (see
     :meth:`discgrad.hamiltonian._SystemCode.block`), with rule bound to
     it.  It is made once per system object and rule kind, all that its
-    text depends on: which built-in ``fn`` (gr's, gr-lex's, mod-gr's
-    without a ``start``) or other, which ``start`` (gr-N's, another or
-    none) and ``midpoint``.  A run, :func:`step_gradient_info` and a rule
-    built anew for every step share it; it reads mod-gr's x_bar, gr-N's N
-    and any other ``fn`` or ``start`` from the rule at every call."""
-    fn, start = rule.fn, rule.start
-    if isinstance(fn, partial) and fn.func is _mod_gr_delta:
-        fn = _mod_gr_delta if start is None else None
+    text depends on: which built-in ``fn`` (gr's, gr-lex's, mod-gr's,
+    gr-N's) or another, and ``midpoint``.  A run, :func:`step_gradient_info`
+    and a rule built anew for every step share it; it reads mod-gr's x_bar,
+    gr-N's N and any other ``fn`` from the rule at every call."""
+    fn = rule.fn
+    if isinstance(fn, partial) and fn.func in (_mod_gr_delta, _series_delta):
+        fn = fn.func
     elif fn is not _gr_delta and fn is not _delta_lex_at:
         fn = None
-    if isinstance(start, partial) and start.func is _series_start:
-        start = _series_start
-    elif start is not None:
-        start = True
-    kind = ("step", fn, start, rule.midpoint)
+    kind = ("step", fn, rule.midpoint)
     return partial(sys._code.block(
         kind, lambda names: _gradient_lines(sys, kind, names)), rule=rule)
 
@@ -546,8 +535,7 @@ def one_step(block, s: PhaseState, h: float, cfg: SolverConfig = None):
     if cfg is None:
         cfg = _DEFAULT_CONFIG
     hist = [0] * (cfg.max_iter + 1)
-    x, p = block(s.x, s.p, h, 1, hist, cfg.tol, cfg.max_iter,
-                 cfg.divergence_guard)
+    x, p = block(s.x, s.p, h, 1, hist, cfg.max_iter)
     return PhaseState(x, p), hist.index(1)
 
 

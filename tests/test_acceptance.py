@@ -19,7 +19,7 @@ from discgrad.hamiltonian import (PhaseState, eval_energy, linearize,
 from discgrad.harness import (ExperimentSpec, estimate_order,
                               _final_global_error, run_trajectory)
 from discgrad.reference import pendulum_period
-from discgrad.schemes import (DeltaRule, SolverConfig, delta_series_coefficients,
+from discgrad.schemes import (DeltaRule, delta_series_coefficients,
                               local_exactness_matrix, omega_sq_at,
                               step_gradient)
 
@@ -42,8 +42,7 @@ def test_criterion_02_energy_preservation():
     for scheme in ("gr", "mod-gr", "gr-lex", "gr-slex", "gr-3", "gr-7"):
         rec = run_trajectory(
             ExperimentSpec(scheme=scheme, system="pendulum", p0=1.8,
-                           h=0.25, n_steps=10 ** 5, sample_stride=100),
-            cfg=SolverConfig(tol=1e-15))
+                           h=0.25, n_steps=10 ** 5, sample_stride=100))
         worst[scheme] = max(abs(s.energy_err) for s in rec.samples)
     ok = all(v <= 1e-10 for v in worst.values())
     detail = ", ".join(f"{k} {v:.2e}" for k, v in worst.items())

@@ -311,6 +311,7 @@ def test_finished_code_compiles_once_per_operation_and_order(monkeypatch):
         compiled.append(source)
         return compile(source, *args)
     monkeypatch.setattr(jets_module, "_FINISHED", {})
+    monkeypatch.setattr(jets_module, "_CODE", {})
     monkeypatch.setattr(jets_module, "compile", counting_compile,
                         raising=False)
     for order in (9, 12):

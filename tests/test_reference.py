@@ -1,6 +1,7 @@
 """Elliptic integrals, Jacobi functions and the exact pendulum orbit."""
 
 import math
+import types
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from discgrad import harness, reference
+from discgrad import hamiltonian, harness, jets, reference
 from discgrad.reference import (_AGM_CAP, EquilibriumError,
                                 InfinitePeriodError, _agm_chain, _amplitudes,
                                 _reduce_time, _sn_cn_dn, classify_orbit,
@@ -405,8 +406,27 @@ def test_one_orbit_build_per_run(monkeypatch):
         return reference._exact_orbit(p0)
 
     first = run(1.8)
-    codes = dict(reference._ORBIT_CODE)
+    codes = dict(jets._CODE)
     # the second orbit compiles nothing: it runs the first one's code
     second = run(1.9)
-    assert reference._ORBIT_CODE == codes
+    assert jets._CODE == codes
     assert second is not first and second.__code__ is first.__code__
+
+
+def test_generated_functions_share_one_code_cache(monkeypatch):
+    # the orbit function, the stride block of a stride-1 lf run and a
+    # finished jet operation are all made by jets.generate, so each runs a
+    # code object of its one cache
+    sys = hamiltonian.make_pendulum()
+    monkeypatch.setattr(harness, "system_from_name", lambda name: sys)
+    harness.run_trajectory(harness.ExperimentSpec("lf", "pendulum", 1.8,
+                                                  0.25, 20))
+    made = [reference.exact_solution(1.8), reference.exact_solution(2.5),
+            sys._code.functions["sp-2"],
+            jets._finished(jets._mul, 4, ([0.0] * 4, [0.0] * 4))]
+    # each cached text compiles to a module whose one function is the
+    # generated one
+    defined = [c for code in jets._CODE.values() for c in code.co_consts
+               if isinstance(c, types.CodeType)]
+    for fn in made:
+        assert any(fn.__code__ is c for c in defined), fn

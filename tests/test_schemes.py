@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -11,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from discgrad import hamiltonian, harness, jets
+from discgrad import hamiltonian, harness, jets, schemes
 from discgrad.errors import (DivergenceError, NonConvergenceError,
                              ResonanceStepError, StepError)
 from discgrad.exactlin import exact_step_map
@@ -23,6 +24,7 @@ from discgrad.jets import Jet, gcos, gsin, horner
 from discgrad.schemes import (_DEFLATE_EXTRA, _ROOT_NEAR, DeltaRule,
                               SolverConfig, _cancel_and_divide, _deflate,
                               _parts_function, _plain_amp_limit,
+                              _series_delta, _series_function,
                               _shared_root, delta_lex,
                               delta_series, delta_series_coefficients,
                               discrete_gradient_residual,
@@ -456,7 +458,7 @@ def test_gr_n_start_is_delta_and_its_flow(pendulum):
     for N, s in ((3, PhaseState(0.3, 1.2)), (7, PhaseState(-1.0, -0.8)),
                  (12, PhaseState(1.0, 1e-4))):
         X, P = taylor_flow_coeffs(pendulum, s, N + 2)
-        assert DeltaRule.series(N).start(pendulum, s.x, s.p, 0.25) == (
+        assert _series_function(pendulum, N)(s.x, s.p, 0.25) == (
             delta_series(pendulum, s, 0.25, N), horner(X.coeffs, 0.25),
             horner(P.coeffs, 0.25))
 
@@ -524,7 +526,9 @@ def test_convergence_domain():
 
 def reference_step(sys, rule, s_n, h, cfg=None):
     """The hand-written step the generated one replaced, on the system's
-    own callables: (x, p, iterations), the reference it must equal."""
+    own callables: (x, p, iterations), the reference it must equal.  A
+    gr-N ``fn`` starts from the flow its generated delta computes, any
+    other from explicit Euler."""
     cfg = cfg or SolverConfig()
     x, p = s_n.x, s_n.p
     fn, midpoint = rule.fn, rule.midpoint
@@ -537,16 +541,16 @@ def reference_step(sys, rule, s_n, h, cfg=None):
             return 1.0, 0.0, 0.0, 1.0
         c /= det
         return 1.0 / det + c * hxp, c * hpp, -c * hxx, 1.0 / det - c * hxp
-    start = rule.start
-    if start is None:
+    flow = isinstance(fn, functools.partial) and fn.func is _series_delta
+    if flow:
+        delta, xc, pc = _series_function(sys, fn.args[0])(x, p, h)
+    else:
         delta = None if midpoint else fn(sys, x, p, h)
         xc = x + h * d["p"](x, p)
         pc = p - h * d["x"](x, p)
-    else:
-        delta, xc, pc = start(sys, x, p, h)
     if not (math.isfinite(xc) and math.isfinite(pc)):
         raise DivergenceError(
-            f"{'Euler predictor' if start is None else 'flow start'} "
+            f"{'flow start' if flow else 'Euler predictor'} "
             f"({xc:.3g}, {pc:.3g}) is not finite")
     xm, pm = 0.5 * (x + xc), 0.5 * (p + pc)
     hxx, hxp, hpp = d["xx"](xm, pm), d["xp"](xm, pm), d["pp"](xm, pm)
@@ -564,17 +568,17 @@ def reference_step(sys, rule, s_n, h, cfg=None):
         xc += dx
         pc += dp
         inc = max(abs(dx), abs(dp))
-        if inc <= cfg.tol:
+        if inc <= 1e-15:
             return xc, pc, it
         if (inc >= prev_inc
                 and inc <= 64.0 * 2.220446049250313e-16
                 * max(1.0, abs(xc), abs(pc))):
             return xc, pc, it
         prev_inc = inc
-        if inc > cfg.divergence_guard or not math.isfinite(inc):
+        if inc > 1e6 or not math.isfinite(inc):
             raise DivergenceError(
                 f"fixed-point increment {inc:.3g} exceeded guard "
-                f"{cfg.divergence_guard:.3g}")
+                f"{1e6:.3g}")
     raise NonConvergenceError(
         f"no convergence in {cfg.max_iter} iterations "
         f"(last increment {inc:.3g})")
@@ -676,9 +680,9 @@ def test_step_compiled_once_per_system_and_rule_value():
 
 
 def test_rules_that_share_fn_or_midpoint_run_steps_of_their_own():
-    # rules equal in fn but not in midpoint or start, or in midpoint and
-    # start but not in fn, each run the hand-written step, whichever of
-    # them ran first on the system
+    # rules equal in fn but not in midpoint, or in midpoint but not in fn,
+    # each run the hand-written step, whichever of them ran first on the
+    # system
     gr, lex, slex = DeltaRule.gr(), DeltaRule.lex(), DeltaRule.slex()
     series = DeltaRule.series(3)
     rules = [gr, lex, slex, DeltaRule(lambda sys, x, p, h: 1.01 * h),
@@ -688,8 +692,7 @@ def test_rules_that_share_fn_or_midpoint_run_steps_of_their_own():
              DeltaRule(DeltaRule.mod_gr(0.5).fn, midpoint=True),
              series, DeltaRule(series.fn),
              dataclasses.replace(series, midpoint=True),
-             dataclasses.replace(series, fn=lex.fn),
-             DeltaRule(lex.fn, start=series.start)]
+             dataclasses.replace(series, fn=lex.fn)]
     s = PhaseState(0.3, 1.2)
     for order in (rules, rules[::-1]):
         pendulum = hamiltonian.make_pendulum()
@@ -699,28 +702,70 @@ def test_rules_that_share_fn_or_midpoint_run_steps_of_their_own():
                 rule
 
 
-def test_every_fn_start_and_midpoint_runs_the_hand_written_step():
-    # each built-in fn and a user's, with no start, gr-N's or a user's,
-    # with and without midpoint: a midpoint rule takes delta from fn, not
-    # from its start, and a rule with a start makes no delta of fn's
-    # before it (mod-gr's raises at h w >= pi)
-    series = DeltaRule.series(3)
+def test_every_fn_and_midpoint_runs_the_hand_written_step():
+    # each built-in fn and a user's, with and without midpoint: a midpoint
+    # rule takes delta from fn at the iterate's midpoint, and gr-N's fn
+    # starts from its flow with or without it
     fns = [DeltaRule.gr().fn, DeltaRule.mod_gr(0.3).fn, DeltaRule.lex().fn,
-           series.fn, lambda sys, x, p, h: 1.01 * h]
-    starts = [None, series.start,
-              lambda sys, x, p, h: (1.01 * h, x + h * p, p)]
+           DeltaRule.series(3).fn, lambda sys, x, p, h: 1.01 * h]
     rng = random.Random(27)
     states = [rand_state(rng) for _ in range(10)]
     for sys in _step_systems():
-        for fn, start, midpoint in itertools.product(fns, starts,
-                                                     (False, True)):
-            rule = DeltaRule(fn, midpoint, start)
+        for fn, midpoint in itertools.product(fns, (False, True)):
+            rule = DeltaRule(fn, midpoint)
             for s in states:
                 for h in (0.5, -1.0, 3.5):
                     assert _step_outcome(step_gradient_info, sys, rule, s,
                                          h) \
                         == _step_outcome(reference_step, sys, rule, s, h), \
                         (sys.name, rule, s, h)
+
+
+def test_delta_rule_is_fn_and_midpoint():
+    # the starting guess, tol and the guard belong to the solver
+    assert [f.name for f in dataclasses.fields(DeltaRule)] == ["fn",
+                                                               "midpoint"]
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["max_iter"]
+
+
+def test_gr_n_fn_alone_starts_from_its_flow(pendulum):
+    # a rule made of gr-N's fn alone is gr-N: it starts from the flow, with
+    # the same states and iteration counts
+    rng = random.Random(29)
+    states = [rand_state(rng) for _ in range(20)] + [PhaseState(1.0, 1e-4)]
+    for N in (3, 7, 12):
+        rule, alone = DeltaRule.series(N), DeltaRule(DeltaRule.series(N).fn)
+        for s in states:
+            for h in (0.25, -0.5):
+                assert _step_outcome(step_gradient_info, pendulum, alone, s,
+                                     h) \
+                    == _step_outcome(step_gradient_info, pendulum, rule, s,
+                                     h), (N, s, h)
+    _, its = step_gradient_info(pendulum,
+                                DeltaRule(DeltaRule.series(7).fn),
+                                PhaseState(0.0, 0.02), 0.0125)
+    assert its == 1
+
+
+def test_a_system_compiles_one_step_kind_per_fn_and_midpoint():
+    # rules built anew with values of their own (x_bar, N, a user's
+    # closure) find the step of their kind: the built-in fn or another,
+    # and midpoint, at most 10 kinds
+    pendulum = hamiltonian.make_pendulum()
+    new_fns = [lambda i: DeltaRule.gr().fn,
+               lambda i: DeltaRule.mod_gr(1e-3 * i).fn,
+               lambda i: DeltaRule.lex().fn,
+               lambda i: DeltaRule.series(1 + i % 14).fn,
+               lambda i: lambda sys, x, p, h: (1.0 + 1e-3 * i) * h]
+    s = PhaseState(0.3, 1.2)
+    for new_fn, midpoint in itertools.product(new_fns, (False, True)):
+        for i in range(30):
+            step_gradient(pendulum, DeltaRule(new_fn(i), midpoint), s, 0.25)
+    kinds = {k[1:] for k in pendulum._code.functions
+             if isinstance(k, tuple) and k[0] == "step"}
+    assert kinds == set(itertools.product(
+        [schemes._gr_delta, schemes._mod_gr_delta, schemes._delta_lex_at,
+         _series_delta, None], (False, True)))
 
 
 @pytest.mark.parametrize("system", ["pendulum", "crossterm:0.5"])
@@ -783,8 +828,7 @@ def test_scheme_block_equals_the_hand_written_steps(scheme):
 
                 def by_block():
                     hist = [0] * 101
-                    return (*block(s0.x, s0.p, h, 50, hist, 1e-15, 100,
-                                   1e6), hist)
+                    return (*block(s0.x, s0.p, h, 50, hist, 100), hist)
                 assert outcome(by_block) == outcome(by_hand), (sys.name, s0,
                                                                h)
 
@@ -828,8 +872,6 @@ def test_dd_x_that_makes_a_plain_number_is_divergence(pendulum):
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
 
