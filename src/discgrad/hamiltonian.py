@@ -19,7 +19,7 @@ Each of these seven callables runs only once per system object, when it
 is built, and from no state: on :class:`discgrad.jets.Param` scalars,
 which hold no value and record the arithmetic done on them.  The
 recordings become the code of every stride block, the generated loop that
-makes a run's steps, and, replayed on jets
+makes a run's steps and samples, and, replayed on jets
 on a tape (:class:`discgrad.jets.Jet`) that record the operations they
 see, the partials ``x`` and ``p`` become the flow of every gr-N and tay-N
 call and ``dd_p`` gr-N's delta, with x1 and p1 the flow's jets (a form
@@ -60,6 +60,20 @@ MAX_FLOW_ORDER = 16
 class PhaseState:
     x: float
     p: float
+
+
+@dataclass(slots=True)
+class Sample:
+    """A run's state after n steps, at t = n h, with its energy error
+    H(x, p) - H(x_0, p_0) and, where the run has an exact solution, the
+    global error in the max norm over (x, p) and its mod-2pi phase form."""
+    n: int
+    t: float
+    x: float
+    p: float
+    energy_err: float
+    global_err: float = None
+    global_err_mod: float = None
 
 
 @dataclass(slots=True)
@@ -204,6 +218,7 @@ class _SystemCode:
         self.scalars["dd_p"] = recorded("dd_p", sys.dd_p, x, x1, p, p1)
         self.scalars["dd_x"] = recorded("dd_x", sys.dd_x, x, x1, p, p1)
         self.p_is_leaf = self.scalars["p"] is p   # H_p = p: H = p^2/2 + V(x)
+        self.energy = sys.energy
 
         tape = []
         X, P = Jet([math.nan], tape=tape), Jet([math.nan], tape=tape)
@@ -288,31 +303,68 @@ class _SystemCode:
                                    line) for v in values]
 
     def block(self, key, write):
-        """The stride block ``(x0, p0, h, m, hist, max_iter, rule=None) ->
-        (x, p)`` of one scheme, made once per system object and ``key``:
-        m steps from (x0, p0), each checked to end in a finite state, as
-        one generated ``for`` loop (TIDES's stepping core, Abad et al., ACM
-        TOMS 39, 2012).  ``write(names)`` gives the lines before the loop,
-        the lines of one step, which take (x0, p0) to the next state and
-        count the step's solver iterations in ``hist``, of at most
-        ``max_iter``, and the lines after it, and binds what they call in
-        ``names``, over the float helpers.  A block runs on floats; it
-        raises what a step raises, and does not say which step that
-        was."""
+        """The stride block ``(x0, p0, h, m, hist, max_iter, rule=None,
+        samples=None, stride=1, exact=None) -> (x, p)`` of one scheme, made
+        once per system object and ``key``: m steps from (x0, p0), each
+        checked to end in a finite state, as one generated ``for`` loop
+        (TIDES's stepping core, Abad et al., ACM TOMS 39, 2012).
+        ``write(names)`` gives the lines before the loop, the lines of one
+        step, which take (x0, p0) to the next state and count the step's
+        solver iterations in ``hist``, of at most ``max_iter``, and the
+        lines after it, and binds what they call in ``names``, over the
+        float helpers.
+
+        Given a list ``samples``, the block is a whole run: it walks the m
+        steps in strides of ``stride`` and appends a :class:`Sample` of the
+        start state and of each stride's end state, with the energy error
+        from the system's ``energy`` and, given the exact solution ``exact``
+        (t -> (x, p)), the global errors.  A block runs on floats; it
+        raises what a step or a sample raises, and does not say which step
+        that was."""
         block = self.functions.get(key)
         if block is None:
-            names = {**FLOAT_HELPERS, "DivergenceError": DivergenceError}
+            names = {**FLOAT_HELPERS, "DivergenceError": DivergenceError,
+                     "energy": self.energy, "Sample": Sample,
+                     "remainder": math.remainder}
             before, step, after = write(names)
-            body = [*before, "for _ in range(m):",
-                    *(f"    {line}" for line in step),
-                    f"    if {not_finite('x0', 'p0')}:",
-                    "        raise DivergenceError(f'state ({x0:.3g}, "
+            body = [*before,
+                    "if samples is None:",
+                    "    stride = m",
+                    "else:",
+                    "    _append = samples.append",
+                    "    _e0 = energy(x0, p0)",
+                    "_n = 0",
+                    "while True:",
+                    *(f"    {line}" for line in _SAMPLE_LINES),
+                    "    if _n == m:",
+                    "        break",
+                    "    _k = m - _n if m - _n < stride else stride",
+                    "    _n += _k",
+                    "    for _ in range(_k):",
+                    *(f"        {line}" for line in step),
+                    f"        if {not_finite('x0', 'p0')}:",
+                    "            raise DivergenceError(f'state ({x0:.3g}, "
                     "{p0:.3g}) is not finite')",
                     *after]
             block = self.functions[key] = self.source.compile(
-                "x0, p0, h, m, hist, max_iter, rule=None", body,
-                "x0, p0", names)
+                "x0, p0, h, m, hist, max_iter, rule=None, samples=None, "
+                "stride=1, exact=None", body, "x0, p0", names)
         return block
+
+
+# a block's sample of its state (x0, p0) after _n steps; the locals start
+# with _ so that no step's local is one of them
+_SAMPLE_LINES = [
+    "if samples is not None:",
+    "    _t = _n * h",
+    "    if exact is None:",
+    "        _append(Sample(_n, _t, x0, p0, energy(x0, p0) - _e0))",
+    "    else:",
+    "        _ex, _ep = exact(_t)",
+    "        _dx, _dp = x0 - _ex, abs(p0 - _ep)",
+    "        _g = max(abs(_dx), _dp)",
+    f"        _gm = max(abs(remainder(_dx, {2.0 * math.pi!r})), _dp)",
+    "        _append(Sample(_n, _t, x0, p0, energy(x0, p0) - _e0, _g, _gm))"]
 
 
 def taylor_flow_coeffs(sys: HamiltonianSystem, s: PhaseState, N: int):

@@ -4,7 +4,8 @@ CSV / gnuplot-script emission for the standard benchmark figures.
 A scheme id resolves to one stride block per system object (the implicit
 ones from :func:`discgrad.schemes.gradient_block`, the explicit ones from
 :mod:`discgrad.baselines`): a generated function that runs m steps.  A run
-makes one block call per sample stride.
+is one block call, which walks the run in sample strides and records its
+own samples; only a run that fails calls the block again, one step a call.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from . import baselines, reference, schemes
 from .errors import (DivergenceError, PrecisionFloorWarning,
                      SaturationWarning, StepError, UnsupportedSchemeError)
-from .hamiltonian import (HamiltonianSystem, check_flow_order,
+from .hamiltonian import (HamiltonianSystem, Sample, check_flow_order,
                           system_from_name)
 
 # measured errors below this sit at the round-off floor of a unit-scale state
@@ -49,17 +50,6 @@ class ExperimentSpec:
             raise ValueError(
                 f"need a finite p0 and x0, got p0 = {self.p0!r}, "
                 f"x0 = {self.x0!r}")
-
-
-@dataclass(slots=True)
-class Sample:
-    n: int
-    t: float
-    x: float
-    p: float
-    energy_err: float
-    global_err: float = None
-    global_err_mod: float = None
 
 
 @dataclass(slots=True)
@@ -121,58 +111,49 @@ def run_trajectory(spec: ExperimentSpec,
                    cfg: schemes.SolverConfig = None) -> TrajectoryRecord:
     """Integrate one trajectory, sampling every sample_stride steps.
 
-    The steps of a stride are one call of the scheme's stride block.
-    energy_err is H(s_n) - H(s_0); global_err compares against the exact
-    elliptic-function solution in the max norm over (x, p), with the mod-2pi
-    phase distance as a secondary column.  That solution starts at x = 0, so
-    both columns are None unless the system is the pendulum and x0 = 0.
+    The run is one call of the scheme's stride block, which makes the
+    steps and records the samples.  energy_err is H(s_n) - H(s_0);
+    global_err compares against the exact elliptic-function solution in
+    the max norm over (x, p), with the mod-2pi phase distance as a
+    secondary column.  That solution starts at x = 0, so both columns are
+    None unless the system is the pendulum and x0 = 0.
     """
     sys = system_from_name(spec.system)
     block = _block_maker(spec.scheme)(sys)
     if cfg is None:
         cfg = schemes._DEFAULT_CONFIG
-    want_global = spec.system == "pendulum" and spec.x0 == 0.0
-    if want_global:
+    exact = None
+    if spec.system == "pendulum" and spec.x0 == 0.0:
         exact = reference.exact_solution(spec.p0)      # t -> (x, p)
-    x, p = spec.x0, spec.p0
-    e0 = sys.energy(x, p)
     samples = []
     # solver iterations -> the number of steps that took them
     hist = [0] * (cfg.max_iter + 1)
-
-    def record(n, x, p):
-        t = n * spec.h
-        g = gm = None
-        if want_global:
-            ex, ep = exact(t)
-            dx, dp = x - ex, abs(p - ep)
-            g = max(abs(dx), dp)
-            gm = max(abs(math.remainder(dx, 2.0 * math.pi)), dp)
-        samples.append(Sample(n, t, x, p, sys.energy(x, p) - e0, g, gm))
-
-    # A block checks each step's state as it is made, so a state that
-    # leaves float range fails at the step that made it, and every step
-    # starts from a finite state.  A failed block does not say which of its
-    # steps failed: the stride runs again one step per block call, from its
-    # start state, where the same step fails and gains its index.
     h = spec.h
     t_start = time.perf_counter()
-    record(0, x, p)
-    for start in range(0, spec.n_steps, spec.sample_stride):
-        m = min(spec.sample_stride, spec.n_steps - start)
-        try:
-            x, p = block(x, p, h, m, hist, cfg.max_iter)
-        except (StepError, ArithmeticError, ValueError):
-            for n in range(start + 1, start + m + 1):
-                try:
-                    x, p = block(x, p, h, 1, hist, cfg.max_iter)
-                except StepError as exc:
-                    exc.args = (f"step {n}: {exc}",)
-                    raise
-                except (ArithmeticError, ValueError) as exc:
-                    raise DivergenceError(f"step {n}: {exc} from state "
-                                          f"({x:.3g}, {p:.3g})") from exc
-        record(start + m, x, p)
+    try:
+        block(spec.x0, spec.p0, h, spec.n_steps, hist, cfg.max_iter,
+              samples=samples, stride=spec.sample_stride, exact=exact)
+    except (StepError, ArithmeticError, ValueError):
+        # A block checks each step's state as it is made, so a state that
+        # leaves float range fails at the step that made it, and every
+        # step starts from a finite state.  A failed block does not say
+        # which of its steps failed: the stride after the last sample runs
+        # again from that sample's state, one step per block call, where
+        # the same step fails and gains its index.  Where every step of it
+        # passes, the sample at its end failed, and its error stands.
+        start, x, p = ((samples[-1].n, samples[-1].x, samples[-1].p)
+                       if samples else (0, spec.x0, spec.p0))
+        end = min(start + spec.sample_stride, spec.n_steps)
+        for n in range(start + 1, end + 1):
+            try:
+                x, p = block(x, p, h, 1, hist, cfg.max_iter)
+            except StepError as exc:
+                exc.args = (f"step {n}: {exc}",)
+                raise
+            except (ArithmeticError, ValueError) as exc:
+                raise DivergenceError(f"step {n}: {exc} from state "
+                                      f"({x:.3g}, {p:.3g})") from exc
+        raise
     wall = time.perf_counter() - t_start
     histogram = {k: v for k, v in enumerate(hist) if v}
     meta = {
@@ -219,7 +200,10 @@ def _sweep_entry(args):
 
 def sweep(schemes_list, p0: float, h_list, n_periods: int,
           parallel: bool = True):
-    """Global error for every scheme x h combination, merged in spec order."""
+    """Global error for every scheme x h combination, merged in spec order.
+
+    An entry that fails raises its error; where several fail, the first in
+    spec order does, with or without the pool."""
     if not schemes_list:
         raise ValueError("need at least one scheme")
     for sc in schemes_list:
@@ -239,7 +223,16 @@ def sweep(schemes_list, p0: float, h_list, n_periods: int,
         # package's import time, and only a sweep needs them
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor() as pool:
-            errors = list(pool.map(_sweep_entry, tasks))
+            # the longest entries first, so that no long one starts last;
+            # the results, and the first error, are taken in spec order,
+            # and an error cancels the entries not yet started
+            futures = {i: pool.submit(_sweep_entry, tasks[i]) for i in
+                       sorted(range(len(tasks)), key=lambda i: tasks[i][3],
+                              reverse=True)}
+            try:
+                errors = [futures[i].result() for i in range(len(tasks))]
+            finally:
+                pool.shutdown(cancel_futures=True)
     else:
         errors = [_sweep_entry(t) for t in tasks]
     return [{"scheme": sc, "h": h, "n": n, "t": n * h, "error": err,
@@ -294,6 +287,10 @@ def estimate_order(scheme: str, p0: float, h_list,
 
 # -- output --------------------------------------------------------------
 
+# lines of a trajectory CSV joined per write
+_BLOCK_LINES = 1024
+
+
 def _fmt(v) -> str:
     if v is None:
         return ""
@@ -303,8 +300,8 @@ def _fmt(v) -> str:
 
 
 def _record_lines(samples):
-    """The CSV lines of a trajectory record, each sample through one
-    printf template.
+    """The CSV text of a trajectory record, in blocks of up to _BLOCK_LINES
+    lines, each sample through one printf template.
 
     A record has global errors in every sample or in none, so one template
     serves the whole record.  It prints what csv.writer prints of _fmt's
@@ -313,15 +310,18 @@ def _record_lines(samples):
     an int p0 or x0 given through the API) prints in exponent form.
     """
     yield "n,t,x,p,energy_err,global_err,global_err_mod\r\n"
-    if samples and samples[0].global_err is not None:
-        line = "%d" + ",%.17g" * 6 + "\r\n"
-        for s in samples:
-            yield line % (s.n, s.t, s.x, s.p, s.energy_err, s.global_err,
-                          s.global_err_mod)
-    else:
-        line = "%d" + ",%.17g" * 4 + ",,\r\n"
-        for s in samples:
-            yield line % (s.n, s.t, s.x, s.p, s.energy_err)
+    with_global = samples and samples[0].global_err is not None
+    line = ("%d" + ",%.17g" * 6 + "\r\n" if with_global
+            else "%d" + ",%.17g" * 4 + ",,\r\n")
+    for i in range(0, len(samples), _BLOCK_LINES):
+        block = samples[i:i + _BLOCK_LINES]
+        if with_global:
+            yield "".join([line % (s.n, s.t, s.x, s.p, s.energy_err,
+                                   s.global_err, s.global_err_mod)
+                           for s in block])
+        else:
+            yield "".join([line % (s.n, s.t, s.x, s.p, s.energy_err)
+                           for s in block])
 
 
 def _dict_lines(rows):
@@ -339,7 +339,8 @@ def emit_csv(data, path) -> None:
     """Write a trajectory record or a list of row dicts as CSV.
 
     Floats carry 17 significant digits, so parsing the file recovers them
-    bit for bit.  A record's lines are streamed to the file, not joined.
+    bit for bit.  A record's lines are streamed to the file in blocks of
+    _BLOCK_LINES lines, one write each, so no string holds the whole file.
     """
     lines = (_record_lines(data.samples) if isinstance(data, TrajectoryRecord)
              else _dict_lines(data))

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from discgrad import harness
+from discgrad import harness, reference
 from discgrad.errors import (DivergenceError, NonConvergenceError,
                              PrecisionFloorWarning, SaturationWarning,
                              StepError, UnsupportedSchemeError)
@@ -159,6 +159,55 @@ def test_a_failure_inside_a_stride_names_its_step(scheme, system, p0, h,
         errors.add(str(exc_info.value))
     (error,) = errors
     assert error.startswith(head)
+
+
+@pytest.mark.parametrize("scheme", ["lf", "gr"])
+@pytest.mark.parametrize("n_steps, stride", [(1000, 1), (20, 7)])
+def test_a_run_is_one_block_call(monkeypatch, scheme, n_steps, stride):
+    # the block walks the strides and records the samples itself
+    calls = []
+    block_maker = harness._block_maker
+
+    def counting(sid):
+        make = block_maker(sid)
+
+        def made(sys):
+            block = make(sys)
+
+            def counted(*args, **kwargs):
+                calls.append(args[3])
+                return block(*args, **kwargs)
+            return counted
+        return made
+    monkeypatch.setattr(harness, "_block_maker", counting)
+    rec = run_trajectory(_spec(scheme=scheme, n_steps=n_steps,
+                               sample_stride=stride))
+    assert calls == [n_steps]
+    assert [s.n for s in rec.samples] == [
+        *range(0, n_steps, stride), n_steps]
+
+
+@pytest.mark.parametrize("at", [0.0, 4.0, 10.0])
+@pytest.mark.parametrize("stride", [1, 4])
+def test_a_failing_sample_keeps_its_error(monkeypatch, at, stride):
+    # an oracle error is no step's: it leaves the run as raised, with no
+    # step index, whatever stride the sample ends
+    exact_solution = reference.exact_solution
+
+    def failing(p0):
+        exact = exact_solution(p0)
+
+        def oracle(t):
+            if t == at:
+                raise OverflowError(f"oracle overflow at t = {t}")
+            return exact(t)
+        return oracle
+    monkeypatch.setattr(reference, "exact_solution", failing)
+    with pytest.raises(OverflowError) as exc_info:
+        run_trajectory(_spec(scheme="lf", h=0.5, n_steps=20,
+                             sample_stride=stride))
+    assert type(exc_info.value) is OverflowError
+    assert str(exc_info.value) == f"oracle overflow at t = {at}"
 
 
 @pytest.mark.parametrize("scheme", ["gr-slex", "gr-7"])
@@ -351,6 +400,46 @@ def test_sweep_and_order_failures_report_step_index():
             sweep(["gr", "lf"], 1.8, [50.0], 3, parallel=parallel)
     with pytest.raises(NonConvergenceError, match=r"^step 1: "):
         estimate_order("gr", 1.8, [50.0, 40.0, 30.0], 100.0)
+
+
+def test_sweep_raises_the_first_failing_entry_in_spec_order():
+    # 3 periods at p0 = 1.8 are 27.4: h = 50 is 1 step, which does not
+    # converge, and h = 2 is 14 steps, of which step 7 does not converge;
+    # the pool starts the 14-step entry first
+    for h_list, head in (([50.0, 2.0], "step 1: "),
+                         ([2.0, 50.0], "step 7: ")):
+        for parallel in (False, True):
+            with pytest.raises(NonConvergenceError, match=f"^{head}"):
+                sweep(["gr"], 1.8, h_list, 3, parallel=parallel)
+
+
+def test_sweep_submits_the_longest_entry_first(monkeypatch):
+    import concurrent.futures
+
+    submitted = []
+
+    class Pool:
+        # runs each entry when it is submitted
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, task):
+            submitted.append(task)
+            future = concurrent.futures.Future()
+            future.set_result(fn(task))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    rows = sweep(["lf", "gr"], 1.8, [0.4, 0.1, 0.2], 1)
+    assert [t[3] for t in submitted] == [91, 91, 46, 46, 23, 23]
+    assert [t[0] for t in submitted] == ["lf", "gr"] * 3
+    assert rows == sweep(["lf", "gr"], 1.8, [0.4, 0.1, 0.2], 1,
+                         parallel=False)
 
 
 def test_estimate_order_gr():
