@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import DivergenceError
-from .jets import (FLOAT_HELPERS, Jet, Param, TapeSource, _const, _wrap,
-                   gcos, gsin, gsinc, replay, scalar_text)
+from .jets import (FLOAT_HELPERS, Jet, Param, TapeSource, _const, _over,
+                   _wrap, gcos, gsin, gsinc, live_lines, replay, scalar_text)
 
 PARTIAL_KEYS = ("x", "p", "xx", "xp", "pp")
 
@@ -240,25 +240,42 @@ class _SystemCode:
                                        for f in (fx, fp, dd))
         self.functions = {}
 
+    def _flow_body(self, n: int):
+        """Every line of the flow to order n, and the names of its
+        coefficients x0 .. xn and p0 .. pn."""
+        body = []
+        for k in range(n):
+            body += self.source.lines(k, self._flow)
+            body += [f"x{k + 1} = {_over(f'{self._fx}{k}', k + 1)}",
+                     f"p{k + 1} = {_over(f'{self._fp}{k}', -(k + 1))}"]
+        return body, [f"{v}{k}" for v in "xp" for k in range(n + 1)]
+
     def flow_lines(self, N: int) -> list:
         """Lines that compute the flow coefficients x1 .. xN and p1 .. pN
-        from the parameters x0 and p0."""
-        body = []
-        for k in range(N):
-            body += self.source.lines(k, self._flow)
-            body += [f"x{k + 1} = {self._fx}{k} / {k + 1}",
-                     f"p{k + 1} = -{self._fp}{k} / {k + 1}"]
-        return body
+        from the parameters x0 and p0: x{k+1} = fx_k / (k+1) and p{k+1} =
+        fp_k / -(k+1), with ``/ 1`` and ``/ -1`` folded at k = 0 as the jet
+        operations fold ``1 *`` and ``/ 1`` (the zero seed of their sums is
+        no identity and stays; see :mod:`discgrad.jets`).  Only live lines
+        are kept (:func:`discgrad.jets.live_lines`): an assignment that
+        cannot raise and that no later line and no coefficient x0 .. xN,
+        p0 .. pN reads is dropped, such as the pendulum's top cosine
+        coefficient, which only coefficient N + 1 would read.  Every value
+        check and helper call stays, and every value but a NaN's sign bit
+        is the one the unfolded, unpruned lines compute."""
+        return live_lines(*self._flow_body(N))
 
     def parts_lines(self, n: int):
         """Lines that compute the flow (X, P) through (x0, p0) to order n
         and dd_p(x0, X, p0, P) on it, and the texts of coefficients 0 .. n
-        of X - x0 and of dd_p."""
-        dd = [line for k in range(n + 1)
-              for line in self.source.lines(k, self._dd)]
+        of X - x0 and of dd_p.  As in :meth:`flow_lines`, only live lines
+        are kept, with x0 .. xn, p0 .. pn and dd_p's coefficients read
+        after them."""
+        body, outputs = self._flow_body(n)
+        body += [line for k in range(n + 1)
+                 for line in self.source.lines(k, self._dd)]
+        dd = [f"{self._d}{k}" for k in range(n + 1)]
         num = ["x0 - x0"] + [f"x{k}" for k in range(1, n + 1)]
-        return (self.flow_lines(n) + dd, num,
-                [f"{self._d}{k}" for k in range(n + 1)])
+        return live_lines(body, outputs + dd), num, dd
 
     def scalar_lines(self, keys, params: dict, local: str, names: dict):
         """Lines and texts that compute the recorded scalars ``keys`` on

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 
 from .errors import SingularJetDivisionError
 
@@ -62,6 +63,31 @@ from .errors import SingularJetDivisionError
 # f"{name}{j}", and each scalar is the name of its value in the generated
 # function.  A factor used by every k (``j * a[j]``, the zero seed
 # ``0.0 * s[0]``) is computed once, into a local of its own.
+#
+# The texts fold the identity operations at k = 1: ``1 * v`` and ``v / 1``
+# are written ``v``.  A negated quotient is written as a division by -k
+# (``-v`` at k = 1), as IEEE division rounds sign-symmetrically.  So every
+# value is the one the unfolded text computes, bit for bit; only a NaN's
+# sign bit, which no output shows, may differ.  The zero seed is no
+# identity and stays: a sum of -0.0 terms is -0.0, and the seed +0.0 makes
+# it +0.0, so it sets the sign of a zero coefficient.  From x = 0, p = -0.0
+# the pendulum's sin series has s1 = +0.0 by its seed, so p2 = s1 / -2 is
+# -0.0 and tay-N keeps p = -0.0.  Which lines of a text a caller reads is
+# known only to the caller; :func:`live_lines` drops the rest.
+
+
+def _times(k, v):
+    """The text of k * v for an integer k >= 1, with k = 1 folded."""
+    return v if k == 1 else f"{k} * {v}"
+
+
+def _over(text, k):
+    """The text of (text) / k for an integer k != 0, with k = 1 and k = -1
+    folded: (text) and -(text)."""
+    if k == 1:
+        return text
+    group = text if text.isidentifier() else f"({text})"
+    return f"-{group}" if k == -1 else f"{group} / {k}"
 
 
 # each check passes a Param, at recording: its value is not known until
@@ -137,15 +163,18 @@ def _exp(k, out, a):
         return [f"{out}0 = gexp({a}0)"]
     s = "".join(f" + {out}j{j} * {out}{k - j}" for j in range(1, k + 1))
     return ([f"{out}z = 0.0 * {out}0"] if k == 1 else []) + [
-        f"{out}j{k} = {k} * {a}{k}", f"{out}{k} = ({out}z{s}) / {k}"]
+        f"{out}j{k} = {_times(k, f'{a}{k}')}",
+        f"{out}{k} = {_over(f'{out}z{s}', k)}"]
 
 
 def _log(k, out, a):
     if k == 0:
         return [f"_require_log({a}0)", f"{out}0 = glog({a}0)"]
     s = "".join(f" - {out}j{j} * {a}{k - j}" for j in range(1, k))
-    return ([f"{out}j{k - 1} = {k - 1} * {out}{k - 1}"] if k > 1 else []) + [
-        f"{out}{k} = ({a}{k} * {k}{s}) / ({k} * {a}0)"]
+    den = f"{a}0" if k == 1 else f"({k} * {a}0)"
+    return ([f"{out}j{k - 1} = {_times(k - 1, f'{out}{k - 1}')}"]
+            if k > 1 else []) + [
+        f"{out}{k} = ({_times(k, f'{a}{k}')}{s}) / {den}"]
 
 
 def _pow_log(k, out, a):
@@ -161,8 +190,9 @@ def _sin_cos(k, s, c, a):
     ts = "".join(f" + {s}j{j} * {c}{k - j}" for j in range(1, k + 1))
     tc = "".join(f" + {s}j{j} * {s}{k - j}" for j in range(1, k + 1))
     return ([f"{s}z = 0.0 * {s}0"] if k == 1 else []) + [
-        f"{s}j{k} = {k} * {a}{k}", f"{s}{k} = ({s}z{ts}) / {k}",
-        f"{c}{k} = -(({s}z{tc}) / {k})"]
+        f"{s}j{k} = {_times(k, f'{a}{k}')}",
+        f"{s}{k} = {_over(f'{s}z{ts}', k)}",
+        f"{c}{k} = {_over(f'{s}z{tc}', -k)}"]
 
 
 def _sqrt(k, out, a):
@@ -431,6 +461,31 @@ def scalar_text(v, known, param, constant, line):
 def _emit_param(k, name, text):
     # a Param is computed once, with coefficient 0
     return [f"{name} = {text}"] if k == 0 else []
+
+
+# in a text, what can raise: a call, a power and a division by anything
+# but a nonzero integer literal
+_MAY_RAISE = re.compile(r"\w\s*\(|\*\*|/(?!\s*-?[1-9]\d*\b(?!\.))")
+_NAME = re.compile(r"[A-Za-z_]\w*")
+
+
+def live_lines(lines, outputs):
+    """The straight-line ``lines`` less every assignment whose name no
+    later kept line and no name in ``outputs`` reads, where its text cannot
+    raise: it makes no call, no power and no division but by a nonzero
+    integer literal.  Every check and helper call stays, so the code raises
+    what it raised and computes the same ``outputs``."""
+    read = set(outputs)
+    kept = []
+    for line in reversed(lines):
+        name, is_assignment, text = line.partition(" = ")
+        if (is_assignment and name not in read and name.isidentifier()
+                and not _MAY_RAISE.search(text)):
+            continue
+        read.update(_NAME.findall(line))
+        kept.append(line)
+    kept.reverse()
+    return kept
 
 
 # generated source text -> its code object.  The text names scalars, never

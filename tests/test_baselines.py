@@ -328,3 +328,15 @@ def test_kick_drift_block_rejects_nonseparable():
                                  "'crossterm:0.5'"):
             run_trajectory(ExperimentSpec(scheme, "crossterm:0.5", 1.0, 0.25,
                                           10))
+
+
+def test_taylor_keeps_a_negative_zero_momentum():
+    # from (0, -0.0) sin's series sums its -0.0 terms onto its zero seed
+    # 0.0 * sin(0) = +0.0, so p2 = s1 / -2 and every p_k is -0.0, and p
+    # stays -0.0 at every step; without the seed p2 and p would be +0.0
+    for scheme in ("tay-3", "tay-10"):
+        rec = run_trajectory(ExperimentSpec(scheme, "pendulum", -0.0, 0.25,
+                                            40, sample_stride=1))
+        assert len(rec.samples) == 41
+        for s in rec.samples:
+            assert s.x == 0.0 and math.copysign(1.0, s.p) == -1.0, s

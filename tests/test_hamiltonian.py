@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -12,8 +13,12 @@ from discgrad.hamiltonian import (MAX_FLOW_ORDER, HamiltonianSystem,
                                   linearize, make_crossterm, make_harmonic,
                                   make_pendulum, system_from_name,
                                   taylor_flow_coeffs)
+from discgrad import jets
+from discgrad.baselines import taylor_block
+from discgrad.harness import make_stepper
 from discgrad.jets import Jet, gcos, gexp, glog, gpow, gsin, gsqrt, horner
-from discgrad.schemes import delta_series, delta_series_coefficients
+from discgrad.schemes import (_parts_function, _series_function, delta_series,
+                              delta_series_coefficients)
 
 
 def rand_state(rng, span=2.5):
@@ -434,3 +439,43 @@ def test_kick_drift_structure_is_read_from_the_recording(pendulum):
                           partials=dict(pendulum.partials),
                           dd_x=pendulum.dd_x, dd_p=pendulum.dd_p,
                           quadratic_kinetic=True)
+
+
+# an assignment "name = text" whose text makes no call; an identity
+# operation k = 1 leaves in a text
+_CALL_FREE = re.compile(r"\s*([A-Za-z_]\w*) = ((?:(?!\w\s*\().)+)")
+_IDENTITY = re.compile(r"/ 1\b(?!\.)|(?<![\w.])1 \*")
+
+
+@pytest.mark.parametrize("name", ["pendulum", "harmonic:1.3",
+                                  "crossterm:0.5"])
+def test_generated_jet_texts_write_only_what_is_read(name, monkeypatch):
+    # the flow, parts and gr-N delta functions and the tay-N and gr-N
+    # blocks: every call-free assignment is read somewhere in its text, and
+    # no identity operation is left
+    texts = []
+    generate = jets.generate
+
+    def spy(params, body, result, namespace):
+        texts.append("\n".join([*body, result]))
+        return generate(params, body, result, namespace)
+    monkeypatch.setattr(jets, "generate", spy)
+    sys, s = system_from_name(name), PhaseState(0.4, 1.0)
+    code = sys._code
+    for N in range(1, MAX_FLOW_ORDER + 1):
+        taylor_flow_coeffs(sys, s, N)
+        taylor_block(sys, N)
+    for N in range(1, 15):
+        _series_function(sys, N)
+        make_stepper(f"gr-{N}", sys)
+    for N in range(1, 19):          # the deflation's orders included
+        _parts_function(code, N)
+    # each flow and tay-N block, each delta, the one gr-N block, each parts
+    assert len(texts) >= 2 * MAX_FLOW_ORDER + 14 + 1 + 18
+    for text in texts:
+        assert not _IDENTITY.search(text), text
+        for line in text.splitlines():
+            m = _CALL_FREE.fullmatch(line)
+            if m:
+                reads = re.findall(rf"\b{m[1]}\b", text)
+                assert len(reads) >= 2, f"{m[1]} is never read: {line}"

@@ -45,9 +45,10 @@ def test_make_stepper_ids(pendulum):
         make_stepper("verlet3", pendulum)
     with pytest.raises(UnsupportedSchemeError):
         make_stepper("sp-3", pendulum)
-    # gr-N needs N + 2 flow coefficients; the flow series stops at 16
+    # the delta series' order stops at schemes.MAX_SERIES_ORDER = 14,
+    # checked when the id is resolved
     for sid in ("gr-15", "gr-16"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\[1, 14\]"):
             make_stepper(sid, pendulum)
     # tay-N is the flow series itself, checked when the id is resolved
     for sid in ("tay-0", "tay-17"):
