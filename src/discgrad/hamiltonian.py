@@ -259,7 +259,9 @@ class _SystemCode:
         are kept (:func:`discgrad.jets.live_lines`): an assignment that
         cannot raise and that no later line and no coefficient x0 .. xN,
         p0 .. pN reads is dropped, such as the pendulum's top cosine
-        coefficient, which only coefficient N + 1 would read.  Every value
+        coefficient, which only coefficient N + 1 would read, and a plain
+        copy whose name is no coefficient is folded into its readers,
+        such as the ``sj1 = x1`` of a sine at k = 1.  Every value
         check and helper call stays, and every value but a NaN's sign bit
         is the one the unfolded, unpruned lines compute."""
         return live_lines(*self._flow_body(N))
@@ -277,15 +279,17 @@ class _SystemCode:
         num = ["x0 - x0"] + [f"x{k}" for k in range(1, n + 1)]
         return live_lines(body, outputs + dd), num, dd
 
-    def scalar_lines(self, keys, params: dict, local: str, names: dict):
+    def scalar_lines(self, keys, params: dict, local: str, names: dict,
+                     held=None):
         """Lines and texts that compute the recorded scalars ``keys`` on
         floats, with each parameter (x, p, x1, p1) written as ``params``
-        names it: an operation whose result is used more than once into a
-        local f"{local}<i>", any other inside the text that uses it, a
-        finite constant as its literal and any other scalar by a name bound
-        in ``names``; ``gsinc`` as the expression its float function
-        computes.  So the code makes the recorded operations in their
-        order."""
+        names it: an operation whose text is a key of ``held`` as the
+        local it names, which holds that value, an operation whose result
+        is used more than once into a local f"{local}<i>", any other inside
+        the text that uses it, a finite constant as its literal and any
+        other scalar by a name bound in ``names``; ``gsinc`` as the
+        expression its float function computes.  So the code makes the
+        recorded operations in their order, less those ``held`` holds."""
         values = [self.scalars[k] for k in keys]
         uses = {}
 
@@ -300,6 +304,8 @@ class _SystemCode:
         lines, known = [], {}
 
         def line(v, text):
+            if held and text in held:
+                return held[text]
             if v.expr[0] == "gsinc({})":
                 # without a call; one name _u serves every nesting, as a
                 # conditional expression tests before it evaluates a branch

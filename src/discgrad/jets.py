@@ -73,7 +73,8 @@ from .errors import SingularJetDivisionError
 # it +0.0, so it sets the sign of a zero coefficient.  From x = 0, p = -0.0
 # the pendulum's sin series has s1 = +0.0 by its seed, so p2 = s1 / -2 is
 # -0.0 and tay-N keeps p = -0.0.  Which lines of a text a caller reads is
-# known only to the caller; :func:`live_lines` drops the rest.
+# known only to the caller; :func:`live_lines` drops the rest and folds the
+# plain copies an identity leaves (``sj1 = a1``, ``v4_k = p_k``).
 
 
 def _times(k, v):
@@ -451,11 +452,21 @@ def scalar_text(v, known, param, constant, line):
         fmt, *operands = v.expr
         texts = (scalar_text(a, known, param, constant, line)
                  for a in operands)
-        # an operand that is not a name, a negative literal included, in
-        # parentheses
-        name = known[id(v)] = line(v, fmt.format(
-            *(t if t.isidentifier() else f"({t})" for t in texts)))
+        name = known[id(v)] = line(v, fmt.format(*map(operand, texts)))
     return name
+
+
+# an unsigned number literal, as repr writes a finite float or an int
+_UNSIGNED = re.compile(r"\d+(?:\.\d*)?(?:e[+-]?\d+)?")
+
+
+def operand(text):
+    """``text`` as an operand of an operation: a name or an unsigned number
+    literal as it is, any other text, a negative literal included, in
+    parentheses."""
+    if text.isidentifier() or _UNSIGNED.fullmatch(text):
+        return text
+    return f"({text})"
 
 
 def _emit_param(k, name, text):
@@ -469,13 +480,37 @@ _MAY_RAISE = re.compile(r"\w\s*\(|\*\*|/(?!\s*-?[1-9]\d*\b(?!\.))")
 _NAME = re.compile(r"[A-Za-z_]\w*")
 
 
+# (lines, outputs) -> the lines live_lines keeps.  Every system object
+# writes its texts anew, and objects of one structure write the same ones
+_LIVE = {}
+
+
 def live_lines(lines, outputs):
-    """The straight-line ``lines`` less every assignment whose name no
-    later kept line and no name in ``outputs`` reads, where its text cannot
-    raise: it makes no call, no power and no division but by a nonzero
-    integer literal.  Every check and helper call stays, so the code raises
-    what it raised and computes the same ``outputs``."""
-    read = set(outputs)
+    """The straight-line ``lines``, which assign each name once, less
+    every plain copy ``a = b`` whose name is no output, its readers reading
+    b, and less every assignment whose name no later kept line and no name
+    in ``outputs`` reads, where its text cannot raise: it makes no call, no
+    power and no division but by a nonzero integer literal.  Every check
+    and helper call stays, so the code raises what it raised and computes
+    the same ``outputs``.  Worked out once per process for each text, into
+    ``_LIVE``; the list returned is new."""
+    key = (tuple(lines), tuple(outputs))
+    kept = _LIVE.get(key)
+    if kept is None:
+        kept = _LIVE[key] = _live_lines(lines, set(outputs))
+    return list(kept)
+
+
+def _live_lines(lines, read):
+    source = {}
+    for line in lines:
+        name, _, text = line.partition(" = ")
+        if text.isidentifier() and name.isidentifier() and name not in read:
+            source[name] = source.get(text, text)
+    if source:
+        copies = re.compile(rf"\b(?:{'|'.join(source)})\b")
+        lines = [copies.sub(lambda m: source[m[0]], line) for line in lines
+                 if line.partition(" = ")[0] not in source]
     kept = []
     for line in reversed(lines):
         name, is_assignment, text = line.partition(" = ")
@@ -484,8 +519,7 @@ def live_lines(lines, outputs):
             continue
         read.update(_NAME.findall(line))
         kept.append(line)
-    kept.reverse()
-    return kept
+    return tuple(reversed(kept))
 
 
 # generated source text -> its code object.  The text names scalars, never

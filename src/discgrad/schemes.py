@@ -56,6 +56,7 @@ the operations of the system's own callables in their order.  A run and
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -66,7 +67,8 @@ from .hamiltonian import HamiltonianSystem, PhaseState, linearize, not_finite
 # not called here, where the series delta is generated code, but
 # perfbench/tracer.py patches it under this module's name
 from .hamiltonian import taylor_flow_coeffs  # noqa: F401
-from .jets import FLOAT_HELPERS, _div, _finished, horner, horner_text
+from .jets import (_UNSIGNED, FLOAT_HELPERS, _div, _finished, horner,
+                   horner_text, operand)
 
 # past N = 14 the error rises again at larger h (pendulum p0 1.8, h 0.5:
 # gr-14 1.2e-10, gr-18 4.4e-9, gr-22 1.4e-5): the delta series has a finite
@@ -358,27 +360,70 @@ def discrete_gradient_residual(sys: HamiltonianSystem, s_n: PhaseState,
 _MIN_NEWTON_DET = 0.5
 
 
-# The lines that set j11 .. j22, the row-major entries of J^{-1} for
-# J = I - c A with c = delta/2 and A = [[H_xp, H_pp], [-H_xx, -H_xp]] of the
-# frozen Hessian hxx, hxp, hpp.  A^2 = -w^2 I with w^2 = H_xx H_pp - H_xp^2,
-# so J^{-1} = (I + c A) / (1 + c^2 w^2); J = I where |det J| is below
-# _MIN_NEWTON_DET or not finite
-_INVERSE_LINES = ["c = 0.5 * delta",
-                  "det = 1.0 + c * c * (hxx * hpp - hxp * hxp)",
-                  f"if {_MIN_NEWTON_DET!r} <= abs(det) < inf:",
-                  "    c /= det",
-                  "    j11 = 1.0 / det + c * hxp",
-                  "    j12 = c * hpp",
-                  "    j21 = -c * hxx",
-                  "    j22 = 1.0 / det - c * hxp",
-                  "else:",
-                  "    j11, j12, j21, j22 = 1.0, 0.0, 0.0, 1.0"]
+# The step texts fold what the recording knows.  A recorded partial that is
+# a plain constant (every built-in system's H_xp and H_pp) is written as
+# its literal, and two identities of IEEE arithmetic, exact for every
+# float, -0.0, inf and NaN included, drop operations on literals:
+# a * 1.0 is a, and a - 0.0 is a.  a + 0.0 (-0.0 + 0.0 is +0.0) and
+# 0.0 * a (0.0 * inf is NaN) are no identities and stay.  So every value
+# is the one the unfolded text computes, bit for bit.
 
-# delta = delta_lex(w2, h) with w2 set, in delta_lex's operations, checks
-# and messages
-_LEX_LINES = ["if h == 0.0:",
-              "    raise ValueError('h must be nonzero')",
-              f"if w2 > {_DEGENERATE_OMEGA_SQ!r}:",
+def _literal(text):
+    """The number that ``text`` writes where it is a literal, as repr
+    writes a finite float or an int, else None."""
+    return float(text) if _UNSIGNED.fullmatch(text.lstrip("-")) else None
+
+
+def _times(a, b):
+    """The text of a * b, with a factor that is the literal 1.0 folded."""
+    if b == "1.0":
+        return a
+    if a == "1.0":
+        return b
+    return f"{operand(a)} * {operand(b)}"
+
+
+def _omega_sq(hxx, hxp, hpp, square):
+    """The text of hxx * hpp - square, square being hxp's, folded: a zero
+    literal hxp has the square 0.0, whose subtraction is dropped."""
+    product = _times(hxx, hpp)
+    return product if _literal(hxp) == 0 else f"{product} - {square}"
+
+
+def _inverse_lines(hxx, hxp, hpp):
+    """The lines that set j11 .. j22, the row-major entries of J^{-1} for
+    J = I - c A with c = delta/2 and A = [[H_xp, H_pp], [-H_xx, -H_xp]] of
+    the frozen Hessian, whose entries are the texts hxx, hxp, hpp: a name
+    or a literal.  A^2 = -w^2 I with w^2 = H_xx H_pp - H_xp^2, so
+    J^{-1} = (I + c A) / (1 + c^2 w^2); J = I where |det J| is below
+    _MIN_NEWTON_DET or not finite.
+
+    Besides the 1.0 and 0.0 folds, a zero literal hxp makes j11 and j22
+    one 1.0 / det: in the branch det is finite, so c is (c * c * w^2 would
+    be inf or NaN otherwise) and 1.0 / det is finite and nonzero, and
+    adding or subtracting c * hxp, a zero, leaves it as it is."""
+    if _literal(hxp) == 0:
+        diagonal = ["    j11 = j22 = 1.0 / det"]
+    else:
+        diagonal = [f"    j11 = 1.0 / det + {_times('c', hxp)}",
+                    f"    j22 = 1.0 / det - {_times('c', hxp)}"]
+    w2 = _omega_sq(hxx, hxp, hpp, f"{hxp} * {hxp}")
+    return ["c = 0.5 * delta",
+            f"det = 1.0 + c * c * {operand(w2)}",
+            f"if {_MIN_NEWTON_DET!r} <= abs(det) < inf:",
+            "    c /= det",
+            *diagonal,
+            f"    j12 = {_times('c', hpp)}",
+            f"    j21 = -{_times('c', hxx)}",
+            "else:",
+            "    j11, j12, j21, j22 = 1.0, 0.0, 0.0, 1.0"]
+
+
+# delta_lex's first check, and then delta = delta_lex(w2, h) with w2 set,
+# in delta_lex's operations, checks and messages
+_NONZERO_H = ["if h == 0.0:",
+              "    raise ValueError('h must be nonzero')"]
+_LEX_LINES = [f"if w2 > {_DEGENERATE_OMEGA_SQ!r}:",
               "    w = sqrt(w2)",
               "    if abs(h) * w >= pi:",
               "        raise ResonanceStepError(f'h*omega = {abs(h) * w:.3g} "
@@ -389,6 +434,18 @@ _LEX_LINES = ["if h == 0.0:",
               "    delta = 2.0 / mu * tanh(0.5 * h * mu)",
               "else:",
               "    delta = h + h ** 3 * w2 / 12.0"]
+
+# the midpoint of the step's start (x0, p0) and its iterate (xc, pc), by
+# coordinate
+_MIDPOINT = {"x": "0.5 * (x0 + xc)", "p": "0.5 * (p0 + pc)"}
+
+
+def _midpoint_lines(x, p, lines):
+    """The lines that set the midpoint coordinates named x and p that
+    ``lines`` read, and each one's text -> its name."""
+    read = set(re.findall(r"\w+", "\n".join(lines)))
+    held = {_MIDPOINT[k]: v for k, v in (("x", x), ("p", p)) if v in read}
+    return [f"{v} = {text}" for text, v in held.items()], held
 
 
 def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
@@ -406,18 +463,28 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
     once for mod-gr's; any other ``fn`` is called.  The solve stops at an
     increment <= _TOL or at round-off stagnation; it raises on a predictor
     that is not finite, a Hessian that is not a number, an increment past
-    _GUARD and after max_iter iterations."""
+    _GUARD and after max_iter iterations.
+
+    The lines fold what the recording knows as they are written: a
+    literal Hessian entry is no local and has no NaN test, and w^2 and
+    J^{-1} drop the 1.0 and 0.0 operations on it (:func:`_inverse_lines`).
+    A midpoint coordinate is set only where a later line reads it (an
+    error message formats its own), and on an iteration dd_p and dd_x read
+    it where they would compute its text.  So every value, error and
+    message is the unfolded text's."""
     code = sys._code
     names.update(_STEP_NAMES, sys=sys, series_function=_series_function)
     before = []
 
-    def scalars(keys, x, p, local):
+    def scalars(keys, x, p, local, held=None):
         return code.scalar_lines(
-            keys, {"x": x, "p": p, "x1": "xc", "p1": "pc"}, local, names)
+            keys, {"x": x, "p": p, "x1": "xc", "p1": "pc"}, local, names,
+            held)
 
-    def lex(x, p, local):
+    def lex(x, p, local, h_test=True):
         lines, (hxx, hxp, hpp) = scalars(("xx", "xp", "pp"), x, p, local)
-        return [*lines, f"w2 = ({hxx}) * ({hpp}) - ({hxp}) ** 2",
+        w2 = _omega_sq(hxx, hxp, hpp, f"{operand(hxp)} ** 2")
+        return [*lines, f"w2 = {w2}", *(_NONZERO_H if h_test else ()),
                 *_LEX_LINES]
 
     _, fn, midpoint = kind
@@ -441,34 +508,55 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
                 else delta_at("x0", "p0", "s"))
         # explicit Euler predictor, O(h^2) off the fixed point
         lines, (hp, hx) = scalars(("p", "x"), "x0", "p0", "e")
-        step += [*lines, f"xc = x0 + h * ({hp})", f"pc = p0 - h * ({hx})"]
+        step += [*lines, f"xc = x0 + h * {operand(hp)}",
+                 f"pc = p0 - h * {operand(hx)}"]
         what = "Euler predictor"
     lines, hessian = scalars(("xx", "xp", "pp"), "xm", "pm", "m")
+    # the frozen Hessian: a literal entry as its text, any other in a local
+    # with a NaN test, as a second partial that overflows at a finite
+    # midpoint (inf - inf, 0 * inf) would otherwise only turn the solve
+    # into the J = I one
+    frozen, computed = [], {}
+    for name, text in zip(("hxx", "hxp", "hpp"), hessian):
+        if _literal(text) is None:
+            computed[name] = text
+            text = name
+        frozen.append(text)
+    if computed:
+        lines += [
+            f"{', '.join(computed)} = {', '.join(computed.values())}",
+            f"if {' or '.join(f'{v} != {v}' for v in computed)}:",
+            "    raise DivergenceError(f'Hessian ("
+            + ", ".join(f"{{{v}:.3g}}" for v in frozen)
+            + f") at the predicted midpoint ({{{_MIDPOINT['x']}:.3g}}, "
+            f"{{{_MIDPOINT['p']}:.3g}}) is not a number')"]
     step += [
         f"if {not_finite('xc', 'pc')}:",
         f"    raise DivergenceError(f'{what} ({{xc:.3g}}, {{pc:.3g}}) is "
         "not finite')",
-        "xm, pm = 0.5 * (x0 + xc), 0.5 * (p0 + pc)",
-        *lines,
-        "hxx, hxp, hpp = " + ", ".join(hessian),
-        # a second partial that overflows at a finite midpoint (inf - inf,
-        # 0 * inf) would otherwise only turn the solve into the J = I one
-        "if hxx != hxx or hxp != hxp or hpp != hpp:",
-        "    raise DivergenceError(f'Hessian ({hxx:.3g}, {hxp:.3g}, "
-        "{hpp:.3g}) at the predicted midpoint ({xm:.3g}, {pm:.3g}) is not "
-        "a number')"]
+        *_midpoint_lines("xm", "pm", lines)[0],
+        *lines]
     if midpoint and delta_at is not None:
-        loop = ["xh, ph = 0.5 * (x0 + xc), 0.5 * (p0 + pc)",
-                *delta_at("xh", "ph", "i"), *_INVERSE_LINES]
+        # delta_lex's h test does not depend on the iteration.  On the
+        # first one only w^2's lines run before it, at the predicted
+        # midpoint, where the Hessian's lines, the same operations, ran;
+        # with a zero literal H_xp, w^2's own line has no power and cannot
+        # raise.  So the test raises before the loop what it raised there
+        hoist = delta_at is lex and _literal(hessian[1]) == 0
+        at = lex("xh", "ph", "i", False) if hoist else delta_at("xh", "ph",
+                                                                "i")
+        mid, held = _midpoint_lines("xh", "ph", at)
+        step += _NONZERO_H if hoist else []
+        loop = [*mid, *at, *_inverse_lines(*frozen)]
     else:
         # delta and the frozen Hessian are fixed for the step: one J^-1
-        step += _INVERSE_LINES
-        loop = []
-    lines, (ddp, ddx) = scalars(("dd_p", "dd_x"), "x0", "p0", "d")
+        step += _inverse_lines(*frozen)
+        loop, held = [], None
+    lines, (ddp, ddx) = scalars(("dd_p", "dd_x"), "x0", "p0", "d", held)
     loop += [
         *lines,
-        f"rx = x0 + delta * ({ddp}) - xc",
-        f"rp = p0 - delta * ({ddx}) - pc",
+        f"rx = x0 + delta * {operand(ddp)} - xc",
+        f"rp = p0 - delta * {operand(ddx)} - pc",
         "dx = j11 * rx + j12 * rp",
         "dp = j21 * rx + j22 * rp",
         "xc += dx",
@@ -485,7 +573,8 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
         "* max(1.0, abs(xc), abs(pc)):",
         "    break",
         "prev_inc = inc",
-        f"if inc > {_GUARD!r} or {not_finite('inc')}:",
+        # past the guard, inf and NaN included, in one test
+        f"if not inc <= {_GUARD!r}:",
         "    raise DivergenceError(f'fixed-point increment {inc:.3g} "
         f"exceeded guard {_GUARD:.3g}')"]
     before.append("iterations = range(1, max_iter + 1)")

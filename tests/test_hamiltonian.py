@@ -479,3 +479,19 @@ def test_generated_jet_texts_write_only_what_is_read(name, monkeypatch):
             if m:
                 reads = re.findall(rf"\b{m[1]}\b", text)
                 assert len(reads) >= 2, f"{m[1]} is never read: {line}"
+
+
+@pytest.mark.parametrize("name", ["pendulum", "harmonic:1.3",
+                                  "crossterm:0.5"])
+def test_flow_and_parts_lines_keep_only_output_copies(name):
+    # a plain copy a = b is folded into its readers unless a is an output,
+    # such as x1 = p0: dd_p's p + P would otherwise copy P's coefficients
+    code = system_from_name(name)._code
+    texts = [(code.flow_lines(N), []) for N in range(1, MAX_FLOW_ORDER + 1)]
+    texts += [(body, dd) for body, _, dd in map(code.parts_lines,
+                                                range(1, 19))]
+    for body, dd in texts:
+        for line in body:
+            copy = re.fullmatch(r"(\w+) = (\w+)", line)
+            assert not copy or re.fullmatch(r"[xp]\d+", copy[1]) \
+                or copy[1] in dd, line

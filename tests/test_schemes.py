@@ -1,6 +1,8 @@
 """Discrete-gradient steps and the denominator-function variants."""
 
+import ast
 import cmath
+import collections
 import dataclasses
 import functools
 import itertools
@@ -554,6 +556,10 @@ def reference_step(sys, rule, s_n, h, cfg=None):
             f"({xc:.3g}, {pc:.3g}) is not finite")
     xm, pm = 0.5 * (x + xc), 0.5 * (p + pc)
     hxx, hxp, hpp = d["xx"](xm, pm), d["xp"](xm, pm), d["pp"](xm, pm)
+    if math.isnan(hxx) or math.isnan(hxp) or math.isnan(hpp):
+        raise DivergenceError(
+            f"Hessian ({hxx:.3g}, {hxp:.3g}, {hpp:.3g}) at the predicted "
+            f"midpoint ({xm:.3g}, {pm:.3g}) is not a number")
     if not midpoint:
         j11, j12, j21, j22 = newton_inverse(0.5 * delta, hxx, hxp, hpp)
     inc = prev_inc = math.inf
@@ -766,6 +772,149 @@ def test_a_system_compiles_one_step_kind_per_fn_and_midpoint():
     assert kinds == set(itertools.product(
         [schemes._gr_delta, schemes._mod_gr_delta, schemes._delta_lex_at,
          _series_delta, None], (False, True)))
+
+
+def _literal_value(node):
+    """The value of an expression made of number literals alone, else
+    None."""
+    if all(isinstance(n, (ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator,
+                          ast.unaryop)) for n in ast.walk(node)):
+        return eval(compile(ast.Expression(node), "<text>", "eval"))
+    return None
+
+
+def _reads_outside_raises(tree):
+    """How often each name is read, messages of raised errors left out."""
+    reads = collections.Counter()
+
+    def walk(node):
+        if isinstance(node, ast.Raise):
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads[node.id] += 1
+        for child in ast.iter_child_nodes(node):
+            walk(child)
+    walk(tree)
+    return reads
+
+
+@pytest.mark.parametrize("name", ["pendulum", "harmonic:1.3",
+                                  "crossterm:0.5"])
+def test_step_texts_fold_the_recorded_constants(name, monkeypatch):
+    # the 10 kinds of implicit block (each built-in fn and a user's, with
+    # and without midpoint): no * 1.0 and no - 0.0 is left, no Hessian
+    # entry the recording knows is a local, so no NaN test and no product
+    # reads one, and every midpoint coordinate set is read outside an error
+    # message
+    texts = []
+    generate = jets.generate
+
+    def spy(params, body, result, namespace):
+        if params.startswith("x0, p0, h, m, hist"):
+            texts.append("\n    ".join([f"def generated({params}):", *body,
+                                        f"return {result}"]))
+        return generate(params, body, result, namespace)
+    monkeypatch.setattr(jets, "generate", spy)
+    sys = system_from_name(name)
+    fns = [DeltaRule.gr().fn, DeltaRule.mod_gr(0.3).fn, DeltaRule.lex().fn,
+           DeltaRule.series(3).fn, lambda sys, x, p, h: 1.01 * h]
+    for fn, midpoint in itertools.product(fns, (False, True)):
+        step_gradient(sys, DeltaRule(fn, midpoint), PhaseState(0.3, 1.2),
+                      0.25)
+    assert len(texts) == 10
+    for text in texts:
+        tree = ast.parse(text)
+        literal = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                target, value = node.targets[-1], node.value
+                pairs = (zip(target.elts, value.elts)
+                         if isinstance(target, ast.Tuple)
+                         and isinstance(value, ast.Tuple)
+                         else [(target, value)])
+                literal.update(t.id for t, v in pairs
+                               if isinstance(t, ast.Name)
+                               and _literal_value(v) is not None)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                assert 1 not in map(_literal_value, (node.left, node.right)), \
+                    ast.unparse(node)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+                assert _literal_value(node.right) != 0, ast.unparse(node)
+            if (isinstance(node, ast.Compare)
+                    and isinstance(node.ops[0], ast.NotEq)
+                    and ast.dump(node.left) == ast.dump(node.comparators[0])):
+                assert _literal_value(node.left) is None, ast.unparse(node)
+                assert getattr(node.left, "id", None) not in literal, \
+                    ast.unparse(node)
+        assert not literal & {"hxx", "hxp", "hpp"}, text
+        reads = _reads_outside_raises(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) \
+                    and node.id in ("xm", "pm", "xh", "ph"):
+                assert reads[node.id], f"{node.id} is never read:\n{text}"
+
+
+_EDGE_RULES = {"gr": DeltaRule.gr(), "gr-lex": DeltaRule.lex(),
+               "gr-slex": DeltaRule.slex(), "mod-gr": DeltaRule.mod_gr(0.0),
+               "mod-gr near pi": DeltaRule.mod_gr(3.0),
+               "gr-3": DeltaRule.series(3)}
+
+
+def _hex_outcome(step, *args):
+    """step(*args) as the float hex of x and p and the iterations, or the
+    type and message of what it raised."""
+    try:
+        out = step(*args)
+    except (ArithmeticError, ValueError, StepError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out[0], PhaseState):
+        out = (out[0].x, out[0].p, out[1])
+    x, p, iterations = out
+    if not (math.isfinite(x) and math.isfinite(p)):
+        # as a step ends that does not end in a finite state
+        return "DivergenceError", f"state ({x:.3g}, {p:.3g}) is not finite"
+    return x.hex(), p.hex(), iterations
+
+
+def _nan_hessian_systems():
+    # inf - inf and 0 * inf at a finite midpoint, in each entry: the other
+    # two stay the literals the recording knows
+    pendulum = hamiltonian.make_pendulum()
+    overflow = {
+        "xx": lambda x, p: gcos(x) + (x * 1e300 * 1e300 - x * 1e300 * 1e300),
+        "xp": lambda x, p: 0.0 * (x * 1e300 * 1e300),
+        "pp": lambda x, p: 1.0 + 0.0 * (p * 1e300 * 1e300)}
+    return [dataclasses.replace(pendulum, name=f"nan-{key}", partials=dict(
+        pendulum.partials, **{key: f})) for key, f in overflow.items()]
+
+
+@pytest.mark.parametrize("rule", _EDGE_RULES)
+def test_folded_step_equals_the_hand_written_one_at_edge_states(rule):
+    # the folds hold where IEEE arithmetic is at its edges: the J = I
+    # fallback (the pendulum near x = pi, where det = 1 + c^2 cos(x_m) is
+    # below 0.5 for delta > sqrt(2), and 0 at gr's h = 2 from pi), det
+    # overflowing to inf (h 1e200), signed zeros and subnormals, h = +-0
+    # (gr-lex and gr-slex raise, gr-slex before its loop), a Hessian that
+    # is not a number at a finite midpoint, and an H_xp whose square
+    # overflows (crossterm:1e200), which keeps gr-slex's h test in the loop
+    rule = _EDGE_RULES[rule]
+    near_pi = [PhaseState(x, p) for x in (math.pi, 3.1, 3.2, -math.pi)
+               for p in (0.0, 1e-3, -0.05)]
+    signed = [PhaseState(x, p) for x in (0.0, -0.0, 5e-324, -1e-310)
+              for p in (0.0, -0.0, 5e-324, -2.5e-308)]
+    cases = [(s, h) for s in near_pi for h in (1.5, 2.0, -2.0, 3.0)]
+    cases += [(s, h) for s in near_pi + signed
+              for h in (1e200, -1e200, 0.0, -0.0, 5e-324, 0.25)]
+    cases += [(PhaseState(x, p), 1e200) for x, p in ((0.3, 1.2), (0.0, 0.0),
+                                                     (1.0, -1.0))]
+    systems = [system_from_name(name) for name in (
+        "pendulum", "harmonic:1.3", "crossterm:0.5", "crossterm:1e200")]
+    for sys in systems + _nan_hessian_systems():
+        for s, h in cases + [(PhaseState(0.3, 1.2), 0.25),
+                             (PhaseState(0.3, 1.2), 0.0)]:
+            assert _hex_outcome(step_gradient_info, sys, rule, s, h) \
+                == _hex_outcome(reference_step, sys, rule, s, h), \
+                (sys.name, s, h)
 
 
 @pytest.mark.parametrize("system", ["pendulum", "crossterm:0.5"])
