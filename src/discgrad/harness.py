@@ -6,14 +6,19 @@ ones from :func:`discgrad.schemes.gradient_block`, the explicit ones from
 :mod:`discgrad.baselines`): a generated function that runs m steps.  A run
 is one block call, which walks the run in sample strides and records its
 own samples; only a run that fails calls the block again, one step a call.
+
+:func:`run_trajectory` builds its system anew at every call.  The entries
+of a sweep or an order estimate share one system object per name and
+process, so a process records the pendulum and writes each scheme's block
+once, not once per entry.
 """
 
 from __future__ import annotations
 
-import csv
+import functools
 import io
 import math
-import statistics
+import operator
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -42,6 +47,13 @@ class ExperimentSpec:
     sample_stride: int = 1
 
     def __post_init__(self):
+        for name in ("n_steps", "sample_stride"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"need an integer {name}, got {name} = "
+                                 f"{value!r}") from None
         if (not 0.0 < self.h < math.inf or self.n_steps < 1
                 or self.sample_stride < 1):
             raise ValueError(
@@ -117,8 +129,16 @@ def run_trajectory(spec: ExperimentSpec,
     the max norm over (x, p), with the mod-2pi phase distance as a
     secondary column.  That solution starts at x = 0, so both columns are
     None unless the system is the pendulum and x0 = 0.
+
+    Each call builds its system from spec.system, so each records it and
+    writes its scheme's block anew.
     """
-    sys = system_from_name(spec.system)
+    return _run(spec, system_from_name(spec.system), cfg)
+
+
+def _run(spec: ExperimentSpec, sys: HamiltonianSystem,
+         cfg: schemes.SolverConfig) -> TrajectoryRecord:
+    """run_trajectory on the system object sys, which spec.system names."""
     block = _block_maker(spec.scheme)(sys)
     if cfg is None:
         cfg = schemes._DEFAULT_CONFIG
@@ -169,9 +189,16 @@ def run_trajectory(spec: ExperimentSpec,
     return TrajectoryRecord(samples, meta)
 
 
+# the system of every sweep entry and order point, one object per name in
+# a process: its recording and its generated blocks serve every entry
+_entry_system = functools.cache(system_from_name)
+
+
 def _final_global_error(scheme: str, p0: float, h: float, n: int) -> float:
+    """The final global error of an n-step pendulum run from (0, p0): what
+    run_trajectory reports, on the process's one pendulum object."""
     spec = ExperimentSpec(scheme, "pendulum", p0, h, n, sample_stride=n)
-    return run_trajectory(spec).samples[-1].global_err
+    return _run(spec, _entry_system("pendulum"), None).samples[-1].global_err
 
 
 def _step_counts(target: float, h_list, name: str) -> list:
@@ -280,6 +307,9 @@ def estimate_order(scheme: str, p0: float, h_list,
     ]
     if len(used) < 2:
         return OrderEstimate(None, pair_slopes, used, excluded)
+    # imported here: only an order fit needs it, and it takes several
+    # modules with it
+    import statistics
     slope = statistics.linear_regression(
         [math.log(h) for h, _ in used], [math.log(e) for _, e in used]).slope
     return OrderEstimate(slope, pair_slopes, used, excluded)
@@ -326,6 +356,7 @@ def _record_lines(samples):
 
 def _dict_lines(rows):
     """The CSV text of row dicts, with the first row's keys as header."""
+    import csv                # only row dicts need it
     rows = list(rows)
     keys = list(rows[0].keys()) if rows else []
     out = io.StringIO(newline="")

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from discgrad import harness, reference
+from discgrad import hamiltonian, harness, reference
 from discgrad.errors import (DivergenceError, NonConvergenceError,
                              PrecisionFloorWarning, SaturationWarning,
                              StepError, UnsupportedSchemeError)
@@ -33,6 +33,55 @@ def test_spec_validation():
         _spec(n_steps=0)
     with pytest.raises(ValueError):
         _spec(sample_stride=0)
+
+
+def test_spec_rejects_a_non_integer_count():
+    # a float count used to build a spec whose run failed in the block,
+    # after the first sample, with a bare TypeError
+    for field, value in (("n_steps", 2.5), ("sample_stride", 1.5),
+                         ("n_steps", 100.0), ("sample_stride", 100.0),
+                         ("n_steps", "100")):
+        with pytest.raises(ValueError, match=f"need an integer {field}, "
+                           f"got {field} = {value!r}"):
+            _spec(**{field: value})
+    # what operator.index accepts is a count
+    spec = _spec(n_steps=np.int64(20), sample_stride=np.int32(5))
+    assert [s.n for s in run_trajectory(spec).samples] == [0, 5, 10, 15, 20]
+
+
+def _count_systems(monkeypatch):
+    """A list that gains an entry at every system object built."""
+    built, init = [], hamiltonian._SystemCode.__init__
+
+    def counting(self, sys):
+        built.append(sys.name)
+        init(self, sys)
+    monkeypatch.setattr(hamiltonian._SystemCode, "__init__", counting)
+    return built
+
+
+def test_sweep_and_order_entries_share_one_system(monkeypatch):
+    # every entry of a serial sweep, and every point of an order estimate,
+    # runs on the process's one pendulum object: it is recorded once
+    built = _count_systems(monkeypatch)
+    harness._entry_system.cache_clear()
+    rows = sweep(["gr", "gr-3", "sp-4"], 1.8, [0.2, 0.1, 0.05], 1,
+                 parallel=False)
+    assert len(rows) == 9 and built == ["pendulum"]
+    harness._entry_system.cache_clear()
+    built.clear()
+    est = estimate_order("gr", 1.8, [0.2, 0.1, 0.05, 0.025], 2.0)
+    assert len(est.used) == 4 and built == ["pendulum"]
+
+
+def test_each_trajectory_builds_its_own_system(monkeypatch):
+    # run_trajectory (so every integrate) records its system anew at each
+    # call; perfbench's counter test needs that, since it counts the jet
+    # operations a recording makes in each round
+    built = _count_systems(monkeypatch)
+    for _ in range(2):
+        run_trajectory(_spec(n_steps=3))
+    assert built == ["pendulum", "pendulum"]
 
 
 def test_make_stepper_ids(pendulum):
@@ -335,11 +384,13 @@ def test_sweep_resolves_every_id_before_running(monkeypatch):
 
 
 def test_sweep_error_is_the_trajectory_final_error():
-    # a sweep entry is one run_trajectory, whether it ran in a worker or not
+    # a sweep entry, run on the process's shared pendulum in a worker or
+    # not, reports bit for bit what a run_trajectory on a pendulum of its
+    # own does
+    schemes = ["gr", "gr-lex", "gr-slex", "gr-3", "gr-7", "sp-4", "tay-10"]
     for parallel in (False, True):
-        rows = sweep(["gr", "gr-7", "sp-4", "tay-10"], 1.8, [0.2, 0.1], 1,
-                     parallel=parallel)
-        assert len(rows) == 8
+        rows = sweep(schemes, 1.8, [0.2, 0.1], 1, parallel=parallel)
+        assert len(rows) == 2 * len(schemes)
         for r in rows:
             rec = run_trajectory(_spec(scheme=r["scheme"], h=r["h"],
                                        n_steps=r["n"], sample_stride=r["n"]))
