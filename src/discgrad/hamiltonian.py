@@ -15,17 +15,19 @@ A system meets one contract, checked once when it is built.  It supplies
   written in a form that does not cancel as x1 -> x or p1 -> p (these
   keep the implicit solver convergent to round-off near turning points).
 
-Each of these seven callables runs only once per system object, when it
-is built, and from no state: on :class:`discgrad.jets.Param` scalars,
-which hold no value and record the arithmetic done on them.  The
-recordings become the code of every stride block, the generated loop that
-makes a run's steps and samples, and, replayed on jets
-on a tape (:class:`discgrad.jets.Jet`) that record the operations they
-see, the partials ``x`` and ``p`` become the flow of every gr-N and tay-N
-call and ``dd_p`` gr-N's delta, with x1 and p1 the flow's jets (a form
-that never divides by p1 - p runs on them as it is).  All of it runs from
-each call's own state, value checks included.  So these seven must be
-pure functions of their arguments, with no side effects; they may use
+Each of these eight callables is recorded once per system object, when
+it is built, and from no state: on :class:`discgrad.jets.Param` scalars,
+which hold no value and record the arithmetic done on them; no run calls
+them after that (``energy`` stays public, for ``eval_energy`` and
+``eval_partials``).  The recordings become the code of every stride
+block, the generated loop that makes a run's steps and its samples' H.
+Replayed on jets on a tape
+(:class:`discgrad.jets.Jet`) that record the operations they see, the
+partials ``x`` and ``p`` become the flow of every gr-N and tay-N call and
+``dd_p`` gr-N's delta, with x1 and p1 the flow's jets (a form that never
+divides by p1 - p runs on them as it is).  All of it runs from each
+call's own state, value checks included.  So these eight must be pure
+functions of their arguments, with no side effects; they may use
 only ``+ - * /`` and ``**`` between their arguments and scalars, unary
 minus and the helpers ``gsin``, ``gcos``, ``gexp``, ``glog``, ``gsqrt``
 and ``gpow`` (and ``gsinc``, in ``dd_x`` and the second partials, which
@@ -34,9 +36,9 @@ their own.  A recording is straight-line and its arguments hold no
 number, so a callable that branches on an argument or takes a number out
 of one (a comparison, a truth test, ``abs``, ``float``, ``math.sin``)
 breaks the contract, and building the system raises a ValueError that
-names it.  A built system is immutable and its ``partials`` a read-only
-mapping, so what it recorded cannot go stale; ``dataclasses.replace``
-builds a variant, which records anew.
+names it, ``energy`` included.  A built system is immutable and its
+``partials`` a read-only mapping, so what it recorded cannot go stale;
+``dataclasses.replace`` builds a variant, which records anew.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ from types import MappingProxyType
 
 from .errors import DivergenceError
 from .jets import (FLOAT_HELPERS, Jet, Param, TapeSource, _const, _over,
-                   _wrap, gcos, gsin, gsinc, live_lines, replay, scalar_text)
+                   _wrap, gcos, gsin, gsinc, live_lines, operand, replay,
+                   scalar_text)
 
 PARTIAL_KEYS = ("x", "p", "xx", "xp", "pp")
 
@@ -172,14 +175,15 @@ def not_finite(*names) -> str:
 
 
 class _SystemCode:
-    """A system object's partials, ``dd_p`` and ``dd_x``, recorded once
-    from no state, and the functions generated from them, by key
-    (``functions``).
+    """A system object's partials, ``dd_p``, ``dd_x`` and ``energy``,
+    recorded once from no state, and the functions generated from them, by
+    key (``functions``).
 
     Each callable runs once, on :class:`discgrad.jets.Param` scalars named
     ``x``, ``p`` (and ``x1``, ``p1`` for the divided differences), which
     hold no value; ``scalars`` keeps what each returned, by key (``x`` ..
-    ``pp``, ``dd_p``, ``dd_x``), as the expression that computes it.  The
+    ``pp``, ``dd_p``, ``dd_x``, ``energy``), as the expression that
+    computes it; a stride block writes ``energy``'s into its samples.  The
     ``p`` and ``x`` partials are then replayed on the leaf jets X and P of
     one tape, which hold NaN, and ``dd_p`` on x, X, p and P, with x and p
     the Params named ``x0`` and ``p0``, the parameters of every generated
@@ -217,8 +221,8 @@ class _SystemCode:
                         for key in PARTIAL_KEYS}
         self.scalars["dd_p"] = recorded("dd_p", sys.dd_p, x, x1, p, p1)
         self.scalars["dd_x"] = recorded("dd_x", sys.dd_x, x, x1, p, p1)
+        self.scalars["energy"] = recorded("energy", sys.energy, x, p)
         self.p_is_leaf = self.scalars["p"] is p   # H_p = p: H = p^2/2 + V(x)
-        self.energy = sys.energy
 
         tape = []
         X, P = Jet([math.nan], tape=tape), Jet([math.nan], tape=tape)
@@ -340,25 +344,27 @@ class _SystemCode:
         Given a list ``samples``, the block is a whole run: it walks the m
         steps in strides of ``stride`` and appends a :class:`Sample` of the
         start state and of each stride's end state, with the energy error
-        from the system's ``energy`` and, given the exact solution ``exact``
-        (t -> (x, p)), the global errors.  A block runs on floats; it
-        raises what a step or a sample raises, and does not say which step
-        that was."""
+        from the recorded ``energy`` (:func:`_sample_lines`) and, given the
+        exact solution ``exact`` (t -> (x, p)), the global errors.  A block
+        runs on floats; it raises what a step or a sample raises, and does
+        not say which step that was."""
         block = self.functions.get(key)
         if block is None:
             names = {**FLOAT_HELPERS, "DivergenceError": DivergenceError,
-                     "energy": self.energy, "Sample": Sample,
-                     "remainder": math.remainder}
+                     "Sample": Sample, "remainder": math.remainder}
             before, step, after = write(names)
+            lines, (energy,) = self.scalar_lines(
+                ("energy",), {"x": "x0", "p": "p0"}, "_eh", names)
             body = [*before,
                     "if samples is None:",
                     "    stride = m",
                     "else:",
                     "    _append = samples.append",
-                    "    _e0 = energy(x0, p0)",
+                    *(f"    {line}" for line in lines),
+                    f"    _e0 = {energy}",
                     "_n = 0",
                     "while True:",
-                    *(f"    {line}" for line in _SAMPLE_LINES),
+                    *(f"    {line}" for line in _sample_lines(lines, energy)),
                     "    if _n == m:",
                     "        break",
                     "    _k = m - _n if m - _n < stride else stride",
@@ -375,19 +381,37 @@ class _SystemCode:
         return block
 
 
-# a block's sample of its state (x0, p0) after _n steps; the locals start
-# with _ so that no step's local is one of them
-_SAMPLE_LINES = [
-    "if samples is not None:",
-    "    _t = _n * h",
-    "    if exact is None:",
-    "        _append(Sample(_n, _t, x0, p0, energy(x0, p0) - _e0))",
-    "    else:",
-    "        _ex, _ep = exact(_t)",
-    "        _dx, _dp = x0 - _ex, abs(p0 - _ep)",
-    "        _g = max(abs(_dx), _dp)",
-    f"        _gm = max(abs(remainder(_dx, {2.0 * math.pi!r})), _dp)",
-    "        _append(Sample(_n, _t, x0, p0, energy(x0, p0) - _e0, _g, _gm))"]
+def _sample_lines(lines, energy):
+    """The lines of a block's sample of its state (x0, p0) after _n steps,
+    with H(x0, p0) the text ``energy`` after its ``lines``, as
+    :meth:`_SystemCode.scalar_lines` writes the recorded energy.  They
+    call the helpers the energy calls, ``exact`` and ``Sample``, and max
+    and remainder only where |_dx| > pi or is NaN.
+
+    H comes before the oracle.  A run passes ``exact`` only for the
+    pendulum, whose H raises on no finite state, so a sample raises what
+    the oracle raises, as when it called the system's ``energy`` after it.
+    max(abs(_dx), _dp) is written as the test max makes, so a NaN _dx
+    stays.  The mod-2pi error needs no remainder where |_dx| <= pi: the
+    float 2pi is exactly twice the float pi, so the IEEE remainder of _dx
+    by it is _dx itself there, at a tie included, and that error is _g.  A
+    NaN _dx fails the test and takes the remainder.  The locals start with
+    _ so that no step's local is one of them."""
+    return ["if samples is not None:",
+            "    _t = _n * h",
+            *(f"    {line}" for line in lines),
+            f"    _e = {operand(energy)} - _e0",
+            "    if exact is None:",
+            "        _append(Sample(_n, _t, x0, p0, _e))",
+            "    else:",
+            "        _ex, _ep = exact(_t)",
+            "        _dx, _dp = x0 - _ex, abs(p0 - _ep)",
+            "        _g = abs(_dx)",
+            "        if _dp > _g:",
+            "            _g = _dp",
+            f"        _gm = _g if abs(_dx) <= {math.pi!r} else "
+            f"max(abs(remainder(_dx, {2.0 * math.pi!r})), _dp)",
+            "        _append(Sample(_n, _t, x0, p0, _e, _g, _gm))"]
 
 
 def taylor_flow_coeffs(sys: HamiltonianSystem, s: PhaseState, N: int):

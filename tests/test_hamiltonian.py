@@ -19,6 +19,7 @@ from discgrad.harness import make_stepper
 from discgrad.jets import Jet, gcos, gexp, glog, gpow, gsin, gsqrt, horner
 from discgrad.schemes import (_parts_function, _series_function, delta_series,
                               delta_series_coefficients)
+from test_baselines import _quartic
 
 
 def rand_state(rng, span=2.5):
@@ -495,3 +496,68 @@ def test_flow_and_parts_lines_keep_only_output_copies(name):
             copy = re.fullmatch(r"(\w+) = (\w+)", line)
             assert not copy or re.fullmatch(r"[xp]\d+", copy[1]) \
                 or copy[1] in dd, line
+
+
+def _energy_function(sys):
+    """The recorded energy of sys as a function of floats, written as a
+    stride block writes it."""
+    names = dict(jets.FLOAT_HELPERS)
+    lines, (text,) = sys._code.scalar_lines(("energy",), {"x": "x", "p": "p"},
+                                            "_eh", names)
+    return jets.generate("x, p", lines, text, names)
+
+
+def _energy_states(rng, n):
+    """n states: plain, log-uniform magnitudes of either sign, signed zeros,
+    subnormals and +-1e300 in each coordinate."""
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1e300, -1e300]
+
+    def coordinate(i):
+        kind = i % 4
+        if kind == 0:
+            return rng.uniform(-3.0, 3.0)
+        if kind == 1:
+            return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320, 300)
+        return rng.choice(special) if kind == 2 else rng.uniform(-1e3, 1e3)
+    return [(coordinate(i), coordinate(i // 4 + rng.randrange(4)))
+            for i in range(n)]
+
+
+def _outcome_of(f, x, p):
+    try:
+        v = f(x, p)
+    except Exception as exc:                # noqa: BLE001 - compared below
+        return type(exc), str(exc)
+    return float, v.hex()
+
+
+@pytest.mark.parametrize("sys", [
+    make_pendulum(), make_harmonic(1.3), make_crossterm(0.5),
+    _relativistic_softplus(), _drift(), _quartic()], ids=lambda sys: sys.name)
+def test_recorded_energy_equals_the_energy_callable(sys, rng):
+    # the text a sample computes H with gives what sys.energy gives, bit for
+    # bit, or raises the same error
+    recorded = _energy_function(sys)
+    raised = 0
+    for x, p in _energy_states(rng, 3000):
+        want = _outcome_of(sys.energy, x, p)
+        assert _outcome_of(recorded, x, p) == want, (x, p)
+        raised += want[0] is not float
+    if sys.name == "relativistic-softplus":
+        assert raised > 0               # log, exp and power errors compared
+
+
+def test_recorded_energy_text_of_the_pendulum():
+    # on the float helpers, with no call but the cosine
+    lines, (text,) = make_pendulum()._code.scalar_lines(
+        ("energy",), {"x": "x0", "p": "p0"}, "_eh", {})
+    assert (lines, text) == ([], "((0.5 * p0) * p0) - (gcos(x0))")
+
+
+def test_an_energy_that_cannot_be_recorded_fails_at_build(pendulum):
+    with pytest.raises(ValueError, match=r"'pendulum': energy: .*system "
+                                         r"contract allows no branches"):
+        dataclasses.replace(pendulum,
+                            energy=lambda x, p: 0.5 * p * p - math.cos(x))
+    with pytest.raises(ValueError, match=r"'pendulum': energy returned a jet"):
+        dataclasses.replace(pendulum, energy=lambda x, p: Jet([1.0, 0.0]))

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from discgrad import hamiltonian, harness, reference
+from discgrad import hamiltonian, harness, jets, reference
 from discgrad.errors import (DivergenceError, NonConvergenceError,
                              PrecisionFloorWarning, SaturationWarning,
                              StepError, UnsupportedSchemeError)
@@ -137,6 +137,40 @@ def test_global_error_only_for_the_reference_orbit():
         rec = run_trajectory(_spec(n_steps=20, sample_stride=10, **kw))
         assert all(s.global_err is None and s.global_err_mod is None
                    for s in rec.samples)
+
+
+def test_global_errors_are_max_norms_of_the_exact_state():
+    # lf at h 0.5 from p0 1.8: the phase error passes pi on many samples, so
+    # both ways of the mod-2pi column are taken
+    rec = run_trajectory(_spec(scheme="lf", h=0.5, n_steps=4000,
+                               sample_stride=1))
+    assert len(rec.samples) == 4001
+    past_pi = 0
+    for s in rec.samples:
+        want = reference.pendulum_exact(1.8, s.n * 0.5)
+        dx, dp = s.x - want.x, abs(s.p - want.p)
+        assert s.global_err.hex() == max(abs(dx), dp).hex(), s
+        assert s.global_err_mod.hex() == max(
+            abs(math.remainder(dx, 2.0 * math.pi)), dp).hex(), s
+        past_pi += abs(dx) > math.pi
+    assert 100 < past_pi < 4000
+
+
+@pytest.mark.parametrize("scheme", ["lf", "sp-4", "gr"])
+def test_sample_lines_call_no_energy(scheme, monkeypatch):
+    # a sample computes H from the recorded energy, in the block's text
+    texts = []
+    generate = jets.generate
+
+    def spy(params, body, result, namespace):
+        texts.append("\n".join(body))
+        return generate(params, body, result, namespace)
+    monkeypatch.setattr(jets, "generate", spy)
+    make_stepper(scheme, make_pendulum())
+    (text,) = texts
+    assert "_append(Sample(" in text
+    assert "energy(" not in text
+    assert "gcos(x0)" in text
 
 
 def test_iteration_statistics():

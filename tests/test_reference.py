@@ -1,6 +1,7 @@
 """Elliptic integrals, Jacobi functions and the exact pendulum orbit."""
 
 import math
+import re
 import types
 from fractions import Fraction
 
@@ -352,10 +353,11 @@ def _per_call_exact(p0, t):
     return (x, 2.0 / k * _sn_cn_dn(phi0, phi1, k)[2]), fallback
 
 
-# empty chains (1e-9, 1e153), a one-ratio chain (3e-8), both sides of the
-# separatrix at 1e-9 and the separatrix itself
-ORACLE_P0 = [1e-9, 3e-8, 0.0213, 1.8, 1.999999999, 2.0, 2.000000001, 2.001,
-             5.0, 1e6, 1e153]
+# empty chains (5e-324, 1e-9, 1e153), a one-ratio chain (3e-8), both sides
+# of the separatrix at 1e-9 and at one ulp, and the separatrix itself
+ORACLE_P0 = [5e-324, 1e-9, 3e-8, 0.0213, 1.8, 1.999999999,
+             math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0),
+             2.000000001, 2.001, 5.0, 1e6, 1e153]
 
 
 def test_generated_oracle_matches_per_call_route(rng):
@@ -373,15 +375,49 @@ def test_generated_oracle_matches_per_call_route(rng):
     assert fallbacks > 0
 
 
-def test_generated_clamps_match_min_max():
-    # no orbit reaches a clamp (each ratio and k is below 1), so check the
-    # texts on the floats where min and max decide
-    for v in (math.nan, -math.inf, -2.0, -1.0, -0.5, -0.0, 0.0, 5e-324, 0.5,
-              1.0, 2.0, math.inf):
-        assert repr(eval(reference._CLAMPED_V, {"v": v})) == \
-            repr(max(-1.0, min(1.0, v)))
-        assert repr(eval(reference._NONNEGATIVE_V, {"v": v})) == \
-            repr(max(0.0, v))
+def _extreme_p0():
+    """p0 from the smallest subnormal to 1e150, log-uniform, and dense
+    near the separatrix: 2 +- 1 .. 2000 ulps and 2 +- 10^-j."""
+    grid = [10.0 ** (e / 20.0) for e in range(-6460, 3001)]
+    grid += [5e-324, 1e-320, 2.2250738585072014e-308, 1e150]
+    below = above = 2.0
+    for _ in range(2000):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, 3.0)
+        grid += [below, above]
+    grid += [2.0 + s * 10.0 ** -j for j in range(1, 16) for s in (-1, 1)]
+    return grid
+
+
+def test_landen_ratios_and_k_lie_inside_the_unit_interval():
+    # so the generated orbit needs no clamp before asin, nor under dn's
+    # square root (see reference._orbit_lines)
+    largest = 0.0
+    for p0 in _extreme_p0():
+        orbit, landen = reference._orbit(p0)
+        if landen is None:          # the separatrix
+            continue
+        for c in (*landen[1], orbit.k):
+            assert -1.0 < c < 1.0, (p0, c)
+            largest = max(largest, abs(c))
+    # the grid reaches the largest float below 1
+    assert largest == math.nextafter(1.0, 0.0)
+
+
+def test_orbit_texts_have_no_clamp_inside_asin(monkeypatch):
+    texts = []
+
+    def spy(params, body, result, namespace):
+        texts.append(body)
+        return jets.generate(params, body, result, namespace)
+    monkeypatch.setattr(reference, "generate", spy)
+    for p0 in (1e-9, 3e-8, 0.0213, 1.8, 1.999999999, 2.001, 5.0, 1e153):
+        reference._orbit_function(p0)
+    assert len(texts) == 8
+    for body in texts:
+        for line in body:
+            for arg in re.findall(r"asin\((.*)\)", line):
+                assert " if " not in arg and "max(" not in arg, line
+        assert not any("sqrt(" in line and " if " in line for line in body)
 
 
 def test_one_orbit_build_per_run(monkeypatch):
