@@ -9,8 +9,8 @@ from .jets import Jet
 from .exactlin import (AffineStepMap, exact_exp_growth_delta,
                        exact_harmonic_momentum, exact_harmonic_recurrence,
                        exact_step_map)
-from .schemes import (DeltaRule, SolverConfig, delta_lex,
-                      delta_series, delta_series_coefficients,
+from .schemes import (DeltaRule, delta_lex, delta_series,
+                      delta_series_coefficients,
                       discrete_gradient_residual, local_exactness_matrix,
                       step_gradient, step_gradient_info)
 from .baselines import (SymplecticCoeffs, sp_coefficients, step_leapfrog,

@@ -7,10 +7,10 @@ ones from :func:`discgrad.schemes.gradient_block`, the explicit ones from
 is one block call, which walks the run in sample strides and records its
 own samples; only a run that fails calls the block again, one step a call.
 
-:func:`run_trajectory` builds its system anew at every call.  The entries
-of a sweep or an order estimate share one system object per name and
-process, so a process records the pendulum and writes each scheme's block
-once, not once per entry.
+:func:`run_trajectory` runs on the system object it is given, or on one
+it builds anew from the spec's name.  The entries of a sweep or an order
+estimate pass one system object per name and process, so a process records
+the pendulum and writes each scheme's block once, not once per entry.
 """
 
 from __future__ import annotations
@@ -93,65 +93,60 @@ def _block_maker(scheme: str):
         return gradient(_RULES[scheme]())
     if scheme == "rk4":
         return baselines.rk4_block
+    # ASCII digits only: str.isdigit also takes "٤", which int reads, and "²"
+    name, _, order = scheme.partition("-")
     try:
-        if scheme.startswith("gr-") and scheme[3:].isdigit():
-            return gradient(schemes.DeltaRule.series(int(scheme[3:])))
-        if scheme.startswith("tay-") and scheme[4:].isdigit():
-            N = int(scheme[4:])
-            check_flow_order(N)
-            return lambda sys: baselines.taylor_block(sys, N)
-        if scheme.startswith("sp-") and scheme[3:].isdigit():
-            M, odd = divmod(int(scheme[3:]), 2)
-            # an odd order has no M; M = 0 is out of range as well
-            baselines.sp_coefficients(0 if odd else M)
-            return lambda sys: baselines.kick_drift_block(sys, M)
+        if order.isascii() and order.isdigit():
+            N = int(order)
+            if name == "gr":
+                return gradient(schemes.DeltaRule.series(N))
+            if name == "tay":
+                check_flow_order(N)
+                return lambda sys: baselines.taylor_block(sys, N)
+            if name == "sp":
+                M, odd = divmod(N, 2)
+                # an odd order has no M; M = 0 is out of range as well
+                baselines.sp_coefficients(0 if odd else M)
+                return lambda sys: baselines.kick_drift_block(sys, M)
     except ValueError as exc:
         raise UnsupportedSchemeError(
             f"unknown scheme id {scheme!r}: {exc}") from None
     raise UnsupportedSchemeError(f"unknown scheme id {scheme!r}")
 
 
-def make_stepper(scheme: str, sys: HamiltonianSystem,
-                 cfg: schemes.SolverConfig = None):
+def make_stepper(scheme: str, sys: HamiltonianSystem):
     """Resolve a scheme id to a callable (state, h) -> (state, iterations):
     one step of the scheme's stride block on sys."""
     block = _block_maker(scheme)(sys)
-    return lambda s, h: schemes.one_step(block, s, h, cfg)
+    return lambda s, h: schemes.one_step(block, s, h)
 
 
 def run_trajectory(spec: ExperimentSpec,
-                   cfg: schemes.SolverConfig = None) -> TrajectoryRecord:
+                   sys: HamiltonianSystem = None) -> TrajectoryRecord:
     """Integrate one trajectory, sampling every sample_stride steps.
 
-    The run is one call of the scheme's stride block, which makes the
-    steps and records the samples.  energy_err is H(s_n) - H(s_0);
-    global_err compares against the exact elliptic-function solution in
-    the max norm over (x, p), with the mod-2pi phase distance as a
-    secondary column.  That solution starts at x = 0, so both columns are
-    None unless the system is the pendulum and x0 = 0.
-
-    Each call builds its system from spec.system, so each records it and
-    writes its scheme's block anew.
+    The run is one call of the scheme's stride block on sys, which makes
+    the steps and records the samples; without sys, the call builds the
+    system from spec.system, so it records it and writes its scheme's
+    block anew.  energy_err is H(s_n) - H(s_0); global_err compares
+    against the exact elliptic-function solution in the max norm over
+    (x, p), with the mod-2pi phase distance as a secondary column.  That
+    solution is the pendulum's from x = 0, so both columns are None
+    unless sys.name is "pendulum" and x0 = 0.
     """
-    return _run(spec, system_from_name(spec.system), cfg)
-
-
-def _run(spec: ExperimentSpec, sys: HamiltonianSystem,
-         cfg: schemes.SolverConfig) -> TrajectoryRecord:
-    """run_trajectory on the system object sys, which spec.system names."""
+    if sys is None:
+        sys = system_from_name(spec.system)
     block = _block_maker(spec.scheme)(sys)
-    if cfg is None:
-        cfg = schemes._DEFAULT_CONFIG
     exact = None
-    if spec.system == "pendulum" and spec.x0 == 0.0:
+    if sys.name == "pendulum" and spec.x0 == 0.0:
         exact = reference.exact_solution(spec.p0)      # t -> (x, p)
     samples = []
     # solver iterations -> the number of steps that took them
-    hist = [0] * (cfg.max_iter + 1)
+    hist = [0] * (schemes.MAX_ITER + 1)
     h = spec.h
     t_start = time.perf_counter()
     try:
-        block(spec.x0, spec.p0, h, spec.n_steps, hist, cfg.max_iter,
+        block(spec.x0, spec.p0, h, spec.n_steps, hist, schemes.MAX_ITER,
               samples=samples, stride=spec.sample_stride, exact=exact)
     except (StepError, ArithmeticError, ValueError):
         # A block checks each step's state as it is made, so a state that
@@ -166,7 +161,7 @@ def _run(spec: ExperimentSpec, sys: HamiltonianSystem,
         end = min(start + spec.sample_stride, spec.n_steps)
         for n in range(start + 1, end + 1):
             try:
-                x, p = block(x, p, h, 1, hist, cfg.max_iter)
+                x, p = block(x, p, h, 1, hist, schemes.MAX_ITER)
             except StepError as exc:
                 exc.args = (f"step {n}: {exc}",)
                 raise
@@ -198,7 +193,8 @@ def _final_global_error(scheme: str, p0: float, h: float, n: int) -> float:
     """The final global error of an n-step pendulum run from (0, p0): what
     run_trajectory reports, on the process's one pendulum object."""
     spec = ExperimentSpec(scheme, "pendulum", p0, h, n, sample_stride=n)
-    return _run(spec, _entry_system("pendulum"), None).samples[-1].global_err
+    record = run_trajectory(spec, _entry_system("pendulum"))
+    return record.samples[-1].global_err
 
 
 def _step_counts(target: float, h_list, name: str) -> list:

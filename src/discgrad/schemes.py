@@ -35,14 +35,15 @@ delta.
 The step solves F(z) = z - z_n - delta (dd_p, -dd_x)(z_n, z) = 0 by
 simplified Newton (Hairer, Lubich & Wanner, Geometric Numerical
 Integration, VIII.6), with J = I - (delta/2) A and the Hessian in A frozen
-at the predicted midpoint.  The starting guess, the tolerance and the
-divergence guard belong to the solver, not to the rule: a GR-N ``fn``
-starts from the flow (X(h), P(h)) that its delta already computes, the
-exact flow to order N + 2, so within gr-N's own local error of the
-converged iterate, a starting approximation in the sense of GNI VIII.6.1;
-every other ``fn`` starts from an explicit Euler predictor, within
-O(h^2).  The solve stops at an increment of at most ``_TOL`` and fails
-past ``_GUARD``, both written into the step's text.
+at the predicted midpoint.  The starting guess, the tolerance, the
+divergence guard and the iteration cap belong to the solver, not to the
+rule or the caller: a GR-N ``fn`` starts from the flow (X(h), P(h)) that
+its delta already computes, the exact flow to order N + 2, so within
+gr-N's own local error of the converged iterate, a starting approximation
+in the sense of GNI VIII.6.1; every other ``fn`` starts from an explicit
+Euler predictor, within O(h^2).  The solve stops at an increment of at
+most ``_TOL`` and fails past ``_GUARD``, both written into the step's
+text, or after ``MAX_ITER`` iterations, the cap a run and a step pass.
 
 Every step runs in a stride block (:func:`gradient_block`, as TIDES
 generates its Taylor steps): one generated ``for`` loop over the
@@ -81,18 +82,11 @@ def _check_series_order(N: int) -> None:
         raise ValueError(f"series order must be in [1, {MAX_SERIES_ORDER}]")
 
 
-# the solve's stopping increment and divergence guard, step-text literals
+# the solve's stopping increment and divergence guard, step-text literals,
+# and the iteration cap a run, a step and a replay pass to the block
 _TOL = 1e-15
 _GUARD = 1e6
-
-
-@dataclass(slots=True)
-class SolverConfig:
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("need max_iter >= 1")
+MAX_ITER = 100
 
 
 @dataclass(frozen=True, slots=True)
@@ -615,31 +609,25 @@ def gradient_block(sys: HamiltonianSystem, rule: DeltaRule):
         kind, lambda names: _gradient_lines(sys, kind, names)), rule=rule)
 
 
-_DEFAULT_CONFIG = SolverConfig()
-
-
-def one_step(block, s: PhaseState, h: float, cfg: SolverConfig = None):
+def one_step(block, s: PhaseState, h: float):
     """One step of a stride block, its m = 1 view: (next state, solver
     iterations)."""
-    if cfg is None:
-        cfg = _DEFAULT_CONFIG
-    hist = [0] * (cfg.max_iter + 1)
-    x, p = block(s.x, s.p, h, 1, hist, cfg.max_iter)
+    hist = [0] * (MAX_ITER + 1)
+    x, p = block(s.x, s.p, h, 1, hist, MAX_ITER)
     return PhaseState(x, p), hist.index(1)
 
 
 def step_gradient_info(sys: HamiltonianSystem, rule: DeltaRule,
-                       s_n: PhaseState, h: float,
-                       cfg: SolverConfig = None):
+                       s_n: PhaseState, h: float):
     """One implicit step; returns (next state, solver iterations).  It
     runs one step of rule's :func:`gradient_block`, and raises where the
     step does not end in a finite state."""
-    return one_step(gradient_block(sys, rule), s_n, h, cfg)
+    return one_step(gradient_block(sys, rule), s_n, h)
 
 
 def step_gradient(sys: HamiltonianSystem, rule: DeltaRule, s_n: PhaseState,
-                  h: float, cfg: SolverConfig = None) -> PhaseState:
-    return step_gradient_info(sys, rule, s_n, h, cfg)[0]
+                  h: float) -> PhaseState:
+    return step_gradient_info(sys, rule, s_n, h)[0]
 
 
 def local_exactness_matrix(sys: HamiltonianSystem, rule: DeltaRule,

@@ -287,6 +287,19 @@ def test_usage_errors(tmp_path, capsys):
         assert not out.exists(), argv
 
 
+def test_an_order_written_in_other_digits_is_an_unknown_id(tmp_path, capsys):
+    # an order is ASCII digits: Arabic-Indic ones used to run gr-14 and
+    # sp-4, and a superscript failed in int()
+    out = tmp_path / "x.csv"
+    for scheme in ("gr-١٤", "sp-٤", "gr-²"):
+        assert main(["integrate", "--scheme", scheme, "--p0", "1.8",
+                     "--h", "0.25", "--steps", "5", "--out", str(out)]) \
+            == EXIT_USAGE, scheme
+        assert capsys.readouterr().err \
+            == f"error: unknown scheme id {scheme!r}\n"
+        assert not out.exists(), scheme
+
+
 def test_p0_the_oracle_cannot_take_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "x.csv"
     for p0, names in (("nan", "p0 = nan"), ("inf", "p0 = inf"),

@@ -15,7 +15,6 @@ from discgrad.harness import (ExperimentSpec, TrajectoryRecord, emit_csv,
                               emit_plotscript, estimate_order, make_stepper,
                               run_trajectory, sweep)
 from discgrad.hamiltonian import PhaseState, make_pendulum
-from discgrad.schemes import SolverConfig
 
 
 def _spec(**kw):
@@ -82,6 +81,47 @@ def test_each_trajectory_builds_its_own_system(monkeypatch):
     for _ in range(2):
         run_trajectory(_spec(n_steps=3))
     assert built == ["pendulum", "pendulum"]
+
+
+def test_a_trajectory_on_a_given_system_builds_none(monkeypatch, tmp_path):
+    # a system object passed in is the one the run steps: none is built,
+    # and the CSV is the one a run on a system of its own writes
+    pend = make_pendulum()
+    built = _count_systems(monkeypatch)
+    for scheme in ("gr", "gr-slex", "gr-7", "sp-4", "tay-10"):
+        spec = _spec(scheme=scheme, n_steps=40, sample_stride=3)
+        emit_csv(run_trajectory(spec, pend), tmp_path / "given.csv")
+        assert built == [], scheme
+        emit_csv(run_trajectory(spec), tmp_path / "own.csv")
+        built.clear()
+        assert (tmp_path / "given.csv").read_bytes() \
+            == (tmp_path / "own.csv").read_bytes(), scheme
+
+
+def test_sweep_and_order_entries_run_as_trajectories(monkeypatch):
+    # every sweep entry and order point is a run_trajectory on the
+    # process's one pendulum object
+    calls, original = [], harness.run_trajectory
+
+    def counting(spec, sys=None):
+        calls.append((spec.scheme, sys))
+        return original(spec, sys)
+    monkeypatch.setattr(harness, "run_trajectory", counting)
+    pend = harness._entry_system("pendulum")
+    sweep(["gr", "sp-4"], 1.8, [0.2, 0.1], 1, parallel=False)
+    assert calls == [("gr", pend)] * 2 + [("sp-4", pend)] * 2
+    calls.clear()
+    estimate_order("gr-3", 1.8, [0.2, 0.1, 0.05], 2.0)
+    assert calls == [("gr-3", pend)] * 3
+
+
+def test_the_oracle_is_bound_from_the_system_integrated():
+    # a spec that names the pendulum, run on another system, is never
+    # compared with the pendulum's orbit
+    rec = run_trajectory(ExperimentSpec("gr", "pendulum", 1.0, 0.25, 8),
+                         hamiltonian.make_harmonic(1.3))
+    assert len(rec.samples) == 9
+    assert all(s.global_err is None for s in rec.samples)
 
 
 def test_make_stepper_ids(pendulum):
@@ -202,9 +242,9 @@ def test_gr_n_iterations_from_the_flow_start():
 
 def test_nonconvergence_reports_step_index():
     with pytest.raises(NonConvergenceError) as exc_info:
-        run_trajectory(_spec(h=50.0, n_steps=10),
-                       cfg=SolverConfig(max_iter=20))
-    assert "step 1" in str(exc_info.value)
+        run_trajectory(_spec(h=50.0, n_steps=10))
+    assert str(exc_info.value).startswith(
+        "step 1: no convergence in 100 iterations")
     # one step-failure family, which the CLI exits 3 on
     assert isinstance(exc_info.value, StepError)
 

@@ -23,8 +23,8 @@ from discgrad.hamiltonian import (HamiltonianSystem, PhaseState, eval_energy,
                                   taylor_flow_coeffs)
 from discgrad.harness import ExperimentSpec, run_trajectory
 from discgrad.jets import Jet, gcos, gsin, horner
-from discgrad.schemes import (_DEFLATE_EXTRA, _ROOT_NEAR, DeltaRule,
-                              SolverConfig, _cancel_and_divide, _deflate,
+from discgrad.schemes import (_DEFLATE_EXTRA, _ROOT_NEAR, MAX_ITER,
+                              DeltaRule, _cancel_and_divide, _deflate,
                               _parts_function, _plain_amp_limit,
                               _series_delta, _series_function,
                               _shared_root, delta_lex,
@@ -349,21 +349,19 @@ def test_cancel_and_divide_equals_jet_division(rng):
 
 
 def test_gr1_gr2_identical_to_gr(pendulum, rng):
-    cfg = SolverConfig()
     for _ in range(10):
         s = rand_state(rng)
-        base = step_gradient(pendulum, DeltaRule.gr(), s, 0.25, cfg)
+        base = step_gradient(pendulum, DeltaRule.gr(), s, 0.25)
         for N in (1, 2):
-            alt = step_gradient(pendulum, DeltaRule.series(N), s, 0.25, cfg)
+            alt = step_gradient(pendulum, DeltaRule.series(N), s, 0.25)
             assert abs(alt.x - base.x) <= 1e-14
             assert abs(alt.p - base.p) <= 1e-14
 
 
 def test_residual_zero_at_solution(pendulum, rng):
-    cfg = SolverConfig()
     for _ in range(10):
         s = rand_state(rng)
-        nxt = step_gradient(pendulum, DeltaRule.gr(), s, 0.25, cfg)
+        nxt = step_gradient(pendulum, DeltaRule.gr(), s, 0.25)
         r_x, r_p = discrete_gradient_residual(pendulum, s, nxt, 0.25)
         assert abs(r_x) <= 1e-12 and abs(r_p) <= 1e-12
 
@@ -379,7 +377,6 @@ def test_residual_midpoint_limit(pendulum):
 def test_energy_preserved_for_random_delta(pendulum, rng):
     # the conservation property holds for ANY positive denominator
     h = 0.25
-    cfg = SolverConfig()
     s = PhaseState(0.0, 1.8)
     e0 = eval_energy(pendulum, s)
     state = {"d": h}
@@ -387,28 +384,26 @@ def test_energy_preserved_for_random_delta(pendulum, rng):
     worst = 0.0
     for _ in range(10 ** 4):
         state["d"] = h * rng.uniform(0.5, 1.5)
-        s = step_gradient(pendulum, rule, s, h, cfg)
+        s = step_gradient(pendulum, rule, s, h)
         worst = max(worst, abs(eval_energy(pendulum, s) - e0))
     assert worst <= 1e-10
 
 
 def test_energy_preserved_nonseparable(crossterm):
-    cfg = SolverConfig()
     s = PhaseState(0.3, 0.9)
     e0 = eval_energy(crossterm, s)
     for _ in range(2000):
-        s = step_gradient(crossterm, DeltaRule.gr(), s, 0.2, cfg)
+        s = step_gradient(crossterm, DeltaRule.gr(), s, 0.2)
         assert abs(eval_energy(crossterm, s) - e0) <= 1e-11
 
 
 def test_gr_lex_exact_on_harmonic(rng):
     # quadratic H: the linearization is global, so the lex step is exact
     sysq = make_harmonic(1.0)
-    cfg = SolverConfig()
     h = 0.25
     for _ in range(10):
         s = rand_state(rng)
-        nxt = step_gradient(sysq, DeltaRule.lex(), s, h, cfg)
+        nxt = step_gradient(sysq, DeltaRule.lex(), s, h)
         cx = s.x * math.cos(h) + s.p * math.sin(h)
         cp = -s.x * math.sin(h) + s.p * math.cos(h)
         assert nxt.x == pytest.approx(cx, abs=5e-14)
@@ -416,17 +411,16 @@ def test_gr_lex_exact_on_harmonic(rng):
 
 
 def test_time_reversal_symmetry(pendulum, rng):
-    cfg = SolverConfig()
     h = 0.25
     s = PhaseState(0.4, 1.3)
     for rule in (DeltaRule.gr(), DeltaRule.slex()):
-        fwd = step_gradient(pendulum, rule, s, h, cfg)
-        back = step_gradient(pendulum, rule, fwd, -h, cfg)
+        fwd = step_gradient(pendulum, rule, s, h)
+        back = step_gradient(pendulum, rule, fwd, -h)
         assert max(abs(back.x - s.x), abs(back.p - s.p)) <= 1e-13
     # the start-point lex rule is not symmetric
     rule = DeltaRule.lex()
-    fwd = step_gradient(pendulum, rule, s, h, cfg)
-    back = step_gradient(pendulum, rule, fwd, -h, cfg)
+    fwd = step_gradient(pendulum, rule, s, h)
+    back = step_gradient(pendulum, rule, fwd, -h)
     assert max(abs(back.x - s.x), abs(back.p - s.p)) > 1e-13 * 100
 
 
@@ -526,12 +520,11 @@ def test_convergence_domain():
     assert inputs == 792
 
 
-def reference_step(sys, rule, s_n, h, cfg=None):
+def reference_step(sys, rule, s_n, h, max_iter=MAX_ITER):
     """The hand-written step the generated one replaced, on the system's
     own callables: (x, p, iterations), the reference it must equal.  A
     gr-N ``fn`` starts from the flow its generated delta computes, any
     other from explicit Euler."""
-    cfg = cfg or SolverConfig()
     x, p = s_n.x, s_n.p
     fn, midpoint = rule.fn, rule.midpoint
     dd_x, dd_p = sys.dd_x, sys.dd_p
@@ -563,7 +556,7 @@ def reference_step(sys, rule, s_n, h, cfg=None):
     if not midpoint:
         j11, j12, j21, j22 = newton_inverse(0.5 * delta, hxx, hxp, hpp)
     inc = prev_inc = math.inf
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, max_iter + 1):
         if midpoint:
             delta = fn(sys, 0.5 * (x + xc), 0.5 * (p + pc), h)
             j11, j12, j21, j22 = newton_inverse(0.5 * delta, hxx, hxp, hpp)
@@ -586,7 +579,7 @@ def reference_step(sys, rule, s_n, h, cfg=None):
                 f"fixed-point increment {inc:.3g} exceeded guard "
                 f"{1e6:.3g}")
     raise NonConvergenceError(
-        f"no convergence in {cfg.max_iter} iterations "
+        f"no convergence in {max_iter} iterations "
         f"(last increment {inc:.3g})")
 
 
@@ -643,12 +636,18 @@ def test_generated_step_equals_the_hand_written_one(rule):
 ])
 def test_generated_step_equals_the_hand_written_one_at_the_edges(
         pendulum, x, p, h, max_iter, scheme, error):
-    # every rule equals the reference; the named one ends as stated
-    s, cfg = PhaseState(x, p), SolverConfig(max_iter=max_iter)
+    # every rule's block, run for one step at the row's cap, equals the
+    # reference; the named one ends as stated
+    def block_step(rule):
+        hist = [0] * (max_iter + 1)
+        x1, p1 = schemes.gradient_block(pendulum, rule)(x, p, h, 1, hist,
+                                                        max_iter)
+        return x1, p1, hist.index(1)
+    s = PhaseState(x, p)
     for name, rule in STEP_RULES.items():
-        got = _step_outcome(step_gradient_info, pendulum, rule, s, h, cfg)
+        got = _step_outcome(block_step, rule)
         assert got == _step_outcome(reference_step, pendulum, rule, s, h,
-                                    cfg), name
+                                    max_iter), name
         if name == scheme:
             # a state's repr starts with "(", an error is (type, message)
             assert got[0] == (error.__name__ if error else "(")
@@ -731,7 +730,6 @@ def test_delta_rule_is_fn_and_midpoint():
     # the starting guess, tol and the guard belong to the solver
     assert [f.name for f in dataclasses.fields(DeltaRule)] == ["fn",
                                                                "midpoint"]
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["max_iter"]
 
 
 def test_gr_n_fn_alone_starts_from_its_flow(pendulum):
@@ -1018,11 +1016,6 @@ def test_dd_x_that_makes_a_plain_number_is_divergence(pendulum):
                                          "branches"):
         dataclasses.replace(pendulum, dd_x=lambda x, x1, p, p1: (
             gsin(0.5 * (x + x1)) + 0.0 * math.sin(x)))
-
-
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=0)
 
 
 def test_local_exactness_lex_equals_exact_map(pendulum, rng):
