@@ -48,8 +48,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import DivergenceError
-from .jets import (FLOAT_HELPERS, Jet, Param, TapeSource, _const, _over,
-                   _wrap, gcos, gsin, gsinc, live_lines, operand, replay,
+from .jets import (FLOAT_HELPERS, Jet, Param, TapeSource, _const, _wrap,
+                   assign, fold, gcos, gsin, gsinc, live_lines, op, replay,
                    scalar_text)
 
 PARTIAL_KEYS = ("x", "p", "xx", "xp", "pp")
@@ -245,37 +245,28 @@ class _SystemCode:
         self.functions = {}
 
     def _flow_body(self, n: int):
-        """Every line of the flow to order n, and the names of its
+        """Every record of the flow to order n, and the names of its
         coefficients x0 .. xn and p0 .. pn."""
         body = []
         for k in range(n):
-            body += self.source.lines(k, self._flow)
-            body += [f"x{k + 1} = {_over(f'{self._fx}{k}', k + 1)}",
-                     f"p{k + 1} = {_over(f'{self._fp}{k}', -(k + 1))}"]
+            body += self.source.lines(k, self._flow) + [
+                assign(f"x{k + 1}", fold("{} / {}", f"{self._fx}{k}", k + 1)),
+                assign(f"p{k + 1}", fold("{} / -{}", f"{self._fp}{k}", k + 1))]
         return body, [f"{v}{k}" for v in "xp" for k in range(n + 1)]
 
     def flow_lines(self, N: int) -> list:
-        """Lines that compute the flow coefficients x1 .. xN and p1 .. pN
-        from the parameters x0 and p0: x{k+1} = fx_k / (k+1) and p{k+1} =
-        fp_k / -(k+1), with ``/ 1`` and ``/ -1`` folded at k = 0 as the jet
-        operations fold ``1 *`` and ``/ 1`` (the zero seed of their sums is
-        no identity and stays; see :mod:`discgrad.jets`).  Only live lines
-        are kept (:func:`discgrad.jets.live_lines`): an assignment that
-        cannot raise and that no later line and no coefficient x0 .. xN,
-        p0 .. pN reads is dropped, such as the pendulum's top cosine
-        coefficient, which only coefficient N + 1 would read, and a plain
-        copy whose name is no coefficient is folded into its readers,
-        such as the ``sj1 = x1`` of a sine at k = 1.  Every value
-        check and helper call stays, and every value but a NaN's sign bit
-        is the one the unfolded, unpruned lines compute."""
+        """The text of the flow coefficients x1 .. xN and p1 .. pN from
+        x0 and p0, x{k+1} = fx_k / (k+1) and p{k+1} = fp_k / -(k+1) folded
+        at k = 0 by ``jets._IDENTITIES``, less what ``jets.live_lines``
+        drops for these outputs: the pendulum's top cosine coefficient,
+        and a sine's copy ``sj1 = x1``, folded into its readers."""
         return live_lines(*self._flow_body(N))
 
     def parts_lines(self, n: int):
-        """Lines that compute the flow (X, P) through (x0, p0) to order n
-        and dd_p(x0, X, p0, P) on it, and the texts of coefficients 0 .. n
-        of X - x0 and of dd_p.  As in :meth:`flow_lines`, only live lines
-        are kept, with x0 .. xn, p0 .. pn and dd_p's coefficients read
-        after them."""
+        """The text of the flow (X, P) through (x0, p0) to order n and of
+        dd_p(x0, X, p0, P) on it, as in :meth:`flow_lines` with dd_p's
+        coefficients outputs too, and the texts of coefficients 0 .. n of
+        X - x0 and of dd_p."""
         body, outputs = self._flow_body(n)
         body += [line for k in range(n + 1)
                  for line in self.source.lines(k, self._dd)]
@@ -285,15 +276,15 @@ class _SystemCode:
 
     def scalar_lines(self, keys, params: dict, local: str, names: dict,
                      held=None):
-        """Lines and texts that compute the recorded scalars ``keys`` on
-        floats, with each parameter (x, p, x1, p1) written as ``params``
-        names it: an operation whose text is a key of ``held`` as the
-        local it names, which holds that value, an operation whose result
-        is used more than once into a local f"{local}<i>", any other inside
-        the text that uses it, a finite constant as its literal and any
-        other scalar by a name bound in ``names``; ``gsinc`` as the
-        expression its float function computes.  So the code makes the
-        recorded operations in their order, less those ``held`` holds."""
+        """The records and the values (operations, names or numbers) that
+        compute the recorded scalars ``keys`` on floats, each parameter (x,
+        p, x1, p1) as ``params`` names it: an operation that is a key of
+        ``held`` as the local it names, one used more than once in a local
+        f"{local}<i>", any other inside the operation that uses it, a
+        finite constant as its number and any other scalar by a name bound
+        in ``names``; ``gsinc`` as the expression its float function
+        computes.  So the code makes the recorded operations in their
+        order, less those ``held`` holds."""
         values = [self.scalars[k] for k in keys]
         uses = {}
 
@@ -307,23 +298,24 @@ class _SystemCode:
             count(v)
         lines, known = [], {}
 
-        def line(v, text):
-            if held and text in held:
-                return held[text]
+        def line(v, operation):
+            if held and operation in held:
+                return held[operation]
             if v.expr[0] == "gsinc({})":
                 # without a call; one name _u serves every nesting, as a
                 # conditional expression tests before it evaluates a branch
                 u = scalar_text(v.expr[1], known, params.__getitem__,
                                 constant, line)
-                text = f"(gsin(_u) / _u if (_u := {u}) != 0.0 else 1.0)"
+                operation = op("(gsin({}) / {} if ({} := {}) != 0.0 else 1.0)",
+                               "_u", "_u", "_u", u, may_raise=True, bare=True)
             if uses[id(v)] == 1:
-                return text
-            lines.append(f"{local}{len(lines)} = {text}")
+                return operation
+            lines.append(assign(f"{local}{len(lines)}", operation))
             return f"{local}{len(lines) - 1}"
 
         def constant(v):
             if type(v) is int or type(v) is float and math.isfinite(v):
-                return repr(v)
+                return v
             names[f"c{len(names)}_"] = v
             return f"c{len(names) - 1}_"
         return lines, [scalar_text(v, known, params.__getitem__, constant,
@@ -383,7 +375,7 @@ class _SystemCode:
 
 def _sample_lines(lines, energy):
     """The lines of a block's sample of its state (x0, p0) after _n steps,
-    with H(x0, p0) the text ``energy`` after its ``lines``, as
+    with H(x0, p0) the operation ``energy`` after its ``lines``, as
     :meth:`_SystemCode.scalar_lines` writes the recorded energy.  They
     call the helpers the energy calls, ``exact`` and ``Sample``, and max
     and remainder only where |_dx| > pi or is NaN.
@@ -400,7 +392,7 @@ def _sample_lines(lines, energy):
     return ["if samples is not None:",
             "    _t = _n * h",
             *(f"    {line}" for line in lines),
-            f"    _e = {operand(energy)} - _e0",
+            f"    _e = {op('{} - _e0', energy)}",
             "    if exact is None:",
             "        _append(Sample(_n, _t, x0, p0, _e))",
             "    else:",

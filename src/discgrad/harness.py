@@ -21,7 +21,7 @@ import math
 import operator
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 from . import baselines, reference, schemes
 from .errors import (DivergenceError, PrecisionFloorWarning,
@@ -43,6 +43,7 @@ class ExperimentSpec:
     p0: float
     h: float
     n_steps: int
+    _: KW_ONLY
     x0: float = 0.0
     sample_stride: int = 1
 

@@ -22,7 +22,7 @@ of the same order on the same tape (or both on none), and with scalars.
 the coefficients of every recorded jet from those of the leaf jets, one
 coefficient at a time.
 
-Each operation is written once, as an emitter that writes the source of
+Each operation is written once, as an emitter that writes the records of
 coefficient k of its output; coefficient k depends only on coefficients
 0..k of its inputs.  A finished jet's operation runs the function that
 :func:`_finished` generates from that emitter for (operation, order), and
@@ -42,8 +42,8 @@ namespace by value.  The generated text names scalars, never their
 values, so one compiled code object serves every tape of the same
 structure in the process.  A function called on Params alone records its
 whole computation: :func:`replay` runs it again on other arguments, such
-as jets on a tape, and :func:`scalar_text` writes it as code, for a tape
-and for code that runs on floats.  Any use of a Param that needs its
+as jets on a tape, and :func:`scalar_text` writes it as records, for a
+tape and for code that runs on floats.  Any use of a Param that needs its
 value, a branch or a number taken out of it, raises a ValueError.
 """
 
@@ -51,44 +51,89 @@ from __future__ import annotations
 
 import math
 import operator
-import re
+from collections import namedtuple
 
 from .errors import SingularJetDivisionError
 
 # -- operations ---------------------------------------------------------
 #
-# An operation is its emitter ``_<op>(k, *outputs, *args)``, which returns
-# the source lines that compute coefficient k of its outputs (one list; two
-# for _sin_cos): each list is a base name, whose coefficient j is the local
-# f"{name}{j}", and each scalar is the name of its value in the generated
-# function.  A factor used by every k (``j * a[j]``, the zero seed
-# ``0.0 * s[0]``) is computed once, into a local of its own.
-#
-# The texts fold the identity operations at k = 1: ``1 * v`` and ``v / 1``
-# are written ``v``.  A negated quotient is written as a division by -k
-# (``-v`` at k = 1), as IEEE division rounds sign-symmetrically.  So every
-# value is the one the unfolded text computes, bit for bit; only a NaN's
-# sign bit, which no output shows, may differ.  The zero seed is no
-# identity and stays: a sum of -0.0 terms is -0.0, and the seed +0.0 makes
-# it +0.0, so it sets the sign of a zero coefficient.  From x = 0, p = -0.0
-# the pendulum's sin series has s1 = +0.0 by its seed, so p2 = s1 / -2 is
-# -0.0 and tay-N keeps p = -0.0.  Which lines of a text a caller reads is
-# known only to the caller; :func:`live_lines` drops the rest and folds the
-# plain copies an identity leaves (``sj1 = a1``, ``v4_k = p_k``).
+# Generated code is records (:class:`Line`) until it is printed, once;
+# hand-written control text (a loop, a test, a raise) stays text, and a
+# record in it prints itself.  An emitter ``_<op>(k, *outputs, *args)``
+# returns the records of coefficient k of its outputs (one list; two for
+# _sin_cos): each list is a base name, whose coefficient j is the local
+# f"{name}{j}", and each scalar is the name of its value.  A factor used by
+# every k (``j * a[j]``, the zero seed ``0.0 * s[0]``) is computed once,
+# into a local of its own.  The zero seed is no identity and stays: a sum
+# of -0.0 terms is -0.0, and the seed +0.0 makes it +0.0, so it sets the
+# sign of a zero coefficient.  From x = 0, p = -0.0 the pendulum's sin
+# series has s1 = +0.0 by its seed, so p2 = s1 / -2 is -0.0 and tay-N
+# keeps p = -0.0.
 
 
-def _times(k, v):
-    """The text of k * v for an integer k >= 1, with k = 1 folded."""
-    return v if k == 1 else f"{k} * {v}"
+class Line(namedtuple("Line", "target op operands may_raise",
+                      defaults=(False,))):
+    """A line of generated code, ``target = op``, each ``{}`` of the
+    format ``op`` filled by one of ``operands``, a name or a number; with
+    no target the operation alone: a check, which may raise, or an operand
+    of another.  ``may_raise`` is false only where it makes no call, no
+    power and no division but by a nonzero integer literal."""
+    __slots__ = ()
+
+    def __str__(self):
+        text = self.op.format(*self.operands)
+        return text if self.target is None else f"{self.target} = {text}"
 
 
-def _over(text, k):
-    """The text of (text) / k for an integer k != 0, with k = 1 and k = -1
-    folded: (text) and -(text)."""
-    if k == 1:
-        return text
-    group = text if text.isidentifier() else f"({text})"
-    return f"-{group}" if k == -1 else f"{group} / {k}"
+def op(fmt, *operands, may_raise=False, bare=False):
+    """The operation ``fmt`` of names, numbers and operations: each in its
+    ``{}``, an operation and a negative number in parentheses unless
+    ``bare``.  It may raise where ``may_raise`` or an operand says so."""
+    slots, flat = [], []
+    for a in operands:
+        if type(a) is Line:
+            slots.append(a.op if bare else f"({a.op})")
+            flat += a.operands
+            may_raise = may_raise or a.may_raise
+        else:
+            slots.append("{}" if bare or type(a) is str or a > 0 or a == 0
+                         and math.copysign(1.0, a) > 0 else "({})")
+            flat.append(a)
+    return Line(None, fmt.format(*slots), tuple(flat), may_raise)
+
+
+def assign(target, value):
+    """The record ``target = value``, of a name, number or operation."""
+    if isinstance(value, Line):
+        return Line(target, *value[1:])
+    return Line(target, "{}", (value,))
+
+
+# The IEEE identities the texts fold: an operation with a literal operand
+# -> what is left of it, "{}" being the other operand.  Each holds for every
+# float, -0.0, inf and NaN (only a NaN's sign bit, which no output shows,
+# may differ); a + 0.0, a - -0.0 and 0.0 * a do not, as -0.0 + 0.0 is +0.0
+# and 0.0 * inf is NaN.  1 * v and v / 1 are the factor and the divisor k
+# of a series' coefficient at k = 1, and v / -k is -(v / k), as IEEE
+# division rounds sign-symmetrically: -v at k = 1.
+_IDENTITIES = {"{} * 1.0": "{}", "1.0 * {}": "{}", "{} - 0.0": "{}",
+               "1 * {}": "{}", "{} / 1": "{}", "{} / -1": "-{}"}
+
+
+def fold(fmt, a, b, bare=False):
+    """:func:`op` of ``fmt``, a and b, less an identity of _IDENTITIES."""
+    for literal, pattern, other in ((b, ("{}", b), a), (a, (a, "{}"), b)):
+        if type(literal) in (int, float):
+            left = _IDENTITIES.get(fmt.format(*pattern))
+            if left is not None:
+                return other if left == "{}" else op(left, other)
+    return op(fmt, a, b, bare=bare)
+
+
+def _sum(first, sign, a, b, k, js):
+    """``first sign a{j} * b{k - j} sign ...`` over j in js, first bare."""
+    return op("{}" + f" {sign} {{}} * {{}}" * len(js), first,
+              *(n for j in js for n in (f"{a}{j}", f"{b}{k - j}")), bare=True)
 
 
 # each check passes a Param, at recording: its value is not known until
@@ -117,90 +162,98 @@ def _require_sqrt(a0):
 
 
 def _const(k, out, value):
-    return [f"{out}{k} = {value if k == 0 else '0.0'}"]
+    return [Line(f"{out}{k}", "{}", (value if k == 0 else 0.0,))]
 
 
 def _add(k, out, a, b):
-    return [f"{out}{k} = {a}{k} + {b}{k}"]
+    return [Line(f"{out}{k}", "{} + {}", (f"{a}{k}", f"{b}{k}"))]
 
 
 def _add_scalar(k, out, a, c):
-    return [f"{out}{k} = {a}{k}" + (f" + {c}" if k == 0 else "")]
+    return [Line(f"{out}{k}", "{}", (f"{a}{k}",)) if k
+            else Line(f"{out}0", "{} + {}", (f"{a}0", c))]
 
 
 def _sub(k, out, a, b):
-    return [f"{out}{k} = {a}{k} - {b}{k}"]
+    return [Line(f"{out}{k}", "{} - {}", (f"{a}{k}", f"{b}{k}"))]
 
 
 def _sub_scalar(k, out, a, c):
-    return [f"{out}{k} = {a}{k}" + (f" - {c}" if k == 0 else "")]
+    return [Line(f"{out}{k}", "{}", (f"{a}{k}",)) if k
+            else Line(f"{out}0", "{} - {}", (f"{a}0", c))]
 
 
 def _neg(k, out, a):
-    return [f"{out}{k} = -{a}{k}"]
+    return [Line(f"{out}{k}", "-{}", (f"{a}{k}",))]
 
 
 def _scale(k, out, a, c):
-    return [f"{out}{k} = {a}{k} * {c}"]
+    return [Line(f"{out}{k}", "{} * {}", (f"{a}{k}", c))]
 
 
 def _div_scalar(k, out, a, c):
-    return [f"{out}{k} = {a}{k} / {c}"]
+    return [Line(f"{out}{k}", "{} / {}", (f"{a}{k}", c), True)]
 
 
 def _mul(k, out, a, b):
-    return [f"{out}{k} = "
-            + " + ".join(f"{a}{j} * {b}{k - j}" for j in range(k + 1))]
+    first = Line(None, "{} * {}", (f"{a}0", f"{b}{k}"))
+    return [assign(f"{out}{k}", _sum(first, "+", a, b, k, range(1, k + 1)))]
 
 
 def _div(k, out, a, b):
-    s = "".join(f" - {b}{j} * {out}{k - j}" for j in range(1, k + 1))
-    line = f"{out}{k} = ({a}{k}{s}) / {b}0"
-    return [f"_require_divisor({b}0)", line] if k == 0 else [line]
+    s = _sum(f"{a}{k}", "-", b, out, k, range(1, k + 1))
+    line = assign(f"{out}{k}", op("{} / {}", s, f"{b}0", may_raise=True))
+    check = Line(None, "_require_divisor({})", (f"{b}0",), True)
+    return [check, line] if k == 0 else [line]
 
 
 def _exp(k, out, a):
     if k == 0:
-        return [f"{out}0 = gexp({a}0)"]
-    s = "".join(f" + {out}j{j} * {out}{k - j}" for j in range(1, k + 1))
-    return ([f"{out}z = 0.0 * {out}0"] if k == 1 else []) + [
-        f"{out}j{k} = {_times(k, f'{a}{k}')}",
-        f"{out}{k} = {_over(f'{out}z{s}', k)}"]
+        return [Line(f"{out}0", "gexp({})", (f"{a}0",), True)]
+    s = _sum(f"{out}z", "+", f"{out}j", out, k, range(1, k + 1))
+    return ([Line(f"{out}z", "{} * {}", (0.0, f"{out}0"))] if k == 1
+            else []) + [assign(f"{out}j{k}", fold("{} * {}", k, f"{a}{k}")),
+                        assign(f"{out}{k}", fold("{} / {}", s, k))]
 
 
 def _log(k, out, a):
     if k == 0:
-        return [f"_require_log({a}0)", f"{out}0 = glog({a}0)"]
-    s = "".join(f" - {out}j{j} * {a}{k - j}" for j in range(1, k))
-    den = f"{a}0" if k == 1 else f"({k} * {a}0)"
-    return ([f"{out}j{k - 1} = {_times(k - 1, f'{out}{k - 1}')}"]
+        return [Line(None, "_require_log({})", (f"{a}0",), True),
+                Line(f"{out}0", "glog({})", (f"{a}0",), True)]
+    s = _sum(fold("{} * {}", k, f"{a}{k}"), "-", f"{out}j", a, k, range(1, k))
+    den = f"{a}0" if k == 1 else op("{} * {}", k, f"{a}0")
+    return ([assign(f"{out}j{k - 1}", fold("{} * {}", k - 1, f"{out}{k - 1}"))]
             if k > 1 else []) + [
-        f"{out}{k} = ({_times(k, f'{a}{k}')}{s}) / {den}"]
+        assign(f"{out}{k}", op("{} / {}", s, den, may_raise=True))]
 
 
 def _pow_log(k, out, a):
     # the log node of a real power, under the power's own domain check
-    return ([f"_require_power({a}0)"] if k == 0 else []) + _log(k, out, a)
+    return ([Line(None, "_require_power({})", (f"{a}0",), True)]
+            if k == 0 else []) + _log(k, out, a)
 
 
 def _sin_cos(k, s, c, a):
     # one operation writes both lists: each needs the other's lower
     # coefficients
     if k == 0:
-        return [f"{s}0 = gsin({a}0)", f"{c}0 = gcos({a}0)"]
-    ts = "".join(f" + {s}j{j} * {c}{k - j}" for j in range(1, k + 1))
-    tc = "".join(f" + {s}j{j} * {s}{k - j}" for j in range(1, k + 1))
-    return ([f"{s}z = 0.0 * {s}0"] if k == 1 else []) + [
-        f"{s}j{k} = {_times(k, f'{a}{k}')}",
-        f"{s}{k} = {_over(f'{s}z{ts}', k)}",
-        f"{c}{k} = {_over(f'{s}z{tc}', -k)}"]
+        return [Line(f"{s}0", "gsin({})", (f"{a}0",), True),
+                Line(f"{c}0", "gcos({})", (f"{a}0",), True)]
+    ts, tc = (_sum(f"{s}z", "+", f"{s}j", v, k, range(1, k + 1))
+              for v in (c, s))
+    return ([Line(f"{s}z", "{} * {}", (0.0, f"{s}0"))] if k == 1
+            else []) + [assign(f"{s}j{k}", fold("{} * {}", k, f"{a}{k}")),
+                        assign(f"{s}{k}", fold("{} / {}", ts, k)),
+                        assign(f"{c}{k}", fold("{} / -{}", tc, k))]
 
 
 def _sqrt(k, out, a):
     if k == 0:
-        return [f"_require_sqrt({a}0)", f"{out}0 = gsqrt({a}0)"]
-    s = "".join(f" - {out}{j} * {out}{k - j}" for j in range(1, k))
-    return [f"{out}{k} = ({a}{k}{s}) / (2 * {out}0)"]
+        return [Line(None, "_require_sqrt({})", (f"{a}0",), True),
+                Line(f"{out}0", "gsqrt({})", (f"{a}0",), True)]
+    s = _sum(f"{a}{k}", "-", out, out, k, range(1, k))
+    return [assign(f"{out}{k}", op("{} / {}", s, op("{} * {}", 2, f"{out}0"),
+                                   may_raise=True))]
 
 
 # -- the series type ----------------------------------------------------
@@ -435,14 +488,14 @@ def replay(value, leaves):
 
 
 def scalar_text(v, known, param, constant, line):
-    """The text of the recorded scalar ``v`` in generated code: ``param``
-    of its name for a parameter Param; for any other Param what
-    ``line(v, text)`` gives for the text of its operation, at its first
+    """The recorded scalar ``v`` in generated code, a name, a number or an
+    operation (:func:`op`): ``param`` of its name for a parameter Param;
+    for any other Param what ``line(v, operation)`` gives at its first
     use, kept in ``known`` by the Param's identity: the name of a local
-    that ``line`` computes it into, once, or the text itself for a Param
-    used once; ``constant(v)`` for any other scalar.  So the code makes
-    the recorded operations in their order, each once however often its
-    result is used."""
+    that ``line`` computes it into, once, or the operation itself for a
+    Param used once; ``constant(v)``, a number or a name, for any other
+    scalar.  So the code makes the recorded operations in their order,
+    each once however often its result is used."""
     if not isinstance(v, Param):
         return constant(v)
     if isinstance(v.expr, str):
@@ -450,76 +503,51 @@ def scalar_text(v, known, param, constant, line):
     name = known.get(id(v))
     if name is None:
         fmt, *operands = v.expr
-        texts = (scalar_text(a, known, param, constant, line)
-                 for a in operands)
-        name = known[id(v)] = line(v, fmt.format(*map(operand, texts)))
+        # + - * and negation raise on no operands; / ** and a call may
+        name = known[id(v)] = line(v, op(
+            fmt, *(scalar_text(a, known, param, constant, line)
+                   for a in operands),
+            may_raise=fmt not in ("{} + {}", "{} - {}", "{} * {}", "-{}")))
     return name
 
 
-# an unsigned number literal, as repr writes a finite float or an int
-_UNSIGNED = re.compile(r"\d+(?:\.\d*)?(?:e[+-]?\d+)?")
-
-
-def operand(text):
-    """``text`` as an operand of an operation: a name or an unsigned number
-    literal as it is, any other text, a negative literal included, in
-    parentheses."""
-    if text.isidentifier() or _UNSIGNED.fullmatch(text):
-        return text
-    return f"({text})"
-
-
-def _emit_param(k, name, text):
+def _emit_param(k, name, operation):
     # a Param is computed once, with coefficient 0
-    return [f"{name} = {text}"] if k == 0 else []
+    return [assign(name, operation)] if k == 0 else []
 
 
-# in a text, what can raise: a call, a power and a division by anything
-# but a nonzero integer literal
-_MAY_RAISE = re.compile(r"\w\s*\(|\*\*|/(?!\s*-?[1-9]\d*\b(?!\.))")
-_NAME = re.compile(r"[A-Za-z_]\w*")
-
-
-# (lines, outputs) -> the lines live_lines keeps.  Every system object
-# writes its texts anew, and objects of one structure write the same ones
+# (lines, outputs) -> the text live_lines keeps, for every system object of
+# one structure.  Equal records print alike: the flow's numbers are the int
+# k and the seed 0.0 alone, never 1 against 1.0 or 0.0 against -0.0
 _LIVE = {}
 
 
 def live_lines(lines, outputs):
-    """The straight-line ``lines``, which assign each name once, less
-    every plain copy ``a = b`` whose name is no output, its readers reading
-    b, and less every assignment whose name no later kept line and no name
-    in ``outputs`` reads, where its text cannot raise: it makes no call, no
-    power and no division but by a nonzero integer literal.  Every check
-    and helper call stays, so the code raises what it raised and computes
-    the same ``outputs``.  Worked out once per process for each text, into
+    """The text of the straight-line records ``lines``, which assign each
+    name once, less every plain copy ``a = b`` whose name is no output,
+    its readers reading b, and less every assignment that cannot raise and
+    whose name no later kept line and no name in ``outputs`` reads.  So
+    the code raises what it raised and computes the same ``outputs``.
+    Worked out and printed once per process for each list of records, into
     ``_LIVE``; the list returned is new."""
     key = (tuple(lines), tuple(outputs))
-    kept = _LIVE.get(key)
-    if kept is None:
-        kept = _LIVE[key] = _live_lines(lines, set(outputs))
-    return list(kept)
-
-
-def _live_lines(lines, read):
-    source = {}
-    for line in lines:
-        name, _, text = line.partition(" = ")
-        if text.isidentifier() and name.isidentifier() and name not in read:
-            source[name] = source.get(text, text)
-    if source:
-        copies = re.compile(rf"\b(?:{'|'.join(source)})\b")
-        lines = [copies.sub(lambda m: source[m[0]], line) for line in lines
-                 if line.partition(" = ")[0] not in source]
-    kept = []
-    for line in reversed(lines):
-        name, is_assignment, text = line.partition(" = ")
-        if (is_assignment and name not in read and name.isidentifier()
-                and not _MAY_RAISE.search(text)):
-            continue
-        read.update(_NAME.findall(line))
-        kept.append(line)
-    return tuple(reversed(kept))
+    if key not in _LIVE:
+        read, source, kept = set(outputs), {}, []
+        for line in lines:
+            a = line.operands[0]
+            if line.op == "{}" and type(a) is str and line.target not in read:
+                source[line.target] = source.get(a, a)
+        for line in reversed(lines):
+            if line.target in source or (line.target not in read
+                                         and not line.may_raise):
+                continue
+            if not source.keys().isdisjoint(line.operands):
+                line = line._replace(operands=tuple(
+                    map(source.get, line.operands, line.operands)))
+            read.update(line.operands)
+            kept.append(str(line))
+        _LIVE[key] = kept[::-1]
+    return list(_LIVE[key])
 
 
 # generated source text -> its code object.  The text names scalars, never
@@ -561,7 +589,7 @@ def _finished(op, n, args):
         outs = "rs"[:op.__code__.co_argcount - 1 - len(args)]
         body = [f"{', '.join(f'{a}{j}' for j in range(n))}, = {a}"
                 for a, arg in zip(names, args) if type(arg) is list]
-        body += [line for k in range(n) for line in op(k, *outs, *names)]
+        body += [str(line) for k in range(n) for line in op(k, *outs, *names)]
         result = "".join(f"[{', '.join(f'{o}{j}' for j in range(n))}], "
                          for o in outs)
         fn = _FINISHED[op, n] = generate(", ".join(names), body, result,
@@ -604,9 +632,9 @@ class TapeSource:
         self._env[name] = value
         return name
 
-    def _param_line(self, param, text):
+    def _param_line(self, param, operation):
         name = f"t{len(self._names)}_"
-        self._nodes.append((_emit_param, [name, text]))
+        self._nodes.append((_emit_param, [name, operation]))
         return name
 
     def name(self, coeffs):
@@ -614,16 +642,16 @@ class TapeSource:
         return self._names[id(coeffs)]
 
     def lines(self, k, nodes=slice(None)):
-        """Lines that compute coefficient k of every jet the ``nodes``
-        record, in recording order, from the coefficients 0 .. k of their
-        inputs."""
+        """The records that compute coefficient k of every jet the
+        ``nodes`` record, in recording order, from coefficients 0 .. k."""
         return [line for emit, args in self._nodes[nodes]
                 for line in emit(k, *args)]
 
     def compile(self, params, body, result, names=None):
-        """The function ``(params) -> result`` that runs the lines
-        ``body``, with the tape's scalars and ``names`` as its globals."""
-        return generate(params, body, result, {**self._env, **(names or {})})
+        """The function ``(params) -> result`` that runs ``body``, text and
+        records, with the tape's scalars and ``names`` as its globals."""
+        return generate(params, [str(line) for line in body], result,
+                        {**self._env, **(names or {})})
 
 
 # -- generic dispatch ----------------------------------------------------

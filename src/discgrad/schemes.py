@@ -57,7 +57,6 @@ the operations of the system's own callables in their order.  A run and
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
@@ -68,8 +67,8 @@ from .hamiltonian import HamiltonianSystem, PhaseState, linearize, not_finite
 # not called here, where the series delta is generated code, but
 # perfbench/tracer.py patches it under this module's name
 from .hamiltonian import taylor_flow_coeffs  # noqa: F401
-from .jets import (_UNSIGNED, FLOAT_HELPERS, _div, _finished, horner,
-                   horner_text, operand)
+from .jets import (FLOAT_HELPERS, Line, _div, _finished, assign, fold,
+                   horner, horner_text, op)
 
 # past N = 14 the error rises again at larger h (pendulum p0 1.8, h 0.5:
 # gr-14 1.2e-10, gr-18 4.4e-9, gr-22 1.4e-5): the delta series has a finite
@@ -354,61 +353,41 @@ def discrete_gradient_residual(sys: HamiltonianSystem, s_n: PhaseState,
 _MIN_NEWTON_DET = 0.5
 
 
-# The step texts fold what the recording knows.  A recorded partial that is
-# a plain constant (every built-in system's H_xp and H_pp) is written as
-# its literal, and two identities of IEEE arithmetic, exact for every
-# float, -0.0, inf and NaN included, drop operations on literals:
-# a * 1.0 is a, and a - 0.0 is a.  a + 0.0 (-0.0 + 0.0 is +0.0) and
-# 0.0 * a (0.0 * inf is NaN) are no identities and stay.  So every value
-# is the one the unfolded text computes, bit for bit.
-
-def _literal(text):
-    """The number that ``text`` writes where it is a literal, as repr
-    writes a finite float or an int, else None."""
-    return float(text) if _UNSIGNED.fullmatch(text.lstrip("-")) else None
-
-
-def _times(a, b):
-    """The text of a * b, with a factor that is the literal 1.0 folded."""
-    if b == "1.0":
-        return a
-    if a == "1.0":
-        return b
-    return f"{operand(a)} * {operand(b)}"
-
+# The step texts fold what the recording knows: a recorded partial that is
+# a plain constant (every built-in H_xp and H_pp) is a number in the
+# records, and ``jets._IDENTITIES`` drops a * 1.0 and a - 0.0 on it.
 
 def _omega_sq(hxx, hxp, hpp, square):
-    """The text of hxx * hpp - square, square being hxp's, folded: a zero
-    literal hxp has the square 0.0, whose subtraction is dropped."""
-    product = _times(hxx, hpp)
-    return product if _literal(hxp) == 0 else f"{product} - {square}"
+    """hxx * hpp - square, square being hxp's: +0.0 for a zero hxp (as
+    0 * 0, -0.0 * -0.0 and 0 ** 2 are), which the table then drops."""
+    return fold("{} - {}", fold("{} * {}", hxx, hpp),
+                0.0 if hxp == 0 else square, bare=True)
 
 
 def _inverse_lines(hxx, hxp, hpp):
     """The lines that set j11 .. j22, the row-major entries of J^{-1} for
     J = I - c A with c = delta/2 and A = [[H_xp, H_pp], [-H_xx, -H_xp]] of
-    the frozen Hessian, whose entries are the texts hxx, hxp, hpp: a name
-    or a literal.  A^2 = -w^2 I with w^2 = H_xx H_pp - H_xp^2, so
+    the frozen Hessian, whose entries hxx, hxp, hpp are names or numbers.
+    A^2 = -w^2 I with w^2 = H_xx H_pp - H_xp^2, so
     J^{-1} = (I + c A) / (1 + c^2 w^2); J = I where |det J| is below
     _MIN_NEWTON_DET or not finite.
 
-    Besides the 1.0 and 0.0 folds, a zero literal hxp makes j11 and j22
-    one 1.0 / det: in the branch det is finite, so c is (c * c * w^2 would
-    be inf or NaN otherwise) and 1.0 / det is finite and nonzero, and
-    adding or subtracting c * hxp, a zero, leaves it as it is."""
-    if _literal(hxp) == 0:
-        diagonal = ["    j11 = j22 = 1.0 / det"]
-    else:
-        diagonal = [f"    j11 = 1.0 / det + {_times('c', hxp)}",
-                    f"    j22 = 1.0 / det - {_times('c', hxp)}"]
-    w2 = _omega_sq(hxx, hxp, hpp, f"{hxp} * {hxp}")
+    Besides the 1.0 and 0.0 folds, a zero hxp makes j11 and j22 one
+    1.0 / det: in the branch det is finite, so c is (c * c * w^2 would be
+    inf or NaN otherwise) and 1.0 / det is finite and nonzero, and adding
+    or subtracting c * hxp, a zero, leaves it as it is."""
+    cxp = fold("{} * {}", "c", hxp)
+    diagonal = (["    j11 = j22 = 1.0 / det"] if hxp == 0 else
+                [f"    j11 = 1.0 / det + {cxp}",
+                 f"    j22 = 1.0 / det - {cxp}"])
+    w2 = _omega_sq(hxx, hxp, hpp, op("{} * {}", hxp, hxp, bare=True))
     return ["c = 0.5 * delta",
-            f"det = 1.0 + c * c * {operand(w2)}",
+            assign("det", op("1.0 + c * c * {}", w2)),
             f"if {_MIN_NEWTON_DET!r} <= abs(det) < inf:",
             "    c /= det",
             *diagonal,
-            f"    j12 = {_times('c', hpp)}",
-            f"    j21 = -{_times('c', hxx)}",
+            f"    j12 = {fold('{} * {}', 'c', hpp)}",
+            f"    j21 = -{fold('{} * {}', 'c', hxx)}",
             "else:",
             "    j11, j12, j21, j22 = 1.0, 0.0, 0.0, 1.0"]
 
@@ -430,16 +409,18 @@ _LEX_LINES = [f"if w2 > {_DEGENERATE_OMEGA_SQ!r}:",
               "    delta = h + h ** 3 * w2 / 12.0"]
 
 # the midpoint of the step's start (x0, p0) and its iterate (xc, pc), by
-# coordinate
-_MIDPOINT = {"x": "0.5 * (x0 + xc)", "p": "0.5 * (p0 + pc)"}
+# coordinate, as the recorded 0.5 * (p + p1) of a dd_p writes it
+_MIDPOINT = {v: op("{} * {}", 0.5, op("{} + {}", f"{v}0", f"{v}c"))
+             for v in "xp"}
 
 
 def _midpoint_lines(x, p, lines):
-    """The lines that set the midpoint coordinates named x and p that
-    ``lines`` read, and each one's text -> its name."""
-    read = set(re.findall(r"\w+", "\n".join(lines)))
+    """The records that set the midpoint coordinates named x and p that
+    the records among ``lines`` read, and each one's operation -> name."""
+    read = {a for line in lines if isinstance(line, Line)
+            for a in line.operands}
     held = {_MIDPOINT[k]: v for k, v in (("x", x), ("p", p)) if v in read}
-    return [f"{v} = {text}" for text, v in held.items()], held
+    return [assign(v, operation) for operation, v in held.items()], held
 
 
 def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
@@ -459,13 +440,12 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
     that is not finite, a Hessian that is not a number, an increment past
     _GUARD and after max_iter iterations.
 
-    The lines fold what the recording knows as they are written: a
-    literal Hessian entry is no local and has no NaN test, and w^2 and
-    J^{-1} drop the 1.0 and 0.0 operations on it (:func:`_inverse_lines`).
-    A midpoint coordinate is set only where a later line reads it (an
-    error message formats its own), and on an iteration dd_p and dd_x read
-    it where they would compute its text.  So every value, error and
-    message is the unfolded text's."""
+    A constant Hessian entry is a number, no local, with no NaN test, and
+    the identity table folds w^2 and J^{-1} on it (:func:`_inverse_lines`).
+    A midpoint coordinate is set only where a later record reads it (an
+    error message formats its own), and dd_p and dd_x read it where they
+    would compute it.  So every value, error and message is the unfolded
+    text's."""
     code = sys._code
     names.update(_STEP_NAMES, sys=sys, series_function=_series_function)
     before = []
@@ -477,8 +457,8 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
 
     def lex(x, p, local, h_test=True):
         lines, (hxx, hxp, hpp) = scalars(("xx", "xp", "pp"), x, p, local)
-        w2 = _omega_sq(hxx, hxp, hpp, f"{operand(hxp)} ** 2")
-        return [*lines, f"w2 = {w2}", *(_NONZERO_H if h_test else ()),
+        w2 = _omega_sq(hxx, hxp, hpp, op("{} ** 2", hxp, may_raise=True))
+        return [*lines, assign("w2", w2), *(_NONZERO_H if h_test else ()),
                 *_LEX_LINES]
 
     _, fn, midpoint = kind
@@ -486,12 +466,12 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
     if fn is _gr_delta:
         before = ["delta = h"]
     elif fn is _mod_gr_delta:
-        before = ["xbar = rule.fn.args[0]", *lex("xbar", "0.0", "b")]
+        before = ["xbar = rule.fn.args[0]", *lex("xbar", 0.0, "b")]
     elif fn is _delta_lex_at:
         delta_at = lex
     else:
         def delta_at(x, p, local):
-            return [f"delta = rule.fn(sys, {x}, {p}, h)"]
+            return [Line("delta", "rule.fn(sys, {}, {}, h)", (x, p), True)]
 
     if fn is _series_delta:
         before.append("series = series_function(sys, rule.fn.args[0])")
@@ -502,23 +482,21 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
                 else delta_at("x0", "p0", "s"))
         # explicit Euler predictor, O(h^2) off the fixed point
         lines, (hp, hx) = scalars(("p", "x"), "x0", "p0", "e")
-        step += [*lines, f"xc = x0 + h * {operand(hp)}",
-                 f"pc = p0 - h * {operand(hx)}"]
+        step += [*lines, assign("xc", op("x0 + h * {}", hp)),
+                 assign("pc", op("p0 - h * {}", hx))]
         what = "Euler predictor"
     lines, hessian = scalars(("xx", "xp", "pp"), "xm", "pm", "m")
-    # the frozen Hessian: a literal entry as its text, any other in a local
-    # with a NaN test, as a second partial that overflows at a finite
+    # the frozen Hessian: a constant entry as its number, any other in a
+    # local with a NaN test, as a second partial that overflows at a finite
     # midpoint (inf - inf, 0 * inf) would otherwise only turn the solve
     # into the J = I one
-    frozen, computed = [], {}
-    for name, text in zip(("hxx", "hxp", "hpp"), hessian):
-        if _literal(text) is None:
-            computed[name] = text
-            text = name
-        frozen.append(text)
+    entries = list(zip(("hxx", "hxp", "hpp"), hessian))
+    computed = {n: e for n, e in entries if not isinstance(e, (int, float))}
+    frozen = [n if n in computed else e for n, e in entries]
     if computed:
         lines += [
-            f"{', '.join(computed)} = {', '.join(computed.values())}",
+            assign(", ".join(computed), op(", ".join(["{}"] * len(computed)),
+                                           *computed.values(), bare=True)),
             f"if {' or '.join(f'{v} != {v}' for v in computed)}:",
             "    raise DivergenceError(f'Hessian ("
             + ", ".join(f"{{{v}:.3g}}" for v in frozen)
@@ -536,7 +514,7 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
         # midpoint, where the Hessian's lines, the same operations, ran;
         # with a zero literal H_xp, w^2's own line has no power and cannot
         # raise.  So the test raises before the loop what it raised there
-        hoist = delta_at is lex and _literal(hessian[1]) == 0
+        hoist = delta_at is lex and hessian[1] == 0
         at = lex("xh", "ph", "i", False) if hoist else delta_at("xh", "ph",
                                                                 "i")
         mid, held = _midpoint_lines("xh", "ph", at)
@@ -549,8 +527,8 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
     lines, (ddp, ddx) = scalars(("dd_p", "dd_x"), "x0", "p0", "d", held)
     loop += [
         *lines,
-        f"rx = x0 + delta * {operand(ddp)} - xc",
-        f"rp = p0 - delta * {operand(ddx)} - pc",
+        assign("rx", op("x0 + delta * {} - xc", ddp)),
+        assign("rp", op("p0 - delta * {} - pc", ddx)),
         "dx = j11 * rx + j12 * rp",
         "dp = j21 * rx + j22 * rp",
         "xc += dx",

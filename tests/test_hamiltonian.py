@@ -504,7 +504,7 @@ def _energy_function(sys):
     names = dict(jets.FLOAT_HELPERS)
     lines, (text,) = sys._code.scalar_lines(("energy",), {"x": "x", "p": "p"},
                                             "_eh", names)
-    return jets.generate("x, p", lines, text, names)
+    return jets.generate("x, p", list(map(str, lines)), str(text), names)
 
 
 def _energy_states(rng, n):
@@ -551,7 +551,7 @@ def test_recorded_energy_text_of_the_pendulum():
     # on the float helpers, with no call but the cosine
     lines, (text,) = make_pendulum()._code.scalar_lines(
         ("energy",), {"x": "x0", "p": "p0"}, "_eh", {})
-    assert (lines, text) == ([], "((0.5 * p0) * p0) - (gcos(x0))")
+    assert (lines, str(text)) == ([], "((0.5 * p0) * p0) - (gcos(x0))")
 
 
 def test_an_energy_that_cannot_be_recorded_fails_at_build(pendulum):

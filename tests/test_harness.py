@@ -48,6 +48,18 @@ def test_spec_rejects_a_non_integer_count():
     assert [s.n for s in run_trajectory(spec).samples] == [0, 5, 10, 15, 20]
 
 
+def test_spec_takes_x0_and_stride_by_keyword_only():
+    # a sixth positional argument once became x0, so a stride of 100 started
+    # the run at x = 100, with no exact solution and no global error
+    with pytest.raises(TypeError):
+        ExperimentSpec("gr-7", "pendulum", 1.8, 0.25, 4000, 100)
+    with pytest.raises(TypeError):
+        ExperimentSpec("gr-7", "pendulum", 1.8, 0.25, 4000, 0.0, 100)
+    spec = ExperimentSpec("gr-7", "pendulum", 1.8, 0.25, 4000,
+                          sample_stride=100)
+    assert (spec.x0, spec.sample_stride) == (0.0, 100)
+
+
 def _count_systems(monkeypatch):
     """A list that gains an entry at every system object built."""
     built, init = [], hamiltonian._SystemCode.__init__

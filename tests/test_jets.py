@@ -440,12 +440,12 @@ def test_gsinc_on_a_param_records_itself():
 def _float_code(value, params):
     """The lines, text and bound names of the recorded scalar ``value`` as
     the implicit step writes it: each operation into a local, a finite
-    constant as its literal."""
+    constant as its number."""
     lines, bound = [], {}
 
     def constant(v):
         if type(v) is int or type(v) is float and math.isfinite(v):
-            return repr(v)
+            return v
         bound[f"s{len(bound)}"] = v
         return f"s{len(bound) - 1}"
 

@@ -15,6 +15,11 @@ on x86-64 Linux, glibc).
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,3 +80,60 @@ def pinned_hash(scheme: str, path) -> str:
 @pytest.mark.parametrize("scheme", list(PINNED))
 def test_run_outputs_are_pinned(scheme, tmp_path):
     assert pinned_hash(scheme, tmp_path / "run.csv") == PINNED[scheme]
+
+
+# The sha256 of every text jets.generate compiles in a fresh interpreter
+# for the runs of PINNED, the README sweep (serial; --periods 8 compiles
+# what 120 does) and the README order run, sorted and joined by "\n\0\n".
+# Kept with the code: the texts are the program every run executes.
+PINNED_TEXTS = \
+    "d5c0f4716bb1de8e7fabbd9a19f7ff9e9dcdf8f7ace631fdccc91172920b213d"
+
+_TEXTS_SCRIPT = """
+import contextlib, hashlib, io, json, os, sys
+from discgrad import cli, harness, jets
+from discgrad.errors import StepError
+schemes, systems, p0s, out = json.loads(sys.argv[1])
+for scheme in schemes:
+    for system in systems:
+        for p0 in p0s:
+            spec = harness.ExperimentSpec(scheme, system, p0, 0.25, 400,
+                                          sample_stride=7)
+            try:
+                harness.run_trajectory(spec)
+            except (StepError, ArithmeticError, ValueError):
+                pass
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    cli.main(["sweep", "--schemes", "gr,gr-3,gr-7,gr-lex,sp-4,tay-10",
+              "--p0", "0.02", "--h", "0.4:0.0125:/2", "--periods", "8",
+              "--serial", "--out", os.path.join(out, "sweep.csv")])
+    cli.main(["order", "--scheme", "gr-slex", "--p0", "1.8",
+              "--h", "0.2,0.1,0.05,0.025", "--t", "2.0"])
+print(hashlib.sha256("\\n\\0\\n".join(sorted(jets._CODE)).encode())
+      .hexdigest())
+"""
+
+
+def texts_hash(path) -> str:
+    """The sha256 of the generated texts, as PINNED_TEXTS defines it, from
+    a fresh interpreter: this one's caches (the finished jet operations,
+    the sweep's shared pendulum, the oracle's) keep texts from earlier
+    runs.  The sweep writes its CSV under path.
+
+    A change that alters a generated text on purpose (a new fold, a new
+    step) records the new hash from this function and says in CHANGES.md
+    which texts moved and why; one that should not move them, such as a
+    refactor of the generator, keeps this test passing."""
+    src = str(Path(harness.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    args = json.dumps([list(PINNED), SYSTEMS, P0S, str(path)])
+    done = subprocess.run([sys.executable, "-c", _TEXTS_SCRIPT, args],
+                          env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    return done.stdout.strip()
+
+
+def test_generated_texts_are_pinned(tmp_path):
+    assert texts_hash(tmp_path) == PINNED_TEXTS
