@@ -10,7 +10,9 @@ own samples; only a run that fails calls the block again, one step a call.
 :func:`run_trajectory` runs on the system object it is given, or on one
 it builds anew from the spec's name.  The entries of a sweep or an order
 estimate pass one system object per name and process, so a process records
-the pendulum and writes each scheme's block once, not once per entry.
+the pendulum and writes each scheme's block once, not once per entry.  A
+sweep that forks its pool builds that code in the parent first, so its
+workers inherit it and build none.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import functools
 import io
 import math
 import operator
+import os
 import time
 import warnings
 from dataclasses import KW_ONLY, dataclass, field
@@ -222,16 +225,32 @@ def _sweep_entry(args):
     return _final_global_error(*args)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity where the
+    platform reports one, else every CPU."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def sweep(schemes_list, p0: float, h_list, n_periods: int,
           parallel: bool = True):
     """Global error for every scheme x h combination, merged in spec order.
+
+    With ``parallel``, the entries run in a pool of one worker per CPU the
+    process may use, at most one per entry; with one such CPU, or one
+    entry, they run in this process.  Where the pool forks, this process
+    first builds on its pendulum what every entry runs: each scheme's
+    block, the code a gr-N delta's general path may generate and p0's
+    oracle.  The workers inherit all of it, so none records a system or
+    generates code.  A one-shot sweep so builds that code once in the
+    parent, not once in each worker.
 
     An entry that fails raises its error; where several fail, the first in
     spec order does, with or without the pool."""
     if not schemes_list:
         raise ValueError("need at least one scheme")
-    for sc in schemes_list:
-        _block_maker(sc)               # a bad id fails before any entry runs
+    # a bad id fails before any entry runs
+    makers = [_block_maker(sc) for sc in schemes_list]
     if n_periods < 1:
         raise ValueError(f"need periods >= 1, got periods = {n_periods!r}")
     period = reference.pendulum_period(p0)
@@ -242,11 +261,19 @@ def sweep(schemes_list, p0: float, h_list, n_periods: int,
     counts = _step_counts(target, h_list, "periods * period")
     tasks = [(sc, p0, h, n) for sc in schemes_list
              for h, n in zip(h_list, counts)]
-    if parallel and len(tasks) > 1:
+    workers = min(_usable_cpus(), len(tasks))
+    if parallel and workers > 1:
         # imported here: the pool's modules take about a fifth of the
         # package's import time, and only a sweep needs them
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor() as pool:
+        if multiprocessing.get_start_method() == "fork":
+            pendulum = _entry_system("pendulum")
+            for make in makers:
+                make(pendulum)
+            schemes.build_general_paths(pendulum)
+            reference.exact_solution(p0)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             # the longest entries first, so that no long one starts last;
             # the results, and the first error, are taken in spec order,
             # and an error cancels the entries not yet started

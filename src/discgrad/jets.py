@@ -120,14 +120,23 @@ _IDENTITIES = {"{} * 1.0": "{}", "1.0 * {}": "{}", "{} - 0.0": "{}",
                "1 * {}": "{}", "{} / 1": "{}", "{} / -1": "-{}"}
 
 
-def fold(fmt, a, b, bare=False):
-    """:func:`op` of ``fmt``, a and b, less an identity of _IDENTITIES."""
+def fold(fmt, a, b, bare=False, may_raise=False):
+    """:func:`op` of ``fmt``, a and b, less an identity of _IDENTITIES; of
+    two numbers, the number the operation gives where it is finite, as the
+    code would compute it."""
     for literal, pattern, other in ((b, ("{}", b), a), (a, (a, "{}"), b)):
         if type(literal) in (int, float):
             left = _IDENTITIES.get(fmt.format(*pattern))
             if left is not None:
                 return other if left == "{}" else op(left, other)
-    return op(fmt, a, b, bare=bare)
+    if type(a) in (int, float) and type(b) in (int, float):
+        try:
+            v = _PARAM_OPS[fmt](a, b)
+            if math.isfinite(v):
+                return v
+        except (ArithmeticError, KeyError, TypeError):
+            pass        # an overflow, a complex, no such operation
+    return op(fmt, a, b, may_raise=may_raise, bare=bare)
 
 
 def _sum(first, sign, a, b, k, js):

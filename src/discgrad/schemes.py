@@ -323,6 +323,18 @@ def _series_function(sys: HamiltonianSystem, N: int):
     return fn
 
 
+def build_general_paths(sys: HamiltonianSystem) -> None:
+    """Make what the general path (:func:`_coefficients`) of every gr-N
+    delta made on sys may generate: the deflating parts, once per system
+    object and N, and the division, once per process and N.  A process
+    forked afterwards generates none of it."""
+    code = sys._code
+    for key in list(code.functions):
+        if type(key) is tuple and key[0] == "delta":
+            _parts_function(code, key[1] + _DEFLATE_EXTRA)
+            _finished(_div, key[1], ([], []))
+
+
 def delta_series(sys: HamiltonianSystem, s: PhaseState, h: float,
                  N: int) -> float:
     """delta^{[N]} = sum_{k=1}^{N} a_k(x, p) h^k evaluated at h, by one
@@ -359,7 +371,8 @@ _MIN_NEWTON_DET = 0.5
 
 def _omega_sq(hxx, hxp, hpp, square):
     """hxx * hpp - square, square being hxp's: +0.0 for a zero hxp (as
-    0 * 0, -0.0 * -0.0 and 0 ** 2 are), which the table then drops."""
+    0 * 0, -0.0 * -0.0 and 0 ** 2 are), which the table then drops.  Of
+    numbers it is the number (:func:`discgrad.jets.fold`)."""
     return fold("{} - {}", fold("{} * {}", hxx, hpp),
                 0.0 if hxp == 0 else square, bare=True)
 
@@ -380,7 +393,7 @@ def _inverse_lines(hxx, hxp, hpp):
     diagonal = (["    j11 = j22 = 1.0 / det"] if hxp == 0 else
                 [f"    j11 = 1.0 / det + {cxp}",
                  f"    j22 = 1.0 / det - {cxp}"])
-    w2 = _omega_sq(hxx, hxp, hpp, op("{} * {}", hxp, hxp, bare=True))
+    w2 = _omega_sq(hxx, hxp, hpp, fold("{} * {}", hxp, hxp, bare=True))
     return ["c = 0.5 * delta",
             assign("det", op("1.0 + c * c * {}", w2)),
             f"if {_MIN_NEWTON_DET!r} <= abs(det) < inf:",
@@ -442,6 +455,11 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
 
     A constant Hessian entry is a number, no local, with no NaN test, and
     the identity table folds w^2 and J^{-1} on it (:func:`_inverse_lines`).
+    Where every entry is one (harmonic:W, crossterm:A), w^2 is a number, so
+    delta_lex and J^{-1} depend on h alone: J^{-1} is set before the loop
+    where delta is (gr's, mod-gr's, and gr-lex's, then delta_lex of that
+    w^2), and gr-slex sets both once a step, where its first iteration
+    did, after the predictor's check.
     A midpoint coordinate is set only where a later record reads it (an
     error message formats its own), and dd_p and dd_x read it where they
     would compute it.  So every value, error and message is the unfolded
@@ -457,7 +475,8 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
 
     def lex(x, p, local, h_test=True):
         lines, (hxx, hxp, hpp) = scalars(("xx", "xp", "pp"), x, p, local)
-        w2 = _omega_sq(hxx, hxp, hpp, op("{} ** 2", hxp, may_raise=True))
+        w2 = _omega_sq(hxx, hxp, hpp,
+                       fold("{} ** {}", hxp, 2, may_raise=True))
         return [*lines, assign("w2", w2), *(_NONZERO_H if h_test else ()),
                 *_LEX_LINES]
 
@@ -473,17 +492,18 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
         def delta_at(x, p, local):
             return [Line("delta", "rule.fn(sys, {}, {}, h)", (x, p), True)]
 
+    start = []                  # delta at the step's start point
     if fn is _series_delta:
         before.append("series = series_function(sys, rule.fn.args[0])")
         step = [f"{'_' if midpoint else 'delta'}, xc, pc = series(x0, p0, h)"]
         what = "flow start"
     else:
-        step = ([] if midpoint or delta_at is None
-                else delta_at("x0", "p0", "s"))
+        if not midpoint and delta_at is not None:
+            start = delta_at("x0", "p0", "s")
         # explicit Euler predictor, O(h^2) off the fixed point
         lines, (hp, hx) = scalars(("p", "x"), "x0", "p0", "e")
-        step += [*lines, assign("xc", op("x0 + h * {}", hp)),
-                 assign("pc", op("p0 - h * {}", hx))]
+        step = [*lines, assign("xc", op("x0 + h * {}", hp)),
+                assign("pc", op("p0 - h * {}", hx))]
         what = "Euler predictor"
     lines, hessian = scalars(("xx", "xp", "pp"), "xm", "pm", "m")
     # the frozen Hessian: a constant entry as its number, any other in a
@@ -502,7 +522,21 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
             + ", ".join(f"{{{v}:.3g}}" for v in frozen)
             + f") at the predicted midpoint ({{{_MIDPOINT['x']}:.3g}}, "
             f"{{{_MIDPOINT['p']}:.3g}}) is not a number')"]
-    step += [
+    # delta set once for the block makes J^-1 one for it too where the
+    # Hessian is literals.  Those make w^2 a number and delta_lex one for
+    # the block: gr-lex sets it before the loop, and gr-slex once a step,
+    # where its first iteration did, after the predictor's check
+    fixed = fn is _gr_delta or fn is _mod_gr_delta
+    if delta_at is lex and not computed:
+        if midpoint:
+            lines += lex("x0", "p0", "s")
+        else:
+            before += start
+            start, fixed = [], True
+        delta_at = None
+    step = [
+        *start,
+        *step,
         f"if {not_finite('xc', 'pc')}:",
         f"    raise DivergenceError(f'{what} ({{xc:.3g}}, {{pc:.3g}}) is "
         "not finite')",
@@ -521,8 +555,10 @@ def _gradient_lines(sys: HamiltonianSystem, kind: tuple, names: dict):
         step += _NONZERO_H if hoist else []
         loop = [*mid, *at, *_inverse_lines(*frozen)]
     else:
-        # delta and the frozen Hessian are fixed for the step: one J^-1
-        step += _inverse_lines(*frozen)
+        # delta and the frozen Hessian are fixed for the step: one J^-1,
+        # and one for the block where both are
+        (before if fixed and not computed else step).extend(
+            _inverse_lines(*frozen))
         loop, held = [], None
     lines, (ddp, ddx) = scalars(("dd_p", "dd_x"), "x0", "p0", "d", held)
     loop += [
@@ -576,10 +612,13 @@ def gradient_block(sys: HamiltonianSystem, rule: DeltaRule):
     text depends on: which built-in ``fn`` (gr's, gr-lex's, mod-gr's,
     gr-N's) or another, and ``midpoint``.  A run, :func:`step_gradient_info`
     and a rule built anew for every step share it; it reads mod-gr's x_bar,
-    gr-N's N and any other ``fn`` from the rule at every call."""
+    gr-N's N and any other ``fn`` from the rule at every call; gr-N's
+    delta, which it calls, is made with it."""
     fn = rule.fn
     if isinstance(fn, partial) and fn.func in (_mod_gr_delta, _series_delta):
         fn = fn.func
+        if fn is _series_delta:
+            _series_function(sys, rule.fn.args[0])
     elif fn is not _gr_delta and fn is not _delta_lex_at:
         fn = None
     kind = ("step", fn, rule.midpoint)

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 import re
 
 import numpy as np
@@ -557,7 +558,10 @@ def test_sweep_submits_the_longest_entry_first(monkeypatch):
     submitted = []
 
     class Pool:
-        # runs each entry when it is submitted
+        # runs each entry when it is submitted, whatever its size
+        def __init__(self, *args, **kwargs):
+            pass
+
         def __enter__(self):
             return self
 
@@ -573,11 +577,59 @@ def test_sweep_submits_the_longest_entry_first(monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    # two usable CPUs, so that the pool starts on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     rows = sweep(["lf", "gr"], 1.8, [0.4, 0.1, 0.2], 1)
     assert [t[3] for t in submitted] == [91, 91, 46, 46, 23, 23]
     assert [t[0] for t in submitted] == ["lf", "gr"] * 3
     assert rows == sweep(["lf", "gr"], 1.8, [0.4, 0.1, 0.2], 1,
                          parallel=False)
+
+
+def test_sweep_on_one_usable_cpu_starts_no_pool(monkeypatch):
+    # two workers forked onto one CPU only share it; the entries run in
+    # this process
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        pytest.fail("a pool was made")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    rows = sweep(["lf", "gr"], 1.8, [0.4, 0.2], 1)
+    assert rows == sweep(["lf", "gr"], 1.8, [0.4, 0.2], 1, parallel=False)
+
+
+def test_forked_sweep_workers_record_and_generate_nothing(monkeypatch):
+    # the parent builds every entry's code on its pendulum before the pool
+    # forks, so no worker records a system or generates code.  At p0 0.02
+    # every entry passes turning points, where gr-N's delta takes its
+    # general path and deflates
+    import multiprocessing
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers that are not forked inherit nothing")
+    parent = os.getpid()
+
+    def parent_only(f, what):
+        def wrapped(*args):
+            if os.getpid() != parent:
+                raise AssertionError(f"a sweep worker {what}")
+            return f(*args)
+        return wrapped
+    for module in (jets, reference):
+        monkeypatch.setattr(module, "generate",
+                            parent_only(jets.generate, "generated code"))
+    monkeypatch.setattr(hamiltonian._SystemCode, "__init__", parent_only(
+        hamiltonian._SystemCode.__init__, "recorded a system"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    harness._entry_system.cache_clear()
+    ids = ["gr", "gr-3", "gr-7", "gr-14", "gr-lex", "gr-slex", "mod-gr",
+           "lf", "rk4", "sp-4", "tay-10"]
+    rows = sweep(ids, 0.02, [0.4, 0.2], 2)
+    assert rows == sweep(ids, 0.02, [0.4, 0.2], 2, parallel=False)
 
 
 def test_estimate_order_gr():

@@ -520,3 +520,17 @@ def test_an_operation_a_param_lacks_breaks_the_contract(op):
             "contract does not allow")):
         dataclasses.replace(pendulum, partials=dict(
             pendulum.partials, xx=lambda x, p: gcos(op(x))))
+
+
+def test_fold_evaluates_an_operation_of_two_numbers():
+    # as the code would compute it, where that is a finite number; an
+    # overflow, a complex or a non-finite result stays an operation
+    assert jets_module.fold("{} - {}", 1.0, jets_module.fold("{} ** {}", 0.5, 2)) == 0.75
+    assert jets_module.fold("{} * {}", 1.3, 1.3) == 1.3 * 1.3
+    assert jets_module.fold("{} * {}", 2, 1.0) == 2       # the identity, an int
+    for fmt, a, b, text in (("{} ** {}", 1e200, 2, "1e+200 ** 2"),
+                            ("{} ** {}", -8.0, 0.5, "(-8.0) ** 0.5"),
+                            ("{} * {}", 1e200, 1e200, "1e+200 * 1e+200"),
+                            ("{} / {}", 1.0, 0.0, "1.0 / 0.0")):
+        line = jets_module.fold(fmt, a, b, may_raise=True)
+        assert str(line) == text and line.may_raise

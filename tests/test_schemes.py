@@ -852,6 +852,43 @@ def test_step_texts_fold_the_recorded_constants(name, monkeypatch):
                 assert reads[node.id], f"{node.id} is never read:\n{text}"
 
 
+@pytest.mark.parametrize("name", ["harmonic:1.3", "crossterm:0.5"])
+def test_literal_hessian_steps_set_delta_and_inverse_once(name, monkeypatch):
+    # where every Hessian entry is a literal, w^2 is a number (crossterm's
+    # 0.5 ** 2 folded), so gr, mod-gr and gr-lex set J^-1 before the stride
+    # loop, and gr-slex sets w^2, delta and J^-1 once a step, not in its
+    # solve, whose h test leaves it too
+    texts = {}
+    generate = jets.generate
+
+    def spy(params, body, result, namespace):
+        if params.startswith("x0, p0, h, m, hist"):
+            texts[scheme] = "\n    ".join([f"def generated({params}):",
+                                            *body, f"return {result}"])
+        return generate(params, body, result, namespace)
+    monkeypatch.setattr(jets, "generate", spy)
+    sys = system_from_name(name)
+    for scheme in ("gr", "mod-gr", "gr-lex", "gr-slex"):
+        harness.make_stepper(scheme, sys)
+
+    def assigned(node):
+        return {t.id for n in ast.walk(node) if isinstance(n, ast.Assign)
+                for t in n.targets if isinstance(t, ast.Name)}
+    fixed = {"w2", "delta", "det", "j11", "j12", "j21", "j22"}
+    for scheme, text in texts.items():
+        assert "** 2" not in text, text
+        loops = [n for n in ast.walk(ast.parse(text))
+                 if isinstance(n, ast.For)]
+        steps, = (n for n in loops if ast.unparse(n.iter) == "range(_k)")
+        solve, = (n for n in loops if ast.unparse(n.iter) == "iterations")
+        assert not assigned(solve) & fixed, text
+        assert "h == 0.0" not in ast.unparse(solve), text
+        if scheme == "gr-slex":
+            assert fixed <= assigned(steps), text
+        else:
+            assert not assigned(steps) & fixed, text
+
+
 _EDGE_RULES = {"gr": DeltaRule.gr(), "gr-lex": DeltaRule.lex(),
                "gr-slex": DeltaRule.slex(), "mod-gr": DeltaRule.mod_gr(0.0),
                "mod-gr near pi": DeltaRule.mod_gr(3.0),
